@@ -9,6 +9,7 @@ produces identical results for dense and sparse storage of the same matrix.
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -118,8 +119,6 @@ class ComplexMatrix:
         return out
 
     def to_csr(self):
-        import scipy.sparse as sp
-
         r, c, v = self.triplets()
         return sp.csr_matrix((v, (r, c)), shape=self.shape)
 
@@ -129,9 +128,11 @@ class ComplexMatrix:
 
 
 def as_dense(a):
-    """Coerce a ComplexMatrix or array-like to a dense complex ndarray."""
+    """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense complex ndarray."""
     if isinstance(a, ComplexMatrix):
         return a.to_dense()
+    if sp.issparse(a):
+        a = a.toarray()
     out = np.asarray(a, dtype=complex)
     if out.ndim != 2:
         raise DimensionMismatchError("expected a 2-dimensional matrix")

@@ -4,11 +4,14 @@ The exact gradient needs the block diagonal of (B B*)^-1 (and of (B* B)^-1
 for two-sided schemes).  Rather than inverting, these are estimated from
 matrix-vector products: a Hutchinson probe estimator for plain diagonals, a
 Gaussian sketch for diagonal blocks, and block Lanczos quadrature for a
-single block.  Each inverse application is a conjugate-gradient solve.
+single block.  Each inverse application is a conjugate-gradient solve, which
+``estimate_gradient`` block-Jacobi preconditions with the exact Gram blocks
+(of B B*, and of B* B) it computes anyway; ``cg_tol`` still bounds the true
+relative residual ||M x - b|| / ||b||.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -19,9 +22,10 @@ from .errors import (
     BreakdownError,
     DimensionMismatchError,
     NotConvergedError,
+    SingularBlockError,
     SingularProbeBlockError,
 )
-from .group import GroupElement, LieDirection, project_to_lie, _blockwise_inverse
+from .group import GroupElement, LieDirection, project_to_lie
 from .matrix import ComplexMatrix
 
 __all__ = [
@@ -157,12 +161,15 @@ class CgResult(NamedTuple):
     relative_residual: float
 
 
-def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000) -> CgResult:
+def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
+                       precond=None) -> CgResult:
     """Solve M x = b for Hermitian positive definite M (operator or array).
 
     Starts from zero, so M is applied exactly once per iteration.  Stops when
     ||M x - b|| <= tol ||b||; non-convergence is reported on the result, not
-    raised.
+    raised.  ``precond``, a Hermitian positive definite array or sparse
+    matrix approximating M^-1, makes this preconditioned CG: it changes the
+    iterates, not the stopping test.
     """
     apply_m = M.matvec if isinstance(M, LinearOperator) else (lambda v: np.asarray(M) @ v)
     b = np.asarray(b, dtype=complex)
@@ -171,18 +178,22 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000) -> CgR
         return CgResult(np.zeros_like(b), True, 0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
+    z = r if precond is None else precond @ r
+    p = z.copy()
     rs = np.vdot(r, r).real
+    rz = rs if precond is None else np.vdot(r, z).real
     for k in range(1, max_iters + 1):
         Mp = apply_m(p)
-        alpha = rs / np.vdot(p, Mp).real
+        alpha = rz / np.vdot(p, Mp).real
         x += alpha * p
         r -= alpha * Mp
-        rs_new = np.vdot(r, r).real
-        if math.sqrt(rs_new) <= tol * nb:
-            return CgResult(x, True, k, math.sqrt(rs_new) / nb)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = np.vdot(r, r).real
+        if math.sqrt(rs) <= tol * nb:
+            return CgResult(x, True, k, math.sqrt(rs) / nb)
+        z = r if precond is None else precond @ r
+        rz_new = rs if precond is None else np.vdot(r, z).real
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return CgResult(x, False, max_iters, math.sqrt(rs) / nb)
 
 
@@ -197,12 +208,14 @@ class HutchinsonResult(NamedTuple):
     stderr: np.ndarray
 
 
-def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig) -> HutchinsonResult:
+def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
+                                precond=None) -> HutchinsonResult:
     """Probe estimate of Diag((A A*)^-1) for a full-row-rank operator A.
 
     Each probe z contributes z * x with (A A*) x = z solved by conjugate
-    gradients, so the estimator never forms the inverse.  stderr is the
-    per-coordinate sample standard error over probes.
+    gradients, so the estimator never forms the inverse; ``precond`` is
+    passed on to every solve.  stderr is the per-coordinate sample standard
+    error over probes.
     """
     gram = GramOperator(A)
     mean = np.zeros(A.m)
@@ -210,17 +223,16 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig) -> H
     for i in range(config.num_probes):
         rng = substream(config.seed, i)
         z = _draw_probe(rng, A.m, config.probe_kind)
-        sol = conjugate_gradient(gram, z, tol=config.cg_tol, max_iters=config.cg_max_iters)
+        sol = conjugate_gradient(gram, z, tol=config.cg_tol, max_iters=config.cg_max_iters,
+                                 precond=precond)
         if not sol.converged:
             raise NotConvergedError(sol.relative_residual, probe=i)
         sample = (np.conj(z) * sol.x).real
         delta = sample - mean
         mean += delta / (i + 1)
         m2 += delta * (sample - mean)
-    if config.num_probes > 1:
-        stderr = np.sqrt(m2 / (config.num_probes - 1) / config.num_probes)
-    else:
-        stderr = np.zeros(A.m)
+    # one probe leaves m2 = 0, hence a zero standard error
+    stderr = np.sqrt(m2 / max(config.num_probes - 1, 1) / config.num_probes)
     return HutchinsonResult(mean, stderr)
 
 
@@ -243,7 +255,6 @@ def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) 
     r = b - a
     if r > num_probes:
         raise DimensionMismatchError("block size exceeds the probe count")
-    z_cols = []
     rng = substream(seed, 0)
     G = rng.standard_normal((M.m, num_probes))
     for attempt in (0, 1):
@@ -254,15 +265,16 @@ def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) 
             raise SingularProbeBlockError("probe block rank deficient after resampling")
         rng = substream(seed, 1)
         G = rng.standard_normal((M.m, num_probes))
-    for j in range(num_probes):
-        z_cols.append(M.matvec(G[:, j].astype(complex)))
-    Z = np.stack(z_cols, axis=1)
-    S = Z[a:b, :]  # r x probes
+    Z = np.stack([M.matvec(G[:, j].astype(complex)) for j in range(num_probes)], axis=1)
+    return _sketched_block(R, Z[a:b, :])
+
+
+def _sketched_block(R, S):
+    """Hermitian block fitted to sketch rows S (r x probes) over probe rows R."""
     W, *_ = np.linalg.lstsq(R.T, S.T, rcond=None)
     # the regression recovers the transpose of the block (real probes carry no
     # conjugation), so flip before symmetrizing
-    est = W.T
-    return 0.5 * (est + est.conj().T)
+    return 0.5 * (W.T + W.conj())
 
 
 def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndarray:
@@ -321,51 +333,58 @@ def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndar
     return 0.5 * (block_inv + block_inv.conj().T)
 
 
-def _block_diag_csr(X, blocks):
-    m = X.shape[0]
-    rows, cols, vals = [], [], []
-    for a, b in blocks:
-        for i in range(a, b):
-            for j in range(a, b):
-                if X[i, j] != 0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(X[i, j])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+class _BlockPattern:
+    """The entries inside contiguous diagonal blocks, block after block and
+    row-major within each block, which is also row-major order overall."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        sizes = np.array([b - a for a, b in blocks])
+        owner = np.repeat(np.arange(len(blocks)), sizes**2)
+        local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
+        self.block_size = sizes[owner]
+        first = np.array(blocks)[owner, 0]
+        self.rows = first + local // self.block_size
+        self.cols = first + local % self.block_size
+        self.shape = (blocks[-1][1],) * 2
+
+    def csr(self, vals):
+        """Sparse matrix carrying vals, given in pattern order, on the blocks."""
+        return sp.csr_matrix((vals, (self.rows, self.cols)), shape=self.shape)
+
+    def restrict(self, mat, invert=False):
+        """The blocks of a dense or sparse matrix, or their inverses, as a sparse matrix."""
+        vals = np.asarray(mat[self.rows, self.cols], dtype=complex).ravel()
+        for s in np.unique(self.block_size) if invert else ():
+            sel = self.block_size == s
+            try:
+                vals[sel] = np.linalg.inv(vals[sel].reshape(-1, s, s)).ravel()
+            except np.linalg.LinAlgError as exc:
+                raise SingularBlockError(f"singular {s}x{s} diagonal block") from exc
+        return self.csr(vals)
 
 
-def _inverse_blocks_estimate(base_op, blocks, config, side_key):
-    """Diagonal blocks of (base base*)^-1, all blocks sharing one probe set."""
-    gram = GramOperator(base_op)
-    m = base_op.m
+def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
+    """Diagonal blocks of (base base*)^-1 on the pattern, all sharing one probe set;
+    the inverses of gram_blocks, the exact blocks of base base*, precondition the solves."""
+    precond = pattern.restrict(gram_blocks, invert=True)
+    blocks = pattern.blocks
     if all(b - a == 1 for a, b in blocks):
-        cfg = EstimatorConfig(
-            num_probes=config.num_probes,
-            probe_kind=config.probe_kind,
-            cg_tol=config.cg_tol,
-            cg_max_iters=config.cg_max_iters,
-            lanczos_iters=config.lanczos_iters,
-            seed=config.seed * 2 + side_key,
-        )
-        est = hutchinson_diagonal_inverse(base_op, cfg)
-        return np.diag(est.diag_estimate.astype(complex))
+        est = hutchinson_diagonal_inverse(
+            base_op, replace(config, seed=config.seed * 2 + side_key), precond)
+        return pattern.csr(est.diag_estimate)
+    gram = GramOperator(base_op)
     rng = substream(config.seed, 10 + side_key)
-    G = rng.standard_normal((m, config.num_probes))
-    Z = np.zeros((m, config.num_probes), dtype=complex)
+    G = rng.standard_normal((base_op.m, config.num_probes))
+    Z = np.zeros(G.shape, dtype=complex)
     for j in range(config.num_probes):
         sol = conjugate_gradient(gram, G[:, j].astype(complex), tol=config.cg_tol,
-                                 max_iters=config.cg_max_iters)
+                                 max_iters=config.cg_max_iters, precond=precond)
         if not sol.converged:
             raise NotConvergedError(sol.relative_residual, probe=j)
         Z[:, j] = sol.x
-    out = np.zeros((m, m), dtype=complex)
-    for a, b in blocks:
-        R = G[a:b, :]
-        S = Z[a:b, :]
-        W, *_ = np.linalg.lstsq(R.T, S.T, rcond=None)
-        est = W.T  # the regression recovers the transpose of the block
-        out[a:b, a:b] = 0.5 * (est + est.conj().T)
-    return out
+    return pattern.csr(np.concatenate([_sketched_block(G[a:b], Z[a:b]).ravel()
+                                       for a, b in blocks]))
 
 
 def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirection:
@@ -374,60 +393,37 @@ def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirecti
     The Gram blocks of B = g . A are computed exactly from the rows of B
     (cheap for sparse inputs); the inverse-Gram blocks are estimated by
     probes, and ||B^+||_F^2 is taken as the trace of those estimates, so no
-    extra solves are spent on the normalizer.  A must be given with explicit
-    entries (array, sparse matrix, or ComplexMatrix), full row rank; for
-    two-sided schemes it must be square.
+    extra solves are spent on the normalizer.  The exact Gram blocks,
+    inverted blockwise, precondition every CG solve.  A must be given with
+    explicit entries (array, sparse matrix, or ComplexMatrix), full row
+    rank; for two-sided schemes it must be square.
     """
     sch = g.scheme
-    if isinstance(A, ComplexMatrix):
-        A = A.to_csr() if A.is_sparse else A.to_dense()
-    if not sp.issparse(A):
-        A = np.asarray(A, dtype=complex)
+    A = sp.csr_matrix(A.to_csr() if isinstance(A, ComplexMatrix) else A, dtype=complex)
     if A.shape[0] != sch.m:
         raise DimensionMismatchError("matrix rows do not match the scheme")
     if sch.side == "both" and A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("two-sided stochastic gradients need a square matrix")
 
-    Xs = _block_diag_csr(g.X, sch.left_blocks)
-    B = Xs @ (A if sp.issparse(A) else sp.csr_matrix(A))
+    left = _BlockPattern(sch.left_blocks)
+    B = left.restrict(g.X) @ A
     if sch.side == "both":
-        Yinv = _block_diag_csr(_blockwise_inverse(g.Y, sch.right_blocks), sch.right_blocks)
-        B = B @ Yinv
-    B = B.tocsr()
+        right = _BlockPattern(sch.right_blocks)
+        B = B @ right.restrict(g.Y, invert=True)
+    b_op = MatrixOperator(B)
+    B, Bc = b_op.mat, b_op.mat_h
     nb2 = float(np.linalg.norm(B.data) ** 2)
 
-    # exact Gram blocks from the rows of B
-    P = np.zeros((sch.m, sch.m), dtype=complex)
-    for a, b in sch.left_blocks:
-        rows = B[a:b, :]
-        P[a:b, a:b] = (rows @ rows.conj().T).toarray()
-    b_op = MatrixOperator(B)
-    inv_left = _inverse_blocks_estimate(b_op, sch.left_blocks, config, side_key=0)
-    tr_left = float(np.trace(inv_left).real)
+    P = left.restrict(B @ Bc)  # exact Gram blocks of B B*
+    inv_left = _inverse_blocks_estimate(b_op, left, P, config, 0)
+    tr_left = float(inv_left.diagonal().sum().real)
 
     if sch.side == "left":
-        H1 = P / nb2 - inv_left / tr_left
-        return project_to_lie(sch, H1)
+        return project_to_lie(sch, P / nb2 - inv_left / tr_left)
 
-    Q = np.zeros((sch.n, sch.n), dtype=complex)
-    Bc = B.conj().T.tocsr()
-    for a, b in sch.right_blocks:
-        rows = Bc[a:b, :]
-        Q[a:b, a:b] = (rows @ rows.conj().T).toarray()
-
-    class _AdjointOp(LinearOperator):
-        def __init__(self, mat):
-            self.matref = mat
-            super().__init__(mat.shape[1], mat.shape[0], check_adjoint=False)
-
-        def _matvec(self, v):
-            return self.matref.conj().T @ v
-
-        def _rmatvec(self, v):
-            return self.matref @ v
-
-    inv_right = _inverse_blocks_estimate(_AdjointOp(B), sch.right_blocks, config, side_key=1)
-    tr_right = float(np.trace(inv_right).real)
+    Q = right.restrict(Bc @ B)  # exact Gram blocks of B* B
+    inv_right = _inverse_blocks_estimate(MatrixOperator(Bc), right, Q, config, 1)
+    tr_right = float(inv_right.diagonal().sum().real)
     # both traces estimate ||B^+||_F^2; average for a common normalizer
     tr = 0.5 * (tr_left + tr_right)
     H1 = P / nb2 - inv_left / tr

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import complex_gaussian, rng_for
 from geoprec.errors import RankDeficientError
 from geoprec.group import GroupScheme
-from geoprec.matrix import condition_frobenius, pseudoinverse
+from geoprec.matrix import ComplexMatrix, condition_frobenius, pseudoinverse
 from geoprec.optimize import (
     OptimizerConfig,
     Termination,
@@ -14,6 +15,7 @@ from geoprec.optimize import (
     minimize_cross_condition,
     predicted_iteration_bound,
 )
+from geoprec.stochastic import EstimatorConfig
 
 
 def diag_left(n, **kw):
@@ -153,3 +155,20 @@ def test_report_csv_fields_present():
     rep = minimize_condition(np.diag([1.0, 4.0]), diag_left(2, target_eps=1e-3))
     rec = rep.iterations[0]
     assert rec._fields == ("iteration", "value", "grad_norm", "duality_bound", "kF", "kappa")
+
+
+@pytest.mark.parametrize("estimator", [None, EstimatorConfig(num_probes=8, seed=3)],
+                         ids=["exact", "estimator"])
+def test_scipy_sparse_input_matches_complex_matrix(estimator):
+    rng = rng_for(65)
+    n = 30
+    a = sp.random(n, n, density=0.15, random_state=np.random.RandomState(65)) + 2.0 * sp.eye(n)
+    a = (sp.diags(np.exp(rng.normal(0.0, 1.0, size=n))) @ a).tocsr()
+    r, c, v = sp.find(a)
+    cm = ComplexMatrix.sparse(n, n, zip(r, c, v))
+    cfg = diag_left(n, max_iters=5)
+    got = minimize_condition(a, cfg, estimator=estimator)
+    want = minimize_condition(cm, cfg, estimator=estimator)
+    assert got.iterations == want.iterations
+    assert got.termination is want.termination
+    assert np.array_equal(got.final_element.X, want.final_element.X)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import complex_gaussian, rng_for
+from conftest import complex_gaussian, random_element, rng_for
 from geoprec._rng import substream
 from geoprec.errors import DimensionMismatchError
-from geoprec.group import GroupScheme
+from geoprec.group import GroupScheme, _blockwise_inverse, apply
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
+    _BlockPattern,
     CoGramOperator,
     EstimatorConfig,
     GramOperator,
@@ -125,9 +126,13 @@ def test_matvec_accounting():
     # CG iteration and none elsewhere
     assert op.matvec_count == op.rmatvec_count
     gram = GramOperator(op)
-    before = op.matvec_count
-    res = conjugate_gradient(gram, np.ones(op.m, dtype=complex), tol=1e-10)
-    assert op.matvec_count - before == res.iterations
+    jacobi = sp.diags(1.0 / (a @ a.conj().T).diagonal())
+    hutchinson_diagonal_inverse(op, cfg, precond=jacobi)
+    assert op.matvec_count == op.rmatvec_count
+    for precond in (None, jacobi):
+        before = op.matvec_count
+        res = conjugate_gradient(gram, np.ones(op.m, dtype=complex), tol=1e-10, precond=precond)
+        assert op.matvec_count - before == res.iterations
 
 
 def test_block_hutchinson_identity():
@@ -214,6 +219,48 @@ def _scaled_sparse(seed, n=120, density=0.05):
         a[i, i] = 2.0 + rng.uniform()
     scales = np.exp(rng.normal(0.0, 1.0, size=n))
     return (sp.diags(scales) @ a.tocsr()).astype(complex)
+
+
+def test_preconditioned_cg_on_scaled_gram():
+    # m = 1000 with 5 off-diagonal entries per row, the size of the benchmark's
+    # estimator instances; at n = 120 plain CG needs only about 300 iterations
+    a = _scaled_sparse(0, n=1000, density=0.005)
+    gram_matrix = a @ a.conj().T
+    gram = GramOperator(MatrixOperator(a))
+    b = complex_gaussian(rng_for(75), 1000)
+    tol = 1e-8
+    plain = conjugate_gradient(gram, b, tol=tol)
+    pre = conjugate_gradient(gram, b, tol=tol, precond=sp.diags(1.0 / gram_matrix.diagonal()))
+    nb = np.linalg.norm(b)
+    for res in (plain, pre):
+        assert res.converged
+        assert np.linalg.norm(gram_matrix @ res.x - b) <= tol * nb
+    assert 10 * pre.iterations <= plain.iterations
+    assert np.linalg.norm(gram_matrix @ (pre.x - plain.x)) <= 2 * tol * nb
+
+
+def test_block_pattern_gram_blocks():
+    """Gram blocks of B = g . A against dense block diagonals, ragged blocks of 4."""
+    rng = rng_for(76)
+    n = 23
+    sch = GroupScheme.blocked(n, 4, n, side="both")
+    g = random_element(rng, sch)
+    a = sp.random(n, n, density=0.3, random_state=np.random.RandomState(76)) + sp.eye(n)
+    left, right = _BlockPattern(sch.left_blocks), _BlockPattern(sch.right_blocks)
+    B = left.restrict(g.X) @ a.astype(complex) @ right.restrict(g.Y, invert=True)
+    dense_b = apply(g, a.toarray())
+    assert np.allclose(B.toarray(), dense_b, atol=1e-12)
+    assert np.allclose(right.restrict(g.Y, invert=True).toarray(),
+                       _blockwise_inverse(g.Y, sch.right_blocks), atol=1e-12)
+    Bc = B.conj().T.tocsr()
+    for pattern, gram, dense_gram in ((left, B @ Bc, dense_b @ dense_b.conj().T),
+                                      (right, Bc @ B, dense_b.conj().T @ dense_b)):
+        ref = np.zeros_like(dense_gram)
+        for lo, hi in pattern.blocks:
+            ref[lo:hi, lo:hi] = dense_gram[lo:hi, lo:hi]
+        assert np.allclose(pattern.restrict(gram).toarray(), ref, atol=1e-12)
+        assert np.allclose(pattern.restrict(gram, invert=True).toarray(),
+                           _blockwise_inverse(ref, pattern.blocks), atol=1e-10)
 
 
 def test_estimate_gradient_sparse_accuracy():
