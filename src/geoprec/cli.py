@@ -38,7 +38,8 @@ from .sysio import read_polysys
 
 USAGE_ERROR, INPUT_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
-_NUMERICAL = (NotConvergedError, ExpansionOverflowError, BreakdownError, SingularProbeBlockError)
+_NUMERICAL = (NotConvergedError, ExpansionOverflowError, BreakdownError, SingularProbeBlockError,
+              np.linalg.LinAlgError, FloatingPointError)
 
 
 def _num(x):
@@ -96,8 +97,7 @@ def _cmd_precondition(args):
     a = read_matrix(args.input)
     m, n = a.shape
     scheme = _scheme_from_args(args, m, n)
-    config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters,
-                             seed=args.seed)
+    config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
     estimator = None
     if args.stochastic:
         estimator = EstimatorConfig(num_probes=args.probes, probe_kind=args.probe_kind,

@@ -9,6 +9,7 @@ block-diagonal matrices; tangent directions are Hermitian block-diagonal.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "project_to_lie",
     "exp_action",
     "apply",
+    "apply_dual",
     "repolarize",
     "weight_data",
 ]
@@ -93,11 +95,11 @@ class GroupScheme:
         right = (n,) if side == "both" else None
         return cls(side, m, n, (m,), right)
 
-    @property
+    @cached_property
     def left_blocks(self):
         return _blocks_from_sizes(self.left_sizes, self.m)
 
-    @property
+    @cached_property
     def right_blocks(self):
         if self.side != "both":
             return None
@@ -251,34 +253,57 @@ def exp_action(g: GroupElement, H: LieDirection, step: float) -> GroupElement:
     return GroupElement(sch, x, y)
 
 
-def _blockwise_inverse(X, blocks):
-    out = np.zeros_like(X)
-    for a, b in blocks:
-        blk = X[a:b, a:b]
-        if b - a == 1:
-            if blk[0, 0] == 0:
-                raise SingularBlockError(f"zero 1x1 block at {a}")
-            out[a, a] = 1.0 / blk[0, 0]
-        else:
-            try:
-                out[a:b, a:b] = np.linalg.inv(blk)
-            except np.linalg.LinAlgError as exc:
-                raise SingularBlockError(f"singular block at rows {a}:{b}") from exc
+def _times(M, blocks, a):
+    """M a for a block-diagonal M, one block at a time; a row scaling on the torus."""
+    if len(blocks) == len(M):
+        return np.diagonal(M)[:, None] * a
+    out = np.empty(a.shape, dtype=complex)
+    for lo, hi in blocks:
+        out[lo:hi] = M[lo:hi, lo:hi] @ a[lo:hi]
+    return out
+
+
+def _times_inverse(a, M, blocks):
+    """a M^-1 for a block-diagonal M, inverting one block at a time."""
+    if len(blocks) == len(M):
+        d = np.diagonal(M)
+        zero = np.flatnonzero(d == 0)
+        if zero.size:
+            raise SingularBlockError(f"zero 1x1 block at {zero[0]}")
+        return a * (1.0 / d)
+    out = np.empty(a.shape, dtype=complex)
+    for lo, hi in blocks:
+        try:
+            inv = np.linalg.inv(M[lo:hi, lo:hi])
+        except np.linalg.LinAlgError as exc:
+            raise SingularBlockError(f"singular block at rows {lo}:{hi}") from exc
+        out[:, lo:hi] = a[:, lo:hi] @ inv
     return out
 
 
 def apply(g: GroupElement, A) -> np.ndarray:
-    """Group action on a matrix: X A Y^-1 (or X A for left-only schemes)."""
+    """Group action on a matrix: X A Y^-1 (or X A for left-only schemes).
+
+    X and Y act through their diagonal blocks, so no m x m product is formed.
+    """
     a = as_dense(A)
     sch = g.scheme
     if a.shape[0] != sch.m:
         raise DimensionMismatchError(f"matrix has {a.shape[0]} rows, scheme expects {sch.m}")
-    out = g.X @ a
+    if sch.side == "left":
+        return _times(g.X, sch.left_blocks, a)
+    if a.shape[1] != sch.n:
+        raise DimensionMismatchError(f"matrix has {a.shape[1]} cols, scheme expects {sch.n}")
+    return _times_inverse(_times(g.X, sch.left_blocks, a), g.Y, sch.right_blocks)
+
+
+def apply_dual(g: GroupElement, b) -> np.ndarray:
+    """Action on the second matrix of a cross pair: Y b X^-1 (b X^-1 for left-only schemes)."""
+    b = as_dense(b)
+    sch = g.scheme
     if sch.side == "both":
-        if a.shape[1] != sch.n:
-            raise DimensionMismatchError(f"matrix has {a.shape[1]} cols, scheme expects {sch.n}")
-        out = out @ _blockwise_inverse(g.Y, sch.right_blocks)
-    return out
+        b = _times(g.Y, sch.right_blocks, b)
+    return _times_inverse(b, g.X, sch.left_blocks)
 
 
 def _polar_hpd(X, blocks):

@@ -7,6 +7,8 @@ become 1.0.  Values are written with 17 significant digits so a write/read
 round trip is bit exact.
 """
 
+import cmath
+
 import numpy as np
 
 from .errors import ParseError, UnsupportedQualifierError
@@ -39,12 +41,16 @@ def _parse_header(line):
 def _parse_value(tokens, field, lineno):
     try:
         if field == "complex":
-            return complex(float(tokens[0]), float(tokens[1]))
-        if field == "pattern":
+            value = complex(float(tokens[0]), float(tokens[1]))
+        elif field == "pattern":
             return 1.0 + 0.0j
-        return complex(float(tokens[0]))
+        else:
+            value = complex(float(tokens[0]))
     except (ValueError, IndexError) as exc:
         raise ParseError(lineno, f"bad value: {' '.join(tokens)}") from exc
+    if not cmath.isfinite(value):
+        raise ParseError(lineno, f"non-finite value: {' '.join(tokens)}")
+    return value
 
 
 def _value_width(field):

@@ -15,14 +15,15 @@ independently transformed second matrix.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroMatrixError
-from .group import GroupElement, LieDirection, WeightData, apply, project_to_lie
-from .matrix import as_dense
+from .group import GroupElement, LieDirection, WeightData, apply, apply_dual, project_to_lie
+from .matrix import as_dense, pseudoinverse
 
 __all__ = [
     "ObjectiveState",
@@ -38,40 +39,75 @@ __all__ = [
 class ObjectiveState:
     """Everything the optimizer needs at one group element.
 
-    B_pinv holds the pseudoinverse of B for the condition objective and the
-    transformed second matrix for the cross objective.  kappa is the
-    Euclidean condition number of B, recorded for reporting only.
+    B_pinv is the pseudoinverse of B for the condition objective, built from
+    B with the cutoff rcond on first access, and the transformed second
+    matrix for the cross objective.  kappa is the Euclidean condition number
+    of B, recorded for reporting only.
     """
 
     A: np.ndarray
     g: GroupElement
     B: np.ndarray
-    B_pinv: np.ndarray
     value: float
     grad: LieDirection
     grad_norm: float
     kF: float
     kappa: float
     rank_deficient: bool
+    rcond: Optional[float] = None
+    second: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def B_pinv(self) -> np.ndarray:
+        if self.second is not None:
+            return self.second
+        return pseudoinverse(self.B, self.rcond)
 
 
-def _grad_from_pair(g, B, D):
-    """Projected gradient of log ||B||_F + log ||D||_F under the pair action."""
+def _add_gram_blocks(out, R, blocks, scale):
+    """out += R R* / scale on the diagonal blocks only: squared row norms on the torus."""
+    if len(blocks) == len(out):
+        rows = np.einsum("ij,ij->i", R.real, R.real) + np.einsum("ij,ij->i", R.imag, R.imag)
+        out.flat[:: len(out) + 1] += rows / scale
+        return
+    for lo, hi in blocks:
+        part = R[lo:hi]
+        out[lo:hi, lo:hi] += part @ part.conj().T / scale
+
+
+def _grad_from_pair(g, B, d_left, d_right, nd2):
+    """Projected gradient of log ||B||_F + log ||D||_F under the pair action.
+
+    Only the diagonal blocks of the four Gram terms survive the projection,
+    so D enters through factors with D* D = d_left d_left* and
+    D D* = d_right d_right* (d_right is unused by left-only schemes), and
+    nd2 = ||D||_F^2.
+    """
     sch = g.scheme
     nb2 = np.linalg.norm(B) ** 2
-    nd2 = np.linalg.norm(D) ** 2
-    P = B @ B.conj().T / nb2 - D.conj().T @ D / nd2
+    P = np.zeros((sch.m, sch.m), dtype=complex)
+    _add_gram_blocks(P, B, sch.left_blocks, nb2)
+    _add_gram_blocks(P, d_left, sch.left_blocks, -nd2)
     if sch.side == "left":
         return project_to_lie(sch, P)
-    Q = -B.conj().T @ B / nb2 + D @ D.conj().T / nd2
+    Q = np.zeros((sch.n, sch.n), dtype=complex)
+    _add_gram_blocks(Q, B.conj().T, sch.right_blocks, -nb2)
+    _add_gram_blocks(Q, d_right, sch.right_blocks, nd2)
     return project_to_lie(sch, P, Q)
 
 
-def evaluate(A, g: GroupElement, rcond: Optional[float] = None) -> ObjectiveState:
-    """Objective state at g for the condition objective (one SVD of B).
+def _default_rcond(shape):
+    return max(shape) * np.finfo(float).eps
 
-    Rank-deficient inputs are evaluated with the pseudoinverse and flagged
-    rather than rejected; the strongly convex optimizer mode refuses them.
+
+def evaluate(A, g: GroupElement, rcond: Optional[float] = None) -> ObjectiveState:
+    """Objective state at g for the condition objective.
+
+    The thin SVD of B is the only cubic step: with B^+ = V_r S_r^-1 U_r*,
+    the Gram blocks of (B^+)* B^+ and B^+ (B^+)* come from U_r / s_r and
+    V_r / s_r.  Rank-deficient inputs are evaluated with the pseudoinverse
+    and flagged rather than rejected; the strongly convex optimizer mode
+    refuses them.
     """
     a = as_dense(A)
     B = apply(g, a)
@@ -79,25 +115,26 @@ def evaluate(A, g: GroupElement, rcond: Optional[float] = None) -> ObjectiveStat
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
     if rcond is None:
-        rcond = max(B.shape) * np.finfo(float).eps
-    tol = rcond * s[0]
-    pos = s[s > tol]
-    rank_deficient = len(pos) < min(B.shape)
-    B_pinv = (vh.conj().T[:, : len(pos)] / pos) @ u.conj().T[: len(pos), :]
-    kF = float(np.linalg.norm(s) * np.linalg.norm(1.0 / pos))
-    kappa = float(s[0] / pos[-1])
-    grad = _grad_from_pair(g, B, B_pinv)
+        rcond = _default_rcond(B.shape)
+    pos = s[s > rcond * s[0]]
+    r = len(pos)
+    inv_norm = np.linalg.norm(1.0 / pos)
+    kF = float(np.linalg.norm(s) * inv_norm)
+    d_left = u[:, :r]
+    d_left /= pos
+    d_right = vh[:r].conj().T / pos if g.scheme.side == "both" else None
+    grad = _grad_from_pair(g, B, d_left, d_right, inv_norm**2)
     return ObjectiveState(
         A=a,
         g=g,
         B=B,
-        B_pinv=B_pinv,
         value=math.log(kF),
         grad=grad,
         grad_norm=grad.norm,
         kF=kF,
-        kappa=kappa,
-        rank_deficient=rank_deficient,
+        kappa=float(s[0] / pos[-1]),
+        rank_deficient=r < min(B.shape),
+        rcond=rcond,
     )
 
 
@@ -109,28 +146,26 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
     """
     a = as_dense(A)
     b = as_dense(B_independent)
-    sch = g.scheme
     if b.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError("second matrix must have the transposed shape of the first")
     Bm = apply(g, a)
-    Xinv = np.linalg.inv(g.X)
-    D = (g.Y @ b if sch.side == "both" else b) @ Xinv
+    D = apply_dual(g, b)
     nb, nd = np.linalg.norm(Bm), np.linalg.norm(D)
     if nb == 0.0 or nd == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
-    grad = _grad_from_pair(g, Bm, D)
+    grad = _grad_from_pair(g, Bm, D.conj().T, D, nd**2)
     sv = np.linalg.svd(Bm, compute_uv=False)
     return ObjectiveState(
         A=a,
         g=g,
         B=Bm,
-        B_pinv=D,
         value=float(np.log(nb) + np.log(nd)),
         grad=grad,
         grad_norm=grad.norm,
         kF=float(nb * nd),
-        kappa=float(sv[0] / sv[sv > sv[0] * 1e-14][-1]),
+        kappa=float(sv[0] / sv[sv > _default_rcond(Bm.shape) * sv[0]][-1]),
         rank_deficient=False,
+        second=D,
     )
 
 
@@ -149,9 +184,7 @@ def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:
     never materialized.
     """
     B, D = state.B, state.B_pinv
-    sch = state.g.scheme
-    H1 = H.H1
-    H2 = H.H2 if H.H2 is not None else None
+    H1, H2 = H.H1, H.H2
     nb2 = np.linalg.norm(B) ** 2
     nd2 = np.linalg.norm(D) ** 2
     u = H1 @ B - (B @ H2 if H2 is not None else 0.0)
@@ -164,8 +197,6 @@ def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:
         + np.linalg.norm(v) ** 2 / nd2
         + 2.0 * (uB * vD).real / (nb2 * nd2)
     )
-    if sch.side not in ("left", "both"):  # pragma: no cover
-        raise DimensionMismatchError("unknown scheme side")
     return float(2.0 * (sq - pairing**2))
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, NamedTuple, Optional, Union
 
+import scipy.sparse as sp
+
 from .errors import DimensionMismatchError, RankDeficientError
 from .group import GroupScheme, GroupElement, exp_action, repolarize, weight_data
 from .matrix import as_dense, condition_frobenius
@@ -52,7 +54,6 @@ class OptimizerConfig:
     step_size: Union[float, str] = AUTO
     mode: str = AUTO  # general | strongly_convex | auto
     grad_tol_override: Optional[float] = None
-    seed: int = 0
 
     def smoothness(self) -> float:
         return 4.0 if self.scheme.side == "left" else 8.0
@@ -133,7 +134,9 @@ def _descend(eval_fn, config: OptimizerConfig, step_dir=None) -> OptimizationRep
             report.certificate = bound if math.isfinite(bound) else None
             break
         direction = state.grad if step_dir is None else step_dir(g)
+        del state  # the old B and gradient must not outlive the next factorization
         g = repolarize(exp_action(g, direction, -eta))
+        del direction
         state = eval_fn(g)
     report.final_element = g
     report.final_kF = state.kF
@@ -158,8 +161,10 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     if estimator is not None:
         from .stochastic import estimate_gradient
 
+        a_sparse = sp.csr_matrix(a)
+
         def step_dir(g):
-            return estimate_gradient(a, g, estimator)
+            return estimate_gradient(a_sparse, g, estimator)
 
     return _descend(lambda g: evaluate(a, g), config, step_dir=step_dir)
 

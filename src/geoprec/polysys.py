@@ -30,6 +30,7 @@ from .group import (
     GroupElement,
     GroupScheme,
     WeightData,
+    apply_dual,
     exp_action,
     project_to_lie,
     repolarize,
@@ -421,8 +422,7 @@ def _full_objective_state(f, Dp, g):
     sch = g.scheme
     fT = shuffle(g.X, change_variables(g.Y, f))
     n2 = sum(bw_inner(p, p).real for p in fT.polynomials)
-    Xinv = np.linalg.inv(g.X)
-    C = g.Y @ Dp @ Xinv
+    C = apply_dual(g, Dp)
     nc2 = np.linalg.norm(C) ** 2
     value = 0.5 * math.log(n2) + 0.5 * math.log(nc2)
     G = gram_matrix(fT)

@@ -12,6 +12,7 @@ Parsing then serializing is canonical: terms in graded-lex order with zero
 coefficients dropped.
 """
 
+import cmath
 import json
 
 import numpy as np
@@ -54,13 +55,15 @@ def read_polysys(path):
             try:
                 exps = term["exponents"]
                 re, im = term["coeff"]
+                c = complex(re, im)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
             if len(exps) != nvars or any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
             if sum(exps) > degrees[pi]:
                 raise DegreeViolationError(pi, tuple(exps))
-            c = complex(re, im)
+            if not cmath.isfinite(c):
+                raise ParseError(1, f"non-finite coefficient of {exps} in polynomial {pi}")
             if c != 0:
                 alpha = tuple(exps)
                 poly[alpha] = poly.get(alpha, 0) + c
@@ -76,6 +79,8 @@ def read_polysys(path):
             point = np.array([complex(p[0], p[1]) for p in raw])
         except (TypeError, IndexError) as exc:
             raise ParseError(1, "point entries must be [re, im] pairs") from exc
+        if not np.isfinite(point).all():
+            raise ParseError(1, "point coordinates must be finite")
     return system, point
 
 

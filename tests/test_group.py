@@ -11,12 +11,13 @@ from conftest import (
     random_unitary,
     rng_for,
 )
-from geoprec.errors import DimensionMismatchError
+from geoprec.errors import DimensionMismatchError, SingularBlockError
 from geoprec.group import (
     GroupElement,
     GroupScheme,
     LieDirection,
     apply,
+    apply_dual,
     exp_action,
     project_to_lie,
     repolarize,
@@ -172,6 +173,33 @@ def test_apply_group_action_law():
     lhs = apply(g2, apply(g1, A))
     rhs = apply(composed, A)
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + [
+    GroupScheme.blocked(7, 3, side="left"),
+    GroupScheme.full(3, 4, side="both"),
+])
+def test_apply_matches_dense_product(scheme):
+    """X A Y^-1 and Y B X^-1 computed block by block against dense products."""
+    rng = rng_for(31, scheme.m, scheme.n)
+    g = random_element(rng, scheme)
+    A = complex_gaussian(rng, (scheme.m, scheme.n))
+    Bsecond = complex_gaussian(rng, (scheme.n, scheme.m))
+    Y = np.eye(scheme.n) if g.Y is None else g.Y
+    dense = g.X @ A @ np.linalg.inv(Y)
+    assert np.linalg.norm(apply(g, A) - dense) <= 1e-12 * np.linalg.norm(dense)
+    dense_dual = Y @ Bsecond @ np.linalg.inv(g.X)
+    assert np.linalg.norm(apply_dual(g, Bsecond) - dense_dual) <= 1e-12 * np.linalg.norm(dense_dual)
+
+
+def test_apply_rejects_singular_blocks():
+    A = np.ones((3, 3))
+    torus = GroupScheme.diagonal(3, side="both")
+    with pytest.raises(SingularBlockError, match="1x1 block at 1"):
+        apply(GroupElement(torus, np.eye(3), np.diag([1.0, 0.0, 2.0])), A)
+    blocks = GroupScheme.blocked(3, 2, side="both")
+    with pytest.raises(SingularBlockError, match="rows 0:2"):
+        apply(GroupElement(blocks, np.eye(3), np.diag([0.0, 0.0, 1.0])), A)
 
 
 def test_repolarize_fixes_hpd_and_unitary():

@@ -303,3 +303,53 @@ def test_cli_bench_small(tmp_path):
     assert lines[0].startswith("instance,n,kF_before")
     assert len([l for l in lines if not l.startswith("#")]) == 4  # header + 3 rows
     assert any(l.startswith("# correlation_kF_kappa=") for l in lines)
+
+
+@pytest.mark.parametrize("field,entry", [
+    ("real", "nan"), ("real", "inf"), ("complex", "1.0 -inf"), ("integer", "NaN"),
+])
+def test_cli_rejects_non_finite_matrix_entry(tmp_path, field, entry):
+    p = tmp_path / "bad.mtx"
+    first = "1 0" if field == "complex" else "1"
+    p.write_text(f"%%MatrixMarket matrix coordinate {field} general\n2 2 2\n1 1 {first}\n2 2 {entry}\n")
+    with pytest.raises(ParseError) as info:
+        read_matrix(p)
+    assert info.value.line == 4
+    assert cli_dispatch(["precondition", "--input", str(p), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("where", ["coeff", "point"])
+def test_cli_rejects_non_finite_polysys_value(tmp_path, where):
+    doc = example2_doc()
+    if where == "coeff":
+        doc["polynomials"][1][0]["coeff"] = [float("nan"), 0.0]
+    else:
+        doc["point"][1] = [0.0, float("inf")]
+    p = tmp_path / "sys.json"
+    p.write_text(json.dumps(doc))  # json writes NaN and Infinity tokens
+    with pytest.raises(ParseError):
+        read_polysys(p)
+    code = cli_dispatch(["polysys-precondition", "--input", str(p), "--action", "shuffle",
+                         "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+
+
+def test_cli_linalg_error_exit_code(tmp_path, capsys):
+    """diag(1e300, 1e-300) overflows the norms and the SVD then fails: exit 3, no traceback."""
+    p = tmp_path / "huge.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e300\n2 2 1e-300\n")
+    with np.errstate(all="ignore"):
+        code = cli_dispatch(["precondition", "--input", str(p), "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
+def test_cli_floating_point_error_exit_code(tmp_path, monkeypatch):
+    import geoprec.cli
+
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(geoprec.cli, "minimize_condition", overflow)
+    path = _example1_file(tmp_path)
+    assert cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")]) == 3

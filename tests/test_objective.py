@@ -258,3 +258,63 @@ def test_rank_deficient_flagged():
     state = evaluate(a, scheme.identity())
     assert state.rank_deficient
     assert math.isfinite(state.value)
+
+
+def _reference_state(A, g):
+    """The dense formula: full Gram products of B and of an explicit pseudoinverse,
+    projected onto the Lie algebra."""
+    from geoprec.group import apply, project_to_lie
+    from geoprec.matrix import pseudoinverse
+
+    sch = g.scheme
+    B = apply(g, A)
+    s = np.linalg.svd(B, full_matrices=False)[1]
+    pos = s[s > max(B.shape) * np.finfo(float).eps * s[0]]
+    Bp = pseudoinverse(B)
+    nb2, nd2 = np.linalg.norm(B) ** 2, np.linalg.norm(Bp) ** 2
+    P = B @ B.conj().T / nb2 - Bp.conj().T @ Bp / nd2
+    Q = -B.conj().T @ B / nb2 + Bp @ Bp.conj().T / nd2
+    grad = project_to_lie(sch, P) if sch.side == "left" else project_to_lie(sch, P, Q)
+    kF = float(np.linalg.norm(s) * np.linalg.norm(1.0 / pos))
+    return kF, float(s[0] / pos[-1]), len(pos) < min(B.shape), grad, Bp
+
+
+def _rank_three(rng, m, n):
+    return complex_gaussian(rng, (m, 3)) @ complex_gaussian(rng, (3, n))
+
+
+@pytest.mark.parametrize("scheme,shape,rank_three", [
+    (GroupScheme.diagonal(7, side="left"), (7, 7), False),
+    (GroupScheme.blocked(6, 2, side="left"), (6, 6), False),
+    (GroupScheme.blocked(7, 3, side="left"), (7, 9), False),
+    (GroupScheme.blocked(6, 4, 7, side="both", right_block_size=3), (6, 7), False),
+    (GroupScheme.diagonal(4, side="left"), (4, 7), False),
+    (GroupScheme.blocked(6, 2, 6, side="both"), (6, 6), True),
+], ids=["torus", "uniform-blocks", "ragged-tail", "two-sided", "wide", "rank-deficient"])
+def test_evaluate_matches_dense_reference(scheme, shape, rank_three):
+    rng = rng_for(53, *shape)
+    A = _rank_three(rng, *shape) if rank_three else complex_gaussian(rng, shape)
+    g = random_element(rng, scheme)
+    state = evaluate(A, g)
+    kF, kappa, rank_deficient, grad, Bp = _reference_state(A, g)
+    assert state.kF == kF
+    assert state.kappa == kappa
+    assert state.rank_deficient == rank_deficient == rank_three
+    ref_norm = grad.norm
+    diff = np.linalg.norm(state.grad.H1 - grad.H1) ** 2
+    if scheme.side == "both":
+        diff += np.linalg.norm(state.grad.H2 - grad.H2) ** 2
+    assert math.sqrt(diff) <= 1e-12 * ref_norm
+    assert np.array_equal(state.B_pinv, Bp)
+
+
+def test_evaluate_cross_kappa_uses_evaluate_cutoff():
+    """A singular value above max(shape) eps sigma_max but below 1e-14 sigma_max
+    counts for kappa in both objectives."""
+    u, v = random_unitary(rng_for(54), 4), random_unitary(rng_for(55), 4)
+    A = (u * np.array([1.0, 0.5, 0.25, 1e-15])) @ v
+    scheme = GroupScheme.diagonal(4, 4, side="both")
+    g = scheme.identity()
+    cross = evaluate_cross(A, np.eye(4), g)
+    assert cross.kappa == pytest.approx(evaluate(A, g).kappa, rel=1e-6)
+    assert cross.kappa > 1e14
