@@ -55,7 +55,6 @@ from .objective import (
     duality_gap_bound,
     evaluate,
     evaluate_cross,
-    gradient,
     hessian_quadratic_form,
 )
 from .optimize import (

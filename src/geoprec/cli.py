@@ -84,12 +84,9 @@ def _scheme_from_args(args, m, n):
 
 
 def _emit_block_diagonal(path, mat, blocks):
-    triplets = []
-    for a, b in blocks:
-        for i in range(a, b):
-            for j in range(a, b):
-                if mat[i, j] != 0:
-                    triplets.append((i, j, mat[i, j]))
+    block_id = np.repeat(np.arange(len(blocks)), [b - a for a, b in blocks])
+    rows, cols = np.nonzero((block_id[:, None] == block_id[None, :]) & (mat != 0))
+    triplets = zip(rows, cols, mat[rows, cols])
     write_matrix(path, ComplexMatrix.sparse(mat.shape[0], mat.shape[0], triplets))
 
 
@@ -101,8 +98,7 @@ def _cmd_precondition(args):
     estimator = None
     if args.stochastic:
         estimator = EstimatorConfig(num_probes=args.probes, probe_kind=args.probe_kind,
-                                    cg_tol=args.cg_tol, lanczos_iters=args.lanczos_iters,
-                                    seed=args.seed)
+                                    cg_tol=args.cg_tol, seed=args.seed)
     report = minimize_condition(a, config, estimator=estimator)
     _write_report(args.out, report)
     if args.emit_preconditioner:
@@ -228,7 +224,6 @@ def build_parser():
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--probe-kind", choices=["rademacher", "gaussian"], default="rademacher")
     p.add_argument("--cg-tol", type=float, default=1e-8)
-    p.add_argument("--lanczos-iters", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-preconditioner", default=None, metavar="X.mtx[,Y.mtx]")

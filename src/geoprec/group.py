@@ -189,6 +189,9 @@ def weight_data(scheme: GroupScheme) -> WeightData:
 
 def _project_one(mat, blocks, size):
     out = np.zeros((size, size), dtype=complex)
+    if len(blocks) == size:  # torus: the real part of the diagonal
+        out.flat[:: size + 1] = np.diagonal(mat).real
+        return out
     for a, b in blocks:
         blk = mat[a:b, a:b]
         out[a:b, a:b] = 0.5 * (blk + blk.conj().T)
@@ -218,6 +221,9 @@ def project_to_lie(scheme: GroupScheme, M1, M2=None) -> LieDirection:
 
 def _expm_herm_blocks(H, blocks, size, step):
     out = np.zeros((size, size), dtype=complex)
+    if len(blocks) == size:  # torus: a real exp of the real diagonal
+        out.flat[:: size + 1] = np.exp(step * np.diagonal(H).real)
+        return out
     for a, b in blocks:
         if b - a == 1:
             out[a, a] = np.exp(step * H[a, a])
@@ -229,6 +235,9 @@ def _expm_herm_blocks(H, blocks, size, step):
 
 def _block_matmul(E, X, blocks):
     out = np.zeros_like(X)
+    if len(blocks) == len(X):
+        out.flat[:: len(X) + 1] = np.diagonal(E) * np.diagonal(X)
+        return out
     for a, b in blocks:
         out[a:b, a:b] = E[a:b, a:b] @ X[a:b, a:b]
     return out
@@ -238,8 +247,9 @@ def exp_action(g: GroupElement, H: LieDirection, step: float) -> GroupElement:
     """One-parameter flow (exp(step H1) X, exp(step H2) Y).
 
     Exponentials are exact per block via Hermitian eigendecomposition (scalar
-    exp for 1x1 blocks).  No repolarization happens here, so flowing twice
-    along the same direction composes exactly.
+    exp for 1x1 blocks, one real exp of the diagonal on the torus).  No
+    repolarization happens here, so flowing twice along the same direction
+    composes exactly.
     """
     if H.scheme is not g.scheme and H.scheme != g.scheme:
         raise DimensionMismatchError("direction and element schemes differ")
@@ -307,8 +317,15 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
 
 
 def _polar_hpd(X, blocks):
-    """Hermitian PD factor P of X = U P, computed as (X* X)^(1/2) per block."""
+    """Hermitian PD factor P of X = U P, computed as (X* X)^(1/2) per block; |X| on the torus."""
     out = np.zeros_like(X)
+    if len(blocks) == len(X):
+        d = np.diagonal(X)
+        zero = np.flatnonzero(d.real**2 + d.imag**2 == 0)
+        if zero.size:
+            raise SingularBlockError(f"singular block at rows {zero[0]}:{zero[0] + 1}")
+        out.flat[:: len(X) + 1] = np.abs(d)
+        return out
     for a, b in blocks:
         blk = X[a:b, a:b]
         w, v = np.linalg.eigh(blk.conj().T @ blk)

@@ -29,7 +29,6 @@ __all__ = [
     "ObjectiveState",
     "evaluate",
     "evaluate_cross",
-    "gradient",
     "hessian_quadratic_form",
     "duality_gap_bound",
 ]
@@ -167,11 +166,6 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
         rank_deficient=False,
         second=D,
     )
-
-
-def gradient(state: ObjectiveState) -> LieDirection:
-    """The Riemannian gradient stored on the state."""
-    return state.grad
 
 
 def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:

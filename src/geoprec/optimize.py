@@ -1,9 +1,23 @@
-"""Constant-step Riemannian gradient descent on the log condition number.
+"""Riemannian gradient descent on the log condition number: the one descent loop.
 
-The step size is 1/L with L = 4 for left-only schemes and L = 8 for
-two-sided schemes.  Runs terminate when the duality-gap certificate drops
-below the target, when the gradient norm falls below a tolerance, or at the
-iteration cap.  Every accepted step decreases the objective.
+Every action runs ``_descend`` on a state function, which maps a group
+element to its value, gradient, gradient norm, kF and kappa.  Two step
+policies:
+
+* constant step 1/L, the paper's default, with L = 4 for left-only and L = 8
+  for two-sided schemes: the matrix runs (``minimize_condition``, also with
+  the probe estimator) and the polynomial shuffle (``minimize_cross_condition``
+  under ``polysys.precondition_shuffle``);
+* halving on any increase, or on a candidate too close to singular to
+  repolarize, from a base step, ending as converged once no step of at least
+  1e-14 descends: the full (base 1/(D + 2)) and sparse (base 1/8) polynomial
+  actions in ``polysys``.
+
+Runs terminate when the duality-gap certificate drops below the target, when
+the gradient norm falls below a tolerance or the halving stalls, or at the
+iteration cap.  The certificate is the end point's bound whenever that is
+finite; the sparse action has none.  A state whose value or gradient norm is
+not finite raises FloatingPointError before any step is taken along it.
 """
 
 import math
@@ -13,8 +27,8 @@ from typing import List, NamedTuple, Optional, Union
 
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, RankDeficientError
-from .group import GroupScheme, GroupElement, exp_action, repolarize, weight_data
+from .errors import DimensionMismatchError, RankDeficientError, SingularBlockError
+from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
 from .matrix import as_dense, condition_frobenius
 from .objective import duality_gap_bound, evaluate, evaluate_cross
 
@@ -94,6 +108,16 @@ class OptimizationReport:
         return len(self.iterations) - 1 if self.iterations else 0
 
 
+class _State(NamedTuple):
+    """The fields _descend reads from a state; ObjectiveState carries them too."""
+
+    value: float
+    grad: LieDirection
+    grad_norm: float
+    kF: float
+    kappa: float
+
+
 def _resolve_mode(config: OptimizerConfig, rank_deficient: bool) -> str:
     if config.mode == AUTO:
         if config.scheme.side == "left" and not rank_deficient:
@@ -104,40 +128,63 @@ def _resolve_mode(config: OptimizerConfig, rank_deficient: bool) -> str:
     return config.mode
 
 
-def _descend(eval_fn, config: OptimizerConfig, step_dir=None) -> OptimizationReport:
-    wd = weight_data(config.scheme)
-    eta = config.resolved_step()
-    grad_tol = config.resolved_grad_tol()
-    g = config.scheme.identity()
-    state = eval_fn(g)
-    _resolve_mode(config, state.rank_deficient)
+def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
+             halving=False, step_dir=None) -> OptimizationReport:
+    """The descent loop every action runs, from the element g.
 
-    report = OptimizationReport(
-        initial_kF=state.kF,
-        initial_kappa=state.kappa,
-    )
+    state_fn(g) returns a state with value, grad, grad_norm, kF and kappa.
+    Without halving every step is base_step; with halving a step is halved
+    until the candidate repolarizes and its value does not increase, and the
+    run ends CONVERGED once no step of at least 1e-14 descends.  weights None means no certificate.
+    step_dir(g), when given, replaces state.grad as the step direction.
+    """
+    state = state_fn(g)
+    report = OptimizationReport(initial_kF=state.kF, initial_kappa=state.kappa)
     for k in range(config.max_iters + 1):
-        bound = duality_gap_bound(state, wd)
+        if not (math.isfinite(state.value) and math.isfinite(state.grad_norm)):
+            raise FloatingPointError(
+                f"objective state at iteration {k} is not finite: value {state.value}, "
+                f"gradient norm {state.grad_norm}"
+            )
+        bound = math.inf if weights is None else duality_gap_bound(state, weights)
         report.iterations.append(
             IterationRecord(k, state.value, state.grad_norm, bound, state.kF, state.kappa)
         )
         if bound <= config.target_eps:
             report.termination = Termination.CERTIFIED
-            report.certificate = bound
             break
         if state.grad_norm <= grad_tol:
             report.termination = Termination.CONVERGED
-            report.certificate = bound if math.isfinite(bound) else None
             break
         if k == config.max_iters:
             report.termination = Termination.MAX_ITERS
-            report.certificate = bound if math.isfinite(bound) else None
             break
         direction = state.grad if step_dir is None else step_dir(g)
-        del state  # the old B and gradient must not outlive the next factorization
-        g = repolarize(exp_action(g, direction, -eta))
-        del direction
-        state = eval_fn(g)
+        if not halving:
+            del state  # the old B and gradient must not outlive the next factorization
+            g = repolarize(exp_action(g, direction, -base_step))
+            del direction
+            state = state_fn(g)
+            continue
+        step = base_step
+        while True:
+            try:
+                cand = repolarize(exp_action(g, direction, -step))
+            except SingularBlockError:  # numerically singular candidate: reject it like an increase
+                cand = None
+            if cand is not None:
+                cand_state = state_fn(cand)
+                if cand_state.value <= state.value:
+                    break
+            if step < 1e-14:  # no descent even at tiny steps: numerically stationary
+                cand = None
+                break
+            step *= 0.5  # no global smoothness constant: enforce descent
+        if cand is None:
+            report.termination = Termination.CONVERGED
+            break
+        g, state = cand, cand_state
+    report.certificate = bound if math.isfinite(bound) else None
     report.final_element = g
     report.final_kF = state.kF
     report.final_kappa = state.kappa
@@ -166,13 +213,24 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    return _descend(lambda g: evaluate(a, g), config, step_dir=step_dir)
+    start = sch.identity()
+
+    def state_fn(g):
+        state = evaluate(a, g)
+        if g is start:  # the mode is checked against the rank of the input
+            _resolve_mode(config, state.rank_deficient)
+        return state
+
+    return _descend(state_fn, start, config, weight_data(sch), config.resolved_grad_tol(),
+                    config.resolved_step(), step_dir=step_dir)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
     """Gradient descent on the cross condition log ||X A Y^-1|| ||Y B X^-1||."""
     a, b = as_dense(A), as_dense(B)
-    return _descend(lambda g: evaluate_cross(a, b, g), config)
+    sch = config.scheme
+    return _descend(lambda g: evaluate_cross(a, b, g), sch.identity(), config, weight_data(sch),
+                    config.resolved_grad_tol(), config.resolved_step())
 
 
 def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float) -> int:

@@ -31,18 +31,10 @@ from .group import (
     GroupScheme,
     WeightData,
     apply_dual,
-    exp_action,
     project_to_lie,
-    repolarize,
 )
 from .matrix import as_dense, pseudoinverse
-from .optimize import (
-    IterationRecord,
-    OptimizationReport,
-    OptimizerConfig,
-    Termination,
-    minimize_cross_condition,
-)
+from .optimize import OptimizerConfig, _descend, _State, minimize_cross_condition
 
 __all__ = [
     "Polynomial",
@@ -456,44 +448,12 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     if grad_tol is None:
         grad_tol = wd.weight_margin * config.target_eps
 
-    g = scheme.identity()
-    value, grad, mu = _full_objective_state(f, Dp, g)
-    report = OptimizationReport(initial_kF=mu, initial_kappa=mu)
-    for k in range(config.max_iters + 1):
-        gn = grad.norm
-        bound = math.inf if gn >= wd.weight_margin else -0.5 * math.log1p(-gn / wd.weight_margin)
-        report.iterations.append(IterationRecord(k, value, gn, bound, mu, mu))
-        if bound <= config.target_eps:
-            report.termination = Termination.CERTIFIED
-            report.certificate = bound
-            break
-        if gn <= grad_tol:
-            report.termination = Termination.CONVERGED
-            report.certificate = bound if math.isfinite(bound) else None
-            break
-        if k == config.max_iters:
-            report.termination = Termination.MAX_ITERS
-            report.certificate = bound if math.isfinite(bound) else None
-            break
-        step = base_step
-        stalled = False
-        while True:
-            cand = repolarize(exp_action(g, grad, -step))
-            cval, cgrad, cmu = _full_objective_state(f, Dp, cand)
-            if cval <= value:
-                break
-            if step < 1e-14:  # no descent even at tiny steps: numerically stationary
-                stalled = True
-                break
-            step *= 0.5  # no global smoothness constant: enforce descent
-        if stalled:
-            report.termination = Termination.CONVERGED
-            break
-        g, value, grad, mu = cand, cval, cgrad, cmu
-    report.final_element = g
-    report.final_kF = mu
-    report.final_kappa = mu
-    return g, report
+    def state_fn(g):
+        value, grad, mu = _full_objective_state(f, Dp, g)
+        return _State(value, grad, grad.norm, mu, mu)
+
+    report = _descend(state_fn, scheme.identity(), config, wd, grad_tol, base_step, halving=True)
+    return report.final_element, report
 
 
 # --- sparse action: shuffle + torus scaling --------------------------------
@@ -535,13 +495,16 @@ def torus_objective(f: PolynomialSystem, xi, X: GroupElement, t: TorusPoint) -> 
     return local_condition(fx, zeta, norm="frobenius") + torus_penalty(xi, t)
 
 
-def _sparse_state(f, xi, Dp0, X, t):
+def _sparse_state(f, xi, Dp0, g):
     """Objective pieces and gradients for the joint (X, t) descent.
 
+    The element g carries the shuffle X and the torus point as Y = diag(t).
     The rescaled pair has Jacobian X D diag(t) at xi / t, so its pseudo-
     inverse transports to diag(t)^-1 D^+ X^-1 while the system norm is read
     off the Gram matrix of the shuffled, rescaled system.
     """
+    X = g.X
+    t = TorusPoint(np.diagonal(g.Y).real)
     ft = torus_rescale(t, f)
     fx = shuffle(X, ft)
     G = gram_matrix(fx)
@@ -558,15 +521,19 @@ def _sparse_state(f, xi, Dp0, X, t):
     u_f = expmat.T @ colw / n2
     u_c = -np.real(np.sum(np.abs(C) ** 2, axis=1)) / nc2
     u = mu * (u_f + u_c) + torus_penalty_gradient(xi, t)
-    return value, mu, 0.5 * (H1 + H1.conj().T), u
+    grad = project_to_lie(g.scheme, H1, np.diag(u))
+    grad_norm = math.sqrt(np.linalg.norm(grad.H1) ** 2 + np.linalg.norm(u) ** 2)
+    return _State(value, grad, grad_norm, mu, mu)
 
 
 def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     """Joint shuffle and torus-scaling preconditioner for sparse systems.
 
     Minimizes mu_F(X . (t . f), xi / t) + penalty by gradient descent on the
-    pair (X, t) with base step 1/8 and step halving, so the trajectory is
-    monotone; the torus action never changes the support of the system.
+    pair (X, diag(t)), a two-sided element with a full left block and a
+    torus on the right, with base step 1/8 and step halving, so the
+    trajectory is monotone; the torus action never changes the support of
+    the system.  No certificate is computed.
     """
     xi = np.asarray(xi, dtype=complex)
     if len(xi) != f.nvars:
@@ -577,49 +544,11 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     if not np.any(jac):
         raise ZeroJacobianError("Jacobian vanishes at the point")
     Dp0 = pseudoinverse(jac)
-    scheme = GroupScheme.full(f.m, side="left")
-
-    X = np.eye(f.m, dtype=complex)
-    t = TorusPoint(np.ones(f.nvars))
-    value, mu, H1, u = _sparse_state(f, xi, Dp0, X, t)
-    grad_norm = math.sqrt(np.linalg.norm(H1) ** 2 + np.linalg.norm(u) ** 2)
+    pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
     grad_tol = config.grad_tol_override if config.grad_tol_override is not None else 1e-10
-
-    report = OptimizationReport(initial_kF=mu, initial_kappa=mu)
-    base_step = 0.125
-    for k in range(config.max_iters + 1):
-        report.iterations.append(
-            IterationRecord(k, value, grad_norm, math.inf, mu, mu)
-        )
-        if grad_norm <= grad_tol:
-            report.termination = Termination.CONVERGED
-            break
-        if k == config.max_iters:
-            report.termination = Termination.MAX_ITERS
-            break
-        step = base_step
-        stalled = False
-        while True:
-            w, v = np.linalg.eigh(H1)
-            Xc = (v * np.exp(-step * w)) @ v.conj().T @ X
-            # repolarize the shuffle factor to its Hermitian PD coset point
-            ww, vv = np.linalg.eigh(Xc.conj().T @ Xc)
-            Xc = (vv * np.sqrt(ww)) @ vv.conj().T
-            tc = TorusPoint(t.t * np.exp(-step * u))
-            cval, cmu, cH1, cu = _sparse_state(f, xi, Dp0, Xc, tc)
-            if cval <= value:
-                break
-            if step < 1e-14:  # numerically stationary
-                stalled = True
-                break
-            step *= 0.5
-        if stalled:
-            report.termination = Termination.CONVERGED
-            break
-        X, t, value, mu, H1, u = Xc, tc, cval, cmu, cH1, cu
-        grad_norm = math.sqrt(np.linalg.norm(H1) ** 2 + np.linalg.norm(u) ** 2)
-    element = GroupElement(scheme, X)
+    report = _descend(lambda g: _sparse_state(f, xi, Dp0, g), pair.identity(), config, None,
+                      grad_tol, 0.125, halving=True)
+    g = report.final_element
+    element = GroupElement(GroupScheme.full(f.m, side="left"), g.X)
     report.final_element = element
-    report.final_kF = mu
-    report.final_kappa = mu
-    return element, t, report
+    return element, TorusPoint(np.diagonal(g.Y).real), report

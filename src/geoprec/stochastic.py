@@ -144,7 +144,6 @@ class EstimatorConfig:
     probe_kind: str = "rademacher"  # or "gaussian"
     cg_tol: float = 1e-8
     cg_max_iters: int = 10_000
-    lanczos_iters: int = 20
     seed: int = 0
 
     def __post_init__(self):

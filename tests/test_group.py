@@ -234,3 +234,49 @@ def test_weight_data_values():
     assert both.weight_margin == pytest.approx(10.0**-1.5)
     tiny = weight_data(GroupScheme.diagonal(1, side="left"))
     assert tiny.weight_margin == pytest.approx(1.0)
+
+
+def test_torus_paths_match_per_block_formulas():
+    """Projection, exponential and polar factor on the torus against the 1x1-block formulas."""
+    rng = rng_for(27)
+    m = 40
+    sch = GroupScheme.diagonal(m, side="left")
+    M = complex_gaussian(rng, (m, m))
+    ref = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        ref[a, a] = 0.5 * (M[a, a] + np.conj(M[a, a]))
+    H = project_to_lie(sch, M)
+    assert np.array_equal(H.H1, ref)
+
+    step = -0.37
+    e = np.array([np.exp(step * H.H1[a, a]) for a in range(m)])  # complex exp per block
+    x = np.exp(2.0 * rng.standard_normal(m))
+    flowed = exp_action(GroupElement(sch, np.diag(x)), H, step).X
+    assert np.count_nonzero(flowed - np.diag(np.diagonal(flowed))) == 0
+    np.testing.assert_allclose(np.diagonal(flowed), e * x, rtol=1e-15, atol=0)
+
+    def polar_ref(X):
+        out = np.zeros_like(X)
+        for a in range(len(X)):
+            blk = X[a:a + 1, a:a + 1]
+            w, v = np.linalg.eigh(blk.conj().T @ blk)
+            out[a:a + 1, a:a + 1] = (v * np.sqrt(w)) @ v.conj().T
+        return out
+
+    # positive diagonals, the elements a descent produces: bit for bit
+    X = np.diag(np.exp(3.0 * rng.standard_normal(m))).astype(complex)
+    assert np.array_equal(repolarize(GroupElement(sch, X)).X, polar_ref(X))
+    # arbitrary phases: |x| against sqrt(|x|^2), one rounding apart
+    X = X * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+    np.testing.assert_allclose(repolarize(GroupElement(sch, X)).X, polar_ref(X),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-170])
+def test_torus_polar_rejects_zero_square(tiny):
+    """The torus polar factor fails exactly when |x|^2 is zero, as the eigh route does."""
+    sch = GroupScheme.diagonal(3, side="left")
+    g = GroupElement(sch, np.diag([1.0, tiny, 2.0]))
+    with pytest.raises(SingularBlockError):
+        repolarize(g)
+    assert repolarize(GroupElement(sch, np.diag([1.0, 1e-150, 2.0]))).X[1, 1] == 1e-150

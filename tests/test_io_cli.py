@@ -6,8 +6,10 @@ import pytest
 from conftest import complex_gaussian, rng_for
 from geoprec.cli import cli_dispatch
 from geoprec.errors import DegreeViolationError, ParseError, UnsupportedQualifierError
+from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix
 from geoprec.mmio import read_matrix, write_matrix
+from geoprec.optimize import OptimizerConfig, minimize_condition
 from geoprec.sysio import read_polysys, write_polysys
 
 
@@ -249,6 +251,25 @@ def test_cli_emit_preconditioner(tmp_path):
 
     assert condition_frobenius(x @ a) < condition_frobenius(a)
 
+    # blocks of 3 leave a ragged 1x1 tail; the emitted files hold the element exactly
+    a7 = complex_gaussian(rng_for(120), (7, 7))
+    path7 = tmp_path / "a7.mtx"
+    write_matrix(path7, a7)
+    for side, names in (("left", ["X7.mtx"]), ("both", ["X7b.mtx", "Y7b.mtx"])):
+        files = [str(tmp_path / name) for name in names]
+        code = cli_dispatch([
+            "precondition", "--input", str(path7), "--scheme", "block", "--block-size", "3",
+            "--side", side, "--max-iters", "40", "--out", str(tmp_path / "r7.csv"),
+            "--emit-preconditioner", ",".join(files),
+        ])
+        assert code == 0
+        scheme = GroupScheme.blocked(7, 3, side=side)
+        g = minimize_condition(read_matrix(path7),
+                               OptimizerConfig(scheme=scheme, max_iters=40)).final_element
+        assert np.array_equal(read_matrix(files[0]).to_dense(), g.X)
+        if side == "both":
+            assert np.array_equal(read_matrix(files[1]).to_dense(), g.Y)
+
 
 def test_cli_polysys_shuffle(tmp_path):
     p = tmp_path / "sys.json"
@@ -334,14 +355,31 @@ def test_cli_rejects_non_finite_polysys_value(tmp_path, where):
     assert code == 2
 
 
-def test_cli_linalg_error_exit_code(tmp_path, capsys):
-    """diag(1e300, 1e-300) overflows the norms and the SVD then fails: exit 3, no traceback."""
+def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
+    """A failed SVD maps to exit 3 with its message and no traceback."""
+    import geoprec.cli
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(geoprec.cli, "minimize_condition", no_convergence)
+    path = _example1_file(tmp_path)
+    assert cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "SVD did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_cli_non_finite_state_exit_code(tmp_path, capsys):
+    """diag(1e300, 1e-300) overflows the norms: a non-finite first state, exit 3, no traceback."""
     p = tmp_path / "huge.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e300\n2 2 1e-300\n")
     with np.errstate(all="ignore"):
         code = cli_dispatch(["precondition", "--input", str(p), "--out", str(tmp_path / "r.csv")])
     assert code == 3
-    assert "SVD did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is not finite" in err
+    assert "Traceback" not in err
 
 
 def test_cli_floating_point_error_exit_code(tmp_path, monkeypatch):

@@ -172,3 +172,33 @@ def test_scipy_sparse_input_matches_complex_matrix(estimator):
     assert got.iterations == want.iterations
     assert got.termination is want.termination
     assert np.array_equal(got.final_element.X, want.final_element.X)
+
+
+@pytest.mark.parametrize("side", ["left", "both"])
+def test_non_finite_state_raises_before_any_step(side):
+    """diag(1e300, 1e-300) overflows the norms; the first state is rejected, not stepped along."""
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(2, 2, side=side), max_iters=5)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="iteration 0"):
+        minimize_condition(np.diag([1e300, 1e-300]), cfg)
+
+
+def test_halving_stall_converges_with_end_point_certificate():
+    """No step of at least 1e-14 descends: CONVERGED, certified from the end-point gradient."""
+    from geoprec.group import LieDirection, WeightData
+    from geoprec.optimize import _descend, _State
+
+    sch = GroupScheme.diagonal(2, side="left")
+    ascent = LieDirection(sch, -np.eye(2))  # stepping against it grows X and the value
+
+    def state_fn(g):
+        v = float(np.trace(g.X).real)
+        return _State(v, ascent, ascent.norm, v, v)
+
+    weights = WeightData(1.0, 10.0 * ascent.norm)
+    cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50)
+    start = sch.identity()
+    rep = _descend(state_fn, start, cfg, weights, 0.0, 0.5, halving=True)
+    assert rep.termination is Termination.CONVERGED
+    assert rep.iteration_count == 0
+    assert rep.final_element is start
+    assert rep.certificate == pytest.approx(-0.5 * math.log1p(-0.1), rel=1e-15)

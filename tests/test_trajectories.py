@@ -1,0 +1,131 @@
+"""Whole-trajectory characterization of small seeded runs of every action.
+
+Each case pins the iteration count, the termination and the final kF (mu
+for the polynomial actions) of one small seeded run.  The pinned values were
+recorded when the matrix, full and sparse descents still ran in three
+separate loops, so they guard the single descent engine against any change
+of trajectory.  Iterations and terminations must match exactly; kF must
+agree to round-off: bit for bit where no diagonal torus is stepped, and
+within 1e-12 relative where one is, because the torus exponential may move
+by one ulp per step.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from conftest import complex_gaussian, rng_for
+from test_polysys import random_system
+from geoprec.group import GroupScheme
+from geoprec.optimize import OptimizerConfig, minimize_condition
+from geoprec.polysys import (
+    evaluate_system,
+    precondition_full,
+    precondition_shuffle,
+    precondition_sparse,
+    shuffle,
+)
+from geoprec.stochastic import EstimatorConfig
+
+
+def _matrix(key, m, n):
+    rng = rng_for(400, key)
+    rows = np.exp(1.5 * rng.standard_normal(m))  # spread row scales: work for the left side
+    return rows[:, None] * complex_gaussian(rng, (m, n))
+
+
+def _exact(key, scheme, max_iters):
+    def run():
+        A = _matrix(key, scheme.m, scheme.n)
+        cfg = OptimizerConfig(scheme=scheme, target_eps=1e-2, max_iters=max_iters)
+        return minimize_condition(A, cfg)
+    return run
+
+
+def _estimator():
+    m = 40
+    rng = rng_for(401)
+    S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(7), format="csr")
+    A = sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(m, side="left"), target_eps=1e-2,
+                          max_iters=4)
+    est = EstimatorConfig(num_probes=16, cg_tol=1e-10, seed=3)
+    return minimize_condition(A.tocsr(), cfg, estimator=est)
+
+
+def _polynomial(key, m, n, deg, density=1.0):
+    rng = rng_for(402, key)
+    f = random_system(rng, m, n, deg, density)
+    xi = complex_gaussian(rng, n)
+    assert np.any(evaluate_system(f, xi).jacobian)
+    return f, xi
+
+
+def _shuffle():
+    f, xi = _polynomial(0, 3, 3, 2)
+    sch = GroupScheme.full(3, side="left")
+    return precondition_shuffle(f, xi, sch, OptimizerConfig(scheme=sch, target_eps=1e-3,
+                                                           max_iters=500))[1]
+
+
+def _full():
+    f, xi = _polynomial(1, 2, 2, 2)
+    sch = GroupScheme.full(2, 2, side="both")
+    return precondition_full(f, xi, sch, OptimizerConfig(scheme=sch, target_eps=1e-2,
+                                                        max_iters=80))[1]
+
+
+def _sparse():
+    f, xi = _polynomial(2, 2, 2, 3, density=0.6)
+    xi = xi * np.array([10.0, 0.1])
+    cfg = OptimizerConfig(scheme=GroupScheme.full(2, side="left"), max_iters=120)
+    return precondition_sparse(f, xi, cfg)[2]
+
+
+def _sparse_imbalanced():
+    """Equation scales 100:1 give mu near 84, so the first candidate steps from the
+    identity leave the group numerically and must be rejected by halving."""
+    f, xi = _polynomial(2, 2, 2, 3, density=0.6)
+    f = shuffle(np.diag([100.0, 1.0]).astype(complex), f)
+    cfg = OptimizerConfig(scheme=GroupScheme.full(2, side="left"), max_iters=400)
+    return precondition_sparse(f, xi, cfg)[2]
+
+
+# name -> (run, torus stepped)
+CASES = {
+    "exact-left-diag": (_exact(0, GroupScheme.diagonal(12, side="left"), 400), True),
+    "exact-left-block": (_exact(1, GroupScheme.blocked(12, 5, side="left"), 400), False),
+    "exact-both-diag": (_exact(2, GroupScheme.diagonal(8, 8, side="both"), 150), True),
+    "exact-both-block": (_exact(3, GroupScheme.blocked(9, 4, 9, side="both"), 150), False),
+    "estimator": (_estimator, True),
+    "shuffle": (_shuffle, False),
+    "full": (_full, False),
+    "sparse": (_sparse, True),
+    "sparse-imbalanced": (_sparse_imbalanced, True),
+}
+
+# name -> (iterations, termination, final kF or mu)
+PINNED = {
+    "estimator": (4, "max_iters", 168.7604421921333),
+    "exact-both-block": (150, "max_iters", 13.186304817334623),
+    "exact-both-diag": (150, "max_iters", 79.51872848034475),
+    "exact-left-block": (225, "certified", 45.725860866598836),
+    "exact-left-diag": (185, "certified", 111.47146114841765),
+    "full": (80, "max_iters", 1.4765639984898327),
+    "shuffle": (63, "certified", 4.352507776561269),
+    "sparse": (102, "converged", 4.6027129260075),
+    "sparse-imbalanced": (153, "converged", 2.2134966624219965),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectory_pinned(name):
+    run, torus = CASES[name]
+    rep = run()
+    iterations, termination, final = PINNED[name]
+    assert rep.iteration_count == iterations
+    assert rep.termination.value == termination
+    if torus:
+        assert rep.final_kF == pytest.approx(final, rel=1e-12, abs=0)
+    else:
+        assert rep.final_kF == final
