@@ -13,6 +13,7 @@ from .errors import (
     ExpansionOverflowError,
     GeoprecError,
     InsufficientDataError,
+    NonFiniteInputError,
     NotConvergedError,
     ParseError,
     RankDeficientError,

@@ -120,13 +120,12 @@ def run_matrix_suite(mats, block_size: int = 5, target_eps: float = 1e-2,
 
 
 def correlation_kF_kappa(results: List[BenchResult]) -> float:
-    """Pearson correlation of log improvements in kF and kappa (block scheme)."""
+    """Pearson correlation of log improvements in kF and kappa (block scheme);
+    nan when either column is constant, where it is undefined."""
     if len(results) < 3:
         raise InsufficientDataError("need at least 3 results")
     x = np.array([math.log(r.kF_before / r.kF_after_block) for r in results])
     y = np.array([math.log(r.kappa_before / r.kappa_after_block) for r in results])
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        # degenerate columns: correlation of identical or constant data
-        return 1.0 if np.allclose(x - x.mean(), y - y.mean()) else 0.0
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        return math.nan
     return float(np.corrcoef(x, y)[0, 1])

@@ -21,7 +21,7 @@ from .errors import (
     NotConvergedError,
     SingularProbeBlockError,
 )
-from .group import GroupScheme
+from .group import GroupScheme, block_triplets
 from .matrix import (
     ComplexMatrix,
     condition_euclidean,
@@ -83,11 +83,11 @@ def _scheme_from_args(args, m, n):
     return GroupScheme.blocked(m, k, side="left")
 
 
-def _emit_block_diagonal(path, mat, blocks):
-    block_id = np.repeat(np.arange(len(blocks)), [b - a for a, b in blocks])
-    rows, cols = np.nonzero((block_id[:, None] == block_id[None, :]) & (mat != 0))
-    triplets = zip(rows, cols, mat[rows, cols])
-    write_matrix(path, ComplexMatrix.sparse(mat.shape[0], mat.shape[0], triplets))
+def _emit_block_diagonal(path, stacks, runs, size):
+    """Write the nonzero entries of one side's block stacks as sparse triplets."""
+    rows, cols, vals = block_triplets(stacks, runs)
+    nz = np.flatnonzero(vals)
+    write_matrix(path, ComplexMatrix.sparse(size, size, zip(rows[nz], cols[nz], vals[nz])))
 
 
 def _cmd_precondition(args):
@@ -104,13 +104,13 @@ def _cmd_precondition(args):
     if args.emit_preconditioner:
         paths = args.emit_preconditioner.split(",")
         g = report.final_element
-        _emit_block_diagonal(paths[0], np.asarray(g.X), scheme.left_blocks)
+        _emit_block_diagonal(paths[0], g.left, scheme.left_runs, m)
         if scheme.side == "both":
             if len(paths) < 2:
                 raise argparse.ArgumentTypeError(
                     "--emit-preconditioner needs X.mtx,Y.mtx for two-sided schemes"
                 )
-            _emit_block_diagonal(paths[1], np.asarray(g.Y), scheme.right_blocks)
+            _emit_block_diagonal(paths[1], g.right, scheme.right_runs, n)
     print(f"{report.termination.value} kF {_num(report.initial_kF)} -> {_num(report.final_kF)}")
     return 0
 
@@ -232,7 +232,9 @@ def build_parser():
     p = sub.add_parser("polysys-precondition", help="precondition a polynomial system")
     p.add_argument("--input", required=True)
     p.add_argument("--action", choices=["shuffle", "full", "sparse"], required=True)
-    p.add_argument("--eps", type=float, default=1e-2)
+    p.add_argument("--eps", type=float, default=1e-2,
+                   help="certificate target; no effect with --action sparse, which has no "
+                        "certificate")
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_polysys)

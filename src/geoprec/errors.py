@@ -27,6 +27,10 @@ class DimensionMismatchError(GeoprecError):
     """Shapes of the operands are incompatible."""
 
 
+class NonFiniteInputError(GeoprecError):
+    """An input matrix has NaN or infinite entries."""
+
+
 class SingularBlockError(GeoprecError):
     """A diagonal block of a group element is numerically singular."""
 

@@ -3,13 +3,21 @@
 A scheme fixes the structure: a contiguous block partition of the row index
 set (and of the column index set for two-sided preconditioning).  Block size
 one gives the diagonal torus, a single block the full general linear group.
-Group elements are stored as explicit Hermitian positive definite
-block-diagonal matrices; tangent directions are Hermitian block-diagonal.
+
+Elements and tangent directions are stored in that shape: each side holds one
+(count, size, size) stack of diagonal blocks per run of equal-size
+consecutive blocks (``GroupScheme.left_runs``), e.g. one (m, 1, 1) stack for
+the torus, (2, 5, 5) and (1, 2, 2) for ``blocked(12, 5)``, (1, m, m) for
+``full``.  Each group operation is one batched numpy call per run and forms
+no m x m array.  ``X``, ``Y``, ``H1`` and ``H2`` are read-only dense views
+built on first access; the constructors take such dense matrices and reject
+entries outside the block pattern.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -21,8 +29,12 @@ __all__ = [
     "GroupScheme",
     "GroupElement",
     "LieDirection",
+    "Run",
     "WeightData",
+    "block_triplets",
+    "split_blocks",
     "project_to_lie",
+    "project_blocks",
     "exp_action",
     "apply",
     "apply_dual",
@@ -31,15 +43,25 @@ __all__ = [
 ]
 
 
-def _blocks_from_sizes(sizes, total):
+class Run(NamedTuple):
+    """count consecutive diagonal blocks of one size, the first at row start."""
+
+    start: int
+    count: int
+    size: int
+
+    @property
+    def stop(self):
+        return self.start + self.count * self.size
+
+
+def _runs(sizes, total):
     sizes = tuple(int(s) for s in sizes)
     if any(s <= 0 for s in sizes) or sum(sizes) != total:
         raise DimensionMismatchError(f"block sizes {sizes} do not partition {total}")
     out = []
-    start = 0
-    for s in sizes:
-        out.append((start, start + s))
-        start += s
+    for size, same in groupby(sizes):
+        out.append(Run(out[-1].stop if out else 0, len(list(same)), size))
     return tuple(out)
 
 
@@ -65,12 +87,12 @@ class GroupScheme:
         if self.side not in ("left", "both"):
             raise ValueError(f"side must be 'left' or 'both', got {self.side!r}")
         object.__setattr__(self, "left_sizes", tuple(int(s) for s in self.left_sizes))
-        _blocks_from_sizes(self.left_sizes, self.m)
+        _runs(self.left_sizes, self.m)
         if self.side == "both":
             if self.right_sizes is None:
                 raise DimensionMismatchError("two-sided scheme needs right block sizes")
             object.__setattr__(self, "right_sizes", tuple(int(s) for s in self.right_sizes))
-            _blocks_from_sizes(self.right_sizes, self.n)
+            _runs(self.right_sizes, self.n)
         elif self.right_sizes is not None:
             raise DimensionMismatchError("left-only scheme must not carry right blocks")
 
@@ -96,81 +118,135 @@ class GroupScheme:
         return cls(side, m, n, (m,), right)
 
     @cached_property
+    def left_runs(self) -> Tuple[Run, ...]:
+        """Maximal runs of equal-size consecutive left blocks: one stored stack each."""
+        return _runs(self.left_sizes, self.m)
+
+    @cached_property
+    def right_runs(self) -> Optional[Tuple[Run, ...]]:
+        return _runs(self.right_sizes, self.n) if self.side == "both" else None
+
+    @cached_property
     def left_blocks(self):
-        return _blocks_from_sizes(self.left_sizes, self.m)
+        return _bounds(self.left_runs)
 
     @cached_property
     def right_blocks(self):
-        if self.side != "both":
-            return None
-        return _blocks_from_sizes(self.right_sizes, self.n)
+        return None if self.side == "left" else _bounds(self.right_runs)
 
     def identity(self):
-        y = np.eye(self.n, dtype=complex) if self.side == "both" else None
-        return GroupElement(self, np.eye(self.m, dtype=complex), y)
+        def eye(runs):
+            return [np.tile(np.eye(r.size, dtype=complex), (r.count, 1, 1)) for r in runs]
+
+        return GroupElement._from_blocks(self, eye(self.left_runs),
+                                         self.right_runs and eye(self.right_runs))
 
 
-def _check_square(mat, size, what):
+def _bounds(runs):
+    return tuple((a, a + r.size) for r in runs for a in range(r.start, r.stop, r.size))
+
+
+def split_blocks(vals, runs):
+    """Entries in block_triplets order as one (count, size, size) stack per run."""
+    out, start = [], 0
+    for r in runs:
+        stop = start + r.count * r.size**2
+        out.append(vals[start:stop].reshape(r.count, r.size, r.size))
+        start = stop
+    return out
+
+
+def _square(mat, run):
+    """The run's square of mat as a (count, size, count, size) view; [k, :, k] are its blocks."""
+    sq = mat[run.start:run.stop, run.start:run.stop]
+    return sq.reshape(run.count, run.size, run.count, run.size)
+
+
+def _stacks(mat, runs, size, what, exact=False):
+    """The diagonal blocks of a dense size x size matrix; with exact, none may be elsewhere."""
+    mat = as_dense(mat)
     if mat.shape != (size, size):
         raise DimensionMismatchError(f"{what} must be {size}x{size}, got {mat.shape}")
+    stacks = [_square(mat, r)[np.arange(r.count), :, np.arange(r.count)] for r in runs]
+    if exact and np.count_nonzero(mat) != sum(np.count_nonzero(S) for S in stacks):
+        raise DimensionMismatchError(f"{what} has entries outside the block pattern")
+    return stacks
 
 
-def _freeze(arr):
-    out = np.array(arr, dtype=complex)
+def _dense(stacks, runs, size):
+    if stacks is None:
+        return None
+    out = np.zeros((size, size), dtype=complex)
+    for S, r in zip(stacks, runs):
+        _square(out, r)[np.arange(r.count), :, np.arange(r.count)] = S
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class _Sides:
+    """Block stacks for each side of a scheme (see the module doc); right is
+    None for left-only schemes, and a missing second dense matrix of a
+    two-sided scheme is the subclass's neutral matrix."""
+
+    def __init__(self, scheme, first, second=None):
+        right = None
+        if scheme.side == "both":
+            second = self._neutral(scheme.n) if second is None else second
+            right = _stacks(second, scheme.right_runs, scheme.n, self._names[1], exact=True)
+        self._hold(scheme, _stacks(first, scheme.left_runs, scheme.m, self._names[0], True), right)
+
+    def _hold(self, scheme, left, right):
+        self.scheme = scheme
+        self.left = tuple(left)
+        self.right = None if right is None else tuple(right)
+        for S in self.left + (self.right or ()):
+            S.setflags(write=False)
+
+    @classmethod
+    def _from_blocks(cls, scheme, left, right=None):
+        """An instance holding the given stacks, unchecked: the group's own constructor."""
+        obj = cls.__new__(cls)
+        obj._hold(scheme, left, right)
+        return obj
+
+    def _dense_left(self):
+        return _dense(self.left, self.scheme.left_runs, self.scheme.m)
+
+    def _dense_right(self):
+        return _dense(self.right, self.scheme.right_runs, self.scheme.n)
+
+
+class GroupElement(_Sides):
     """A point (X, Y) of the group; Y is None for left-only schemes."""
 
-    scheme: GroupScheme
-    X: np.ndarray
-    Y: Optional[np.ndarray] = None
+    _names = ("X", "Y")
+    _neutral = staticmethod(np.eye)
+    X = cached_property(_Sides._dense_left)
+    Y = cached_property(_Sides._dense_right)
 
-    def __post_init__(self):
-        x = _freeze(self.X)
-        _check_square(x, self.scheme.m, "X")
-        object.__setattr__(self, "X", x)
-        if self.scheme.side == "both":
-            y = _freeze(self.Y if self.Y is not None else np.eye(self.scheme.n))
-            _check_square(y, self.scheme.n, "Y")
-            object.__setattr__(self, "Y", y)
-        else:
-            object.__setattr__(self, "Y", None)
+    def __init__(self, scheme: GroupScheme, X, Y=None):
+        super().__init__(scheme, X, Y)
 
 
-@dataclass(frozen=True)
-class LieDirection:
+class LieDirection(_Sides):
     """Hermitian block-diagonal tangent direction (H1, H2); H2 is None for left-only."""
 
-    scheme: GroupScheme
-    H1: np.ndarray
-    H2: Optional[np.ndarray] = None
+    _names = ("H1", "H2")
+    _neutral = staticmethod(lambda n: np.zeros((n, n)))
+    H1 = cached_property(_Sides._dense_left)
+    H2 = cached_property(_Sides._dense_right)
 
-    def __post_init__(self):
-        h1 = _freeze(self.H1)
-        _check_square(h1, self.scheme.m, "H1")
-        object.__setattr__(self, "H1", h1)
-        if self.scheme.side == "both":
-            h2 = _freeze(self.H2 if self.H2 is not None else np.zeros((self.scheme.n, self.scheme.n)))
-            _check_square(h2, self.scheme.n, "H2")
-            object.__setattr__(self, "H2", h2)
-        else:
-            object.__setattr__(self, "H2", None)
+    def __init__(self, scheme: GroupScheme, H1, H2=None):
+        super().__init__(scheme, H1, H2)
 
     @property
     def norm(self):
         """Norm under the real Frobenius inner product on the pair."""
-        s = np.linalg.norm(self.H1) ** 2
-        if self.H2 is not None:
-            s += np.linalg.norm(self.H2) ** 2
-        return math.sqrt(s)
+        return math.sqrt(sum(np.linalg.norm(S) ** 2 for S in self.left + (self.right or ())))
 
     def scaled(self, c):
-        h2 = None if self.H2 is None else c * self.H2
-        return LieDirection(self.scheme, c * self.H1, h2)
+        right = self.right and [c * S for S in self.right]
+        return LieDirection._from_blocks(self.scheme, [c * S for S in self.left], right)
 
 
 class WeightData(NamedTuple):
@@ -187,15 +263,15 @@ def weight_data(scheme: GroupScheme) -> WeightData:
     return WeightData(2.0, (scheme.m + scheme.n) ** -1.5)
 
 
-def _project_one(mat, blocks, size):
-    out = np.zeros((size, size), dtype=complex)
-    if len(blocks) == size:  # torus: the real part of the diagonal
-        out.flat[:: size + 1] = np.diagonal(mat).real
-        return out
-    for a, b in blocks:
-        blk = mat[a:b, a:b]
-        out[a:b, a:b] = 0.5 * (blk + blk.conj().T)
-    return out
+def _adjoint(S):
+    return S.conj().transpose(0, 2, 1)
+
+
+def project_blocks(scheme: GroupScheme, left, right=None) -> LieDirection:
+    """project_to_lie of the block-diagonal matrices whose diagonal blocks are
+    the stacks left (and right): the Hermitian part of every block."""
+    h2 = right and [0.5 * (S + _adjoint(S)) for S in right]
+    return LieDirection._from_blocks(scheme, [0.5 * (S + _adjoint(S)) for S in left], h2)
 
 
 def project_to_lie(scheme: GroupScheme, M1, M2=None) -> LieDirection:
@@ -206,88 +282,92 @@ def project_to_lie(scheme: GroupScheme, M1, M2=None) -> LieDirection:
     Frobenius inner product.  For the diagonal torus it reduces to taking the
     real part of the diagonal.
     """
-    m1 = as_dense(M1)
-    _check_square(m1, scheme.m, "M1")
-    h1 = _project_one(m1, scheme.left_blocks, scheme.m)
-    if scheme.side == "left":
-        return LieDirection(scheme, h1)
-    if M2 is None:
-        raise DimensionMismatchError("two-sided scheme needs M2")
-    m2 = as_dense(M2)
-    _check_square(m2, scheme.n, "M2")
-    h2 = _project_one(m2, scheme.right_blocks, scheme.n)
-    return LieDirection(scheme, h1, h2)
+    right = None
+    if scheme.side == "both":
+        if M2 is None:
+            raise DimensionMismatchError("two-sided scheme needs M2")
+        right = _stacks(M2, scheme.right_runs, scheme.n, "M2")
+    return project_blocks(scheme, _stacks(M1, scheme.left_runs, scheme.m, "M1"), right)
 
 
-def _expm_herm_blocks(H, blocks, size, step):
-    out = np.zeros((size, size), dtype=complex)
-    if len(blocks) == size:  # torus: a real exp of the real diagonal
-        out.flat[:: size + 1] = np.exp(step * np.diagonal(H).real)
-        return out
-    for a, b in blocks:
-        if b - a == 1:
-            out[a, a] = np.exp(step * H[a, a])
-        else:
-            w, v = np.linalg.eigh(H[a:b, a:b])
-            out[a:b, a:b] = (v * np.exp(step * w)) @ v.conj().T
-    return out
+def _bmm(a, b):
+    """a @ b on stacks; a broadcast product when the inner dimension is one."""
+    return a * b if a.shape[-1] == 1 else a @ b
 
 
-def _block_matmul(E, X, blocks):
-    out = np.zeros_like(X)
-    if len(blocks) == len(X):
-        out.flat[:: len(X) + 1] = np.diagonal(E) * np.diagonal(X)
-        return out
-    for a, b in blocks:
-        out[a:b, a:b] = E[a:b, a:b] @ X[a:b, a:b]
-    return out
+def _expm_times(H, X, step):
+    """exp(step H) X per block: Hermitian eigendecomposition, a scalar exp for 1x1 blocks."""
+    if H.shape[-1] == 1:
+        return np.exp(step * H) * X
+    w, v = np.linalg.eigh(H)
+    return ((v * np.exp(step * w)[:, None, :]) @ _adjoint(v)) @ X
 
 
 def exp_action(g: GroupElement, H: LieDirection, step: float) -> GroupElement:
     """One-parameter flow (exp(step H1) X, exp(step H2) Y).
 
-    Exponentials are exact per block via Hermitian eigendecomposition (scalar
-    exp for 1x1 blocks, one real exp of the diagonal on the torus).  No
-    repolarization happens here, so flowing twice along the same direction
-    composes exactly.
+    Exponentials are exact per block via Hermitian eigendecomposition (a
+    scalar exp for 1x1 blocks, real or complex as the direction's stack).
+    No repolarization happens here, so flowing twice along the same
+    direction composes exactly.
     """
     if H.scheme is not g.scheme and H.scheme != g.scheme:
         raise DimensionMismatchError("direction and element schemes differ")
-    sch = g.scheme
-    e1 = _expm_herm_blocks(H.H1, sch.left_blocks, sch.m, step)
-    x = _block_matmul(e1, g.X, sch.left_blocks)
-    if sch.side == "left":
-        return GroupElement(sch, x)
-    e2 = _expm_herm_blocks(H.H2, sch.right_blocks, sch.n, step)
-    y = _block_matmul(e2, g.Y, sch.right_blocks)
-    return GroupElement(sch, x, y)
+    left = [_expm_times(h, x, step) for h, x in zip(H.left, g.left)]
+    right = g.right and [_expm_times(h, y, step) for h, y in zip(H.right, g.right)]
+    return GroupElement._from_blocks(g.scheme, left, right)
 
 
-def _times(M, blocks, a):
-    """M a for a block-diagonal M, one block at a time; a row scaling on the torus."""
-    if len(blocks) == len(M):
-        return np.diagonal(M)[:, None] * a
+def _check_blocks(run, singular):
+    """Raise SingularBlockError naming the first block flagged in singular."""
+    bad = np.flatnonzero(singular)
+    if bad.size:
+        a, s = run.start + int(bad[0]) * run.size, run.size
+        raise SingularBlockError(f"singular {s}x{s} block at {a} (rows {a}:{a + s})")
+
+
+def _inverse(S, run):
+    """The blockwise inverse of a stack."""
+    if run.size == 1:
+        _check_blocks(run, S == 0)
+        return 1.0 / S
+    try:
+        return np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        _check_blocks(run, np.linalg.slogdet(S)[0] == 0)
+        raise
+
+
+def block_triplets(stacks, runs, invert=False):
+    """Rows, columns and values of the entries of the block-diagonal matrix held
+    in stacks (or of its inverse): block after block and row-major within each
+    block, which is also row-major order overall and split_blocks' order."""
+    rows, cols = [], []
+    for r in runs:
+        k, i, j = np.indices((r.count, r.size, r.size)).reshape(3, -1)
+        rows.append(r.start + k * r.size + i)
+        cols.append(r.start + k * r.size + j)
+    if invert:
+        stacks = [_inverse(S, r) for S, r in zip(stacks, runs)]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate([S.ravel() for S in stacks])
+
+
+def _times(stacks, runs, a):
+    """M a for the block-diagonal M held in stacks, one row slab per run."""
     out = np.empty(a.shape, dtype=complex)
-    for lo, hi in blocks:
-        out[lo:hi] = M[lo:hi, lo:hi] @ a[lo:hi]
+    for S, r in zip(stacks, runs):
+        rows = a[r.start:r.stop].reshape(r.count, r.size, -1)
+        out[r.start:r.stop] = _bmm(S, rows).reshape(r.count * r.size, -1)
     return out
 
 
-def _times_inverse(a, M, blocks):
-    """a M^-1 for a block-diagonal M, inverting one block at a time."""
-    if len(blocks) == len(M):
-        d = np.diagonal(M)
-        zero = np.flatnonzero(d == 0)
-        if zero.size:
-            raise SingularBlockError(f"zero 1x1 block at {zero[0]}")
-        return a * (1.0 / d)
+def _times_inverse(a, stacks, runs):
+    """a M^-1 for the block-diagonal M held in stacks, one column slab per run."""
     out = np.empty(a.shape, dtype=complex)
-    for lo, hi in blocks:
-        try:
-            inv = np.linalg.inv(M[lo:hi, lo:hi])
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlockError(f"singular block at rows {lo}:{hi}") from exc
-        out[:, lo:hi] = a[:, lo:hi] @ inv
+    k = a.shape[0]
+    for S, r in zip(stacks, runs):
+        cols = a[:, r.start:r.stop].reshape(k, r.count, r.size).transpose(1, 0, 2)
+        out[:, r.start:r.stop] = _bmm(cols, _inverse(S, r)).transpose(1, 0, 2).reshape(k, -1)
     return out
 
 
@@ -301,10 +381,10 @@ def apply(g: GroupElement, A) -> np.ndarray:
     if a.shape[0] != sch.m:
         raise DimensionMismatchError(f"matrix has {a.shape[0]} rows, scheme expects {sch.m}")
     if sch.side == "left":
-        return _times(g.X, sch.left_blocks, a)
+        return _times(g.left, sch.left_runs, a)
     if a.shape[1] != sch.n:
         raise DimensionMismatchError(f"matrix has {a.shape[1]} cols, scheme expects {sch.n}")
-    return _times_inverse(_times(g.X, sch.left_blocks, a), g.Y, sch.right_blocks)
+    return _times_inverse(_times(g.left, sch.left_runs, a), g.right, sch.right_runs)
 
 
 def apply_dual(g: GroupElement, b) -> np.ndarray:
@@ -312,27 +392,18 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
     b = as_dense(b)
     sch = g.scheme
     if sch.side == "both":
-        b = _times(g.Y, sch.right_blocks, b)
-    return _times_inverse(b, g.X, sch.left_blocks)
+        b = _times(g.right, sch.right_runs, b)
+    return _times_inverse(b, g.left, sch.left_runs)
 
 
-def _polar_hpd(X, blocks):
-    """Hermitian PD factor P of X = U P, computed as (X* X)^(1/2) per block; |X| on the torus."""
-    out = np.zeros_like(X)
-    if len(blocks) == len(X):
-        d = np.diagonal(X)
-        zero = np.flatnonzero(d.real**2 + d.imag**2 == 0)
-        if zero.size:
-            raise SingularBlockError(f"singular block at rows {zero[0]}:{zero[0] + 1}")
-        out.flat[:: len(X) + 1] = np.abs(d)
-        return out
-    for a, b in blocks:
-        blk = X[a:b, a:b]
-        w, v = np.linalg.eigh(blk.conj().T @ blk)
-        if w[0] <= 0 or w[0] < w[-1] * np.finfo(float).eps * (b - a):
-            raise SingularBlockError(f"singular block at rows {a}:{b}")
-        out[a:b, a:b] = (v * np.sqrt(w)) @ v.conj().T
-    return out
+def _polar(X, run):
+    """Hermitian PD factor P of X = U P per block, (X* X)^(1/2); |x| for 1x1 blocks."""
+    if run.size == 1:
+        _check_blocks(run, X.real**2 + X.imag**2 == 0)
+        return np.abs(X).astype(complex)
+    w, v = np.linalg.eigh(_adjoint(X) @ X)
+    _check_blocks(run, (w[:, 0] <= 0) | (w[:, 0] < w[:, -1] * np.finfo(float).eps * run.size))
+    return (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
 
 
 def repolarize(g: GroupElement) -> GroupElement:
@@ -343,8 +414,6 @@ def repolarize(g: GroupElement) -> GroupElement:
     objective while keeping the element Hermitian positive definite.
     """
     sch = g.scheme
-    x = _polar_hpd(g.X, sch.left_blocks)
-    if sch.side == "left":
-        return GroupElement(sch, x)
-    y = _polar_hpd(g.Y, sch.right_blocks)
-    return GroupElement(sch, x, y)
+    left = [_polar(x, r) for x, r in zip(g.left, sch.left_runs)]
+    right = g.right and [_polar(y, r) for y, r in zip(g.right, sch.right_runs)]
+    return GroupElement._from_blocks(sch, left, right)

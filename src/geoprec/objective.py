@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroMatrixError
-from .group import GroupElement, LieDirection, WeightData, apply, apply_dual, project_to_lie
+from .group import GroupElement, LieDirection, WeightData, apply, apply_dual, project_blocks
 from .matrix import as_dense, pseudoinverse
 
 __all__ = [
@@ -63,15 +63,13 @@ class ObjectiveState:
         return pseudoinverse(self.B, self.rcond)
 
 
-def _add_gram_blocks(out, R, blocks, scale):
-    """out += R R* / scale on the diagonal blocks only: squared row norms on the torus."""
-    if len(blocks) == len(out):
-        rows = np.einsum("ij,ij->i", R.real, R.real) + np.einsum("ij,ij->i", R.imag, R.imag)
-        out.flat[:: len(out) + 1] += rows / scale
-        return
-    for lo, hi in blocks:
-        part = R[lo:hi]
-        out[lo:hi, lo:hi] += part @ part.conj().T / scale
+def _gram_blocks(R, runs, scale):
+    """The diagonal blocks of R R* / scale, one stack per run of row slabs."""
+    out = []
+    for r in runs:
+        slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
+        out.append(slab @ slab.conj().transpose(0, 2, 1) / scale)
+    return out
 
 
 def _grad_from_pair(g, B, d_left, d_right, nd2):
@@ -84,15 +82,13 @@ def _grad_from_pair(g, B, d_left, d_right, nd2):
     """
     sch = g.scheme
     nb2 = np.linalg.norm(B) ** 2
-    P = np.zeros((sch.m, sch.m), dtype=complex)
-    _add_gram_blocks(P, B, sch.left_blocks, nb2)
-    _add_gram_blocks(P, d_left, sch.left_blocks, -nd2)
+    P = [b + d for b, d in zip(_gram_blocks(B, sch.left_runs, nb2),
+                               _gram_blocks(d_left, sch.left_runs, -nd2))]
     if sch.side == "left":
-        return project_to_lie(sch, P)
-    Q = np.zeros((sch.n, sch.n), dtype=complex)
-    _add_gram_blocks(Q, B.conj().T, sch.right_blocks, -nb2)
-    _add_gram_blocks(Q, d_right, sch.right_blocks, nd2)
-    return project_to_lie(sch, P, Q)
+        return project_blocks(sch, P)
+    Q = [b + d for b, d in zip(_gram_blocks(B.conj().T, sch.right_runs, -nb2),
+                               _gram_blocks(d_right, sch.right_runs, nd2))]
+    return project_blocks(sch, P, Q)
 
 
 def _default_rcond(shape):

@@ -25,9 +25,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, NamedTuple, Optional, Union
 
+import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, RankDeficientError, SingularBlockError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteInputError,
+    RankDeficientError,
+    SingularBlockError,
+)
 from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
 from .matrix import as_dense, condition_frobenius
 from .objective import duality_gap_bound, evaluate, evaluate_cross
@@ -191,6 +197,14 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
     return report
 
 
+def _finite(*mats):
+    """The matrices as dense arrays; NonFiniteInputError if any entry is NaN or infinite."""
+    out = [as_dense(m) for m in mats]
+    if not all(np.isfinite(m).all() for m in out):
+        raise NonFiniteInputError("input matrix has NaN or infinite entries")
+    return out
+
+
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
     """Gradient descent on log kF(g . A) from the identity element.
 
@@ -198,7 +212,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     probe estimator while values, gradient norms, and certificates are still
     computed exactly, so the reported certificates stay sound.
     """
-    a = as_dense(A)
+    (a,) = _finite(A)
     sch = config.scheme
     if a.shape[0] != sch.m or (sch.side == "both" and a.shape[1] != sch.n):
         raise DimensionMismatchError(
@@ -227,7 +241,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
     """Gradient descent on the cross condition log ||X A Y^-1|| ||Y B X^-1||."""
-    a, b = as_dense(A), as_dense(B)
+    a, b = _finite(A, B)
     sch = config.scheme
     return _descend(lambda g: evaluate_cross(a, b, g), sch.identity(), config, weight_data(sch),
                     config.resolved_grad_tol(), config.resolved_step())

@@ -31,10 +31,11 @@ from .group import (
     GroupScheme,
     WeightData,
     apply_dual,
+    project_blocks,
     project_to_lie,
 )
 from .matrix import as_dense, pseudoinverse
-from .optimize import OptimizerConfig, _descend, _State, minimize_cross_condition
+from .optimize import AUTO, OptimizerConfig, _descend, _State, minimize_cross_condition
 
 __all__ = [
     "Polynomial",
@@ -409,10 +410,15 @@ def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
     return W
 
 
+def _check_auto_step(config):
+    if config.step_size != AUTO:
+        raise ValueError("the polynomial actions take a fixed base step; step_size must be 'auto'")
+
+
 def _full_objective_state(f, Dp, g):
     """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F."""
     sch = g.scheme
-    fT = shuffle(g.X, change_variables(g.Y, f))
+    fT = shuffle(g.left[0][0], change_variables(g.right[0][0], f))  # one full block a side
     n2 = sum(bw_inner(p, p).real for p in fT.polynomials)
     C = apply_dual(g, Dp)
     nc2 = np.linalg.norm(C) ** 2
@@ -433,10 +439,12 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     Descends the log of ||(X, Y) . f||_W ||Y D^+ X^-1||_F with base step
     1/(D + 2) where D is the top degree, halving on any increase so descent
     stays monotone.  The duality certificate uses the degree-dependent
-    margin gamma = (D + 2)^(1 - m - n) / (m + n).
+    margin gamma = (D + 2)^(1 - m - n) / (m + n).  scheme must be the full
+    two-sided scheme (m, n) and config.step_size "auto".
     """
-    if scheme.side != "both" or scheme.m != f.m or scheme.n != f.nvars:
-        raise DimensionMismatchError("full preconditioning needs a two-sided scheme (m, n)")
+    if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
+        raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
+    _check_auto_step(config)
     jac = evaluate_system(f, xi).jacobian
     if not np.any(jac):
         raise ZeroJacobianError("Jacobian vanishes at the point")
@@ -503,8 +511,8 @@ def _sparse_state(f, xi, Dp0, g):
     inverse transports to diag(t)^-1 D^+ X^-1 while the system norm is read
     off the Gram matrix of the shuffled, rescaled system.
     """
-    X = g.X
-    t = TorusPoint(np.diagonal(g.Y).real)
+    X = g.left[0][0]
+    t = TorusPoint(g.right[0].real.ravel())
     ft = torus_rescale(t, f)
     fx = shuffle(X, ft)
     G = gram_matrix(fx)
@@ -521,9 +529,9 @@ def _sparse_state(f, xi, Dp0, g):
     u_f = expmat.T @ colw / n2
     u_c = -np.real(np.sum(np.abs(C) ** 2, axis=1)) / nc2
     u = mu * (u_f + u_c) + torus_penalty_gradient(xi, t)
-    grad = project_to_lie(g.scheme, H1, np.diag(u))
-    grad_norm = math.sqrt(np.linalg.norm(grad.H1) ** 2 + np.linalg.norm(u) ** 2)
-    return _State(value, grad, grad_norm, mu, mu)
+    # a real torus stack keeps the torus exponential real
+    grad = project_blocks(g.scheme, [H1[None]], [u.reshape(-1, 1, 1)])
+    return _State(value, grad, grad.norm, mu, mu)
 
 
 def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
@@ -533,8 +541,13 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     pair (X, diag(t)), a two-sided element with a full left block and a
     torus on the right, with base step 1/8 and step halving, so the
     trajectory is monotone; the torus action never changes the support of
-    the system.  No certificate is computed.
+    the system.  config.scheme must be full left of size m and
+    config.step_size "auto".  No certificate is computed, so target_eps has
+    no effect.
     """
+    if config.scheme != GroupScheme.full(f.m, side="left"):
+        raise DimensionMismatchError("sparse preconditioning needs the full left scheme of size m")
+    _check_auto_step(config)
     xi = np.asarray(xi, dtype=complex)
     if len(xi) != f.nvars:
         raise DimensionMismatchError("point length does not match nvars")
@@ -549,6 +562,6 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     report = _descend(lambda g: _sparse_state(f, xi, Dp0, g), pair.identity(), config, None,
                       grad_tol, 0.125, halving=True)
     g = report.final_element
-    element = GroupElement(GroupScheme.full(f.m, side="left"), g.X)
+    element = GroupElement._from_blocks(config.scheme, g.left)
     report.final_element = element
-    return element, TorusPoint(np.diagonal(g.Y).real), report
+    return element, TorusPoint(g.right[0].real.ravel()), report

@@ -22,10 +22,9 @@ from .errors import (
     BreakdownError,
     DimensionMismatchError,
     NotConvergedError,
-    SingularBlockError,
     SingularProbeBlockError,
 )
-from .group import GroupElement, LieDirection, project_to_lie
+from .group import GroupElement, LieDirection, block_triplets, project_blocks, split_blocks
 from .matrix import ComplexMatrix
 
 __all__ = [
@@ -333,45 +332,30 @@ def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndar
 
 
 class _BlockPattern:
-    """The entries inside contiguous diagonal blocks, block after block and
-    row-major within each block, which is also row-major order overall."""
+    """The block-diagonal matrix held in one side's stacks, or its inverse, as a
+    sparse matrix mat, with the coordinates of its block entries in
+    block_triplets order."""
 
-    def __init__(self, blocks):
-        self.blocks = blocks
-        sizes = np.array([b - a for a, b in blocks])
-        owner = np.repeat(np.arange(len(blocks)), sizes**2)
-        local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
-        self.block_size = sizes[owner]
-        first = np.array(blocks)[owner, 0]
-        self.rows = first + local // self.block_size
-        self.cols = first + local % self.block_size
-        self.shape = (blocks[-1][1],) * 2
+    def __init__(self, stacks, runs, size, invert=False):
+        self.runs = runs
+        self.rows, self.cols, vals = block_triplets(stacks, runs, invert)
+        self.mat = sp.csr_matrix((vals, (self.rows, self.cols)), shape=(size, size))
 
-    def csr(self, vals):
-        """Sparse matrix carrying vals, given in pattern order, on the blocks."""
-        return sp.csr_matrix((vals, (self.rows, self.cols)), shape=self.shape)
-
-    def restrict(self, mat, invert=False):
-        """The blocks of a dense or sparse matrix, or their inverses, as a sparse matrix."""
-        vals = np.asarray(mat[self.rows, self.cols], dtype=complex).ravel()
-        for s in np.unique(self.block_size) if invert else ():
-            sel = self.block_size == s
-            try:
-                vals[sel] = np.linalg.inv(vals[sel].reshape(-1, s, s)).ravel()
-            except np.linalg.LinAlgError as exc:
-                raise SingularBlockError(f"singular {s}x{s} diagonal block") from exc
-        return self.csr(vals)
+    def values(self, mat):
+        """The entries of a dense or sparse matrix on the pattern, in pattern order."""
+        return np.asarray(mat[self.rows, self.cols], dtype=complex).ravel()
 
 
 def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
-    """Diagonal blocks of (base base*)^-1 on the pattern, all sharing one probe set;
-    the inverses of gram_blocks, the exact blocks of base base*, precondition the solves."""
-    precond = pattern.restrict(gram_blocks, invert=True)
-    blocks = pattern.blocks
-    if all(b - a == 1 for a, b in blocks):
+    """Diagonal blocks of (base base*)^-1 in pattern order, all sharing one probe set;
+    the inverses of gram_blocks, the exact blocks of base base* in pattern order,
+    precondition the solves."""
+    runs = pattern.runs
+    precond = _BlockPattern(split_blocks(gram_blocks, runs), runs, base_op.m, invert=True).mat
+    if all(r.size == 1 for r in runs):
         est = hutchinson_diagonal_inverse(
             base_op, replace(config, seed=config.seed * 2 + side_key), precond)
-        return pattern.csr(est.diag_estimate)
+        return est.diag_estimate
     gram = GramOperator(base_op)
     rng = substream(config.seed, 10 + side_key)
     G = rng.standard_normal((base_op.m, config.num_probes))
@@ -382,8 +366,8 @@ def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
         if not sol.converged:
             raise NotConvergedError(sol.relative_residual, probe=j)
         Z[:, j] = sol.x
-    return pattern.csr(np.concatenate([_sketched_block(G[a:b], Z[a:b]).ravel()
-                                       for a, b in blocks]))
+    return np.concatenate([_sketched_block(G[a:a + r.size], Z[a:a + r.size]).ravel()
+                           for r in runs for a in range(r.start, r.stop, r.size)])
 
 
 def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirection:
@@ -404,27 +388,27 @@ def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirecti
     if sch.side == "both" and A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("two-sided stochastic gradients need a square matrix")
 
-    left = _BlockPattern(sch.left_blocks)
-    B = left.restrict(g.X) @ A
+    left = _BlockPattern(g.left, sch.left_runs, sch.m)
+    B = left.mat @ A
     if sch.side == "both":
-        right = _BlockPattern(sch.right_blocks)
-        B = B @ right.restrict(g.Y, invert=True)
+        right = _BlockPattern(g.right, sch.right_runs, sch.n, invert=True)
+        B = B @ right.mat
     b_op = MatrixOperator(B)
     B, Bc = b_op.mat, b_op.mat_h
     nb2 = float(np.linalg.norm(B.data) ** 2)
 
-    P = left.restrict(B @ Bc)  # exact Gram blocks of B B*
+    P = left.values(B @ Bc)  # exact Gram blocks of B B*
     inv_left = _inverse_blocks_estimate(b_op, left, P, config, 0)
-    tr_left = float(inv_left.diagonal().sum().real)
+    tr_left = float(inv_left[left.rows == left.cols].sum().real)
 
     if sch.side == "left":
-        return project_to_lie(sch, P / nb2 - inv_left / tr_left)
+        return project_blocks(sch, split_blocks(P / nb2 - inv_left / tr_left, sch.left_runs))
 
-    Q = right.restrict(Bc @ B)  # exact Gram blocks of B* B
+    Q = right.values(Bc @ B)  # exact Gram blocks of B* B
     inv_right = _inverse_blocks_estimate(MatrixOperator(Bc), right, Q, config, 1)
-    tr_right = float(inv_right.diagonal().sum().real)
+    tr_right = float(inv_right[right.rows == right.cols].sum().real)
     # both traces estimate ||B^+||_F^2; average for a common normalizer
     tr = 0.5 * (tr_left + tr_right)
     H1 = P / nb2 - inv_left / tr
     H2 = -Q / nb2 + inv_right / tr
-    return project_to_lie(sch, H1, H2)
+    return project_blocks(sch, split_blocks(H1, sch.left_runs), split_blocks(H2, sch.right_runs))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ def _fake(kf0, kfb, k0, kb):
 def test_correlation_identical_columns():
     results = [_fake(10.0 * (i + 1), 2.0, 10.0 * (i + 1), 2.0) for i in range(5)]
     assert correlation_kF_kappa(results) == pytest.approx(1.0)
+
+
+def test_correlation_constant_column_is_nan():
+    varying = [_fake(10.0 * (i + 1), 2.0, 3.0, 3.0) for i in range(5)]
+    assert math.isnan(correlation_kF_kappa(varying))
+    # log(3 / 2.7) repeated seven times has a float std of about 1e-17, not 0
+    assert math.isnan(correlation_kF_kappa([_fake(3.0, 2.7, 3.0, 2.7)] * 7))
 
 
 def test_correlation_anticorrelated_columns():

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     block_hermitian,
@@ -280,3 +284,112 @@ def test_torus_polar_rejects_zero_square(tiny):
     with pytest.raises(SingularBlockError):
         repolarize(g)
     assert repolarize(GroupElement(sch, np.diag([1.0, 1e-150, 2.0]))).X[1, 1] == 1e-150
+
+
+@st.composite
+def _schemes(draw):
+    """Random contiguous partitions: ragged, mixed sizes, one- and two-sided."""
+    sizes = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
+    left = draw(sizes)
+    if draw(st.booleans()):
+        right = draw(sizes)
+        return GroupScheme("both", sum(left), sum(right), left, right)
+    return GroupScheme("left", sum(left), draw(st.integers(1, 6)), left)
+
+
+def _mask(blocks, size):
+    out = np.zeros((size, size), dtype=bool)
+    for a, b in blocks:
+        out[a:b, a:b] = True
+    return out
+
+
+def _close(x, ref):
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_schemes(), st.integers(0, 2**16))
+def test_block_storage_round_trips_dense(scheme, seed):
+    rng = rng_for(40, seed)
+    X = complex_gaussian(rng, (scheme.m, scheme.m)) * _mask(scheme.left_blocks, scheme.m)
+    Y = None
+    if scheme.side == "both":
+        Y = complex_gaussian(rng, (scheme.n, scheme.n)) * _mask(scheme.right_blocks, scheme.n)
+    g = GroupElement(scheme, X, Y)
+    assert np.array_equal(g.X, X)
+    assert [S.shape for S in g.left] == [(r.count, r.size, r.size) for r in scheme.left_runs]
+    h = LieDirection(scheme, X, Y)
+    assert np.array_equal(h.H1, X)
+    if Y is not None:
+        assert np.array_equal(g.Y, Y) and np.array_equal(h.H2, Y)
+    assert not g.X.flags.writeable
+
+
+@_PROPERTY
+@given(_schemes(), st.integers(0, 2**16))
+def test_dense_entries_outside_the_pattern_raise(scheme, seed):
+    outside = np.argwhere(~_mask(scheme.left_blocks, scheme.m))
+    assume(len(outside))
+    rng = rng_for(41, seed)
+    X = np.eye(scheme.m, dtype=complex)
+    X[tuple(outside[rng.integers(len(outside))])] = 1e-300
+    with pytest.raises(DimensionMismatchError, match="outside the block pattern"):
+        GroupElement(scheme, X)
+    with pytest.raises(DimensionMismatchError, match="outside the block pattern"):
+        LieDirection(scheme, X)
+
+
+@_PROPERTY
+@given(_schemes(), st.integers(0, 2**16))
+def test_group_operations_match_dense_references(scheme, seed):
+    """Stacked operations against dense formulas on the block-diagonal matrices."""
+    rng = rng_for(42, seed)
+    m, n = scheme.m, scheme.n
+    masks = [_mask(scheme.left_blocks, m)]
+    M = [complex_gaussian(rng, (m, m))]
+    if scheme.side == "both":
+        masks.append(_mask(scheme.right_blocks, n))
+        M.append(complex_gaussian(rng, (n, n)))
+    h = project_to_lie(scheme, *M)
+    dense_h = [h.H1] + ([h.H2] if scheme.side == "both" else [])
+    for got, mat, mask in zip(dense_h, M, masks):
+        assert np.array_equal(got, np.where(mask, 0.5 * (mat + mat.conj().T), 0))
+
+    g = random_element(rng, scheme)
+    flowed = exp_action(g, h, -0.3)
+    _close(flowed.X, sla.expm(-0.3 * h.H1) @ g.X)
+    if scheme.side == "both":
+        _close(flowed.Y, sla.expm(-0.3 * h.H2) @ g.Y)
+
+    # generic, well-conditioned block-diagonal elements, far from Hermitian
+    gen = [mat * mask + 6.0 * np.eye(len(mat)) for mat, mask in zip(M, masks)]
+    pol = repolarize(GroupElement(scheme, *gen))
+    _close(pol.X, sla.polar(gen[0], side="right")[1])
+    if scheme.side == "both":
+        _close(pol.Y, sla.polar(gen[1], side="right")[1])
+
+    A = complex_gaussian(rng, (m, n))
+    Bsecond = complex_gaussian(rng, (n, m))
+    Y = g.Y if scheme.side == "both" else np.eye(n)
+    _close(apply(g, A), g.X @ A @ np.linalg.inv(Y))
+    _close(apply_dual(g, Bsecond), Y @ Bsecond @ np.linalg.inv(g.X))
+
+
+def test_torus_step_allocates_no_dense_matrix():
+    """A left-torus step at m=1000 keeps O(m) memory: no m x m array is formed."""
+    m = 1000
+    sch = GroupScheme.diagonal(m, side="left")
+    M = complex_gaussian(rng_for(43), (m, m))  # 16 MB, allocated before tracing
+    tracemalloc.start()
+    try:
+        g = repolarize(exp_action(sch.identity(), project_to_lie(sch, M), -0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_allclose(g.left[0].ravel(), np.exp(-0.1 * np.diagonal(M).real),
+                               rtol=1e-15, atol=0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import complex_gaussian, rng_for
-from geoprec.errors import RankDeficientError
+from geoprec.errors import NonFiniteInputError, RankDeficientError
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix, condition_frobenius, pseudoinverse
 from geoprec.optimize import (
@@ -202,3 +202,15 @@ def test_halving_stall_converges_with_end_point_certificate():
     assert rep.iteration_count == 0
     assert rep.final_element is start
     assert rep.certificate == pytest.approx(-0.5 * math.log1p(-0.1), rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_at_entry(bad):
+    A = np.eye(3, dtype=complex)
+    A[1, 2] = bad
+    with pytest.raises(NonFiniteInputError):
+        minimize_condition(A, diag_left(3))
+    with pytest.raises(NonFiniteInputError):
+        minimize_condition(sp.csr_matrix(A), diag_left(3))
+    with pytest.raises(NonFiniteInputError):
+        minimize_cross_condition(np.eye(3), A, diag_left(3))

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from conftest import complex_gaussian, random_element, rng_for
 from geoprec._rng import substream
 from geoprec.errors import DimensionMismatchError
-from geoprec.group import GroupScheme, apply
+from geoprec.group import GroupScheme, apply, split_blocks
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
     _BlockPattern,
@@ -246,21 +246,25 @@ def test_block_pattern_gram_blocks():
     sch = GroupScheme.blocked(n, 4, n, side="both")
     g = random_element(rng, sch)
     a = sp.random(n, n, density=0.3, random_state=np.random.RandomState(76)) + sp.eye(n)
-    left, right = _BlockPattern(sch.left_blocks), _BlockPattern(sch.right_blocks)
-    B = left.restrict(g.X) @ a.astype(complex) @ right.restrict(g.Y, invert=True)
+    left = _BlockPattern(g.left, sch.left_runs, n)
+    right = _BlockPattern(g.right, sch.right_runs, n, invert=True)
+    B = left.mat @ a.astype(complex) @ right.mat
     dense_b = apply(g, a.toarray())
     assert np.allclose(B.toarray(), dense_b, atol=1e-12)
-    assert np.allclose(right.restrict(g.Y, invert=True).toarray(),
-                       np.linalg.inv(g.Y), atol=1e-12)
+    assert np.array_equal(left.mat.toarray(), g.X)
+    assert np.allclose(right.mat.toarray(), np.linalg.inv(g.Y), atol=1e-12)
     Bc = B.conj().T.tocsr()
-    for pattern, gram, dense_gram in ((left, B @ Bc, dense_b @ dense_b.conj().T),
-                                      (right, Bc @ B, dense_b.conj().T @ dense_b)):
+    for pattern, blocks, gram, dense_gram in (
+            (left, sch.left_blocks, B @ Bc, dense_b @ dense_b.conj().T),
+            (right, sch.right_blocks, Bc @ B, dense_b.conj().T @ dense_b)):
         ref = np.zeros_like(dense_gram)
-        for lo, hi in pattern.blocks:
+        for lo, hi in blocks:
             ref[lo:hi, lo:hi] = dense_gram[lo:hi, lo:hi]
-        assert np.allclose(pattern.restrict(gram).toarray(), ref, atol=1e-12)
-        assert np.allclose(pattern.restrict(gram, invert=True).toarray(),
-                           np.linalg.inv(ref), atol=1e-10)
+        vals = pattern.values(gram)
+        on_pattern = sp.csr_matrix((vals, (pattern.rows, pattern.cols)), shape=(n, n))
+        assert np.allclose(on_pattern.toarray(), ref, atol=1e-12)
+        inverse = _BlockPattern(split_blocks(vals, pattern.runs), pattern.runs, n, invert=True)
+        assert np.allclose(inverse.mat.toarray(), np.linalg.inv(ref), atol=1e-10)
 
 
 def test_estimate_gradient_sparse_accuracy():
