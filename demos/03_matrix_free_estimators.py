@@ -43,7 +43,9 @@ true_block = np.linalg.inv(spd)[:4, :4]
 sk = block_hutchinson(MatrixOperator(np.linalg.inv(spd)), (0, 4), num_probes=300, seed=2)
 lz = block_lanczos_inverse_block(MatrixOperator(spd), (0, 4), iters=40)
 print(f"block sketch error:  {np.linalg.norm(sk - true_block):.3e}")
-print(f"block Lanczos error: {np.linalg.norm(lz - true_block):.3e} (deterministic)")
+# about 1e-10, but the last digits move with the BLAS code path, so print the check
+lz_err = np.linalg.norm(lz - true_block)
+print(f"block Lanczos error below 1e-8: {'yes' if lz_err < 1e-8 else f'NO ({lz_err:.3e})'}")
 
 print("\nstochastic vs exact gradient (diagonal scheme):")
 scheme = GroupScheme.diagonal(n, side="left")

@@ -1,8 +1,16 @@
-"""Sparse multivariate polynomial systems and their preconditioners.
+"""Multivariate polynomial systems and their preconditioners.
 
-Polynomials are maps from exponent tuples to complex coefficients under the
-Bombieri-Weyl inner product (monomial weight alpha! / |alpha|!).  Three
-preconditioning actions are supported:
+A system of m polynomials in n variables is an m x K complex array
+``coeffs`` over K exponent vectors ``exponents`` (K x n, graded-lex: by
+degree, then descending lexicographic), with the Bombieri-Weyl weights
+alpha! / |alpha|! as one vector ``weights``.  A system built from dicts keeps
+the exponents of its support, which shuffles and torus scalings preserve; a
+change of variables fills the full basis of degrees <= D, acting on degree d
+as the d-th symmetric power of Y^-1.  EXPANSION_CAP bounds that basis's
+size C(n + D, D) and the n^D entries per equation of its top-degree tensor.  ``PolynomialSystem.polynomials`` is a derived view of
+canonical {exponent tuple: coefficient} dicts, built on first access.
+
+Three preconditioning actions are supported:
 
 * shuffling: replace each equation by a linear combination of the others,
   which leaves the zero set unchanged and reduces to a matrix cross-condition
@@ -15,8 +23,9 @@ preconditioning actions are supported:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial
-from typing import Dict, List, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -66,48 +75,65 @@ Polynomial = Dict[Exponent, complex]
 EXPANSION_CAP = 1_000_000
 
 
-def _canonical(poly, nvars) -> Polynomial:
-    out = {}
-    for alpha, c in poly.items():
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != nvars or any(a < 0 for a in alpha):
-            raise DimensionMismatchError(f"bad exponent vector {alpha}")
-        c = complex(c)
-        if c != 0:
-            out[alpha] = out.get(alpha, 0) + c
-    return {a: c for a, c in sorted(out.items(), key=_grlex_key) if c != 0}
+def _bw_weights(exponents) -> np.ndarray:
+    """alpha! / |alpha|! for each row of a K x n exponent array."""
+    degree = exponents.sum(axis=1)
+    fact = np.array([float(factorial(k)) for k in range(degree.max(initial=0) + 1)])
+    return np.prod(fact[exponents], axis=1) / fact[degree]
 
 
-def _grlex_key(item):
-    alpha = item[0]
-    return (sum(alpha), tuple(-a for a in alpha))
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
 class PolynomialSystem:
-    """System of m sparse polynomials in n variables with a degree pattern.
+    """System of m polynomials in n variables with a degree pattern.
 
-    Coefficient maps are canonical: graded-lex ordered, no explicit zeros,
-    and every exponent respects the declared per-polynomial degree bound.
+    ``PolynomialSystem(nvars, degrees, polynomials)`` takes one dict
+    {exponent tuple: coefficient} per polynomial, checks every exponent
+    against its polynomial's degree bound and keeps as basis the exponents
+    with a nonzero coefficient.  ``exponents``, ``weights`` and ``coeffs``
+    are read-only; ``polynomials`` is the canonical dict view.
     """
 
-    nvars: int
-    degrees: Tuple[int, ...]
-    polynomials: Tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        polys = tuple(_canonical(p, self.nvars) for p in self.polynomials)
-        degrees = tuple(int(d) for d in self.degrees)
-        if len(degrees) != len(polys):
+    def __init__(self, nvars, degrees, polynomials):
+        degrees = tuple(int(d) for d in degrees)
+        if len(degrees) != len(polynomials):
             raise DimensionMismatchError("one degree bound per polynomial required")
-        for i, (p, d) in enumerate(zip(polys, degrees)):
-            for alpha in p:
-                if sum(alpha) > d:
-                    raise DimensionMismatchError(
-                        f"polynomial {i} has a term of degree {sum(alpha)} > bound {d}"
-                    )
-        object.__setattr__(self, "polynomials", polys)
-        object.__setattr__(self, "degrees", degrees)
+        rows = [{} for _ in degrees]
+        for i, (p, row) in enumerate(zip(polynomials, rows)):
+            for alpha, c in p.items():
+                alpha, c = tuple(map(int, alpha)), complex(c)
+                if len(alpha) != nvars or min(alpha, default=0) < 0:
+                    raise DimensionMismatchError(f"bad exponent vector {alpha}")
+                if c:
+                    if sum(alpha) > degrees[i]:
+                        raise DimensionMismatchError(f"polynomial {i} has a term of degree "
+                                                     f"{sum(alpha)} > bound {degrees[i]}")
+                    row[alpha] = c
+        # graded lex: ascending degree, then descending lexicographic
+        basis = sorted(set().union(*rows), key=lambda a: (-sum(a), a), reverse=True)
+        column = {alpha: k for k, alpha in enumerate(basis)}
+        coeffs = np.zeros((len(rows), len(basis)), dtype=complex)
+        for i, row in enumerate(rows):
+            coeffs[i, [column[a] for a in row]] = list(row.values())
+        self.exponents = _frozen(np.array(basis, dtype=np.intp).reshape(len(basis), int(nvars)))
+        self.nvars, self.degrees, self.coeffs = int(nvars), degrees, _frozen(coeffs)
+        self.weights = _frozen(_bw_weights(self.exponents))
+
+    @classmethod
+    def _from_arrays(cls, nvars, degrees, exponents, weights, coeffs):
+        """A system over the given basis, unchecked: the module's own constructor."""
+        obj = cls.__new__(cls)
+        obj.nvars, obj.degrees, obj.exponents, obj.weights = nvars, degrees, exponents, weights
+        obj.coeffs = _frozen(coeffs)
+        return obj
+
+    def _with(self, coeffs, degrees=None):
+        """Another system over this one's basis."""
+        return PolynomialSystem._from_arrays(self.nvars, degrees or self.degrees, self.exponents,
+                                             self.weights, coeffs)
 
     @classmethod
     def from_polys(cls, nvars, polys, degrees=None):
@@ -116,13 +142,89 @@ class PolynomialSystem:
             degrees = [max((sum(a) for a in p), default=0) for p in polys]
         return cls(nvars, tuple(degrees), tuple(polys))
 
+    @cached_property
+    def polynomials(self) -> Tuple[Polynomial, ...]:
+        keys = list(map(tuple, self.exponents.tolist()))
+        return tuple({keys[k]: c for k, c in enumerate(row) if c} for row in self.coeffs.tolist())
+
     @property
     def m(self):
-        return len(self.polynomials)
+        return len(self.degrees)
 
     @property
     def max_degree(self):
         return max(self.degrees) if self.degrees else 0
+
+    def _full(self, cap=EXPANSION_CAP):
+        """The full basis of degrees <= max_degree and the coefficients over it."""
+        n, D = self.nvars, self.max_degree
+        size = max(math.comb(n + D, D), n**D)  # the basis, and one equation's top-degree tensor
+        if size > cap:
+            raise ExpansionOverflowError(size, cap)
+        basis = _full_basis(n, D)
+        if self.exponents is basis.exponents:
+            return basis, self.coeffs
+        C = np.zeros((self.m, len(basis.weights)), dtype=complex)
+        C[:, [basis.index[a] for a in map(tuple, self.exponents.tolist())]] = self.coeffs
+        return basis, C
+
+
+class _Degree(NamedTuple):
+    """Columns start:stop of the full basis (degree d), their multinomials
+    d! / alpha!, the column of each flat position of the symmetric (n,)*d
+    tensor and one flat position of each column."""
+
+    start: int
+    stop: int
+    mult: np.ndarray
+    col: np.ndarray
+    rep: np.ndarray
+
+
+class _Basis(NamedTuple):
+    exponents: np.ndarray
+    weights: np.ndarray
+    index: Dict[Exponent, int]
+    degrees: Tuple[_Degree, ...]
+
+
+@lru_cache(maxsize=16)
+def _full_basis(n, D) -> _Basis:
+    """All exponents of degree <= D in n variables, in graded-lex order."""
+    fact = np.array([float(factorial(k)) for k in range(D + 1)])
+    parts = [np.zeros((1, n), dtype=np.intp)]
+    zero = np.zeros(1, dtype=np.intp)
+    degrees = [_Degree(0, 1, *map(_frozen, (np.ones(1), zero, zero)))]
+    for d in range(1, D + 1):
+        last = degrees[-1]
+        # degree d is degree d - 1 times each x_j; up[k, j] is the column of alpha_k + e_j
+        raised = (parts[-1][:, None, :] + np.eye(n, dtype=np.intp)).reshape(-1, n)
+        E, up = np.unique(raised, axis=0, return_inverse=True)  # ascending lex
+        E, up = _frozen(E[::-1]), (len(E) - 1 - up).reshape(-1, n)
+        rep = np.empty(len(E), dtype=np.intp)
+        rep[up] = last.rep[:, None] * n + np.arange(n)
+        mult = fact[d] / np.prod(fact[E], axis=1)
+        degrees.append(_Degree(last.stop, last.stop + len(E),
+                               *map(_frozen, (mult, up[last.col].ravel(), rep))))
+        parts.append(E)
+    exponents = _frozen(np.concatenate(parts))
+    index = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
+    return _Basis(exponents, _frozen(_bw_weights(exponents)), index, tuple(degrees))
+
+
+@lru_cache(maxsize=16)
+def _shifts(n, D):
+    """Index maps alpha -> beta = alpha - e_k + e_l over the full basis.
+
+    Returns (src, dst, kl, a) over every alpha with alpha_k > 0 and every l:
+    the basis indices of alpha and beta, the flat index k * n + l and alpha_k.
+    """
+    basis, eye = _full_basis(n, D), np.eye(n, dtype=np.intp)
+    k, l = np.divmod(np.arange(n * n), n)
+    src, kl = np.nonzero(basis.exponents[:, k])
+    beta = basis.exponents[src] - eye[k[kl]] + eye[l[kl]]
+    dst = np.array([basis.index[b] for b in map(tuple, beta.tolist())], dtype=np.intp)
+    return tuple(map(_frozen, (src, dst, kl, basis.exponents[src, k[kl]].astype(float))))
 
 
 @dataclass(frozen=True)
@@ -144,24 +246,14 @@ class TorusPoint:
         t = np.asarray(self.t, dtype=float)
         if np.any(t <= 0):
             raise ValueError("torus point must be strictly positive")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
-
-
-def bw_weight(alpha: Exponent) -> float:
-    """Monomial weight alpha! / |alpha|! of the Bombieri-Weyl inner product."""
-    w = 1.0
-    for a in alpha:
-        w *= factorial(a)
-    return w / factorial(sum(alpha))
+        object.__setattr__(self, "t", _frozen(t.copy()))
 
 
 def bw_inner(f: Polynomial, g: Polynomial) -> complex:
-    """Bombieri-Weyl inner product, linear in f, conjugate-linear in g.
+    """Bombieri-Weyl inner product of two dicts, linear in f, conjugate-linear in g.
 
     Monomials of different exponent are orthogonal, so only shared exponents
-    contribute; each homogeneous component is handled by its own |alpha|!.
+    contribute, with weight alpha! / |alpha|!.
     """
     if len(g) < len(f):
         return complex(np.conj(bw_inner(g, f)))
@@ -169,38 +261,25 @@ def bw_inner(f: Polynomial, g: Polynomial) -> complex:
     for alpha, c in f.items():
         d = g.get(alpha)
         if d is not None:
-            total += c * np.conj(d) * bw_weight(alpha)
+            total += c * np.conj(d) * math.prod(map(factorial, alpha)) / factorial(sum(alpha))
     return total
 
 
 def bw_norm_system(f: PolynomialSystem) -> float:
     """sqrt of the sum of the squared Bombieri-Weyl norms of the equations."""
-    return math.sqrt(sum(bw_inner(p, p).real for p in f.polynomials))
-
-
-def _eval_monomial(alpha, xi):
-    v = 1.0 + 0.0j
-    for a, x in zip(alpha, xi):
-        if a:
-            v *= x**a
-    return v
+    return math.sqrt(np.vdot(f.coeffs, f.coeffs * f.weights).real)
 
 
 def evaluate_system(f: PolynomialSystem, xi) -> EvaluatedPoint:
-    """Values f(xi) and the Jacobian by direct sparse term evaluation."""
+    """Values f(xi) and the Jacobian, from the monomials at xi and their derivatives."""
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (f.nvars,):
         raise DimensionMismatchError(f"point has length {xi.shape}, expected {f.nvars}")
-    values = np.zeros(f.m, dtype=complex)
-    jac = np.zeros((f.m, f.nvars), dtype=complex)
-    for i, poly in enumerate(f.polynomials):
-        for alpha, c in poly.items():
-            values[i] += c * _eval_monomial(alpha, xi)
-            for k in range(f.nvars):
-                if alpha[k]:
-                    beta = list(alpha)
-                    beta[k] -= 1
-                    jac[i, k] += c * alpha[k] * _eval_monomial(beta, xi)
+    E = f.exponents
+    values = f.coeffs @ np.prod(xi**E, axis=1)
+    # d x^alpha / d x_k = alpha_k x^(alpha - e_k); the clip at 0 keeps 0^-1 out of terms alpha_k = 0
+    lowered = np.maximum(E[None] - np.eye(f.nvars, dtype=E.dtype)[:, None], 0)
+    jac = f.coeffs @ (np.prod(xi**lowered, axis=2) * E.T).T
     return EvaluatedPoint(xi, values, jac)
 
 
@@ -224,65 +303,29 @@ def shuffle(X, f: PolynomialSystem) -> PolynomialSystem:
     X = as_dense(X)
     if X.shape != (f.m, f.m):
         raise DimensionMismatchError(f"shuffle matrix must be {f.m}x{f.m}")
-    polys = []
-    for i in range(f.m):
-        g: Polynomial = {}
-        for j in range(f.m):
-            c = X[i, j]
-            if c == 0:
-                continue
-            for alpha, v in f.polynomials[j].items():
-                g[alpha] = g.get(alpha, 0) + c * v
-        polys.append(g)
-    return PolynomialSystem(f.nvars, tuple(max(f.degrees) for _ in polys), tuple(polys))
-
-
-def _poly_mul(p: Polynomial, q: Polynomial, cap: int) -> Polynomial:
-    out: Polynomial = {}
-    for a, c in p.items():
-        for b, d in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0) + c * d
-            if len(out) > cap:
-                raise ExpansionOverflowError(len(out), cap)
-    return out
+    return f._with(X @ f.coeffs, (f.max_degree,) * f.m)
 
 
 def change_variables(Y, f: PolynomialSystem, cap: int = EXPANSION_CAP) -> PolynomialSystem:
     """Substitute x <- Y^-1 x, i.e. the system x |-> f(Y^-1 x).
 
-    The substitution expands every monomial into a product of linear forms,
-    so sparsity is generally lost; the degree pattern is preserved.  Raises
-    when the expanded term count exceeds the cap.
+    The result lives on the full basis of degrees <= D, so sparsity is
+    generally lost; the degree pattern is preserved.  Raises when that
+    basis, or n^D, exceeds cap.
     """
     Y = as_dense(Y)
     n = f.nvars
     if Y.shape != (n, n):
         raise DimensionMismatchError(f"change of variables must be {n}x{n}")
     Yi = np.linalg.inv(Y)
-    lin: List[Polynomial] = []
-    for k in range(n):
-        form: Polynomial = {}
-        for l in range(n):
-            if Yi[k, l] != 0:
-                e = [0] * n
-                e[l] = 1
-                form[tuple(e)] = Yi[k, l]
-        lin.append(form)
-    polys = []
-    for poly in f.polynomials:
-        g: Polynomial = {}
-        for alpha, c in poly.items():
-            term = {tuple([0] * n): c}
-            for k, ak in enumerate(alpha):
-                for _ in range(ak):
-                    term = _poly_mul(term, lin[k], cap)
-            for key, v in term.items():
-                g[key] = g.get(key, 0) + v
-            if len(g) > cap:
-                raise ExpansionOverflowError(len(g), cap)
-        polys.append(g)
-    return PolynomialSystem(f.nvars, f.degrees, tuple(polys))
+    basis, C = f._full(cap)
+    out = np.empty_like(C)
+    for d, deg in enumerate(basis.degrees):
+        T = (C[:, deg.start:deg.stop] / deg.mult)[:, deg.col].reshape((f.m,) + (n,) * d)
+        for _ in range(d):
+            T = np.tensordot(T, Yi, axes=(1, 0))
+        out[:, deg.start:deg.stop] = T.reshape(f.m, -1)[:, deg.rep] * deg.mult
+    return PolynomialSystem._from_arrays(n, f.degrees, basis.exponents, basis.weights, out)
 
 
 def torus_rescale(t: TorusPoint, f: PolynomialSystem) -> PolynomialSystem:
@@ -293,33 +336,18 @@ def torus_rescale(t: TorusPoint, f: PolynomialSystem) -> PolynomialSystem:
     tv = t.t
     if len(tv) != f.nvars:
         raise DimensionMismatchError("torus point length does not match nvars")
-    polys = []
-    for poly in f.polynomials:
-        g = {}
-        for alpha, c in poly.items():
-            g[alpha] = c * float(np.prod(tv**np.asarray(alpha)))
-        polys.append(g)
-    return PolynomialSystem(f.nvars, f.degrees, tuple(polys))
+    return f._with(f.coeffs * np.prod(tv**f.exponents, axis=1))
 
 
 def gram_matrix(f: PolynomialSystem) -> np.ndarray:
     """Hermitian PSD Gram matrix G[i, j] = <f_i, f_j>."""
-    m = f.m
-    G = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            v = bw_inner(f.polynomials[i], f.polynomials[j])
-            G[i, j] = v
-            G[j, i] = np.conj(v)
-    return G
+    return (f.coeffs * f.weights) @ f.coeffs.conj().T
 
 
 def gram_sqrt(f: PolynomialSystem) -> np.ndarray:
     """Hermitian PSD square root of the Gram matrix; its Frobenius norm is ||f||_W."""
-    G = gram_matrix(f)
-    w, v = np.linalg.eigh(G)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    w, v = np.linalg.eigh(gram_matrix(f))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def polysys_lie_derivative(f: PolynomialSystem, H1, H2) -> PolynomialSystem:
@@ -333,24 +361,12 @@ def polysys_lie_derivative(f: PolynomialSystem, H1, H2) -> PolynomialSystem:
     H2 = as_dense(H2)
     if H1.shape != (f.m, f.m) or H2.shape != (f.nvars, f.nvars):
         raise DimensionMismatchError("direction shapes do not match the system")
-    shuffled = shuffle(H1, f)
-    polys = []
-    for i, poly in enumerate(f.polynomials):
-        g = dict(shuffled.polynomials[i])
-        for alpha, c in poly.items():
-            for k in range(f.nvars):
-                if alpha[k] == 0:
-                    continue
-                for l in range(f.nvars):
-                    if H2[k, l] == 0:
-                        continue
-                    beta = list(alpha)
-                    beta[k] -= 1
-                    beta[l] += 1
-                    key = tuple(beta)
-                    g[key] = g.get(key, 0) - H2[k, l] * alpha[k] * c
-        polys.append(g)
-    return PolynomialSystem(f.nvars, f.degrees, tuple(polys))
+    basis, C = f._full()
+    src, dst, kl, alpha_k = _shifts(f.nvars, f.max_degree)
+    L = np.zeros((len(basis.weights),) * 2, dtype=complex)  # x_l d/dx_k summed against H2
+    np.add.at(L, (src, dst), H2.ravel()[kl] * alpha_k)
+    return PolynomialSystem._from_arrays(f.nvars, (f.max_degree,) * f.m, basis.exponents,
+                                         basis.weights, H1 @ C - C @ L)
 
 
 def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
@@ -376,38 +392,15 @@ def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
 # --- full action: shuffle + change of variables ---------------------------
 
 
-def _system_coeff_arrays(f: PolynomialSystem):
-    """All exponents appearing in the system with an m x terms coefficient matrix."""
-    alphas = sorted({a for p in f.polynomials for a in p}, key=lambda a: _grlex_key((a, 0)))
-    index = {a: k for k, a in enumerate(alphas)}
-    C = np.zeros((f.m, len(alphas)), dtype=complex)
-    for i, p in enumerate(f.polynomials):
-        for a, c in p.items():
-            C[i, index[a]] = c
-    weights = np.array([bw_weight(a) for a in alphas])
-    expmat = np.array(alphas, dtype=float)  # terms x n
-    return C, weights, expmat
-
-
 def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
     """Matrix W with W[k, l] = sum_i <x_l d f_i / d x_k, f_i>."""
     n = f.nvars
-    W = np.zeros((n, n), dtype=complex)
-    for poly in f.polynomials:
-        for alpha, c in poly.items():
-            for k in range(n):
-                if alpha[k] == 0:
-                    continue
-                beta = list(alpha)
-                beta[k] -= 1
-                for l in range(n):
-                    beta[l] += 1
-                    key = tuple(beta)
-                    d = poly.get(key)
-                    if d is not None:
-                        W[k, l] += alpha[k] * c * np.conj(d) * bw_weight(key)
-                    beta[l] -= 1
-    return W
+    basis, C = f._full()
+    src, dst, kl, alpha_k = _shifts(n, f.max_degree)
+    terms = np.einsum("ip,ip->p", C[:, src], C[:, dst].conj()) * (alpha_k * basis.weights[dst])
+    W = np.zeros(n * n, dtype=complex)
+    np.add.at(W, kl, terms)
+    return W.reshape(n, n)
 
 
 def _check_auto_step(config):
@@ -417,18 +410,16 @@ def _check_auto_step(config):
 
 def _full_objective_state(f, Dp, g):
     """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F."""
-    sch = g.scheme
     fT = shuffle(g.left[0][0], change_variables(g.right[0][0], f))  # one full block a side
-    n2 = sum(bw_inner(p, p).real for p in fT.polynomials)
+    G = gram_matrix(fT)
+    n2 = float(np.trace(G).real)
     C = apply_dual(g, Dp)
     nc2 = np.linalg.norm(C) ** 2
     value = 0.5 * math.log(n2) + 0.5 * math.log(nc2)
-    G = gram_matrix(fT)
     W = _variable_side_form(fT)
     H1 = G / n2 - C.conj().T @ C / nc2
-    Wt = W.T
-    H2 = -0.5 * (Wt + Wt.conj().T) / n2 + C @ C.conj().T / nc2
-    grad = project_to_lie(sch, H1, H2)
+    H2 = -0.5 * (W.T + W.conj()) / n2 + C @ C.conj().T / nc2
+    grad = project_to_lie(g.scheme, H1, H2)
     return value, grad, math.sqrt(n2) * math.sqrt(nc2)
 
 
@@ -470,29 +461,25 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
 def torus_penalty(xi, t: TorusPoint) -> float:
     """log sum_i |xi|^(w_i) t^(-w_i) with w_i = n e_i - 1; minimized when the
     rescaled root coordinates |xi_i| / t_i all share one magnitude."""
-    r = _ratio(xi, t)
-    n = len(r)
-    terms = r**n / np.prod(r)
-    return float(np.log(np.sum(terms)))
+    return float(np.log(np.sum(_penalty_terms(xi, t))))
 
 
 def torus_penalty_gradient(xi, t: TorusPoint) -> np.ndarray:
     """Gradient of the penalty with respect to the log-scalings of t."""
-    r = _ratio(xi, t)
-    n = len(r)
-    terms = r**n / np.prod(r)
+    terms = _penalty_terms(xi, t)
+    n = len(terms)
     weights = terms / np.sum(terms)
     omega = n * np.eye(n) - np.ones((n, n))  # row i is w_i
     return -omega.T @ weights
 
 
-def _ratio(xi, t: TorusPoint):
-    xi = np.asarray(xi, dtype=complex)
-    mags = np.abs(xi)
+def _penalty_terms(xi, t: TorusPoint):
+    mags = np.abs(np.asarray(xi, dtype=complex))
     zero = np.nonzero(mags == 0)[0]
     if len(zero):
         raise ZeroCoordinateError(int(zero[0]))
-    return mags / t.t
+    r = mags / t.t
+    return r ** len(r) / np.prod(r)
 
 
 def torus_objective(f: PolynomialSystem, xi, X: GroupElement, t: TorusPoint) -> float:
@@ -524,9 +511,8 @@ def _sparse_state(f, xi, Dp0, g):
     # shuffle-side gradient of log mu, scaled by mu for the un-logged objective
     H1 = mu * (G / n2 - C.conj().T @ C / nc2)
     # torus-side: coefficient exponent weights + row norms of C + penalty gradient
-    Cw, weights, expmat = _system_coeff_arrays(fx)
-    colw = (np.abs(Cw) ** 2 * weights).sum(axis=0)  # per-exponent mass
-    u_f = expmat.T @ colw / n2
+    colw = (np.abs(fx.coeffs) ** 2 * fx.weights).sum(axis=0)  # per-exponent mass
+    u_f = fx.exponents.T @ colw / n2
     u_c = -np.real(np.sum(np.abs(C) ** 2, axis=1)) / nc2
     u = mu * (u_f + u_c) + torus_penalty_gradient(xi, t)
     # a real torus stack keeps the torus exponential real

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import DegreeViolationError, ParseError
-from .polysys import PolynomialSystem, _grlex_key
+from .polysys import PolynomialSystem
 
 __all__ = ["read_polysys", "write_polysys"]
 
@@ -92,7 +92,7 @@ def write_polysys(path, system: PolynomialSystem, point=None):
         "polynomials": [
             [
                 {"exponents": list(alpha), "coeff": [c.real, c.imag]}
-                for alpha, c in sorted(poly.items(), key=_grlex_key)
+                for alpha, c in poly.items()
             ]
             for poly in system.polynomials
         ],

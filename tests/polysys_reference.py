@@ -1,0 +1,109 @@
+"""Term-by-term dict implementations of the polynomial-system algebra.
+
+A system is a list of dicts {exponent tuple: coefficient}.  These loops are
+the direct transcription of each definition, kept as the reference that the
+array implementation in ``geoprec.polysys`` is checked against.
+"""
+
+import numpy as np
+
+from geoprec.polysys import bw_inner
+
+
+def _add(g, key, v):
+    g[key] = g.get(key, 0) + v
+
+
+def shuffle(X, polys):
+    m = len(polys)
+    out = []
+    for i in range(m):
+        g = {}
+        for j in range(m):
+            for alpha, v in polys[j].items():
+                _add(g, alpha, X[i, j] * v)
+        out.append(g)
+    return out
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            _add(out, tuple(x + y for x, y in zip(a, b)), c * d)
+    return out
+
+
+def change_variables(Y, polys, n):
+    """x |-> f(Y^-1 x), by expanding every monomial into linear forms."""
+    Yi = np.linalg.inv(Y)
+    unit = [tuple(int(l == k) for k in range(n)) for l in range(n)]
+    lin = [{unit[l]: Yi[k, l] for l in range(n)} for k in range(n)]
+    out = []
+    for poly in polys:
+        g = {}
+        for alpha, c in poly.items():
+            term = {(0,) * n: c}
+            for k, ak in enumerate(alpha):
+                for _ in range(ak):
+                    term = _poly_mul(term, lin[k])
+            for key, v in term.items():
+                _add(g, key, v)
+        out.append(g)
+    return out
+
+
+def torus_rescale(t, polys):
+    return [{alpha: c * float(np.prod(t ** np.asarray(alpha))) for alpha, c in p.items()}
+            for p in polys]
+
+
+def gram_matrix(polys):
+    return np.array([[bw_inner(p, q) for q in polys] for p in polys], dtype=complex)
+
+
+def lie_derivative(polys, H1, H2, n):
+    """sum_j H1[i, j] f_j - sum_{k, l} H2[k, l] x_l d f_i / d x_k."""
+    out = shuffle(H1, polys)
+    for g, poly in zip(out, polys):
+        for alpha, c in poly.items():
+            for k in range(n):
+                for l in range(n):
+                    if alpha[k]:
+                        beta = list(alpha)
+                        beta[k] -= 1
+                        beta[l] += 1
+                        _add(g, tuple(beta), -H2[k, l] * alpha[k] * c)
+    return out
+
+
+def variable_side_form(polys, n):
+    """W[k, l] = sum_i <x_l d f_i / d x_k, f_i>."""
+    W = np.zeros((n, n), dtype=complex)
+    for poly in polys:
+        for k in range(n):
+            for l in range(n):
+                moved = {}
+                for alpha, c in poly.items():
+                    if alpha[k]:
+                        beta = list(alpha)
+                        beta[k] -= 1
+                        beta[l] += 1
+                        _add(moved, tuple(beta), alpha[k] * c)
+                W[k, l] += bw_inner(moved, poly)
+    return W
+
+
+def evaluate(polys, xi):
+    """Values and Jacobian at xi."""
+    n = len(xi)
+    values = np.zeros(len(polys), dtype=complex)
+    jac = np.zeros((len(polys), n), dtype=complex)
+    for i, poly in enumerate(polys):
+        for alpha, c in poly.items():
+            values[i] += c * np.prod([x**a for x, a in zip(xi, alpha)])
+            for k in range(n):
+                if alpha[k]:
+                    lowered = [a - (j == k) for j, a in enumerate(alpha)]
+                    jac[i, k] += c * alpha[k] * np.prod([x**a for x, a in zip(xi, lowered)])
+    return values, jac

@@ -187,6 +187,11 @@ def test_change_variables_expansion_cap():
     f = PolynomialSystem.from_polys(3, [{(4, 4, 4): 1.0}])
     with pytest.raises(ExpansionOverflowError):
         change_variables(np.ones((3, 3)) + np.eye(3), f, cap=50)
+    # 66 monomials of degree <= 10 in 2 variables, but a 2^10-entry degree-10 tensor
+    f = PolynomialSystem.from_polys(2, [{(5, 5): 1.0}])
+    with pytest.raises(ExpansionOverflowError):
+        change_variables(np.eye(2), f, cap=100)
+    assert change_variables(np.eye(2), f, cap=1024).polynomials == f.polynomials
 
 
 def test_gram_sqrt_orthonormal(example2_system):
