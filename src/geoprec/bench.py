@@ -107,7 +107,7 @@ def run_gaussian_suite(n: int, samples: int, block_size: int = 5, seed: int = 42
     instances = []
     for s in range(samples):
         rng = substream(seed, s)
-        a = rng.standard_normal((n, n)).astype(complex)
+        a = rng.standard_normal((n, n))
         instances.append((f"gaussian-{s}", a))
     return _run_labeled(instances, block_size, target_eps, max_iters)
 

@@ -12,6 +12,11 @@ the torus, (2, 5, 5) and (1, 2, 2) for ``blocked(12, 5)``, (1, m, m) for
 no m x m array.  ``X``, ``Y``, ``H1`` and ``H2`` are read-only dense views
 built on first access; the constructors take such dense matrices and reject
 entries outside the block pattern.
+
+Stacks keep the dtype they are built with, and every operation works in the
+dtype of its operands.  At a real element the gradient of a real matrix is
+real symmetric, so a descent on a real input from the float64 identity stays
+in float64: real positive definite blocks, real positive torus entries.
 """
 
 import math
@@ -134,9 +139,11 @@ class GroupScheme:
     def right_blocks(self):
         return None if self.side == "left" else _bounds(self.right_runs)
 
-    def identity(self):
+    def identity(self, dtype=complex):
+        """The identity element, its stacks of the given dtype: float64 for a run on a
+        real input, where every element of the descent stays real."""
         def eye(runs):
-            return [np.tile(np.eye(r.size, dtype=complex), (r.count, 1, 1)) for r in runs]
+            return [np.tile(np.eye(r.size, dtype=dtype), (r.count, 1, 1)) for r in runs]
 
         return GroupElement._from_blocks(self, eye(self.left_runs),
                                          self.right_runs and eye(self.right_runs))
@@ -176,7 +183,7 @@ def _stacks(mat, runs, size, what, exact=False):
 def _dense(stacks, runs, size):
     if stacks is None:
         return None
-    out = np.zeros((size, size), dtype=complex)
+    out = np.zeros((size, size), dtype=np.result_type(*stacks))
     for S, r in zip(stacks, runs):
         _square(out, r)[np.arange(r.count), :, np.arange(r.count)] = S
     out.setflags(write=False)
@@ -354,7 +361,7 @@ def block_triplets(stacks, runs, invert=False):
 
 def _times(stacks, runs, a):
     """M a for the block-diagonal M held in stacks, one row slab per run."""
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty(a.shape, dtype=np.result_type(a, *stacks))
     for S, r in zip(stacks, runs):
         rows = a[r.start:r.stop].reshape(r.count, r.size, -1)
         out[r.start:r.stop] = _bmm(S, rows).reshape(r.count * r.size, -1)
@@ -363,7 +370,7 @@ def _times(stacks, runs, a):
 
 def _times_inverse(a, stacks, runs):
     """a M^-1 for the block-diagonal M held in stacks, one column slab per run."""
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty(a.shape, dtype=np.result_type(a, *stacks))
     k = a.shape[0]
     for S, r in zip(stacks, runs):
         cols = a[:, r.start:r.stop].reshape(k, r.count, r.size).transpose(1, 0, 2)
@@ -400,7 +407,7 @@ def _polar(X, run):
     """Hermitian PD factor P of X = U P per block, (X* X)^(1/2); |x| for 1x1 blocks."""
     if run.size == 1:
         _check_blocks(run, X.real**2 + X.imag**2 == 0)
-        return np.abs(X).astype(complex)
+        return np.abs(X).astype(X.dtype, copy=False)
     w, v = np.linalg.eigh(_adjoint(X) @ X)
     _check_blocks(run, (w[:, 0] <= 0) | (w[:, 0] < w[:, -1] * np.finfo(float).eps * run.size))
     return (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)

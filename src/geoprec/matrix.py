@@ -1,4 +1,4 @@
-"""Complex matrices, norms, pseudoinverse, and condition numbers.
+"""Real and complex matrices, norms, pseudoinverse, and condition numbers.
 
 A :class:`ComplexMatrix` is a thin immutable wrapper holding either dense
 row-major storage or canonical sparse coordinate triplets.  Every operation
@@ -127,13 +127,23 @@ class ComplexMatrix:
         return f"ComplexMatrix({self.rows}x{self.cols}, {kind})"
 
 
+_FIELDS = frozenset((np.dtype(float), np.dtype(complex)))  # taken as they are by as_dense
+
+
 def as_dense(a):
-    """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense complex ndarray."""
+    """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense ndarray.
+
+    Real input stays real: the result is float64 for integer, boolean and real
+    floating input and complex128 for complex input.  A ComplexMatrix is
+    always complex128.
+    """
     if isinstance(a, ComplexMatrix):
         return a.to_dense()
     if sp.issparse(a):
         a = a.toarray()
-    out = np.asarray(a, dtype=complex)
+    out = np.asarray(a)
+    if out.dtype not in _FIELDS:
+        out = out.astype(complex if np.iscomplexobj(out) else float)
     if out.ndim != 2:
         raise DimensionMismatchError("expected a 2-dimensional matrix")
     return out

@@ -18,6 +18,12 @@ the gradient norm falls below a tolerance or the halving stalls, or at the
 iteration cap.  The certificate is the end point's bound whenever that is
 finite; the sparse action has none.  A state whose value or gradient norm is
 not finite raises FloatingPointError before any step is taken along it.
+
+The matrix runs decide their arithmetic once, at entry: a run whose inputs
+have no entry with a nonzero imaginary part is solved in real arithmetic
+(float64 element stacks, gradients and estimator directions, and a float64
+``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
+path is the same for both.
 """
 
 import math
@@ -198,15 +204,25 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
 
 
 def _finite(*mats):
-    """The matrices as dense arrays; NonFiniteInputError if any entry is NaN or infinite."""
+    """The matrices as dense arrays in the run's dtype; NonFiniteInputError if any
+    entry is NaN or infinite.
+
+    The run's dtype is float64 when no entry of any matrix has a nonzero
+    imaginary part, complex128 otherwise; every later layer follows it.
+    """
     out = [as_dense(m) for m in mats]
     if not all(np.isfinite(m).all() for m in out):
         raise NonFiniteInputError("input matrix has NaN or infinite entries")
-    return out
+    if any(m.imag.any() for m in out if np.iscomplexobj(m)):
+        return [m.astype(complex, copy=False) for m in out]
+    return [np.ascontiguousarray(m.real) for m in out]
 
 
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
     """Gradient descent on log kF(g . A) from the identity element.
+
+    A real A, or a complex one whose imaginary parts are all zero, is solved
+    in real arithmetic and yields a float64 final element.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
@@ -227,7 +243,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    start = sch.identity()
+    start = sch.identity(a.dtype)
 
     def state_fn(g):
         state = evaluate(a, g)
@@ -243,8 +259,8 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
     """Gradient descent on the cross condition log ||X A Y^-1|| ||Y B X^-1||."""
     a, b = _finite(A, B)
     sch = config.scheme
-    return _descend(lambda g: evaluate_cross(a, b, g), sch.identity(), config, weight_data(sch),
-                    config.resolved_grad_tol(), config.resolved_step())
+    return _descend(lambda g: evaluate_cross(a, b, g), sch.identity(a.dtype), config,
+                    weight_data(sch), config.resolved_grad_tol(), config.resolved_step())
 
 
 def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float) -> int:

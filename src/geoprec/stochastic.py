@@ -47,7 +47,12 @@ class LinearOperator:
 
     Subclasses implement `_matvec` and `_rmatvec`.  Adjoint consistency
     <A v, w> = <v, A* w> is verified on a random probe pair at construction.
+    ``dtype`` is the field the operator works over, complex128 unless a
+    subclass sets it; probes for it are drawn, and solves against it run, in
+    that dtype.
     """
+
+    dtype = np.dtype(complex)
 
     def __init__(self, m, n, check_adjoint=True):
         self.m = int(m)
@@ -86,17 +91,18 @@ class LinearOperator:
 
 
 class MatrixOperator(LinearOperator):
-    """Operator view of a dense array, scipy sparse matrix, or ComplexMatrix."""
+    """Operator view of a dense array, scipy sparse matrix, or ComplexMatrix; a real
+    matrix gives a float64 operator, a complex one a complex128 operator."""
 
     def __init__(self, a):
         if isinstance(a, ComplexMatrix):
             a = a.to_csr() if a.is_sparse else a.to_dense()
+        a = a.tocsr() if sp.issparse(a) else np.asarray(a)
+        self.dtype = np.promote_types(a.dtype, float)
+        self.mat = a.astype(self.dtype, copy=False)
+        self.mat_h = self.mat.conj().T
         if sp.issparse(a):
-            self.mat = a.tocsr().astype(complex)
-            self.mat_h = self.mat.conj().T.tocsr()
-        else:
-            self.mat = np.asarray(a, dtype=complex)
-            self.mat_h = self.mat.conj().T
+            self.mat_h = self.mat_h.tocsr()
         super().__init__(self.mat.shape[0], self.mat.shape[1])
 
     def _matvec(self, v):
@@ -114,6 +120,7 @@ class GramOperator(LinearOperator):
 
     def __init__(self, base: LinearOperator):
         self.base = base
+        self.dtype = base.dtype
         super().__init__(base.m, base.m, check_adjoint=False)
 
     def _matvec(self, v):
@@ -128,6 +135,7 @@ class CoGramOperator(LinearOperator):
 
     def __init__(self, base: LinearOperator):
         self.base = base
+        self.dtype = base.dtype
         super().__init__(base.n, base.n, check_adjoint=False)
 
     def _matvec(self, v):
@@ -167,10 +175,15 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
     ||M x - b|| <= tol ||b||; non-convergence is reported on the result, not
     raised.  ``precond``, a Hermitian positive definite array or sparse
     matrix approximating M^-1, makes this preconditioned CG: it changes the
-    iterates, not the stopping test.
+    iterates, not the stopping test.  The solve runs in the common dtype of
+    b, M and precond: real arithmetic when all three are real.
     """
-    apply_m = M.matvec if isinstance(M, LinearOperator) else (lambda v: np.asarray(M) @ v)
-    b = np.asarray(b, dtype=complex)
+    if not isinstance(M, LinearOperator):
+        M = np.asarray(M)
+    apply_m = M.matvec if isinstance(M, LinearOperator) else M.__matmul__
+    precond_dtype = float if precond is None else precond.dtype
+    b = np.asarray(b)
+    b = b.astype(np.result_type(b, M.dtype, precond_dtype, float), copy=False)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return CgResult(np.zeros_like(b), True, 0, 0.0)
@@ -195,10 +208,10 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
     return CgResult(x, False, max_iters, math.sqrt(rs) / nb)
 
 
-def _draw_probe(rng, size, kind):
+def _draw_probe(rng, size, kind, dtype):
     if kind == "rademacher":
-        return rademacher(rng, size).astype(complex)
-    return rng.standard_normal(size).astype(complex)
+        return rademacher(rng, size).astype(dtype)
+    return rng.standard_normal(size).astype(dtype)
 
 
 class HutchinsonResult(NamedTuple):
@@ -220,7 +233,7 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     m2 = np.zeros(A.m)
     for i in range(config.num_probes):
         rng = substream(config.seed, i)
-        z = _draw_probe(rng, A.m, config.probe_kind)
+        z = _draw_probe(rng, A.m, config.probe_kind, A.dtype)
         sol = conjugate_gradient(gram, z, tol=config.cg_tol, max_iters=config.cg_max_iters,
                                  precond=precond)
         if not sol.converged:
@@ -263,7 +276,7 @@ def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) 
             raise SingularProbeBlockError("probe block rank deficient after resampling")
         rng = substream(seed, 1)
         G = rng.standard_normal((M.m, num_probes))
-    Z = np.stack([M.matvec(G[:, j].astype(complex)) for j in range(num_probes)], axis=1)
+    Z = np.stack([M.matvec(G[:, j].astype(M.dtype)) for j in range(num_probes)], axis=1)
     return _sketched_block(R, Z[a:b, :])
 
 
@@ -289,7 +302,7 @@ def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndar
     if iters < 1:
         raise ValueError("iters must be at least 1")
     n = M.m
-    Q = np.zeros((n, r), dtype=complex)
+    Q = np.zeros((n, r), dtype=M.dtype)
     Q[a:b, :] = np.eye(r)
     basis = [Q]
     A_blocks = []
@@ -319,7 +332,7 @@ def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndar
         basis.append(Qn)
         B_blocks.append(Bj)
     k = len(A_blocks)
-    T = np.zeros((k * r, k * r), dtype=complex)
+    T = np.zeros((k * r, k * r), dtype=M.dtype)
     for j, Aj in enumerate(A_blocks):
         T[j * r : (j + 1) * r, j * r : (j + 1) * r] = Aj
     for j, Bj in enumerate(B_blocks):
@@ -343,7 +356,7 @@ class _BlockPattern:
 
     def values(self, mat):
         """The entries of a dense or sparse matrix on the pattern, in pattern order."""
-        return np.asarray(mat[self.rows, self.cols], dtype=complex).ravel()
+        return np.asarray(mat[self.rows, self.cols]).ravel()
 
 
 def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
@@ -359,9 +372,9 @@ def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
     gram = GramOperator(base_op)
     rng = substream(config.seed, 10 + side_key)
     G = rng.standard_normal((base_op.m, config.num_probes))
-    Z = np.zeros(G.shape, dtype=complex)
+    Z = np.zeros(G.shape, dtype=gram.dtype)
     for j in range(config.num_probes):
-        sol = conjugate_gradient(gram, G[:, j].astype(complex), tol=config.cg_tol,
+        sol = conjugate_gradient(gram, G[:, j].astype(gram.dtype), tol=config.cg_tol,
                                  max_iters=config.cg_max_iters, precond=precond)
         if not sol.converged:
             raise NotConvergedError(sol.relative_residual, probe=j)
@@ -382,7 +395,7 @@ def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirecti
     rank; for two-sided schemes it must be square.
     """
     sch = g.scheme
-    A = sp.csr_matrix(A.to_csr() if isinstance(A, ComplexMatrix) else A, dtype=complex)
+    A = sp.csr_matrix(A.to_csr() if isinstance(A, ComplexMatrix) else A)
     if A.shape[0] != sch.m:
         raise DimensionMismatchError("matrix rows do not match the scheme")
     if sch.side == "both" and A.shape[0] != A.shape[1]:
