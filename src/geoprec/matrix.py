@@ -127,9 +127,6 @@ class ComplexMatrix:
         return f"ComplexMatrix({self.rows}x{self.cols}, {kind})"
 
 
-_FIELDS = frozenset((np.dtype(float), np.dtype(complex)))  # taken as they are by as_dense
-
-
 def as_dense(a):
     """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense ndarray.
 
@@ -142,8 +139,7 @@ def as_dense(a):
     if sp.issparse(a):
         a = a.toarray()
     out = np.asarray(a)
-    if out.dtype not in _FIELDS:
-        out = out.astype(complex if np.iscomplexobj(out) else float)
+    out = out.astype(np.promote_types(out.dtype, float), copy=False)
     if out.ndim != 2:
         raise DimensionMismatchError("expected a 2-dimensional matrix")
     return out
@@ -246,7 +242,7 @@ def jacobi_precondition(a, mode: str = "left") -> np.ndarray:
     if mode == "left":
         return m / d[:, None]
     if mode == "two_sided":
-        r = d**-0.5  # principal square root for complex entries
+        r = np.emath.power(d, -0.5)  # principal root: complex where d < 0
         return (r[:, None] * m) * r[None, :]
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -123,6 +123,16 @@ def test_jacobi_examples(example1_matrix):
     assert np.allclose(jacobi_precondition(np.diag([4.0, 9.0]), "two_sided"), np.eye(2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_jacobi_two_sided_real_negative_diagonal():
+    a = np.array([[-4.0, 1.0], [1.0, 9.0]])
+    out = jacobi_precondition(a, "two_sided")
+    assert out.dtype == complex
+    assert np.allclose(out, jacobi_precondition(a.astype(complex), "two_sided"), rtol=1e-15, atol=0)
+    assert np.allclose(np.diag(out), [1.0, 1.0])
+    assert jacobi_precondition(np.diag([4.0, 9.0]), "two_sided").dtype == float
+
+
 def test_jacobi_zero_diagonal():
     with pytest.raises(ZeroDiagonalEntryError) as info:
         jacobi_precondition(np.array([[1.0, 2.0], [3.0, 0.0]]), "left")
