@@ -4,6 +4,7 @@ Subcommands: precondition, polysys-precondition, condition, baseline, bench.
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Reports are CSV with the fixed header iter,value,grad_norm,duality_bound,kF,kappa
 and '#'-prefixed summary rows; identical argv and seed give byte-identical files.
+The kappa cell is filled on the first and last rows only.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .errors import (
 from .group import GroupScheme, block_triplets
 from .matrix import (
     ComplexMatrix,
+    as_dense,
     condition_euclidean,
     condition_frobenius,
     condition_skeel,
@@ -53,9 +55,10 @@ def _num(x):
 def _write_report(path, report):
     lines = ["iter,value,grad_norm,duality_bound,kF,kappa"]
     for rec in report.iterations:
+        kappa = "" if math.isnan(rec.kappa) else _num(rec.kappa)  # first and last rows only
         lines.append(
             f"{rec.iteration},{_num(rec.value)},{_num(rec.grad_norm)},"
-            f"{_num(rec.duality_bound)},{_num(rec.kF)},{_num(rec.kappa)}"
+            f"{_num(rec.duality_bound)},{_num(rec.kF)},{kappa}"
         )
     lines.append(f"# termination={report.termination.value}")
     lines.append(f"# iterations={report.iteration_count}")
@@ -151,7 +154,7 @@ def _cmd_condition(args):
 
 def _cmd_baseline(args):
     a = read_matrix(args.input)
-    dense = a.to_dense()
+    dense = as_dense(a, real=True)
     if args.method == "jacobi-left":
         pre = jacobi_precondition(dense, "left")
     elif args.method == "jacobi-sym":

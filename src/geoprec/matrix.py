@@ -24,6 +24,9 @@ __all__ = [
     "frobenius_norm",
     "pseudoinverse",
     "svd_factorization",
+    "singular_values",
+    "rank_tolerance",
+    "kappa_from_singular_values",
     "condition_frobenius",
     "condition_euclidean",
     "condition_skeel",
@@ -110,12 +113,18 @@ class ComplexMatrix:
         r, c = np.nonzero(self._dense)
         return r, c, self._dense[r, c]
 
-    def to_dense(self):
+    @property
+    def is_real(self):
+        """True when no stored entry has a nonzero imaginary part."""
+        return not (self._coo[2] if self.is_sparse else self._dense).imag.any()
+
+    def to_dense(self, real=False):
+        """Dense complex128 array; with ``real``, a float64 array of the real parts."""
         if self._dense is not None:
-            return self._dense
-        out = np.zeros((self.rows, self.cols), dtype=complex)
+            return np.ascontiguousarray(self._dense.real) if real else self._dense
         r, c, v = self._coo
-        out[r, c] = v
+        out = np.zeros((self.rows, self.cols), dtype=float if real else complex)
+        out[r, c] = v.real if real else v
         return out
 
     def to_csr(self):
@@ -127,21 +136,25 @@ class ComplexMatrix:
         return f"ComplexMatrix({self.rows}x{self.cols}, {kind})"
 
 
-def as_dense(a):
+def as_dense(a, real=False):
     """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense ndarray.
 
     Real input stays real: the result is float64 for integer, boolean and real
     floating input and complex128 for complex input.  A ComplexMatrix is
-    always complex128.
+    complex128.  With ``real``, any input with no nonzero imaginary part is
+    float64; a ComplexMatrix is then densified from its real parts without a
+    complex copy.
     """
     if isinstance(a, ComplexMatrix):
-        return a.to_dense()
+        return a.to_dense(real=real and a.is_real)
     if sp.issparse(a):
         a = a.toarray()
     out = np.asarray(a)
     out = out.astype(np.promote_types(out.dtype, float), copy=False)
     if out.ndim != 2:
         raise DimensionMismatchError("expected a 2-dimensional matrix")
+    if real and np.iscomplexobj(out) and not out.imag.any():
+        return np.ascontiguousarray(out.real)
     return out
 
 
@@ -167,15 +180,33 @@ class SvdFactorization(NamedTuple):
         return int(np.count_nonzero(self.singular_values > self.rank_tolerance))
 
 
+def rank_tolerance(s, shape, rcond: Optional[float] = None) -> float:
+    """The cutoff rcond * sigma_max at or below which a singular value of a
+    matrix of the given shape counts as zero; rcond defaults to max(m, n) * eps.
+    ``s`` holds the singular values in nonincreasing order."""
+    if rcond is None:
+        rcond = max(shape) * np.finfo(float).eps
+    return rcond * (s[0] if len(s) else 0.0)
+
+
+def kappa_from_singular_values(s, shape, rcond: Optional[float] = None) -> float:
+    """sigma_max over the smallest singular value above the rank cutoff."""
+    return float(s[0] / s[s > rank_tolerance(s, shape, rcond)][-1])
+
+
+def singular_values(a) -> np.ndarray:
+    """Nonincreasing singular values of a nonzero matrix, computed without vectors."""
+    m = as_dense(a)
+    _require_nonzero(m)
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def svd_factorization(a, rcond: Optional[float] = None) -> SvdFactorization:
     """Thin SVD of ``a`` with default cutoff max(m, n) * eps * sigma_max."""
     m = as_dense(a)
     _require_nonzero(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if rcond is None:
-        rcond = max(m.shape) * np.finfo(float).eps
-    tol = rcond * (s[0] if len(s) else 0.0)
-    return SvdFactorization(u, s, vh.conj().T, tol)
+    return SvdFactorization(u, s, vh.conj().T, rank_tolerance(s, m.shape, rcond))
 
 
 def frobenius_norm(a) -> float:
@@ -194,19 +225,18 @@ def pseudoinverse(a, rcond: Optional[float] = None) -> np.ndarray:
 
 
 def condition_frobenius(a) -> float:
-    """Frobenius condition number ||A||_F * ||A^+||_F."""
-    f = svd_factorization(a)
-    s = f.singular_values
-    pos = s[s > f.rank_tolerance]
+    """Frobenius condition number ||A||_F * ||A^+||_F, from the singular values alone."""
+    m = as_dense(a)
+    s = singular_values(m)
+    pos = s[s > rank_tolerance(s, m.shape)]
     return float(np.linalg.norm(s) * np.linalg.norm(1.0 / pos))
 
 
 def condition_euclidean(a) -> float:
-    """Euclidean (operator-norm) condition number sigma_max / sigma_min."""
-    f = svd_factorization(a)
-    s = f.singular_values
-    pos = s[s > f.rank_tolerance]
-    return float(s[0] / pos[-1])
+    """Euclidean (operator-norm) condition number sigma_max / sigma_min, from the
+    singular values alone."""
+    m = as_dense(a)
+    return kappa_from_singular_values(singular_values(m), m.shape)
 
 
 def condition_skeel(a) -> float:
@@ -258,8 +288,8 @@ def row_balance(a, p: float = 2.0) -> np.ndarray:
 
 
 class SinkhornResult(NamedTuple):
-    X: np.ndarray  # left diagonal scaling, X[0, 0] fixed to 1
-    Y: np.ndarray  # right diagonal scaling, applied as A -> X A Y^-1
+    X: np.ndarray  # left diagonal scaling (float64), X[0, 0] fixed to 1
+    Y: np.ndarray  # right diagonal scaling (float64), applied as A -> X A Y^-1
     converged: bool
     iterations: int
 
@@ -267,8 +297,10 @@ class SinkhornResult(NamedTuple):
 def sinkhorn_equilibrate(a, max_iters: int = 1000, tol: float = 1e-10) -> SinkhornResult:
     """Diagonal X, Y making the row and column sums of |X A Y^-1| equal.
 
-    Alternates row and column normalization on |A|.  The scaling pair is
-    unique only up to a scalar; the ambiguity is fixed by forcing X[0,0] = 1.
+    Alternates row and column normalization on |A|, so both scalings are real
+    and positive and are returned as float64 for real and complex A alike.  The
+    scaling pair is unique only up to a scalar; the ambiguity is fixed by
+    forcing X[0,0] = 1.
     """
     m = np.abs(as_dense(a))
     rows, cols = m.shape
@@ -301,4 +333,4 @@ def sinkhorn_equilibrate(a, max_iters: int = 1000, tol: float = 1e-10) -> Sinkho
     scale = d[0]
     d = d / scale
     e = e / scale
-    return SinkhornResult(np.diag(d).astype(complex), np.diag(e).astype(complex), converged, it)
+    return SinkhornResult(np.diag(d), np.diag(e), converged, it)

@@ -12,6 +12,12 @@ gradient at g is the orthogonal projection of
 
 onto the Lie algebra of the scheme.  The cross variant replaces B^+ by an
 independently transformed second matrix.
+
+B^+ enters only through ||B^+||_F and the diagonal blocks of the two Gram
+terms, so a state costs one cubic factorization of B: its inverse when the
+run is square and of full rank, a thin SVD otherwise.  The Euclidean
+condition number kappa is not needed by the descent; states without singular
+values compute it on first access.
 """
 
 import math
@@ -23,7 +29,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ZeroMatrixError
 from .group import GroupElement, LieDirection, WeightData, apply, apply_dual, project_blocks
-from .matrix import as_dense, pseudoinverse
+from .matrix import (
+    as_dense,
+    kappa_from_singular_values,
+    pseudoinverse,
+    rank_tolerance,
+    singular_values,
+)
 
 __all__ = [
     "ObjectiveState",
@@ -38,10 +50,13 @@ __all__ = [
 class ObjectiveState:
     """Everything the optimizer needs at one group element.
 
-    B_pinv is the pseudoinverse of B for the condition objective, built from
-    B with the cutoff rcond on first access, and the transformed second
-    matrix for the cross objective.  kappa is the Euclidean condition number
-    of B, recorded for reporting only.
+    B_pinv is the pseudoinverse of B for the condition objective: the inverse
+    that the state of a square full-rank run was built from, otherwise built
+    from B with the cutoff rcond on first access.  For the cross objective it
+    is the transformed second matrix.  sigma holds the singular values of B where
+    the state has them.  kappa is the Euclidean condition number of B, for
+    reporting only: taken from sigma, or computed from B without vectors on
+    first access.
     """
 
     A: np.ndarray
@@ -51,16 +66,21 @@ class ObjectiveState:
     grad: LieDirection
     grad_norm: float
     kF: float
-    kappa: float
     rank_deficient: bool
     rcond: Optional[float] = None
-    second: Optional[np.ndarray] = field(default=None, repr=False)
+    sigma: Optional[np.ndarray] = field(default=None, repr=False)
+    pinv: Optional[np.ndarray] = field(default=None, repr=False)
 
     @cached_property
     def B_pinv(self) -> np.ndarray:
-        if self.second is not None:
-            return self.second
+        if self.pinv is not None:
+            return self.pinv
         return pseudoinverse(self.B, self.rcond)
+
+    @cached_property
+    def kappa(self) -> float:
+        s = self.sigma if self.sigma is not None else singular_values(self.B)
+        return kappa_from_singular_values(s, self.B.shape, self.rcond)
 
 
 def _gram_blocks(R, runs, scale):
@@ -91,27 +111,32 @@ def _grad_from_pair(g, B, d_left, d_right, nd2):
     return project_blocks(sch, P, Q)
 
 
-def _default_rcond(shape):
-    return max(shape) * np.finfo(float).eps
-
-
-def evaluate(A, g: GroupElement, rcond: Optional[float] = None) -> ObjectiveState:
+def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
+             invertible: bool = False) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
-    The thin SVD of B is the only cubic step: with B^+ = V_r S_r^-1 U_r*,
-    the Gram blocks of (B^+)* B^+ and B^+ (B^+)* come from U_r / s_r and
-    V_r / s_r.  Rank-deficient inputs are evaluated with the pseudoinverse
-    and flagged rather than rejected; the strongly convex optimizer mode
-    refuses them.
+    One cubic factorization per state.  With ``invertible`` (a square run
+    whose input has full rank, decided once per run) it is the inverse
+    D = B^-1: kF = ||B||_F ||D||_F, the Gram blocks of (B^+)* B^+ and
+    B^+ (B^+)* come from D* and D, and D is kept as B_pinv.  A singular B
+    then raises LinAlgError.  Otherwise it is the thin SVD: with
+    B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
+    Rank-deficient inputs are evaluated with the pseudoinverse and flagged
+    rather than rejected; the strongly convex optimizer mode refuses them.
     """
     a = as_dense(A)
     B = apply(g, a)
+    if invertible:
+        D = np.linalg.inv(B)
+        nd = np.linalg.norm(D)
+        kF = float(np.linalg.norm(B) * nd)
+        grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
+        return ObjectiveState(A=a, g=g, B=B, value=math.log(kF), grad=grad,
+                              grad_norm=grad.norm, kF=kF, rank_deficient=False, pinv=D)
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
-    if rcond is None:
-        rcond = _default_rcond(B.shape)
-    pos = s[s > rcond * s[0]]
+    pos = s[s > rank_tolerance(s, B.shape, rcond)]
     r = len(pos)
     inv_norm = np.linalg.norm(1.0 / pos)
     kF = float(np.linalg.norm(s) * inv_norm)
@@ -127,9 +152,9 @@ def evaluate(A, g: GroupElement, rcond: Optional[float] = None) -> ObjectiveStat
         grad=grad,
         grad_norm=grad.norm,
         kF=kF,
-        kappa=float(s[0] / pos[-1]),
         rank_deficient=r < min(B.shape),
         rcond=rcond,
+        sigma=s,
     )
 
 
@@ -149,7 +174,6 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
     if nb == 0.0 or nd == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
     grad = _grad_from_pair(g, Bm, D.conj().T, D, nd**2)
-    sv = np.linalg.svd(Bm, compute_uv=False)
     return ObjectiveState(
         A=a,
         g=g,
@@ -158,9 +182,8 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
         grad=grad,
         grad_norm=grad.norm,
         kF=float(nb * nd),
-        kappa=float(sv[0] / sv[sv > _default_rcond(Bm.shape) * sv[0]][-1]),
         rank_deficient=False,
-        second=D,
+        pinv=D,
     )
 
 

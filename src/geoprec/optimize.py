@@ -17,15 +17,21 @@ Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
 iteration cap.  The certificate is the end point's bound whenever that is
 finite; the sparse action has none.  A state whose value or gradient norm is
-not finite raises FloatingPointError before any step is taken along it.
+not finite raises FloatingPointError before any step is taken along it.  The
+Euclidean condition number kappa is read at the first and last states only:
+the first and last iteration records carry it, interior records carry NaN.
 
 The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
 (float64 element stacks, gradients and estimator directions, and a float64
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
-path is the same for both.
+path is the same for both.  ``minimize_condition`` also decides at entry, from
+the singular values of A (which give ``initial_kappa``) and the cutoff
+max(m, n) eps sigma_max, whether the run is square and of full rank; every
+state of such a run is built from the inverse of B instead of a thin SVD.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,7 +47,7 @@ from .errors import (
     SingularBlockError,
 )
 from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
-from .matrix import as_dense, condition_frobenius
+from .matrix import as_dense, condition_frobenius, rank_tolerance, singular_values
 from .objective import duality_gap_bound, evaluate, evaluate_cross
 
 __all__ = [
@@ -96,6 +102,8 @@ class OptimizerConfig:
 
 
 class IterationRecord(NamedTuple):
+    """One state of a run; kappa is NaN except on the first and last record."""
+
     iteration: int
     value: float
     grad_norm: float
@@ -144,14 +152,15 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
              halving=False, step_dir=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
-    state_fn(g) returns a state with value, grad, grad_norm, kF and kappa.
+    state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
+    kappa is read at the first and last states only.
     Without halving every step is base_step; with halving a step is halved
     until the candidate repolarizes and its value does not increase, and the
     run ends CONVERGED once no step of at least 1e-14 descends.  weights None means no certificate.
     step_dir(g), when given, replaces state.grad as the step direction.
     """
     state = state_fn(g)
-    report = OptimizationReport(initial_kF=state.kF, initial_kappa=state.kappa)
+    report = OptimizationReport(initial_kF=state.kF)
     for k in range(config.max_iters + 1):
         if not (math.isfinite(state.value) and math.isfinite(state.grad_norm)):
             raise FloatingPointError(
@@ -159,9 +168,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
                 f"gradient norm {state.grad_norm}"
             )
         bound = math.inf if weights is None else duality_gap_bound(state, weights)
-        report.iterations.append(
-            IterationRecord(k, state.value, state.grad_norm, bound, state.kF, state.kappa)
-        )
+        report.iterations.append(IterationRecord(
+            k, state.value, state.grad_norm, bound, state.kF, state.kappa if k == 0 else math.nan
+        ))
         if bound <= config.target_eps:
             report.termination = Termination.CERTIFIED
             break
@@ -199,7 +208,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
     report.certificate = bound if math.isfinite(bound) else None
     report.final_element = g
     report.final_kF = state.kF
+    report.initial_kappa = report.iterations[0].kappa
     report.final_kappa = state.kappa
+    report.iterations[-1] = report.iterations[-1]._replace(kappa=report.final_kappa)
     return report
 
 
@@ -208,21 +219,24 @@ def _finite(*mats):
     entry is NaN or infinite.
 
     The run's dtype is float64 when no entry of any matrix has a nonzero
-    imaginary part, complex128 otherwise; every later layer follows it.
+    imaginary part, complex128 otherwise; every later layer follows it.  A real
+    ComplexMatrix is densified as float64 directly.
     """
-    out = [as_dense(m) for m in mats]
+    out = [as_dense(m, real=True) for m in mats]
     if not all(np.isfinite(m).all() for m in out):
         raise NonFiniteInputError("input matrix has NaN or infinite entries")
-    if any(m.imag.any() for m in out if np.iscomplexobj(m)):
+    if any(np.iscomplexobj(m) for m in out):
         return [m.astype(complex, copy=False) for m in out]
-    return [np.ascontiguousarray(m.real) for m in out]
+    return [np.ascontiguousarray(m) for m in out]
 
 
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
     """Gradient descent on log kF(g . A) from the identity element.
 
     A real A, or a complex one whose imaginary parts are all zero, is solved
-    in real arithmetic and yields a float64 final element.
+    in real arithmetic and yields a float64 final element.  A square A of full
+    rank (no singular value at or below max(m, n) eps sigma_max) is solved with
+    the inverse of B at every state, any other A with a thin SVD.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
@@ -243,12 +257,16 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
+    s = singular_values(a)
+    full_rank = s[-1] > rank_tolerance(s, a.shape)
+    _resolve_mode(config, not full_rank)
+    invertible = full_rank and a.shape[0] == a.shape[1]
     start = sch.identity(a.dtype)
 
     def state_fn(g):
-        state = evaluate(a, g)
-        if g is start:  # the mode is checked against the rank of the input
-            _resolve_mode(config, state.rank_deficient)
+        state = evaluate(a, g, invertible=invertible)
+        if g is start and invertible:  # B = A, whose singular values are known
+            state = dataclasses.replace(state, sigma=s)
         return state
 
     return _descend(state_fn, start, config, weight_data(sch), config.resolved_grad_tol(),

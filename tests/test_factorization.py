@@ -1,0 +1,258 @@
+"""How a condition state is factored, and where kappa is computed.
+
+A square run whose input has full rank builds every state from the inverse
+D = B^-1; every other run keeps the thin SVD.  The two must describe the same
+objective: on square full-rank inputs the inverse state and the SVD state
+agree in value, kF, gradient and Hessian to round-off.  The Euclidean kappa
+is computed at the end points of a run only.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+import geoprec
+import geoprec.optimize
+from conftest import complex_gaussian, random_direction, random_element, rng_for
+from geoprec.cli import cli_dispatch
+from geoprec.group import GroupElement, GroupScheme, apply
+from geoprec.matrix import ComplexMatrix, condition_euclidean
+from geoprec.mmio import write_matrix
+from geoprec.objective import evaluate, evaluate_cross, hessian_quadratic_form
+from geoprec.optimize import OptimizerConfig, minimize_condition, minimize_cross_condition
+from geoprec.polysys import precondition_full, precondition_shuffle, precondition_sparse
+from test_trajectories import _polynomial
+
+SQUARE = {
+    "left-torus": GroupScheme.diagonal(7, side="left"),
+    "left-uniform": GroupScheme.blocked(6, 2, side="left"),
+    "left-ragged": GroupScheme.blocked(7, 3, side="left"),  # 3, 3 and a 1x1 tail
+    "both-torus": GroupScheme.diagonal(6, 6, side="both"),
+    "both-uniform": GroupScheme.blocked(6, 3, 6, side="both"),
+    "both-ragged": GroupScheme.blocked(7, 4, 7, side="both", right_block_size=3),
+}
+
+
+def _real_element(rng, scheme, spread=0.5):
+    """Random real symmetric positive definite block-diagonal element."""
+    def positive(blocks, size):
+        H = np.zeros((size, size))
+        for a, b in blocks:
+            M = rng.standard_normal((b - a, b - a))
+            H[a:b, a:b] = 0.5 * (M + M.T)
+        return sla.expm(spread * H)
+
+    return GroupElement(scheme, positive(scheme.left_blocks, scheme.m),
+                        positive(scheme.right_blocks, scheme.n) if scheme.side == "both" else None)
+
+
+def _stacks(direction):
+    return direction.left + (direction.right or ())
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", sorted(SQUARE))
+def test_inverse_state_matches_svd_state(name, field):
+    sch = SQUARE[name]
+    rng = rng_for(610, sorted(SQUARE).index(name), field == "real")
+    if field == "real":
+        A = np.exp(rng.standard_normal(sch.m))[:, None] * rng.standard_normal((sch.m, sch.m))
+        g = _real_element(rng, sch)
+    else:
+        A = complex_gaussian(rng, (sch.m, sch.m))
+        g = random_element(rng, sch)
+    inv = evaluate(A, g, invertible=True)
+    svd = evaluate(A, g)
+    assert inv.B.dtype == svd.B.dtype == (np.float64 if field == "real" else np.complex128)
+    assert _rel(inv.value, svd.value) <= 1e-12
+    assert _rel(inv.kF, svd.kF) <= 1e-12
+    for p, q in zip(_stacks(inv.grad), _stacks(svd.grad)):
+        assert p.dtype == q.dtype
+        assert np.linalg.norm(p - q) <= 1e-12 * svd.grad.norm
+    assert _rel(inv.grad_norm, svd.grad_norm) <= 1e-12
+    assert np.array_equal(inv.B_pinv, np.linalg.inv(inv.B))
+    assert np.linalg.norm(inv.B_pinv - svd.B_pinv) <= 1e-12 * np.linalg.norm(svd.B_pinv)
+    H = random_direction(rng, sch, norm=1.0)
+    h_inv, h_svd = hessian_quadratic_form(inv, H), hessian_quadratic_form(svd, H)
+    assert abs(h_inv - h_svd) <= 1e-12 * max(abs(h_svd), 1.0)
+    assert not inv.rank_deficient
+    assert _rel(inv.kappa, svd.kappa) <= 1e-12
+
+
+def _rows(rng, m):
+    return np.exp(1.5 * rng.standard_normal(m))[:, None]
+
+
+def _svd_cases():
+    r = rng_for(600, 0)
+    yield "wide-left-block", _rows(r, 7) * complex_gaussian(r, (7, 9)), \
+        GroupScheme.blocked(7, 3, side="left"), 200
+    r = rng_for(600, 1)
+    yield "tall-both-ragged", _rows(r, 9) * r.standard_normal((9, 6)), \
+        GroupScheme.blocked(9, 4, 6, side="both", right_block_size=4), 120
+    r = rng_for(600, 2)
+    yield "rank3-both-diag", complex_gaussian(r, (6, 3)) @ complex_gaussian(r, (3, 6)), \
+        GroupScheme.diagonal(6, 6, side="both"), 120
+    r = rng_for(600, 3)
+    yield "rank4-left-diag", _rows(r, 5) * (r.standard_normal((5, 4)) @ r.standard_normal((4, 5))), \
+        GroupScheme.diagonal(5, side="left"), 200
+
+
+# Recorded with the thin-SVD evaluation of every state, before the inverse
+# path existed: name -> (termination, iterations, final kF, initial kappa,
+# final kappa).  These runs still take the SVD path, so they match bit for bit.
+SVD_PINNED = {
+    "wide-left-block": ("certified", 69, 12.614178795952592, 85.45220239488975, 5.202075883023116),
+    "tall-both-ragged": ("max_iters", 120, 6.325873630777413, 63.17719189812788,
+                         1.7128700408187274),
+    "rank3-both-diag": ("max_iters", 120, 3.1568763276074936, 2.2578775949946146,
+                        1.4720956348071603),
+    "rank4-left-diag": ("max_iters", 200, 34.45243713409689, 465.53550271616325,
+                        26.109966976823262),
+}
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The invertible flag of every evaluate call minimize_condition makes."""
+    seen = []
+
+    def spy(a, g, rcond=None, invertible=False):
+        seen.append(invertible)
+        return evaluate(a, g, rcond, invertible)
+
+    monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(_svd_cases()), ids=lambda c: c[0])
+def test_rectangular_and_rank_deficient_runs_keep_the_svd(case, factorizations):
+    name, A, sch, cap = case
+    rep = minimize_condition(A, OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=cap))
+    assert factorizations and not any(factorizations)
+    assert (rep.termination.value, rep.iteration_count, rep.final_kF, rep.initial_kappa,
+            rep.final_kappa) == SVD_PINNED[name]
+
+
+def test_square_full_rank_run_uses_the_inverse_only(factorizations):
+    sch = SQUARE["both-ragged"]
+    A = complex_gaussian(rng_for(611), (sch.m, sch.n))
+    rep = minimize_condition(A, OptimizerConfig(scheme=sch, max_iters=20))
+    assert len(factorizations) == rep.iteration_count + 1 and all(factorizations)
+
+
+def test_singular_state_raises_linalg_error():
+    sch = GroupScheme.diagonal(3, side="left")
+    with pytest.raises(np.linalg.LinAlgError):
+        evaluate(np.ones((3, 3)), sch.identity(float), invertible=True)
+
+
+def test_cli_maps_a_singular_state_to_exit_3(tmp_path, capsys, monkeypatch):
+    """The input has full rank, so the run is factored by inverses; a later
+    state whose B is exactly singular ends the run with exit 3, no traceback."""
+    import geoprec.objective
+
+    real_apply = geoprec.objective.apply
+    calls = []
+
+    def singular_after_start(g, a):
+        B = real_apply(g, a)
+        calls.append(None)
+        if len(calls) > 1:
+            B[-1] = 0.0
+        return B
+
+    monkeypatch.setattr(geoprec.objective, "apply", singular_after_start)
+    path = tmp_path / "a.mtx"
+    A = complex_gaussian(rng_for(612), (4, 4))
+    write_matrix(path, ComplexMatrix.dense(A))
+    code = cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Singular matrix" in err
+    assert "Traceback" not in err
+
+
+def _assert_kappa_at_end_points(rep, first=None, last=None):
+    kappas = [r.kappa for r in rep.iterations]
+    assert len(kappas) >= 3
+    assert all(math.isnan(k) for k in kappas[1:-1])
+    assert kappas[0] == rep.initial_kappa and kappas[-1] == rep.final_kappa
+    assert math.isfinite(rep.initial_kappa) and math.isfinite(rep.final_kappa)
+    if first is None:
+        return
+    assert _rel(rep.initial_kappa, first) <= 1e-12
+    assert _rel(rep.final_kappa, last) <= 1e-12
+
+
+@pytest.mark.parametrize("key,name,field", [
+    (0, "both-ragged", "complex"), (1, "left-torus", "real"),
+    (2, "wide", "complex"), (3, "rank-deficient", "real"),
+], ids=["both-ragged-complex", "left-torus-real", "wide-complex", "rank-deficient-real"])
+def test_matrix_runs_report_kappa_at_the_end_points_only(key, name, field):
+    rng = rng_for(613, key)
+    if name == "wide":
+        sch, A = GroupScheme.diagonal(5, side="left"), complex_gaussian(rng, (5, 8))
+    elif name == "rank-deficient":
+        sch = GroupScheme.diagonal(6, side="left")
+        A = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6))
+    else:
+        sch = SQUARE[name]
+        A = complex_gaussian(rng, (sch.m, sch.n)) if field == "complex" else \
+            rng.standard_normal((sch.m, sch.n))
+    rep = minimize_condition(A, OptimizerConfig(scheme=sch, max_iters=15))
+    _assert_kappa_at_end_points(rep, condition_euclidean(A),
+                                condition_euclidean(apply(rep.final_element, A)))
+
+
+def test_cross_run_reports_kappa_at_the_end_points_only():
+    sch = GroupScheme.blocked(5, 2, 4, side="both")
+    rng = rng_for(614)
+    A, B = complex_gaussian(rng, (5, 4)), complex_gaussian(rng, (4, 5))
+    rep = minimize_cross_condition(A, B, OptimizerConfig(scheme=sch, max_iters=10))
+    final = evaluate_cross(A, B, rep.final_element).B
+    _assert_kappa_at_end_points(rep, condition_euclidean(A), condition_euclidean(final))
+
+
+def test_polynomial_runs_report_kappa_at_the_end_points_only():
+    f, xi = _polynomial(1, 2, 2, 2)
+    sch = GroupScheme.full(2, side="left")
+    runs = [
+        precondition_shuffle(f, xi, sch, OptimizerConfig(scheme=sch, max_iters=8))[1],
+        precondition_full(f, xi, GroupScheme.full(2, 2, side="both"),
+                          OptimizerConfig(scheme=GroupScheme.full(2, 2, side="both"),
+                                          max_iters=8))[1],
+        precondition_sparse(f, xi, OptimizerConfig(scheme=sch, max_iters=8))[2],
+    ]
+    for rep in runs:
+        _assert_kappa_at_end_points(rep)
+
+
+def test_report_leaves_interior_kappa_cells_empty(tmp_path):
+    path = tmp_path / "a.mtx"
+    write_matrix(path, ComplexMatrix.dense(complex_gaussian(rng_for(615), (5, 5))))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["precondition", "--input", str(path), "--out", str(out),
+                         "--max-iters", "6"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line[0].isdigit()]
+    assert len(rows) == 7
+    assert all(float(r[5]) > 1.0 for r in (rows[0], rows[-1]))
+    assert all(r[5] == "" for r in rows[1:-1])
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, geoprec; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(geoprec.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

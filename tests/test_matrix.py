@@ -246,3 +246,35 @@ def test_operations_accept_complexmatrix_wrappers(example1_matrix):
     pos = np.array([[1.0, 1.0], [1.0, 3.0]])
     res = sinkhorn_equilibrate(ComplexMatrix.dense(pos), tol=1e-10)
     assert res.converged
+
+
+def test_sinkhorn_scalings_are_real_and_match_the_complex_cast():
+    """Sinkhorn works on |A|, so its scalings are float64 for real and complex
+    input alike, and a real A is scaled in real arithmetic to the matrix that the
+    complex cast of A gives."""
+    rng = np.random.default_rng(71)
+    a = np.exp(rng.standard_normal((6, 6))) * rng.standard_normal((6, 6))
+    real = sinkhorn_equilibrate(a)
+    cast = sinkhorn_equilibrate(a.astype(complex))
+    for got, ref in ((real.X, cast.X), (real.Y, cast.Y)):
+        assert got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got, ref)
+    pre = real.X @ a @ np.linalg.inv(real.Y)
+    pre_cast = real.X.astype(complex) @ a.astype(complex) @ np.linalg.inv(real.Y.astype(complex))
+    assert pre.dtype == np.float64
+    assert np.allclose(pre, pre_cast, rtol=1e-14, atol=0)
+    assert condition_frobenius(pre) == pytest.approx(condition_frobenius(pre_cast), rel=1e-12)
+
+
+def test_conditions_from_singular_values_match_the_factorization():
+    """condition_frobenius and condition_euclidean, computed without singular
+    vectors, agree with the thin SVD and its rank cutoff, rank-deficient input included."""
+    from geoprec.matrix import svd_factorization
+
+    rng = rng_for(72)
+    for a in (complex_gaussian(rng, (7, 5)), complex_gaussian(rng, (6, 2)) @ complex_gaussian(rng, (2, 6))):
+        f = svd_factorization(a)
+        pos = f.singular_values[f.singular_values > f.rank_tolerance]
+        kf = np.linalg.norm(f.singular_values) * np.linalg.norm(1.0 / pos)
+        assert condition_frobenius(a) == pytest.approx(kf, rel=1e-12)
+        assert condition_euclidean(a) == pytest.approx(pos[0] / pos[-1], rel=1e-12)

@@ -7,6 +7,8 @@ works in float64 throughout (element stacks, B, gradients and estimator
 directions), the phased run in complex128.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ from conftest import complex_gaussian, rng_for
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix
 from geoprec.objective import evaluate, evaluate_cross
-from geoprec.optimize import OptimizerConfig, minimize_condition, minimize_cross_condition
+from geoprec.optimize import OptimizerConfig, _finite, minimize_condition, minimize_cross_condition
 from geoprec.stochastic import EstimatorConfig, estimate_gradient
 
 PHASE = np.exp(0.7j)
@@ -125,3 +127,28 @@ def test_complex_storage_of_a_real_matrix_runs_real():
     plain = minimize_condition(A, cfg)
     assert stored.iterations == plain.iterations
     assert all(S.dtype == np.float64 for S in _stacks(stored.final_element))
+
+
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_real_complex_matrix_is_densified_as_float64(storage):
+    """A real ComplexMatrix at m=1000 becomes its 8 MB float64 array without a
+    16 MB complex copy on the way."""
+    m = 1000
+    rng = rng_for(504)
+    rows = np.repeat(np.arange(m), 6)
+    cols = rng.integers(0, m, size=rows.size)
+    vals = rng.standard_normal(rows.size)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m)) + sp.eye(m)
+    if storage == "sparse":
+        cm = ComplexMatrix.sparse(m, m, zip(*sp.find(A)))
+    else:
+        cm = ComplexMatrix.dense(A.toarray())
+    tracemalloc.start()
+    try:
+        (a,) = _finite(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(a, A.toarray())
+    assert peak <= 1.2 * a.nbytes
