@@ -20,6 +20,7 @@ from .errors import (
     ExpansionOverflowError,
     GeoprecError,
     NotConvergedError,
+    SingularBlockError,
     SingularProbeBlockError,
 )
 from .group import GroupScheme, block_triplets
@@ -40,8 +41,8 @@ from .sysio import read_polysys
 
 USAGE_ERROR, INPUT_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
-_NUMERICAL = (NotConvergedError, ExpansionOverflowError, BreakdownError, SingularProbeBlockError,
-              np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL = (NotConvergedError, ExpansionOverflowError, BreakdownError, SingularBlockError,
+              SingularProbeBlockError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def _num(x):

@@ -404,13 +404,24 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
 
 
 def _polar(X, run):
-    """Hermitian PD factor P of X = U P per block, (X* X)^(1/2); |x| for 1x1 blocks."""
+    """Hermitian PD factor P of X = U P per block, (X* X)^(1/2); |x| for 1x1 blocks.
+
+    The eigendecomposition of X* X squares the condition number of a block,
+    so it resolves blocks up to a condition number of about (size eps)^-1/2
+    only.  A run in which it flags a block is redone from the SVD of X, and
+    raises SingularBlockError only for a block with sigma_min <= size eps
+    sigma_max.
+    """
     if run.size == 1:
         _check_blocks(run, X.real**2 + X.imag**2 == 0)
         return np.abs(X).astype(X.dtype, copy=False)
+    tol = np.finfo(float).eps * run.size
     w, v = np.linalg.eigh(_adjoint(X) @ X)
-    _check_blocks(run, (w[:, 0] <= 0) | (w[:, 0] < w[:, -1] * np.finfo(float).eps * run.size))
-    return (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
+    if not np.any((w[:, 0] <= 0) | (w[:, 0] < w[:, -1] * tol)):
+        return (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
+    _, s, vh = np.linalg.svd(X)
+    _check_blocks(run, s[:, -1] <= s[:, 0] * tol)
+    return (_adjoint(vh) * s[:, None, :]) @ vh
 
 
 def repolarize(g: GroupElement) -> GroupElement:

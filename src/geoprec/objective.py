@@ -14,10 +14,11 @@ onto the Lie algebra of the scheme.  The cross variant replaces B^+ by an
 independently transformed second matrix.
 
 B^+ enters only through ||B^+||_F and the diagonal blocks of the two Gram
-terms, so a state costs one cubic factorization of B: its inverse when the
-run is square and of full rank, a thin SVD otherwise.  The Euclidean
-condition number kappa is not needed by the descent; states without singular
-values compute it on first access.
+terms.  When the run is square and of full rank, B^-1 = Y A^-1 X^-1 is the
+dual action on the run's inverse of A, so a state costs the two block-diagonal
+actions and factors nothing; otherwise it costs one thin SVD of B.  The
+Euclidean condition number kappa is not needed by the descent; states without
+singular values compute it on first access.
 """
 
 import math
@@ -111,28 +112,33 @@ def _grad_from_pair(g, B, d_left, d_right, nd2):
     return project_blocks(sch, P, Q)
 
 
+def _pair_state(a, g, B, D) -> ObjectiveState:
+    """The state of log ||B||_F + log ||D||_F, with D kept as B_pinv."""
+    nb, nd = np.linalg.norm(B), np.linalg.norm(D)
+    if nb == 0.0 or nd == 0.0:
+        raise ZeroMatrixError("matrix is identically zero")
+    grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
+    return ObjectiveState(A=a, g=g, B=B, value=float(np.log(nb) + np.log(nd)), grad=grad,
+                          grad_norm=grad.norm, kF=float(nb * nd), rank_deficient=False, pinv=D)
+
+
 def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
-             invertible: bool = False) -> ObjectiveState:
+             a_inv=None) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
-    One cubic factorization per state.  With ``invertible`` (a square run
-    whose input has full rank, decided once per run) it is the inverse
-    D = B^-1: kF = ||B||_F ||D||_F, the Gram blocks of (B^+)* B^+ and
-    B^+ (B^+)* come from D* and D, and D is kept as B_pinv.  A singular B
-    then raises LinAlgError.  Otherwise it is the thin SVD: with
-    B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
-    Rank-deficient inputs are evaluated with the pseudoinverse and flagged
-    rather than rejected; the strongly convex optimizer mode refuses them.
+    With ``a_inv``, the inverse of a square A of full rank (computed once per
+    run), the state factors nothing: D = B^-1 is apply_dual(g, a_inv),
+    kF = ||B||_F ||D||_F, the Gram blocks of (B^+)* B^+ and B^+ (B^+)* come
+    from D* and D, and D is kept as B_pinv.  Otherwise it is one thin SVD:
+    with B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and
+    V_r / s_r.  Rank-deficient inputs are evaluated with the pseudoinverse and
+    flagged rather than rejected; the strongly convex optimizer mode refuses
+    them.
     """
     a = as_dense(A)
     B = apply(g, a)
-    if invertible:
-        D = np.linalg.inv(B)
-        nd = np.linalg.norm(D)
-        kF = float(np.linalg.norm(B) * nd)
-        grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
-        return ObjectiveState(A=a, g=g, B=B, value=math.log(kF), grad=grad,
-                              grad_norm=grad.norm, kF=kF, rank_deficient=False, pinv=D)
+    if a_inv is not None:
+        return _pair_state(a, g, B, apply_dual(g, a_inv))
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -168,23 +174,7 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
     b = as_dense(B_independent)
     if b.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError("second matrix must have the transposed shape of the first")
-    Bm = apply(g, a)
-    D = apply_dual(g, b)
-    nb, nd = np.linalg.norm(Bm), np.linalg.norm(D)
-    if nb == 0.0 or nd == 0.0:
-        raise ZeroMatrixError("matrix is identically zero")
-    grad = _grad_from_pair(g, Bm, D.conj().T, D, nd**2)
-    return ObjectiveState(
-        A=a,
-        g=g,
-        B=Bm,
-        value=float(np.log(nb) + np.log(nd)),
-        grad=grad,
-        grad_norm=grad.norm,
-        kF=float(nb * nd),
-        rank_deficient=False,
-        pinv=D,
-    )
+    return _pair_state(a, g, apply(g, a), apply_dual(g, b))
 
 
 def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:

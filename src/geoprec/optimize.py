@@ -27,8 +27,10 @@ have no entry with a nonzero imaginary part is solved in real arithmetic
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
 path is the same for both.  ``minimize_condition`` also decides at entry, from
 the singular values of A (which give ``initial_kappa``) and the cutoff
-max(m, n) eps sigma_max, whether the run is square and of full rank; every
-state of such a run is built from the inverse of B instead of a thin SVD.
+max(m, n) eps sigma_max, whether the run is square and of full rank.  Such a
+run inverts A once, at entry, and every state takes B^-1 = Y A^-1 X^-1 from
+the dual action on that inverse instead of factoring B; any other run factors
+every state with a thin SVD.
 """
 
 import dataclasses
@@ -235,8 +237,9 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
 
     A real A, or a complex one whose imaginary parts are all zero, is solved
     in real arithmetic and yields a float64 final element.  A square A of full
-    rank (no singular value at or below max(m, n) eps sigma_max) is solved with
-    the inverse of B at every state, any other A with a thin SVD.
+    rank (no singular value at or below max(m, n) eps sigma_max) is inverted
+    once, and every state takes B^-1 from the dual action on A^-1; any other A
+    is solved with a thin SVD of B at every state.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
@@ -260,12 +263,12 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     s = singular_values(a)
     full_rank = s[-1] > rank_tolerance(s, a.shape)
     _resolve_mode(config, not full_rank)
-    invertible = full_rank and a.shape[0] == a.shape[1]
+    a_inv = np.linalg.inv(a) if full_rank and a.shape[0] == a.shape[1] else None
     start = sch.identity(a.dtype)
 
     def state_fn(g):
-        state = evaluate(a, g, invertible=invertible)
-        if g is start and invertible:  # B = A, whose singular values are known
+        state = evaluate(a, g, a_inv=a_inv)
+        if g is start and a_inv is not None:  # B = A, whose singular values are known
             state = dataclasses.replace(state, sigma=s)
         return state
 

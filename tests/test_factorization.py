@@ -1,7 +1,8 @@
 """How a condition state is factored, and where kappa is computed.
 
-A square run whose input has full rank builds every state from the inverse
-D = B^-1; every other run keeps the thin SVD.  The two must describe the same
+A square run whose input has full rank inverts A once, at entry, and builds
+every state from D = B^-1 = Y A^-1 X^-1, the dual action on that inverse;
+every other run keeps the thin SVD of B.  The two must describe the same
 objective: on square full-rank inputs the inverse state and the SVD state
 agree in value, kF, gradient and Hessian to round-off.  The Euclidean kappa
 is computed at the end points of a run only.
@@ -20,7 +21,7 @@ import geoprec
 import geoprec.optimize
 from conftest import complex_gaussian, random_direction, random_element, rng_for
 from geoprec.cli import cli_dispatch
-from geoprec.group import GroupElement, GroupScheme, apply
+from geoprec.group import GroupElement, GroupScheme, apply, apply_dual
 from geoprec.matrix import ComplexMatrix, condition_euclidean
 from geoprec.mmio import write_matrix
 from geoprec.objective import evaluate, evaluate_cross, hessian_quadratic_form
@@ -70,7 +71,8 @@ def test_inverse_state_matches_svd_state(name, field):
     else:
         A = complex_gaussian(rng, (sch.m, sch.m))
         g = random_element(rng, sch)
-    inv = evaluate(A, g, invertible=True)
+    a_inv = np.linalg.inv(A)
+    inv = evaluate(A, g, a_inv=a_inv)
     svd = evaluate(A, g)
     assert inv.B.dtype == svd.B.dtype == (np.float64 if field == "real" else np.complex128)
     assert _rel(inv.value, svd.value) <= 1e-12
@@ -79,7 +81,7 @@ def test_inverse_state_matches_svd_state(name, field):
         assert p.dtype == q.dtype
         assert np.linalg.norm(p - q) <= 1e-12 * svd.grad.norm
     assert _rel(inv.grad_norm, svd.grad_norm) <= 1e-12
-    assert np.array_equal(inv.B_pinv, np.linalg.inv(inv.B))
+    assert np.array_equal(inv.B_pinv, apply_dual(g, a_inv))
     assert np.linalg.norm(inv.B_pinv - svd.B_pinv) <= 1e-12 * np.linalg.norm(svd.B_pinv)
     H = random_direction(rng, sch, norm=1.0)
     h_inv, h_svd = hessian_quadratic_form(inv, H), hessian_quadratic_form(svd, H)
@@ -123,12 +125,12 @@ SVD_PINNED = {
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The invertible flag of every evaluate call minimize_condition makes."""
+    """The a_inv argument of every evaluate call minimize_condition makes."""
     seen = []
 
-    def spy(a, g, rcond=None, invertible=False):
-        seen.append(invertible)
-        return evaluate(a, g, rcond, invertible)
+    def spy(a, g, rcond=None, a_inv=None):
+        seen.append(a_inv)
+        return evaluate(a, g, rcond, a_inv)
 
     monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
     return seen
@@ -138,48 +140,81 @@ def factorizations(monkeypatch):
 def test_rectangular_and_rank_deficient_runs_keep_the_svd(case, factorizations):
     name, A, sch, cap = case
     rep = minimize_condition(A, OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=cap))
-    assert factorizations and not any(factorizations)
+    assert factorizations and all(a_inv is None for a_inv in factorizations)
     assert (rep.termination.value, rep.iteration_count, rep.final_kF, rep.initial_kappa,
             rep.final_kappa) == SVD_PINNED[name]
 
 
-def test_square_full_rank_run_uses_the_inverse_only(factorizations):
+def test_square_full_rank_run_inverts_a_once(factorizations, monkeypatch):
+    """One m x m inverse, of A at entry; every state gets that same inverse."""
     sch = SQUARE["both-ragged"]
     A = complex_gaussian(rng_for(611), (sch.m, sch.n))
+    real_inv, square = np.linalg.inv, []
+
+    def inv(a):
+        if np.ndim(a) == 2:
+            square.append(np.array(a))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
     rep = minimize_condition(A, OptimizerConfig(scheme=sch, max_iters=20))
-    assert len(factorizations) == rep.iteration_count + 1 and all(factorizations)
+    assert len(square) == 1 and np.array_equal(square[0], A)
+    assert len(factorizations) == rep.iteration_count + 1
+    assert all(a_inv is factorizations[0] for a_inv in factorizations)
+    assert np.array_equal(factorizations[0], real_inv(A))
 
 
-def test_singular_state_raises_linalg_error():
-    sch = GroupScheme.diagonal(3, side="left")
-    with pytest.raises(np.linalg.LinAlgError):
-        evaluate(np.ones((3, 3)), sch.identity(float), invertible=True)
-
-
-def test_cli_maps_a_singular_state_to_exit_3(tmp_path, capsys, monkeypatch):
-    """The input has full rank, so the run is factored by inverses; a later
-    state whose B is exactly singular ends the run with exit 3, no traceback."""
-    import geoprec.objective
-
-    real_apply = geoprec.objective.apply
+def test_cli_maps_a_failed_entry_inverse_to_exit_3(tmp_path, capsys, monkeypatch):
+    """The input has full rank, so the run inverts it at entry; a LinAlgError
+    from that inverse ends the run with exit 3, no traceback."""
     calls = []
 
-    def singular_after_start(g, a):
-        B = real_apply(g, a)
-        calls.append(None)
-        if len(calls) > 1:
-            B[-1] = 0.0
-        return B
+    def singular(a):
+        calls.append(np.array(a))
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(geoprec.objective, "apply", singular_after_start)
+    monkeypatch.setattr(np.linalg, "inv", singular)
     path = tmp_path / "a.mtx"
     A = complex_gaussian(rng_for(612), (4, 4))
     write_matrix(path, ComplexMatrix.dense(A))
     code = cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")])
     assert code == 3
+    assert len(calls) == 1 and np.array_equal(calls[0], A)
     err = capsys.readouterr().err
     assert "Singular matrix" in err
     assert "Traceback" not in err
+
+
+def _graded(n=48):
+    """A complex n x n matrix with shuffled row scales exp(-14) .. exp(14), kappa about 1.6e12."""
+    rng = rng_for(616)
+    rows = np.exp(np.linspace(-14.0, 14.0, n))
+    rng.shuffle(rows)
+    return rows[:, None] * (np.eye(n) + 0.3 * complex_gaussian(rng, (n, n)) / np.sqrt(2 * n))
+
+
+# Recorded with a per-state inverse of B: (iterations, final kF).
+GRADED_TORUS = (1058, 52.44334609612153)
+
+
+def test_graded_torus_run_keeps_its_trajectory():
+    """A one-sided torus run on a graded input, where A^-1 carries kappa(A)
+    about 1.6e12, certifies as it did with a per-state inverse of B."""
+    rep = minimize_condition(_graded(), OptimizerConfig(scheme=GroupScheme.diagonal(48)))
+    assert rep.termination.value == "certified"
+    assert rep.iteration_count == GRADED_TORUS[0]
+    assert _rel(rep.final_kF, GRADED_TORUS[1]) <= 1e-12
+
+
+def test_graded_block_run_certifies_below_the_torus():
+    """The optimum needs 4x4 blocks with condition numbers far beyond the
+    (4 eps)^-1/2 that an eigh of X* X resolves; the polar factor's SVD
+    fallback lets the run certify, at no worse a kF than the torus."""
+    rep = minimize_condition(_graded(), OptimizerConfig(scheme=GroupScheme.blocked(48, 4)))
+    assert rep.termination.value == "certified"
+    assert rep.final_kF <= GRADED_TORUS[1]
+    conds = [np.linalg.cond(S) for S in rep.final_element.left[0]]
+    assert max(conds) > (4 * np.finfo(float).eps) ** -0.5
 
 
 def _assert_kappa_at_end_points(rep, first=None, last=None):

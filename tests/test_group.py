@@ -286,6 +286,33 @@ def test_torus_polar_rejects_zero_square(tiny):
     assert repolarize(GroupElement(sch, np.diag([1.0, 1e-150, 2.0]))).X[1, 1] == 1e-150
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_polar_resolves_blocks_beyond_the_eigh_range(field):
+    """A 4x4 block of condition number 1e11 is far beyond the (4 eps)^-1/2 that
+    an eigh of X* X resolves; its polar factor comes from the SVD instead, as
+    accurate as scipy's.  A block with sigma_min <= 4 eps sigma_max is singular."""
+    rng = rng_for(44, field == "real")
+    sch = GroupScheme.blocked(8, 4, side="left")
+
+    def unitary():
+        return random_unitary(rng, 4) if field == "complex" else \
+            np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+    def block(svals):
+        return (unitary() * np.asarray(svals)) @ unitary().conj().T
+
+    X = np.zeros((8, 8), dtype=complex if field == "complex" else float)
+    X[:4, :4] = block([3.0, 2.0, 1.5, 1.0])
+    X[4:, 4:] = block([1.0, 0.5, 1e-6, 1e-11])
+    P = repolarize(GroupElement(sch, X)).X
+    ref = sla.polar(X, side="right")[1]
+    assert P.dtype == X.dtype
+    assert np.linalg.norm(P - ref) <= 1e-14 * np.linalg.norm(ref)
+    X[4:, 4:] = block([1.0, 0.5, 1e-6, 1e-17])
+    with pytest.raises(SingularBlockError, match="rows 4:8"):
+        repolarize(GroupElement(sch, X))
+
+
 @st.composite
 def _schemes(draw):
     """Random contiguous partitions: ragged, mixed sizes, one- and two-sided."""

@@ -5,7 +5,12 @@ import pytest
 
 from conftest import complex_gaussian, rng_for
 from geoprec.cli import cli_dispatch
-from geoprec.errors import DegreeViolationError, ParseError, UnsupportedQualifierError
+from geoprec.errors import (
+    DegreeViolationError,
+    ParseError,
+    SingularBlockError,
+    UnsupportedQualifierError,
+)
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix
 from geoprec.mmio import read_matrix, write_matrix
@@ -367,6 +372,22 @@ def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")]) == 3
     err = capsys.readouterr().err
     assert "SVD did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_cli_singular_block_exit_code(tmp_path, capsys, monkeypatch):
+    """A group block that turns numerically singular inside a descent is a
+    numerical failure: exit 3 with its message and no traceback."""
+    import geoprec.cli
+
+    def singular_block(*args, **kwargs):
+        raise SingularBlockError("singular 4x4 block at 40 (rows 40:44)")
+
+    monkeypatch.setattr(geoprec.cli, "minimize_condition", singular_block)
+    path = _example1_file(tmp_path)
+    assert cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "singular 4x4 block" in err
     assert "Traceback" not in err
 
 
