@@ -53,9 +53,9 @@ class ObjectiveState:
 
     B_pinv is the pseudoinverse of B for the condition objective: the inverse
     that the state of a square full-rank run was built from, otherwise built
-    from B with the cutoff rcond on first access.  For the cross objective it
-    is the transformed second matrix.  sigma holds the singular values of B where
-    the state has them.  kappa is the Euclidean condition number of B, for
+    from B on first access.  For the cross objective it is the transformed
+    second matrix.  sigma holds the singular values of B where the state has
+    them.  kappa is the Euclidean condition number of B, for
     reporting only: taken from sigma, or computed from B without vectors on
     first access.
     """
@@ -68,7 +68,6 @@ class ObjectiveState:
     grad_norm: float
     kF: float
     rank_deficient: bool
-    rcond: Optional[float] = None
     sigma: Optional[np.ndarray] = field(default=None, repr=False)
     pinv: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -76,12 +75,12 @@ class ObjectiveState:
     def B_pinv(self) -> np.ndarray:
         if self.pinv is not None:
             return self.pinv
-        return pseudoinverse(self.B, self.rcond)
+        return pseudoinverse(self.B)
 
     @cached_property
     def kappa(self) -> float:
         s = self.sigma if self.sigma is not None else singular_values(self.B)
-        return kappa_from_singular_values(s, self.B.shape, self.rcond)
+        return kappa_from_singular_values(s, self.B.shape)
 
 
 def _gram_blocks(R, runs, scale):
@@ -122,8 +121,7 @@ def _pair_state(a, g, B, D) -> ObjectiveState:
                           grad_norm=grad.norm, kF=float(nb * nd), rank_deficient=False, pinv=D)
 
 
-def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
-             a_inv=None) -> ObjectiveState:
+def evaluate(A, g: GroupElement, a_inv=None) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
     With ``a_inv``, the inverse of a square A of full rank (computed once per
@@ -132,8 +130,7 @@ def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
     from D* and D, and D is kept as B_pinv.  Otherwise it is one thin SVD:
     with B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and
     V_r / s_r.  Rank-deficient inputs are evaluated with the pseudoinverse and
-    flagged rather than rejected; the strongly convex optimizer mode refuses
-    them.
+    flagged rather than rejected.
     """
     a = as_dense(A)
     B = apply(g, a)
@@ -142,7 +139,7 @@ def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
-    pos = s[s > rank_tolerance(s, B.shape, rcond)]
+    pos = s[s > rank_tolerance(s, B.shape)]
     r = len(pos)
     inv_norm = np.linalg.norm(1.0 / pos)
     kF = float(np.linalg.norm(s) * inv_norm)
@@ -159,7 +156,6 @@ def evaluate(A, g: GroupElement, rcond: Optional[float] = None,
         grad_norm=grad.norm,
         kF=kF,
         rank_deficient=r < min(B.shape),
-        rcond=rcond,
         sigma=s,
     )
 

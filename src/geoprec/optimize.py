@@ -75,18 +75,15 @@ class Termination(Enum):
 class OptimizerConfig:
     """Knobs for one descent run.
 
-    step_size "auto" resolves to 1/L.  mode "auto" selects the strongly
-    convex regime exactly when the scheme is left-only and the input has full
-    rank; "strongly_convex" on a rank-deficient input is an error.  The
-    default gradient tolerance is gamma * target_eps, the threshold under
-    which the duality certificate reaches the target.
+    step_size "auto" resolves to 1/L.  The default gradient tolerance is
+    gamma * target_eps, the threshold under which the duality certificate
+    reaches the target.
     """
 
     scheme: GroupScheme
     target_eps: float = 1e-2
     max_iters: int = 10_000
     step_size: Union[float, str] = AUTO
-    mode: str = AUTO  # general | strongly_convex | auto
     grad_tol_override: Optional[float] = None
 
     def smoothness(self) -> float:
@@ -138,16 +135,6 @@ class _State(NamedTuple):
     grad_norm: float
     kF: float
     kappa: float
-
-
-def _resolve_mode(config: OptimizerConfig, rank_deficient: bool) -> str:
-    if config.mode == AUTO:
-        if config.scheme.side == "left" and not rank_deficient:
-            return "strongly_convex"
-        return "general"
-    if config.mode == "strongly_convex" and rank_deficient:
-        raise RankDeficientError("strongly convex mode requires a full-rank input")
-    return config.mode
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
@@ -262,7 +249,6 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
 
     s = singular_values(a)
     full_rank = s[-1] > rank_tolerance(s, a.shape)
-    _resolve_mode(config, not full_rank)
     a_inv = np.linalg.inv(a) if full_rank and a.shape[0] == a.shape[1] else None
     start = sch.identity(a.dtype)
 
@@ -284,26 +270,33 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
                     weight_data(sch), config.resolved_grad_tol(), config.resolved_step())
 
 
-def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float) -> int:
+def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float,
+                              strongly_convex: Optional[bool] = None) -> int:
     """Worst-case iteration count from the convergence analysis.
 
-    general mode:        T = ceil( 2 L gap0 / (gamma eps)^2 )
+    general:             T = ceil( 2 L gap0 / (gamma eps)^2 )
     strongly convex:     T = ceil( kF(A)^2 (L/4) log(gap0 / eps) )
 
-    where gap0 = log(kF(A) / kF*).  Returns 0 when the input is already
-    optimal (gap0 <= 0) or the remaining gap is below eps in strongly convex
-    mode.
+    where gap0 = log(kF(A) / kF*).  strongly_convex None takes the strongly
+    convex bound for a left-only scheme on an A of full rank, decided as in
+    minimize_condition; True on a rank-deficient A raises RankDeficientError.
+    Returns 0 when the input is already optimal (gap0 <= 0) or the remaining
+    gap is below eps under the strongly convex bound.
     """
-    kF0 = condition_frobenius(as_dense(A))
+    a = as_dense(A)
+    s = singular_values(a)
+    full_rank = s[-1] > rank_tolerance(s, a.shape)
+    if strongly_convex is None:
+        strongly_convex = config.scheme.side == "left" and full_rank
+    elif strongly_convex and not full_rank:
+        raise RankDeficientError("the strongly convex bound requires a full-rank input")
+    kF0 = condition_frobenius(a)
     gap0 = math.log(kF0 / kF_star_estimate)
     if gap0 <= 0.0:
         return 0
     L = config.smoothness()
     eps = config.target_eps
-    mode = config.mode
-    if mode == AUTO:
-        mode = "strongly_convex" if config.scheme.side == "left" else "general"
-    if mode == "strongly_convex":
+    if strongly_convex:
         if gap0 <= eps:
             return 0
         return int(math.ceil(kF0**2 * (L / 4.0) * math.log(gap0 / eps)))

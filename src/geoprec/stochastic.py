@@ -208,6 +208,24 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
     return CgResult(x, False, max_iters, math.sqrt(rs) / nb)
 
 
+class _GramSolve(LinearOperator):
+    """v -> (A A*)^-1 v: one preconditioned CG solve against GramOperator(A) per
+    application, to the config's tolerance and cap; a stalled solve raises
+    NotConvergedError naming the probe, the index of the application."""
+
+    def __init__(self, A: LinearOperator, config: EstimatorConfig, precond=None):
+        self.base = GramOperator(A)  # products with the matrix are counted on A
+        self.dtype, self.config, self.precond = A.dtype, config, precond
+        super().__init__(A.m, A.m, check_adjoint=False)  # a check would cost two solves
+
+    def _matvec(self, v):
+        sol = conjugate_gradient(self.base, v, tol=self.config.cg_tol,
+                                 max_iters=self.config.cg_max_iters, precond=self.precond)
+        if not sol.converged:
+            raise NotConvergedError(sol.relative_residual, probe=self.matvec_count - 1)
+        return sol.x
+
+
 def _draw_probe(rng, size, kind, dtype):
     if kind == "rademacher":
         return rademacher(rng, size).astype(dtype)
@@ -228,17 +246,12 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     passed on to every solve.  stderr is the per-coordinate sample standard
     error over probes.
     """
-    gram = GramOperator(A)
+    solve = _GramSolve(A, config, precond)
     mean = np.zeros(A.m)
     m2 = np.zeros(A.m)
     for i in range(config.num_probes):
-        rng = substream(config.seed, i)
-        z = _draw_probe(rng, A.m, config.probe_kind, A.dtype)
-        sol = conjugate_gradient(gram, z, tol=config.cg_tol, max_iters=config.cg_max_iters,
-                                 precond=precond)
-        if not sol.converged:
-            raise NotConvergedError(sol.relative_residual, probe=i)
-        sample = (np.conj(z) * sol.x).real
+        z = _draw_probe(substream(config.seed, i), A.m, config.probe_kind, A.dtype)
+        sample = (np.conj(z) * solve.matvec(z)).real
         delta = sample - mean
         mean += delta / (i + 1)
         m2 += delta * (sample - mean)
@@ -260,32 +273,30 @@ def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) 
     Draws G with num_probes Gaussian columns, forms Z = M G, and solves the
     regression G_r W = Z_r restricted to the block rows; with r = 1 this is
     the Gaussian Hutchinson estimate of a single diagonal entry.  The result
-    is Hermitian-symmetrized.
+    is Hermitian-symmetrized.  Probe rows of deficient rank are redrawn once.
     """
     a, b = _block_slice(block_rows)
-    r = b - a
-    if r > num_probes:
-        raise DimensionMismatchError("block size exceeds the probe count")
-    rng = substream(seed, 0)
-    G = rng.standard_normal((M.m, num_probes))
     for attempt in (0, 1):
-        R = G[a:b, :]  # r x probes
-        if np.linalg.matrix_rank(R) == r:
+        G = substream(seed, attempt).standard_normal((M.m, num_probes))
+        # a block wider than the probe set is rejected by the sketch
+        if b - a > num_probes or np.linalg.matrix_rank(G[a:b]) == b - a:
             break
-        if attempt == 1:
-            raise SingularProbeBlockError("probe block rank deficient after resampling")
-        rng = substream(seed, 1)
-        G = rng.standard_normal((M.m, num_probes))
-    Z = np.stack([M.matvec(G[:, j].astype(M.dtype)) for j in range(num_probes)], axis=1)
-    return _sketched_block(R, Z[a:b, :])
+    else:
+        raise SingularProbeBlockError("probe block rank deficient after resampling")
+    return _sketch_blocks(M, G, [(a, b)])[0]
 
 
-def _sketched_block(R, S):
-    """Hermitian block fitted to sketch rows S (r x probes) over probe rows R."""
-    W, *_ = np.linalg.lstsq(R.T, S.T, rcond=None)
-    # the regression recovers the transpose of the block (real probes carry no
+def _sketch_blocks(M: LinearOperator, G, blocks):
+    """The diagonal blocks (a, b) of a Hermitian operator M, each fitted by the
+    regression G_r W = (M G)_r over its rows r = a:b and Hermitian-symmetrized;
+    DimensionMismatchError for a block wider than G, an underdetermined fit."""
+    if any(b - a > G.shape[1] for a, b in blocks):
+        raise DimensionMismatchError("block size exceeds the probe count")
+    Z = np.stack([M.matvec(G[:, j].astype(M.dtype)) for j in range(G.shape[1])], axis=1)
+    fits = [np.linalg.lstsq(G[a:b].T, Z[a:b].T, rcond=None)[0] for a, b in blocks]
+    # the regression recovers the transpose of each block (real probes carry no
     # conjugation), so flip before symmetrizing
-    return 0.5 * (W.T + W.conj())
+    return [0.5 * (W.T + W.conj()) for W in fits]
 
 
 def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndarray:
@@ -369,18 +380,10 @@ def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
         est = hutchinson_diagonal_inverse(
             base_op, replace(config, seed=config.seed * 2 + side_key), precond)
         return est.diag_estimate
-    gram = GramOperator(base_op)
-    rng = substream(config.seed, 10 + side_key)
-    G = rng.standard_normal((base_op.m, config.num_probes))
-    Z = np.zeros(G.shape, dtype=gram.dtype)
-    for j in range(config.num_probes):
-        sol = conjugate_gradient(gram, G[:, j].astype(gram.dtype), tol=config.cg_tol,
-                                 max_iters=config.cg_max_iters, precond=precond)
-        if not sol.converged:
-            raise NotConvergedError(sol.relative_residual, probe=j)
-        Z[:, j] = sol.x
-    return np.concatenate([_sketched_block(G[a:a + r.size], Z[a:a + r.size]).ravel()
-                           for r in runs for a in range(r.start, r.stop, r.size)])
+    G = substream(config.seed, 10 + side_key).standard_normal((base_op.m, config.num_probes))
+    blocks = [(a, a + r.size) for r in runs for a in range(r.start, r.stop, r.size)]
+    sketch = _sketch_blocks(_GramSolve(base_op, config, precond), G, blocks)
+    return np.concatenate([W.ravel() for W in sketch])
 
 
 def estimate_gradient(A, g: GroupElement, config: EstimatorConfig) -> LieDirection:

@@ -128,9 +128,9 @@ def factorizations(monkeypatch):
     """The a_inv argument of every evaluate call minimize_condition makes."""
     seen = []
 
-    def spy(a, g, rcond=None, a_inv=None):
+    def spy(a, g, a_inv=None):
         seen.append(a_inv)
-        return evaluate(a, g, rcond, a_inv)
+        return evaluate(a, g, a_inv)
 
     monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
     return seen

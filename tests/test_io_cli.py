@@ -239,6 +239,21 @@ def test_cli_stochastic_path(tmp_path):
     assert out.read_text().startswith("iter,value")
 
 
+def test_cli_stochastic_block_wider_than_probes_is_an_input_error(tmp_path, capsys):
+    rng = rng_for(104)
+    a = np.diag(np.exp(rng.standard_normal(10))) @ (rng.standard_normal((10, 10)) + 4.0 * np.eye(10))
+    src = tmp_path / "a.mtx"
+    write_matrix(src, a)
+    code = cli_dispatch([
+        "precondition", "--input", str(src), "--stochastic", "--scheme", "block",
+        "--block-size", "5", "--probes", "3", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "block size exceeds the probe count" in err
+    assert "Traceback" not in err
+
+
 def test_cli_emit_preconditioner(tmp_path):
     path = _example1_file(tmp_path)
     out = tmp_path / "rep.csv"

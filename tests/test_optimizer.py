@@ -65,10 +65,19 @@ def test_example1_beats_identity_and_grid(example1_matrix):
     assert math.log(rep.final_kF / grid_best) <= rep.certificate + 1e-2
 
 
-def test_strongly_convex_mode_rejects_rank_deficient():
+def test_strongly_convex_bound_rejects_rank_deficient():
     a = np.diag([1.0, 0.0, 2.0])
     with pytest.raises(RankDeficientError):
-        minimize_condition(a, diag_left(3, mode="strongly_convex"))
+        predicted_iteration_bound(a, diag_left(3), 2.0, strongly_convex=True)
+
+
+def test_predicted_bound_default_follows_the_rank():
+    """A left torus on a rank-deficient input gets the general bound by default,
+    the regime the optimizer's own rank decision assigns it."""
+    a = np.diag([1.0, 0.0, 2.0])
+    cfg = diag_left(3)
+    general = predicted_iteration_bound(a, cfg, 2.0, strongly_convex=False)
+    assert predicted_iteration_bound(a, cfg, 2.0) == general == 481_991
 
 
 def test_cross_condition_specialization(example1_matrix):
@@ -100,8 +109,8 @@ def test_cross_monotone_on_random_pair():
 
 
 def test_predicted_bound_values():
-    cfg = diag_left(3, target_eps=0.1, mode="general")
-    assert predicted_iteration_bound(np.eye(3), cfg, 3.0) == 0
+    cfg = diag_left(3, target_eps=0.1)
+    assert predicted_iteration_bound(np.eye(3), cfg, 3.0, strongly_convex=False) == 0
 
     # a 3x3 diagonal with kF exactly 10: diag(x, 1, 1), kF^2 = (x^2+2)(x^-2+2)
     from scipy.optimize import brentq
@@ -110,7 +119,7 @@ def test_predicted_bound_values():
     a10 = np.diag([x, 1.0, 1.0])
     assert condition_frobenius(a10) == pytest.approx(10.0, rel=1e-12)
     expected = math.ceil(2 * 4 * math.log(2.0) / (0.1 * 3.0**-1.5) ** 2)
-    assert predicted_iteration_bound(a10, cfg, 5.0) == expected
+    assert predicted_iteration_bound(a10, cfg, 5.0, strongly_convex=False) == expected
 
 
 def test_predicted_bound_strongly_convex_formula():
@@ -118,11 +127,12 @@ def test_predicted_bound_strongly_convex_formula():
 
     x = brentq(lambda t: (t**2 + 1) * (t**-2 + 1) - 100.0, 1.0, 50.0)
     a10 = np.diag([x, 1.0])
-    cfg = diag_left(2, target_eps=1e-3, mode="strongly_convex")
+    cfg = diag_left(2, target_eps=1e-3)
     kstar = 2.0
     gap0 = math.log(10.0 / kstar)
     expected = math.ceil(100.0 * math.log(gap0 / 1e-3))
-    assert predicted_iteration_bound(a10, cfg, kstar) == expected
+    assert predicted_iteration_bound(a10, cfg, kstar, strongly_convex=True) == expected
+    assert predicted_iteration_bound(a10, cfg, kstar) == expected  # left, full rank
 
 
 def test_empirical_iterations_below_predicted_bound():

@@ -293,6 +293,23 @@ def test_estimate_gradient_block_both_sides():
     assert np.linalg.norm(est.H2 - exact.H2) <= 0.15 * np.linalg.norm(exact.H2)
 
 
+@pytest.mark.parametrize("probes", [3, 4])
+@pytest.mark.parametrize("side", ["left", "both"])
+def test_estimate_gradient_rejects_blocks_wider_than_the_probes(side, probes):
+    """A 5-row block sketched by fewer probes is an underdetermined regression:
+    it must raise, not return the minimum-norm fit."""
+    a = complex_gaussian(rng_for(77), (12, 12)) + 4.0 * np.eye(12)
+    sch = GroupScheme.blocked(12, 5, 12, side="both") if side == "both" \
+        else GroupScheme.blocked(12, 5, side="left")
+    with pytest.raises(DimensionMismatchError, match="probe count"):
+        estimate_gradient(a, sch.identity(), EstimatorConfig(num_probes=probes, seed=1))
+
+
+def test_block_hutchinson_rejects_blocks_wider_than_the_probes():
+    with pytest.raises(DimensionMismatchError, match="probe count"):
+        block_hutchinson(MatrixOperator(np.eye(10)), (0, 5), num_probes=4, seed=1)
+
+
 def test_gram_operators_consistent():
     rng = rng_for(74)
     a = complex_gaussian(rng, (5, 8))

@@ -4,7 +4,8 @@ Each case pins the iteration count, the termination and the final kF (mu
 for the polynomial actions) of one small seeded run.  The pinned values were
 recorded when the matrix, full and sparse descents still ran in three
 separate loops, so they guard the single descent engine against any change
-of trajectory.  Iterations and terminations must match exactly; kF and mu
+of trajectory; the two block-estimator cases were recorded while the
+estimator's block path still ran its own solve loop and regression.  Iterations and terminations must match exactly; kF and mu
 must agree to round-off, within 1e-12 relative: the torus exponential may
 move by one ulp per step, a square full-rank state is factored by an inverse
 where the pins were recorded with a thin SVD, and the Bombieri-Weyl sums of
@@ -51,15 +52,16 @@ def _exact(key, scheme, max_iters):
     return run
 
 
-def _estimator():
-    m = 40
-    rng = rng_for(401)
-    S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(7), format="csr")
-    A = sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))
-    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(m, side="left"), target_eps=1e-2,
-                          max_iters=4)
-    est = EstimatorConfig(num_probes=16, cg_tol=1e-10, seed=3)
-    return minimize_condition(A.tocsr(), cfg, estimator=est)
+def _estimator(scheme):
+    def run():
+        m = 40
+        rng = rng_for(401)
+        S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(7), format="csr")
+        A = sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))
+        cfg = OptimizerConfig(scheme=scheme, target_eps=1e-2, max_iters=4)
+        est = EstimatorConfig(num_probes=16, cg_tol=1e-10, seed=3)
+        return minimize_condition(A.tocsr(), cfg, estimator=est)
+    return run
 
 
 def _polynomial(key, m, n, deg, density=1.0):
@@ -105,7 +107,9 @@ CASES = {
     "exact-left-block": _exact(1, GroupScheme.blocked(12, 5, side="left"), 400),
     "exact-both-diag": _exact(2, GroupScheme.diagonal(8, 8, side="both"), 150),
     "exact-both-block": _exact(3, GroupScheme.blocked(9, 4, 9, side="both"), 150),
-    "estimator": _estimator,
+    "estimator": _estimator(GroupScheme.diagonal(40, side="left")),
+    "estimator-left-block": _estimator(GroupScheme.blocked(40, 3, side="left")),
+    "estimator-both-block": _estimator(GroupScheme.blocked(40, 4, 40, side="both")),
     "shuffle": _shuffle,
     "full": _full,
     "sparse": _sparse,
@@ -115,6 +119,8 @@ CASES = {
 # name -> (iterations, termination, final kF or mu)
 PINNED = {
     "estimator": (4, "max_iters", 168.7604421921333),
+    "estimator-both-block": (4, "max_iters", 169.8570625393818),
+    "estimator-left-block": (4, "max_iters", 168.77281731268604),
     "exact-both-block": (150, "max_iters", 13.186304817334623),
     "exact-both-diag": (150, "max_iters", 79.51872848034475),
     "exact-left-block": (225, "certified", 45.725860866598836),
