@@ -72,6 +72,22 @@ def _write_report(path, report):
         fh.write("\n".join(lines) + "\n")
 
 
+def _bounded(kind, ok, requirement):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds for it."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its invalid-value message
+    return parse
+
+
+_COUNT = _bounded(int, lambda v: v >= 0, "at least 0")
+_POSITIVE_COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
+_POSITIVE = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
 def _scheme_from_args(args, m, n):
     if args.scheme == "diag":
         return (
@@ -80,7 +96,7 @@ def _scheme_from_args(args, m, n):
             else GroupScheme.diagonal(m, side="left")
         )
     k = args.block_size
-    if k is None or k < 1:
+    if k is None:
         raise argparse.ArgumentTypeError("--block-size is required for the block scheme")
     if args.side == "both":
         return GroupScheme.blocked(m, k, n, side="both")
@@ -101,8 +117,7 @@ def _cmd_precondition(args):
     config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
     estimator = None
     if args.stochastic:
-        estimator = EstimatorConfig(num_probes=args.probes, probe_kind=args.probe_kind,
-                                    cg_tol=args.cg_tol, seed=args.seed)
+        estimator = EstimatorConfig(num_probes=args.probes, cg_tol=args.cg_tol, seed=args.seed)
     report = minimize_condition(a, config, estimator=estimator)
     _write_report(args.out, report)
     if args.emit_preconditioner:
@@ -173,6 +188,8 @@ def _cmd_baseline(args):
 
 def _cmd_bench(args):
     if args.suite == "gaussian":
+        if args.n < 2 * args.block_size:
+            raise argparse.ArgumentTypeError("--n must be at least twice --block-size")
         results = run_gaussian_suite(args.n, args.samples, block_size=args.block_size,
                                      seed=args.seed)
     else:
@@ -220,15 +237,14 @@ def build_parser():
     p = sub.add_parser("precondition", help="optimize a structured preconditioner")
     p.add_argument("--input", required=True)
     p.add_argument("--scheme", choices=["diag", "block"], default="diag")
-    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--block-size", type=_POSITIVE_COUNT, default=None)
     p.add_argument("--side", choices=["left", "both"], default="left")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--eps", type=_POSITIVE, default=1e-2)
+    p.add_argument("--max-iters", type=_COUNT, default=10_000)
     p.add_argument("--stochastic", action="store_true")
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--probe-kind", choices=["rademacher", "gaussian"], default="rademacher")
-    p.add_argument("--cg-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--probes", type=_POSITIVE_COUNT, default=200)
+    p.add_argument("--cg-tol", type=_POSITIVE, default=1e-8)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-preconditioner", default=None, metavar="X.mtx[,Y.mtx]")
     p.set_defaults(func=_cmd_precondition)
@@ -236,10 +252,10 @@ def build_parser():
     p = sub.add_parser("polysys-precondition", help="precondition a polynomial system")
     p.add_argument("--input", required=True)
     p.add_argument("--action", choices=["shuffle", "full", "sparse"], required=True)
-    p.add_argument("--eps", type=float, default=1e-2,
+    p.add_argument("--eps", type=_POSITIVE, default=1e-2,
                    help="certificate target; no effect with --action sparse, which has no "
                         "certificate")
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--max-iters", type=_COUNT, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_polysys)
 
@@ -256,10 +272,10 @@ def build_parser():
     p = sub.add_parser("bench", help="run a seeded experiment suite")
     p.add_argument("--suite", choices=["gaussian", "dir"], default="gaussian")
     p.add_argument("--dir", default=None)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--block-size", type=int, default=5)
+    p.add_argument("--n", type=_POSITIVE_COUNT, default=50)
+    p.add_argument("--samples", type=_POSITIVE_COUNT, default=10)
+    p.add_argument("--seed", type=_COUNT, default=42)
+    p.add_argument("--block-size", type=_POSITIVE_COUNT, default=5)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -6,7 +6,7 @@ in this module accepts either a ``ComplexMatrix`` or a plain array-like and
 produces identical results for dense and sparse storage of the same matrix.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,18 +180,16 @@ class SvdFactorization(NamedTuple):
         return int(np.count_nonzero(self.singular_values > self.rank_tolerance))
 
 
-def rank_tolerance(s, shape, rcond: Optional[float] = None) -> float:
-    """The cutoff rcond * sigma_max at or below which a singular value of a
-    matrix of the given shape counts as zero; rcond defaults to max(m, n) * eps.
-    ``s`` holds the singular values in nonincreasing order."""
-    if rcond is None:
-        rcond = max(shape) * np.finfo(float).eps
-    return rcond * (s[0] if len(s) else 0.0)
+def rank_tolerance(s, shape) -> float:
+    """The cutoff max(m, n) * eps * sigma_max at or below which a singular value
+    of a matrix of the given shape counts as zero.  ``s`` holds the singular
+    values in nonincreasing order."""
+    return max(shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
 
 
-def kappa_from_singular_values(s, shape, rcond: Optional[float] = None) -> float:
+def kappa_from_singular_values(s, shape) -> float:
     """sigma_max over the smallest singular value above the rank cutoff."""
-    return float(s[0] / s[s > rank_tolerance(s, shape, rcond)][-1])
+    return float(s[0] / s[s > rank_tolerance(s, shape)][-1])
 
 
 def singular_values(a) -> np.ndarray:
@@ -201,12 +199,12 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def svd_factorization(a, rcond: Optional[float] = None) -> SvdFactorization:
-    """Thin SVD of ``a`` with default cutoff max(m, n) * eps * sigma_max."""
+def svd_factorization(a) -> SvdFactorization:
+    """Thin SVD of ``a`` with the cutoff max(m, n) * eps * sigma_max."""
     m = as_dense(a)
     _require_nonzero(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdFactorization(u, s, vh.conj().T, rank_tolerance(s, m.shape, rcond))
+    return SvdFactorization(u, s, vh.conj().T, rank_tolerance(s, m.shape))
 
 
 def frobenius_norm(a) -> float:
@@ -216,9 +214,10 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_dense(a)))
 
 
-def pseudoinverse(a, rcond: Optional[float] = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below rcond*sigma_max dropped."""
-    f = svd_factorization(a, rcond)
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the singular values at or below
+    max(m, n) * eps * sigma_max dropped."""
+    f = svd_factorization(a)
     s = f.singular_values
     inv = np.where(s > f.rank_tolerance, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (f.right_vectors * inv) @ f.left_vectors.conj().T
@@ -277,10 +276,10 @@ def jacobi_precondition(a, mode: str = "left") -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def row_balance(a, p: float = 2.0) -> np.ndarray:
-    """Left scaling X = diag(1/||row_i||_p); baseline heuristic, not an optimizer."""
+def row_balance(a) -> np.ndarray:
+    """Left scaling X = diag(1/||row_i||_2); baseline heuristic, not an optimizer."""
     m = as_dense(a)
-    norms = np.linalg.norm(m, ord=p, axis=1)
+    norms = np.linalg.norm(m, axis=1)
     zero = np.nonzero(norms == 0)[0]
     if len(zero):
         raise ZeroRowOrColumnError(int(zero[0]), 0)

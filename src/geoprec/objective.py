@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObjectiveState:
-    """Everything the optimizer needs at one group element.
+    """Everything the optimizer needs at one group element g, with B = g . A.
 
     B_pinv is the pseudoinverse of B for the condition objective: the inverse
     that the state of a square full-rank run was built from, otherwise built
@@ -60,8 +60,6 @@ class ObjectiveState:
     first access.
     """
 
-    A: np.ndarray
-    g: GroupElement
     B: np.ndarray
     value: float
     grad: LieDirection
@@ -111,13 +109,13 @@ def _grad_from_pair(g, B, d_left, d_right, nd2):
     return project_blocks(sch, P, Q)
 
 
-def _pair_state(a, g, B, D) -> ObjectiveState:
+def _pair_state(g, B, D) -> ObjectiveState:
     """The state of log ||B||_F + log ||D||_F, with D kept as B_pinv."""
     nb, nd = np.linalg.norm(B), np.linalg.norm(D)
     if nb == 0.0 or nd == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
     grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
-    return ObjectiveState(A=a, g=g, B=B, value=float(np.log(nb) + np.log(nd)), grad=grad,
+    return ObjectiveState(B=B, value=float(np.log(nb) + np.log(nd)), grad=grad,
                           grad_norm=grad.norm, kF=float(nb * nd), rank_deficient=False, pinv=D)
 
 
@@ -135,7 +133,7 @@ def evaluate(A, g: GroupElement, a_inv=None) -> ObjectiveState:
     a = as_dense(A)
     B = apply(g, a)
     if a_inv is not None:
-        return _pair_state(a, g, B, apply_dual(g, a_inv))
+        return _pair_state(g, B, apply_dual(g, a_inv))
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -148,8 +146,6 @@ def evaluate(A, g: GroupElement, a_inv=None) -> ObjectiveState:
     d_right = vh[:r].conj().T / pos if g.scheme.side == "both" else None
     grad = _grad_from_pair(g, B, d_left, d_right, inv_norm**2)
     return ObjectiveState(
-        A=a,
-        g=g,
         B=B,
         value=math.log(kF),
         grad=grad,
@@ -170,7 +166,7 @@ def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
     b = as_dense(B_independent)
     if b.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError("second matrix must have the transposed shape of the first")
-    return _pair_state(a, g, apply(g, a), apply_dual(g, b))
+    return _pair_state(g, apply(g, a), apply_dual(g, b))
 
 
 def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:

@@ -1,8 +1,8 @@
 """Riemannian gradient descent on the log condition number: the one descent loop.
 
 Every action runs ``_descend`` on a state function, which maps a group
-element to its value, gradient, gradient norm, kF and kappa.  Two step
-policies:
+element to its value, gradient, gradient norm, kF and kappa.  The step sizes
+are fixed by the analysis, so no config sets them.  Two step policies:
 
 * constant step 1/L, the paper's default, with L = 4 for left-only and L = 8
   for two-sided schemes: the matrix runs (``minimize_condition``, also with
@@ -15,9 +15,12 @@ policies:
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
-iteration cap.  The certificate is the end point's bound whenever that is
-finite; the sparse action has none.  A state whose value or gradient norm is
-not finite raises FloatingPointError before any step is taken along it.  The
+iteration cap.  The tolerance is ``grad_tol_override`` when set, otherwise
+gamma * target_eps for the run's weight margin gamma (the gradient norm below
+which the certificate reaches the target), otherwise 1e-10 for a run without
+weights.  The certificate is the end point's bound whenever that is finite;
+the sparse action has none.  A state whose value or gradient norm is not
+finite raises FloatingPointError before any step is taken along it.  The
 Euclidean condition number kappa is read at the first and last states only:
 the first and last iteration records carry it, interior records carry NaN.
 
@@ -37,7 +40,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,8 +65,6 @@ __all__ = [
     "predicted_iteration_bound",
 ]
 
-AUTO = "auto"
-
 
 class Termination(Enum):
     CERTIFIED = "certified"
@@ -73,31 +74,27 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for one descent run.
+    """What one descent run may vary: the scheme, the certificate target, the
+    iteration cap, and the gradient tolerance.
 
-    step_size "auto" resolves to 1/L.  The default gradient tolerance is
-    gamma * target_eps, the threshold under which the duality certificate
-    reaches the target.
+    The tolerance defaults to gamma * target_eps, the gradient norm under
+    which the duality certificate reaches the target.  max_iters must be at
+    least 0 and target_eps finite and positive; ValueError otherwise.
     """
 
     scheme: GroupScheme
     target_eps: float = 1e-2
     max_iters: int = 10_000
-    step_size: Union[float, str] = AUTO
     grad_tol_override: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if not (math.isfinite(self.target_eps) and self.target_eps > 0):
+            raise ValueError(f"target_eps must be finite and positive, got {self.target_eps}")
 
     def smoothness(self) -> float:
         return 4.0 if self.scheme.side == "left" else 8.0
-
-    def resolved_step(self) -> float:
-        if self.step_size == AUTO:
-            return 1.0 / self.smoothness()
-        return float(self.step_size)
-
-    def resolved_grad_tol(self) -> float:
-        if self.grad_tol_override is not None:
-            return float(self.grad_tol_override)
-        return weight_data(self.scheme).weight_margin * self.target_eps
 
 
 class IterationRecord(NamedTuple):
@@ -137,17 +134,26 @@ class _State(NamedTuple):
     kappa: float
 
 
-def _descend(state_fn, g, config: OptimizerConfig, weights, grad_tol, base_step,
+def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
              halving=False, step_dir=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
-    kappa is read at the first and last states only.
+    kappa is read at the first and last states only.  weights None means no
+    certificate.  The run ends CONVERGED once the gradient norm is at most
+    config.grad_tol_override, else gamma * config.target_eps for the weight
+    margin gamma of weights, else 1e-10.
     Without halving every step is base_step; with halving a step is halved
     until the candidate repolarizes and its value does not increase, and the
-    run ends CONVERGED once no step of at least 1e-14 descends.  weights None means no certificate.
+    run also ends CONVERGED once no step of at least 1e-14 descends.
     step_dir(g), when given, replaces state.grad as the step direction.
     """
+    if config.grad_tol_override is not None:
+        grad_tol = config.grad_tol_override
+    elif weights is not None:
+        grad_tol = weights.weight_margin * config.target_eps
+    else:
+        grad_tol = 1e-10
     state = state_fn(g)
     report = OptimizationReport(initial_kF=state.kF)
     for k in range(config.max_iters + 1):
@@ -219,6 +225,13 @@ def _finite(*mats):
     return [np.ascontiguousarray(m) for m in out]
 
 
+def _entry_rank(a):
+    """The singular values of a run's input a, and whether a has full rank: no
+    singular value at or below max(m, n) eps sigma_max."""
+    s = singular_values(a)
+    return s, s[-1] > rank_tolerance(s, a.shape)
+
+
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
     """Gradient descent on log kF(g . A) from the identity element.
 
@@ -247,8 +260,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    s = singular_values(a)
-    full_rank = s[-1] > rank_tolerance(s, a.shape)
+    s, full_rank = _entry_rank(a)
     a_inv = np.linalg.inv(a) if full_rank and a.shape[0] == a.shape[1] else None
     start = sch.identity(a.dtype)
 
@@ -258,8 +270,8 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
             state = dataclasses.replace(state, sigma=s)
         return state
 
-    return _descend(state_fn, start, config, weight_data(sch), config.resolved_grad_tol(),
-                    config.resolved_step(), step_dir=step_dir)
+    return _descend(state_fn, start, config, weight_data(sch), 1.0 / config.smoothness(),
+                    step_dir=step_dir)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
@@ -267,7 +279,7 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
     a, b = _finite(A, B)
     sch = config.scheme
     return _descend(lambda g: evaluate_cross(a, b, g), sch.identity(a.dtype), config,
-                    weight_data(sch), config.resolved_grad_tol(), config.resolved_step())
+                    weight_data(sch), 1.0 / config.smoothness())
 
 
 def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float,
@@ -281,11 +293,11 @@ def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: floa
     convex bound for a left-only scheme on an A of full rank, decided as in
     minimize_condition; True on a rank-deficient A raises RankDeficientError.
     Returns 0 when the input is already optimal (gap0 <= 0) or the remaining
-    gap is below eps under the strongly convex bound.
+    gap is below eps under the strongly convex bound.  An A with NaN or
+    infinite entries raises NonFiniteInputError.
     """
-    a = as_dense(A)
-    s = singular_values(a)
-    full_rank = s[-1] > rank_tolerance(s, a.shape)
+    (a,) = _finite(A)
+    _, full_rank = _entry_rank(a)
     if strongly_convex is None:
         strongly_convex = config.scheme.side == "left" and full_rank
     elif strongly_convex and not full_rank:

@@ -44,7 +44,7 @@ from .group import (
     project_to_lie,
 )
 from .matrix import as_dense, pseudoinverse
-from .optimize import AUTO, OptimizerConfig, _descend, _State, minimize_cross_condition
+from .optimize import OptimizerConfig, _descend, _State, minimize_cross_condition
 
 __all__ = [
     "Polynomial",
@@ -403,11 +403,6 @@ def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
     return W.reshape(n, n)
 
 
-def _check_auto_step(config):
-    if config.step_size != AUTO:
-        raise ValueError("the polynomial actions take a fixed base step; step_size must be 'auto'")
-
-
 def _full_objective_state(f, Dp, g):
     """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F."""
     fT = shuffle(g.left[0][0], change_variables(g.right[0][0], f))  # one full block a side
@@ -431,11 +426,10 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     1/(D + 2) where D is the top degree, halving on any increase so descent
     stays monotone.  The duality certificate uses the degree-dependent
     margin gamma = (D + 2)^(1 - m - n) / (m + n).  scheme must be the full
-    two-sided scheme (m, n) and config.step_size "auto".
+    two-sided scheme (m, n).
     """
     if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
         raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
-    _check_auto_step(config)
     jac = evaluate_system(f, xi).jacobian
     if not np.any(jac):
         raise ZeroJacobianError("Jacobian vanishes at the point")
@@ -443,15 +437,12 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     Dmax = f.max_degree
     base_step = 1.0 / (Dmax + 2.0)
     wd = WeightData(Dmax + 2.0, (Dmax + 2.0) ** (1 - f.m - f.nvars) / (f.m + f.nvars))
-    grad_tol = config.grad_tol_override
-    if grad_tol is None:
-        grad_tol = wd.weight_margin * config.target_eps
 
     def state_fn(g):
         value, grad, mu = _full_objective_state(f, Dp, g)
         return _State(value, grad, grad.norm, mu, mu)
 
-    report = _descend(state_fn, scheme.identity(), config, wd, grad_tol, base_step, halving=True)
+    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True)
     return report.final_element, report
 
 
@@ -527,13 +518,12 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     pair (X, diag(t)), a two-sided element with a full left block and a
     torus on the right, with base step 1/8 and step halving, so the
     trajectory is monotone; the torus action never changes the support of
-    the system.  config.scheme must be full left of size m and
-    config.step_size "auto".  No certificate is computed, so target_eps has
-    no effect.
+    the system.  config.scheme must be full left of size m.  No certificate
+    is computed, so target_eps has no effect, and the run ends as converged
+    once the gradient norm is at most grad_tol_override, or 1e-10 when unset.
     """
     if config.scheme != GroupScheme.full(f.m, side="left"):
         raise DimensionMismatchError("sparse preconditioning needs the full left scheme of size m")
-    _check_auto_step(config)
     xi = np.asarray(xi, dtype=complex)
     if len(xi) != f.nvars:
         raise DimensionMismatchError("point length does not match nvars")
@@ -544,9 +534,8 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
         raise ZeroJacobianError("Jacobian vanishes at the point")
     Dp0 = pseudoinverse(jac)
     pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
-    grad_tol = config.grad_tol_override if config.grad_tol_override is not None else 1e-10
     report = _descend(lambda g: _sparse_state(f, xi, Dp0, g), pair.identity(), config, None,
-                      grad_tol, 0.125, halving=True)
+                      0.125, halving=True)
     g = report.final_element
     element = GroupElement._from_blocks(config.scheme, g.left)
     report.final_element = element

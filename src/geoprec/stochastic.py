@@ -2,12 +2,12 @@
 
 The exact gradient needs the block diagonal of (B B*)^-1 (and of (B* B)^-1
 for two-sided schemes).  Rather than inverting, these are estimated from
-matrix-vector products: a Hutchinson probe estimator for plain diagonals, a
-Gaussian sketch for diagonal blocks, and block Lanczos quadrature for a
-single block.  Each inverse application is a conjugate-gradient solve, which
-``estimate_gradient`` block-Jacobi preconditions with the exact Gram blocks
-(of B B*, and of B* B) it computes anyway; ``cg_tol`` still bounds the true
-relative residual ||M x - b|| / ||b||.
+matrix-vector products: a Hutchinson estimator with Rademacher probes for
+plain diagonals, a Gaussian sketch for diagonal blocks, and block Lanczos
+quadrature for a single block.  Each inverse application is a
+conjugate-gradient solve, which ``estimate_gradient`` block-Jacobi
+preconditions with the exact Gram blocks (of B B*, and of B* B) it computes
+anyway; ``cg_tol`` still bounds the true relative residual ||M x - b|| / ||b||.
 """
 
 import math
@@ -31,7 +31,6 @@ __all__ = [
     "LinearOperator",
     "MatrixOperator",
     "GramOperator",
-    "CoGramOperator",
     "EstimatorConfig",
     "CgResult",
     "conjugate_gradient",
@@ -130,34 +129,15 @@ class GramOperator(LinearOperator):
         return self._matvec(v)
 
 
-class CoGramOperator(LinearOperator):
-    """v -> A* (A v): the n x n Gram of the columns."""
-
-    def __init__(self, base: LinearOperator):
-        self.base = base
-        self.dtype = base.dtype
-        super().__init__(base.n, base.n, check_adjoint=False)
-
-    def _matvec(self, v):
-        return self.base.rmatvec(self.base.matvec(v))
-
-    def _rmatvec(self, v):
-        return self._matvec(v)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     num_probes: int = 100
-    probe_kind: str = "rademacher"  # or "gaussian"
     cg_tol: float = 1e-8
-    cg_max_iters: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.num_probes < 1:
             raise ValueError("num_probes must be at least 1")
-        if self.probe_kind not in ("rademacher", "gaussian"):
-            raise ValueError(f"unknown probe kind {self.probe_kind!r}")
 
 
 class CgResult(NamedTuple):
@@ -210,8 +190,9 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
 
 class _GramSolve(LinearOperator):
     """v -> (A A*)^-1 v: one preconditioned CG solve against GramOperator(A) per
-    application, to the config's tolerance and cap; a stalled solve raises
-    NotConvergedError naming the probe, the index of the application."""
+    application, to the config's tolerance within conjugate_gradient's default
+    iteration cap; a stalled solve raises NotConvergedError naming the probe,
+    the index of the application."""
 
     def __init__(self, A: LinearOperator, config: EstimatorConfig, precond=None):
         self.base = GramOperator(A)  # products with the matrix are counted on A
@@ -219,17 +200,10 @@ class _GramSolve(LinearOperator):
         super().__init__(A.m, A.m, check_adjoint=False)  # a check would cost two solves
 
     def _matvec(self, v):
-        sol = conjugate_gradient(self.base, v, tol=self.config.cg_tol,
-                                 max_iters=self.config.cg_max_iters, precond=self.precond)
+        sol = conjugate_gradient(self.base, v, tol=self.config.cg_tol, precond=self.precond)
         if not sol.converged:
             raise NotConvergedError(sol.relative_residual, probe=self.matvec_count - 1)
         return sol.x
-
-
-def _draw_probe(rng, size, kind, dtype):
-    if kind == "rademacher":
-        return rademacher(rng, size).astype(dtype)
-    return rng.standard_normal(size).astype(dtype)
 
 
 class HutchinsonResult(NamedTuple):
@@ -241,7 +215,7 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
                                 precond=None) -> HutchinsonResult:
     """Probe estimate of Diag((A A*)^-1) for a full-row-rank operator A.
 
-    Each probe z contributes z * x with (A A*) x = z solved by conjugate
+    Each Rademacher probe z contributes z * x with (A A*) x = z solved by conjugate
     gradients, so the estimator never forms the inverse; ``precond`` is
     passed on to every solve.  stderr is the per-coordinate sample standard
     error over probes.
@@ -250,7 +224,7 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     mean = np.zeros(A.m)
     m2 = np.zeros(A.m)
     for i in range(config.num_probes):
-        z = _draw_probe(substream(config.seed, i), A.m, config.probe_kind, A.dtype)
+        z = rademacher(substream(config.seed, i), A.m).astype(A.dtype)
         sample = (np.conj(z) * solve.matvec(z)).real
         delta = sample - mean
         mean += delta / (i + 1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoprec
 from conftest import complex_gaussian, rng_for
 from geoprec.cli import cli_dispatch
 from geoprec.errors import (
@@ -319,6 +324,34 @@ def test_cli_polysys_missing_point(tmp_path):
 def test_cli_usage_error():
     assert cli_dispatch(["condition", "--kind", "euclidean"]) == 1  # missing --input
     assert cli_dispatch(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["precondition", "--max-iters", "-1"],
+    ["precondition", "--stochastic", "--probes", "0"],
+    ["precondition", "--stochastic", "--seed", "-1"],
+    ["precondition", "--eps", "0"],
+    ["polysys-precondition", "--action", "full", "--max-iters", "-1"],
+    ["bench", "--n", "3"],  # below twice the default --block-size 5
+], ids=["max-iters", "probes", "seed", "eps", "polysys-max-iters", "bench-n"])
+def test_cli_bad_numeric_flag_is_a_usage_error(tmp_path, flags):
+    """A bad numeric flag is a usage error (exit 1) whose last line names it, never
+    a traceback."""
+    bad_flag = flags[-2]
+    out = ["--out", str(tmp_path / "r.csv")]
+    if flags[0] == "precondition":
+        flags = flags + ["--input", str(_example1_file(tmp_path))] + out
+    elif flags[0] == "polysys-precondition":
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(example2_doc()))
+        flags = flags + ["--input", str(p)] + out
+    src = str(Path(geoprec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "geoprec", *flags], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert bad_flag in proc.stderr.strip().splitlines()[-1]
 
 
 def test_cli_input_error(tmp_path):

@@ -205,9 +205,9 @@ def test_halving_stall_converges_with_end_point_certificate():
         return _State(v, ascent, ascent.norm, v, v)
 
     weights = WeightData(1.0, 10.0 * ascent.norm)
-    cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50)
+    cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50, grad_tol_override=0.0)
     start = sch.identity()
-    rep = _descend(state_fn, start, cfg, weights, 0.0, 0.5, halving=True)
+    rep = _descend(state_fn, start, cfg, weights, 0.5, halving=True)
     assert rep.termination is Termination.CONVERGED
     assert rep.iteration_count == 0
     assert rep.final_element is start
@@ -224,3 +224,21 @@ def test_non_finite_input_rejected_at_entry(bad):
         minimize_condition(sp.csr_matrix(A), diag_left(3))
     with pytest.raises(NonFiniteInputError):
         minimize_cross_condition(np.eye(3), A, diag_left(3))
+
+
+@pytest.mark.parametrize("kw", [dict(max_iters=-1), dict(target_eps=0.0), dict(target_eps=-1e-2),
+                                dict(target_eps=math.nan), dict(target_eps=math.inf)],
+                         ids=["max_iters", "eps-zero", "eps-negative", "eps-nan", "eps-inf"])
+def test_config_rejects_bad_cap_and_target(kw):
+    """A negative cap leaves no state to report; a zero, negative or NaN target
+    is never met, and an infinite one is met by any state."""
+    with pytest.raises(ValueError):
+        diag_left(3, **kw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predicted_bound_rejects_non_finite_input(bad):
+    A = np.eye(3)
+    A[0, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        predicted_iteration_bound(A, diag_left(3), 2.0)

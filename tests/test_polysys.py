@@ -510,15 +510,3 @@ def test_polynomial_actions_reject_other_schemes():
         with pytest.raises(DimensionMismatchError):
             precondition_full(f, xi, scheme, OptimizerConfig(scheme=scheme))
 
-
-def test_polynomial_actions_reject_a_set_step_size():
-    """The full and sparse descents have fixed base steps 1/(D + 2) and 1/8."""
-    rng = rng_for(100)
-    f = random_system(rng, 2, 2, 2)
-    xi = complex_gaussian(rng, 2)
-    full = GroupScheme.full(2, 2, side="both")
-    left = GroupScheme.full(2, side="left")
-    with pytest.raises(ValueError, match="step_size"):
-        precondition_full(f, xi, full, OptimizerConfig(scheme=full, step_size=0.01))
-    with pytest.raises(ValueError, match="step_size"):
-        precondition_sparse(f, xi, OptimizerConfig(scheme=left, step_size=0.125))

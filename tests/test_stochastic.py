@@ -9,7 +9,6 @@ from geoprec.group import GroupScheme, apply, split_blocks
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
     _BlockPattern,
-    CoGramOperator,
     EstimatorConfig,
     GramOperator,
     LinearOperator,
@@ -316,5 +315,3 @@ def test_gram_operators_consistent():
     op = MatrixOperator(a)
     v = complex_gaussian(rng, 5)
     assert np.allclose(GramOperator(op).matvec(v), a @ (a.conj().T @ v))
-    w = complex_gaussian(rng, 8)
-    assert np.allclose(CoGramOperator(op).matvec(w), a.conj().T @ (a @ w))
