@@ -2,15 +2,12 @@
 
 Runs diagonal and block-diagonal two-sided preconditioning over a set of
 instances and records condition numbers before and after so the improvement
-ratios of the two schemes can be compared.  Samples are independent; with
-GEOPREC_THREADS set they run in a thread pool and results are merged by
-sample index, so output is deterministic either way.
+ratios of the two schemes can be compared.  Samples run one after another,
+in order.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List
 
@@ -48,14 +45,6 @@ class BenchResult:
         return self.kF_before / self.kF_after_block
 
 
-def _thread_count():
-    raw = os.environ.get("GEOPREC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _bench_one(label, a, block_size, target_eps, max_iters):
     n = a.shape[0]
     t0 = time.perf_counter()
@@ -87,36 +76,19 @@ def _bench_one(label, a, block_size, target_eps, max_iters):
     )
 
 
-def _run_labeled(instances, block_size, target_eps, max_iters) -> List[BenchResult]:
-    workers = _thread_count()
-    if workers == 1:
-        return [_bench_one(lbl, a, block_size, target_eps, max_iters) for lbl, a in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_bench_one, lbl, a, block_size, target_eps, max_iters)
-            for lbl, a in instances
-        ]
-        return [f.result() for f in futures]  # merged in submission order
-
-
 def run_gaussian_suite(n: int, samples: int, block_size: int = 5, seed: int = 42,
                        target_eps: float = 1e-2, max_iters: int = 1500) -> List[BenchResult]:
     """Standard-normal real n x n instances, diagonal vs block two-sided schemes."""
     if n < 2 * block_size:
         raise ValueError("n must be at least twice the block size")
-    instances = []
-    for s in range(samples):
-        rng = substream(seed, s)
-        a = rng.standard_normal((n, n))
-        instances.append((f"gaussian-{s}", a))
-    return _run_labeled(instances, block_size, target_eps, max_iters)
+    return [_bench_one(f"gaussian-{s}", substream(seed, s).standard_normal((n, n)),
+                       block_size, target_eps, max_iters) for s in range(samples)]
 
 
 def run_matrix_suite(mats, block_size: int = 5, target_eps: float = 1e-2,
                      max_iters: int = 1500) -> List[BenchResult]:
     """Same comparison over explicit (label, matrix) pairs, e.g. files on disk."""
-    instances = [(lbl, as_dense(a)) for lbl, a in mats]
-    return _run_labeled(instances, block_size, target_eps, max_iters)
+    return [_bench_one(lbl, as_dense(a), block_size, target_eps, max_iters) for lbl, a in mats]
 
 
 def correlation_kF_kappa(results: List[BenchResult]) -> float:

@@ -139,18 +139,16 @@ def _cmd_polysys(args):
     if point is None:
         print("input file carries no evaluation point", file=sys.stderr)
         return INPUT_ERROR
-    m, n = system.m, system.nvars
+    if args.action == "full":
+        scheme = GroupScheme.full(system.m, system.nvars, side="both")
+    else:
+        scheme = GroupScheme.full(system.m, side="left")
+    config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
     if args.action == "shuffle":
-        scheme = GroupScheme.full(m, side="left")
-        config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
         _, report = precondition_shuffle(system, point, scheme, config)
     elif args.action == "full":
-        scheme = GroupScheme.full(m, n, side="both")
-        config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
         _, report = precondition_full(system, point, scheme, config)
     else:
-        scheme = GroupScheme.full(m, side="left")
-        config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
         _, _, report = precondition_sparse(system, point, config)
     _write_report(args.out, report)
     print(f"{report.termination.value} mu {_num(report.initial_kF)} -> {_num(report.final_kF)}")

@@ -71,6 +71,8 @@ def _runs(sizes, total):
 
 
 def _even_sizes(total, block_size):
+    if block_size < 1:
+        raise DimensionMismatchError(f"block size must be at least 1, got {block_size}")
     q, r = divmod(total, block_size)
     return (block_size,) * q + ((r,) if r else ())
 
@@ -113,7 +115,7 @@ class GroupScheme:
         n = m if n is None else n
         right = None
         if side == "both":
-            right = _even_sizes(n, right_block_size or block_size)
+            right = _even_sizes(n, block_size if right_block_size is None else right_block_size)
         return cls(side, m, n, _even_sizes(m, block_size), right)
 
     @classmethod
@@ -399,7 +401,11 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
     b = as_dense(b)
     sch = g.scheme
     if sch.side == "both":
+        if b.shape[0] != sch.n:
+            raise DimensionMismatchError(f"matrix has {b.shape[0]} rows, scheme expects {sch.n}")
         b = _times(g.right, sch.right_runs, b)
+    if b.shape[1] != sch.m:
+        raise DimensionMismatchError(f"matrix has {b.shape[1]} cols, scheme expects {sch.m}")
     return _times_inverse(b, g.left, sch.left_runs)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "singular_values",
     "rank_tolerance",
     "kappa_from_singular_values",
+    "frobenius_from_singular_values",
     "condition_frobenius",
     "condition_euclidean",
     "condition_skeel",
@@ -223,12 +224,15 @@ def pseudoinverse(a) -> np.ndarray:
     return (f.right_vectors * inv) @ f.left_vectors.conj().T
 
 
+def frobenius_from_singular_values(s, shape) -> float:
+    """||A||_F * ||A^+||_F, over the singular values above the rank cutoff."""
+    return float(np.linalg.norm(s) * np.linalg.norm(1.0 / s[s > rank_tolerance(s, shape)]))
+
+
 def condition_frobenius(a) -> float:
     """Frobenius condition number ||A||_F * ||A^+||_F, from the singular values alone."""
     m = as_dense(a)
-    s = singular_values(m)
-    pos = s[s > rank_tolerance(s, m.shape)]
-    return float(np.linalg.norm(s) * np.linalg.norm(1.0 / pos))
+    return frobenius_from_singular_values(singular_values(m), m.shape)
 
 
 def condition_euclidean(a) -> float:

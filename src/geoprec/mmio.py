@@ -8,6 +8,7 @@ round trip is bit exact.
 """
 
 import cmath
+import itertools
 
 import numpy as np
 
@@ -16,8 +17,9 @@ from .matrix import ComplexMatrix
 
 __all__ = ["read_matrix", "write_matrix"]
 
-_FIELDS = ("real", "complex", "integer", "pattern")
-_SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
+_WIDTHS = {"real": 1, "integer": 1, "complex": 2, "pattern": 0}  # values per entry
+_MIRRORS = {"symmetric": lambda v: v, "hermitian": np.conj, "skew-symmetric": lambda v: -v}
+_SYMMETRIES = ("general", *_MIRRORS)
 
 
 def _parse_header(line):
@@ -29,7 +31,7 @@ def _parse_header(line):
         raise UnsupportedQualifierError(f"unsupported object {obj!r}")
     if fmt not in ("coordinate", "array"):
         raise UnsupportedQualifierError(f"unsupported format {fmt!r}")
-    if field not in _FIELDS:
+    if field not in _WIDTHS:
         raise UnsupportedQualifierError(f"unsupported field {field!r}")
     if symmetry not in _SYMMETRIES:
         raise UnsupportedQualifierError(f"unsupported symmetry {symmetry!r}")
@@ -53,28 +55,90 @@ def _parse_value(tokens, field, lineno):
     return value
 
 
-def _value_width(field):
-    return {"real": 1, "integer": 1, "complex": 2, "pattern": 0}[field]
+def _ascii_lines(path):
+    """The file's lines, split at \\n, \\r and \\r\\n as text-mode reads split
+    them; a non-ASCII byte is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii():
+            raise ParseError(lineno, "non-ASCII byte")
+    return [line.decode("ascii") for line in lines]
+
+
+def _coordinate_entries(lines, rows, cols, field):
+    """Row indices, column indices and values of the listed entries."""
+    width = _WIDTHS[field]
+    i, j, v = [], [], []
+    for ln, text in lines:
+        tokens = text.split()
+        if len(tokens) != 2 + width:
+            raise ParseError(ln, f"expected {2 + width} fields, found {len(tokens)}")
+        try:
+            r, c = int(tokens[0]) - 1, int(tokens[1]) - 1
+        except ValueError as exc:
+            raise ParseError(ln, f"bad indices: {text}") from exc
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ParseError(ln, f"index ({r + 1}, {c + 1}) out of bounds")
+        i.append(r)
+        j.append(c)
+        v.append(_parse_value(tokens[2:], field, ln))
+    return i, j, v
+
+
+def _array_entries(lines, rows, cols, field, symmetry, size_line):
+    """Row indices, column indices and values of column-major array data: the
+    whole matrix, or the lower triangle for the symmetric kinds."""
+    width = _WIDTHS[field]
+    v = []
+    for ln, text in lines:
+        tokens = text.split()
+        if len(tokens) % width:
+            raise ParseError(ln, f"expected groups of {width} values")
+        for k in range(0, len(tokens), width):
+            v.append(_parse_value(tokens[k : k + width], field, ln))
+    if symmetry != "general" and rows != cols:
+        raise ParseError(size_line, "symmetric array storage must be square")
+    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+    if len(v) != expected:
+        raise ParseError(lines[-1][0] if lines else size_line,
+                         f"expected {expected} values, found {len(v)}")
+    if symmetry == "general":
+        j, i = np.divmod(np.arange(expected), rows)
+    else:
+        j, i = np.triu_indices(rows)  # ascending j, then i >= j
+    return i, j, v
+
+
+def _expanded(i, j, v, symmetry):
+    """The entries of full storage.  For a symmetric kind each off-diagonal
+    entry is followed by its mirror image, so an entry listed twice still sums
+    in file order."""
+    if symmetry == "general":
+        return i, j, v
+    i, j, v = np.asarray(i), np.asarray(j), np.asarray(v, dtype=complex)
+    off = i != j
+    copies = 1 + off
+    i2, j2, v2 = (np.repeat(x, copies) for x in (i, j, v))
+    mirror = np.cumsum(copies)[off] - 1
+    i2[mirror], j2[mirror], v2[mirror] = j[off], i[off], _MIRRORS[symmetry](v[off])
+    return i2, j2, v2
 
 
 def read_matrix(path) -> ComplexMatrix:
     """Parse a Matrix Market file into a ComplexMatrix (indices 0-based)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = _ascii_lines(path)
     if not lines:
         raise ParseError(1, "empty file")
     fmt, field, symmetry = _parse_header(lines[0])
 
-    lineno = 1
     body = []
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], 2):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        body.append((lineno, stripped))
+        if stripped and not stripped.startswith("%"):
+            body.append((lineno, stripped))
     if not body:
-        raise ParseError(lineno, "missing size line")
+        raise ParseError(len(lines), "missing size line")
 
     size_line, size_text = body[0]
     sizes = size_text.split()
@@ -83,80 +147,21 @@ def read_matrix(path) -> ComplexMatrix:
             rows, cols, nnz = (int(s) for s in sizes)
         else:
             rows, cols = (int(s) for s in sizes)
-            nnz = None
     except ValueError as exc:
         raise ParseError(size_line, f"bad size line: {size_text}") from exc
+    if rows < 1 or cols < 1:
+        raise ParseError(size_line, f"matrix dimensions must be positive: {size_text}")
 
-    width = _value_width(field)
-    triplets = []
     if fmt == "coordinate":
-        entries = body[1:]
-        if len(entries) != nnz:
-            raise ParseError(size_line, f"expected {nnz} entries, found {len(entries)}")
-        for ln, text in entries:
-            tokens = text.split()
-            if len(tokens) != 2 + width:
-                raise ParseError(ln, f"expected {2 + width} fields, found {len(tokens)}")
-            try:
-                i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
-            except ValueError as exc:
-                raise ParseError(ln, f"bad indices: {text}") from exc
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ParseError(ln, f"index ({i + 1}, {j + 1}) out of bounds")
-            v = _parse_value(tokens[2:], field, ln)
-            triplets.append((i, j, v))
-            if symmetry != "general" and i != j:
-                if symmetry == "symmetric":
-                    triplets.append((j, i, v))
-                elif symmetry == "hermitian":
-                    triplets.append((j, i, np.conj(v)))
-                else:
-                    triplets.append((j, i, -v))
-        return ComplexMatrix.sparse(rows, cols, triplets)
-
-    # array format: column-major dense, lower triangle only for symmetric kinds
-    values = []
-    for ln, text in body[1:]:
-        for tok_group in _group_tokens(text.split(), width, ln):
-            values.append(_parse_value(tok_group, field, ln))
+        if len(body) - 1 != nnz:
+            raise ParseError(size_line, f"expected {nnz} entries, found {len(body) - 1}")
+        i, j, v = _expanded(*_coordinate_entries(body[1:], rows, cols, field), symmetry)
+        return ComplexMatrix.sparse(rows, cols, zip(i, j, v))
+    i, j, v = _expanded(*_array_entries(body[1:], rows, cols, field, symmetry, size_line),
+                        symmetry)
     dense = np.zeros((rows, cols), dtype=complex)
-    idx = 0
-    if symmetry == "general":
-        expected = rows * cols
-        if len(values) != expected:
-            raise ParseError(body[-1][0], f"expected {expected} values, found {len(values)}")
-        for j in range(cols):
-            for i in range(rows):
-                dense[i, j] = values[idx]
-                idx += 1
-    else:
-        if rows != cols:
-            raise ParseError(size_line, "symmetric array storage must be square")
-        expected = rows * (rows + 1) // 2
-        if len(values) != expected:
-            raise ParseError(body[-1][0], f"expected {expected} values, found {len(values)}")
-        for j in range(cols):
-            for i in range(j, rows):
-                v = values[idx]
-                idx += 1
-                dense[i, j] = v
-                if i != j:
-                    if symmetry == "symmetric":
-                        dense[j, i] = v
-                    elif symmetry == "hermitian":
-                        dense[j, i] = np.conj(v)
-                    else:
-                        dense[j, i] = -v
+    dense[i, j] = v
     return ComplexMatrix.dense(dense)
-
-
-def _group_tokens(tokens, width, lineno):
-    if width == 0:
-        raise ParseError(lineno, "pattern entries are not valid in array format")
-    if len(tokens) % width:
-        raise ParseError(lineno, f"expected groups of {width} values")
-    for k in range(0, len(tokens), width):
-        yield tokens[k : k + width]
 
 
 def _fmt(x):
@@ -172,34 +177,22 @@ def write_matrix(path, a, comment=None):
     """
     if not isinstance(a, ComplexMatrix):
         a = ComplexMatrix.dense(np.asarray(a, dtype=complex))
-    sparse = a.is_sparse
-    if sparse:
-        r, c, v = a.triplets()
-        entries = v
+    if a.is_sparse:
+        r, c, entries = a.triplets()
+        fmt, size = "coordinate", f"{a.rows} {a.cols} {len(entries)}"
+        indices = (f"{i + 1} {j + 1} " for i, j in zip(r.tolist(), c.tolist()))
+        values = entries
     else:
-        entries = a.to_dense().ravel()
-    field = "real" if np.all(entries.imag == 0) else "complex"
-
+        entries = a.to_dense()
+        fmt, size = "array", f"{a.rows} {a.cols}"
+        indices = itertools.repeat("")
+        values = entries.T.flat  # column-major
+    real = not entries.imag.any()
     with open(path, "w", encoding="ascii") as fh:
-        fmt = "coordinate" if sparse else "array"
-        fh.write(f"%%MatrixMarket matrix {fmt} {field} general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        if sparse:
-            fh.write(f"{a.rows} {a.cols} {len(v)}\n")
-            for i, j, val in zip(r, c, v):
-                if field == "real":
-                    fh.write(f"{i + 1} {j + 1} {_fmt(val.real)}\n")
-                else:
-                    fh.write(f"{i + 1} {j + 1} {_fmt(val.real)} {_fmt(val.imag)}\n")
-        else:
-            dense = a.to_dense()
-            fh.write(f"{a.rows} {a.cols}\n")
-            for j in range(a.cols):
-                for i in range(a.rows):
-                    val = dense[i, j]
-                    if field == "real":
-                        fh.write(f"{_fmt(val.real)}\n")
-                    else:
-                        fh.write(f"{_fmt(val.real)} {_fmt(val.imag)}\n")
+        fh.write(f"%%MatrixMarket matrix {fmt} {'real' if real else 'complex'} general\n")
+        for line in (comment or "").splitlines():
+            fh.write(f"% {line}\n")
+        fh.write(size + "\n")
+        for index, v in zip(indices, values):
+            fh.write(f"{index}{_fmt(v.real)}\n" if real
+                     else f"{index}{_fmt(v.real)} {_fmt(v.imag)}\n")

@@ -52,7 +52,7 @@ from .errors import (
     SingularBlockError,
 )
 from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
-from .matrix import as_dense, condition_frobenius, rank_tolerance, singular_values
+from .matrix import as_dense, frobenius_from_singular_values, rank_tolerance, singular_values
 from .objective import duality_gap_bound, evaluate, evaluate_cross
 
 __all__ = [
@@ -297,12 +297,12 @@ def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: floa
     infinite entries raises NonFiniteInputError.
     """
     (a,) = _finite(A)
-    _, full_rank = _entry_rank(a)
+    s, full_rank = _entry_rank(a)
     if strongly_convex is None:
         strongly_convex = config.scheme.side == "left" and full_rank
     elif strongly_convex and not full_rank:
         raise RankDeficientError("the strongly convex bound requires a full-rank input")
-    kF0 = condition_frobenius(a)
+    kF0 = frobenius_from_singular_values(s, a.shape)
     gap0 = math.log(kF0 / kF_star_estimate)
     if gap0 <= 0.0:
         return 0

@@ -283,12 +283,17 @@ def evaluate_system(f: PolynomialSystem, xi) -> EvaluatedPoint:
     return EvaluatedPoint(xi, values, jac)
 
 
-def local_condition(f: PolynomialSystem, xi, norm: str = "frobenius") -> float:
-    """||f||_W times the chosen norm of the pseudoinverse Jacobian at xi."""
+def _jacobian_pinv(f: PolynomialSystem, xi) -> np.ndarray:
+    """Pseudoinverse of the Jacobian of f at xi; ZeroJacobianError when it vanishes."""
     jac = evaluate_system(f, xi).jacobian
     if not np.any(jac):
         raise ZeroJacobianError("Jacobian vanishes at the point")
-    pinv = pseudoinverse(jac)
+    return pseudoinverse(jac)
+
+
+def local_condition(f: PolynomialSystem, xi, norm: str = "frobenius") -> float:
+    """||f||_W times the chosen norm of the pseudoinverse Jacobian at xi."""
+    pinv = _jacobian_pinv(f, xi)
     if norm == "frobenius":
         jn = float(np.linalg.norm(pinv))
     elif norm == "operator":
@@ -380,12 +385,8 @@ def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
     """
     if scheme.side != "left" or scheme.m != f.m:
         raise DimensionMismatchError("shuffling needs a left-only scheme of size m")
-    jac = evaluate_system(f, xi).jacobian
-    if not np.any(jac):
-        raise ZeroJacobianError("Jacobian vanishes at the point")
-    S = gram_sqrt(f)
-    B = pseudoinverse(jac)
-    report = minimize_cross_condition(S, B, config)
+    B = _jacobian_pinv(f, xi)
+    report = minimize_cross_condition(gram_sqrt(f), B, config)
     return report.final_element, report
 
 
@@ -430,10 +431,7 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     """
     if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
         raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
-    jac = evaluate_system(f, xi).jacobian
-    if not np.any(jac):
-        raise ZeroJacobianError("Jacobian vanishes at the point")
-    Dp = pseudoinverse(jac)
+    Dp = _jacobian_pinv(f, xi)
     Dmax = f.max_degree
     base_step = 1.0 / (Dmax + 2.0)
     wd = WeightData(Dmax + 2.0, (Dmax + 2.0) ** (1 - f.m - f.nvars) / (f.m + f.nvars))
@@ -529,10 +527,7 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
         raise DimensionMismatchError("point length does not match nvars")
     if np.any(np.abs(xi) == 0):
         raise ZeroCoordinateError(int(np.nonzero(np.abs(xi) == 0)[0][0]))
-    jac = evaluate_system(f, xi).jacobian
-    if not np.any(jac):
-        raise ZeroJacobianError("Jacobian vanishes at the point")
-    Dp0 = pseudoinverse(jac)
+    Dp0 = _jacobian_pinv(f, xi)
     pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
     report = _descend(lambda g: _sparse_state(f, xi, Dp0, g), pair.identity(), config, None,
                       0.125, halving=True)

@@ -131,6 +131,12 @@ class GramOperator(LinearOperator):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Probe count, CG tolerance and seed of the matrix-free estimator.
+
+    num_probes must be at least 1 and cg_tol finite and positive; ValueError
+    otherwise.
+    """
+
     num_probes: int = 100
     cg_tol: float = 1e-8
     seed: int = 0
@@ -138,6 +144,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.num_probes < 1:
             raise ValueError("num_probes must be at least 1")
+        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
 
 
 class CgResult(NamedTuple):

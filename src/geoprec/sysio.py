@@ -25,10 +25,12 @@ __all__ = ["read_polysys", "write_polysys"]
 
 def read_polysys(path):
     """Parse a system file; returns (PolynomialSystem, point-or-None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "file is not UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
     if not isinstance(doc, dict):
@@ -45,6 +47,8 @@ def read_polysys(path):
         raise ParseError(1, "polynomials must be a non-empty list")
     if not isinstance(degrees, list) or len(degrees) != len(polys_doc):
         raise ParseError(1, "degrees must list one bound per polynomial")
+    if any(not isinstance(d, int) or d < 0 for d in degrees):
+        raise ParseError(1, f"degrees must be non-negative integers, got {degrees}")
 
     polys = []
     for pi, terms in enumerate(polys_doc):
@@ -58,7 +62,8 @@ def read_polysys(path):
                 c = complex(re, im)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
-            if len(exps) != nvars or any((not isinstance(e, int)) or e < 0 for e in exps):
+            if (not isinstance(exps, list) or len(exps) != nvars
+                    or any((not isinstance(e, int)) or e < 0 for e in exps)):
                 raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
             if sum(exps) > degrees[pi]:
                 raise DegreeViolationError(pi, tuple(exps))

@@ -54,15 +54,6 @@ def test_gaussian_suite_reproducible_and_improving():
         assert r.kF_after_block <= r.kF_after_diag * (1.0 + 1e-6)
 
 
-def test_gaussian_suite_thread_fanout_deterministic(monkeypatch):
-    base = run_gaussian_suite(10, 3, block_size=2, seed=9, max_iters=200)
-    monkeypatch.setenv("GEOPREC_THREADS", "3")
-    fan = run_gaussian_suite(10, 3, block_size=2, seed=9, max_iters=200)
-    for ra, rb in zip(base, fan):
-        assert ra.instance == rb.instance
-        assert ra.kF_after_block == rb.kF_after_block
-
-
 def test_gaussian_suite_rejects_small_n():
     with pytest.raises(ValueError):
         run_gaussian_suite(8, 2, block_size=5)

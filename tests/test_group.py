@@ -53,6 +53,25 @@ def test_blocked_partition_covers_ragged_tail():
     assert s.left_sizes == (3, 3, 1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"block_size": 0},
+    {"block_size": 2, "side": "both", "right_block_size": 0},
+], ids=["left", "right"])
+def test_blocked_rejects_block_size_below_one(kwargs):
+    with pytest.raises(DimensionMismatchError):
+        GroupScheme.blocked(4, **kwargs)
+
+
+@pytest.mark.parametrize("scheme,shape", [
+    (GroupScheme.diagonal(3, 5, side="both"), (3, 3)),  # rows must be n
+    (GroupScheme.diagonal(3, 5, side="both"), (5, 5)),  # cols must be m
+    (GroupScheme.blocked(4, 2, side="left"), (4, 3)),
+], ids=["both-rows", "both-cols", "left-cols"])
+def test_apply_dual_rejects_wrong_shape(scheme, shape):
+    with pytest.raises(DimensionMismatchError):
+        apply_dual(scheme.identity(), np.ones(shape))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_projection_idempotent(scheme):
     rng = rng_for(20, scheme.m, scheme.n)

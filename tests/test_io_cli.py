@@ -111,6 +111,80 @@ def test_roundtrip_dense_bit_exact(tmp_path):
     assert np.array_equal(read_matrix(p).to_dense(), a)
 
 
+@pytest.mark.parametrize("symmetry,expected", [
+    ("symmetric", [[1.0, 2.0 + 1.0j], [2.0 + 1.0j, 3.0]]),
+    ("hermitian", [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.0]]),
+    ("skew-symmetric", [[1.0, -(2.0 + 1.0j)], [2.0 + 1.0j, 3.0]]),
+])
+def test_read_array_symmetric_kinds(tmp_path, symmetry, expected):
+    """Array storage of the symmetric kinds lists the lower triangle column by column."""
+    p = tmp_path / "s.mtx"
+    p.write_text(f"%%MatrixMarket matrix array complex {symmetry}\n2 2\n1 0\n2 1\n3 0\n")
+    m = read_matrix(p)
+    assert not m.is_sparse
+    assert np.array_equal(m.to_dense(), np.array(expected))
+
+
+def test_read_symmetric_duplicates_sum_in_file_order(tmp_path):
+    """Each mirrored entry sits next to its source, so (2,1) and (1,2) sum the same
+    three values in the same order: 1e16 - 1e16 + 1, not 1 + 1e16 - 1e16 = 0."""
+    p = tmp_path / "s.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+                 "2 1 1e16\n2 1 -1e16\n1 2 1\n")
+    assert np.array_equal(read_matrix(p).to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_read_array_rejects_pattern_field(tmp_path):
+    p = tmp_path / "p.mtx"
+    p.write_text("%%MatrixMarket matrix array pattern general\n2 2\n")
+    with pytest.raises(UnsupportedQualifierError):
+        read_matrix(p)
+
+
+def test_read_array_bad_value_reports_line(tmp_path):
+    p = tmp_path / "d.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n% note\n2\nx\n4\n")
+    with pytest.raises(ParseError) as info:
+        read_matrix(p)
+    assert info.value.line == 6
+
+
+@pytest.mark.parametrize("text,line", [
+    ("%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n1 1 1\n1 1 1.0\n", 2),
+    ("%%MatrixMarket matrix array real general\n-1 -1\n1\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n0 2 0\n", 2),
+], ids=["non-ascii", "negative-size", "zero-size"])
+def test_read_matrix_rejects_malformed_file(tmp_path, text, line):
+    p = tmp_path / "bad.mtx"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as info:
+        read_matrix(p)
+    assert info.value.line == line
+
+
+_A_THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("matrix,comment,expected", [
+    (ComplexMatrix.sparse(2, 3, [(0, 2, _A_THIRD), (1, 0, -2.5e-300)]), None,
+     "%%MatrixMarket matrix coordinate real general\n2 3 2\n"
+     "1 3 0.33333333333333331\n2 1 -2.5e-300\n"),
+    (ComplexMatrix.sparse(2, 3, [(0, 2, _A_THIRD), (1, 0, 0.1 + 0.2j)]), None,
+     "%%MatrixMarket matrix coordinate complex general\n2 3 2\n"
+     "1 3 0.33333333333333331 0\n2 1 0.10000000000000001 0.20000000000000001\n"),
+    (np.array([[_A_THIRD, 0.0], [-2.5e-300, 7.0]]), "one\ntwo",
+     "%%MatrixMarket matrix array real general\n% one\n% two\n2 2\n"
+     "0.33333333333333331\n-2.5e-300\n0\n7\n"),
+    (np.array([[_A_THIRD, 0.0], [0.1 + 0.2j, 7.0]]), None,
+     "%%MatrixMarket matrix array complex general\n2 2\n"
+     "0.33333333333333331 0\n0.10000000000000001 0.20000000000000001\n0 0\n7 0\n"),
+], ids=["sparse-real", "sparse-complex", "dense-real", "dense-complex"])
+def test_write_matrix_bytes(tmp_path, matrix, comment, expected):
+    p = tmp_path / "w.mtx"
+    write_matrix(p, matrix, comment=comment)
+    assert p.read_bytes() == expected.encode("ascii")
+
+
 def example2_doc():
     return {
         "nvars": 2,
@@ -326,6 +400,14 @@ def test_cli_usage_error():
     assert cli_dispatch(["nonsense"]) == 1
 
 
+def _run_cli(flags):
+    """Run the command line in a fresh interpreter on this checkout's package."""
+    src = str(Path(geoprec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "geoprec", *flags], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("flags", [
     ["precondition", "--max-iters", "-1"],
     ["precondition", "--stochastic", "--probes", "0"],
@@ -345,13 +427,55 @@ def test_cli_bad_numeric_flag_is_a_usage_error(tmp_path, flags):
         p = tmp_path / "sys.json"
         p.write_text(json.dumps(example2_doc()))
         flags = flags + ["--input", str(p)] + out
-    src = str(Path(geoprec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "geoprec", *flags], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _run_cli(flags)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert bad_flag in proc.stderr.strip().splitlines()[-1]
+
+
+def _polysys_file(tmp_path, edit):
+    doc = example2_doc()
+    edit(doc)
+    p = tmp_path / "sys.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def _latin1_polysys_file(tmp_path):
+    p = tmp_path / "sys.json"
+    p.write_bytes(json.dumps(example2_doc()).replace("{", '{"note": "caf\u00e9", ', 1)
+                  .encode("latin-1"))
+    return p
+
+
+def _non_ascii_mtx_file(tmp_path):
+    p = tmp_path / "a.mtx"
+    p.write_bytes("%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n1 1 1\n1 1 2.0\n"
+                  .encode("utf-8"))
+    return p
+
+
+@pytest.mark.parametrize("make_input", [
+    _non_ascii_mtx_file,
+    _latin1_polysys_file,
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=["2", "2"])),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=[2.5, 2])),
+    lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][0][0].update(exponents=5)),
+], ids=["mtx-non-ascii", "json-not-utf8", "degrees-strings", "degrees-fraction",
+        "exponents-int"])
+def test_cli_malformed_file_is_an_input_error(tmp_path, make_input):
+    """A malformed input file exits 2 with a ParseError message, never a traceback."""
+    path = make_input(tmp_path)
+    if path.suffix == ".mtx":
+        flags = ["condition", "--input", str(path), "--kind", "frobenius"]
+    else:
+        flags = ["polysys-precondition", "--input", str(path), "--action", "shuffle",
+                 "--out", str(tmp_path / "r.csv")]
+    proc = _run_cli(flags)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("line ")  # a ParseError names its line
+
 
 
 def test_cli_input_error(tmp_path):

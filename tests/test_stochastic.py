@@ -27,6 +27,12 @@ def random_spd(rng, n, shift=None):
     return m @ m.conj().T + shift * np.eye(n)
 
 
+@pytest.mark.parametrize("cg_tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_estimator_config_rejects_bad_cg_tol(cg_tol):
+    with pytest.raises(ValueError, match="cg_tol"):
+        EstimatorConfig(cg_tol=cg_tol)
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 5.0).astype(complex)
     res = conjugate_gradient(MatrixOperator(np.eye(4, dtype=complex)), b, tol=1e-12)
