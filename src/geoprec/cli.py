@@ -4,7 +4,8 @@ Subcommands: precondition, polysys-precondition, condition, baseline, bench.
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Reports are CSV with the fixed header iter,value,grad_norm,duality_bound,kF,kappa
 and '#'-prefixed summary rows; identical argv and seed give byte-identical files.
-The kappa cell is filled on the first and last rows only.
+The kappa cell is filled on the first and last rows only, and left empty, as
+are the kappa summary values, on estimator runs, which compute no kappa.
 """
 
 import argparse
@@ -53,19 +54,23 @@ def _num(x):
     return repr(float(x))
 
 
+def _kappa(x):
+    """A kappa cell: empty where the run computed no kappa (NaN)."""
+    return "" if math.isnan(x) else _num(x)
+
+
 def _write_report(path, report):
     lines = ["iter,value,grad_norm,duality_bound,kF,kappa"]
     for rec in report.iterations:
-        kappa = "" if math.isnan(rec.kappa) else _num(rec.kappa)  # first and last rows only
         lines.append(
             f"{rec.iteration},{_num(rec.value)},{_num(rec.grad_norm)},"
-            f"{_num(rec.duality_bound)},{_num(rec.kF)},{kappa}"
+            f"{_num(rec.duality_bound)},{_num(rec.kF)},{_kappa(rec.kappa)}"
         )
     lines.append(f"# termination={report.termination.value}")
     lines.append(f"# iterations={report.iteration_count}")
     lines.append(f"# initial_kF={_num(report.initial_kF)} final_kF={_num(report.final_kF)}")
     lines.append(
-        f"# initial_kappa={_num(report.initial_kappa)} final_kappa={_num(report.final_kappa)}"
+        f"# initial_kappa={_kappa(report.initial_kappa)} final_kappa={_kappa(report.final_kappa)}"
     )
     lines.append(f"# certificate={_num(report.certificate)}")
     with open(path, "w", encoding="ascii") as fh:

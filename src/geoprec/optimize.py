@@ -23,17 +23,22 @@ the sparse action has none.  A state whose value or gradient norm is not
 finite raises FloatingPointError before any step is taken along it.  The
 Euclidean condition number kappa is read at the first and last states only:
 the first and last iteration records carry it, interior records carry NaN.
+Estimator runs compute no kappa: every record carries NaN.
 
 The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
 (float64 element stacks, gradients and estimator directions, and a float64
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
-path is the same for both.  ``minimize_condition`` also decides at entry, from
-the singular values of A (which give ``initial_kappa``) and the cutoff
-max(m, n) eps sigma_max, whether the run is square and of full rank.  Such a
-run inverts A once, at entry, and every state takes B^-1 = Y A^-1 X^-1 from
-the dual action on that inverse instead of factoring B; any other run factors
-every state with a thin SVD.
+path is the same for both.  An exact ``minimize_condition`` run on a square A
+also decides at entry, from the singular values of A (which give
+``initial_kappa``) and the cutoff max(m, n) eps sigma_max, whether A has full
+rank.  Such a run inverts A once, at entry, and every state takes
+B^-1 = Y A^-1 X^-1 from the dual action on that inverse instead of factoring
+B; any other run factors every state with a thin SVD, and a rectangular run
+takes no singular values at entry.  An estimator run on a square A takes no
+singular values at all: it assumes full rank, inverts A once, and rejects A
+with RankDeficientError unless the row-balanced A has kF below
+1 / (max(m, n) eps), a test read from that inverse in O(m^2).
 """
 
 import dataclasses
@@ -232,6 +237,29 @@ def _entry_rank(a):
     return s, s[-1] > rank_tolerance(s, a.shape)
 
 
+def _assumed_full_rank_inverse(a):
+    """The inverse of a square a that an estimator run assumes to have full rank.
+
+    The assumption is checked on the inverse itself, in O(m^2): the
+    row-balanced a, D a with D = diag(1 / ||row_i a||), has
+    kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2), which no left diagonal
+    scaling of a changes; RankDeficientError unless it is below
+    1 / (max(m, n) eps).  Each row of a is divided by its largest entry before
+    the norms are taken, so that scaled rows do not overflow.
+    """
+    a_inv = np.linalg.inv(a)
+    scale = np.abs(a).max(axis=1)
+    weights = np.linalg.norm(a / scale[:, None], axis=1) * np.linalg.norm(a_inv * scale, axis=0)
+    kF = math.sqrt(a.shape[0]) * float(np.linalg.norm(weights))
+    cutoff = 1.0 / (max(a.shape) * np.finfo(float).eps)
+    if not kF < cutoff:
+        raise RankDeficientError(
+            f"the estimator path assumes a full-rank input: the row-balanced input has "
+            f"kF {kF:.3g}, not below 1 / (max(m, n) eps) = {cutoff:.3g}"
+        )
+    return a_inv
+
+
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
     """Gradient descent on log kF(g . A) from the identity element.
 
@@ -239,11 +267,16 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     in real arithmetic and yields a float64 final element.  A square A of full
     rank (no singular value at or below max(m, n) eps sigma_max) is inverted
     once, and every state takes B^-1 from the dual action on A^-1; any other A
-    is solved with a thin SVD of B at every state.
+    is solved with a thin SVD of B at every state.  A rectangular A takes no
+    singular values at entry: the first state's SVD gives initial_kappa.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
-    computed exactly, so the reported certificates stay sound.
+    computed exactly, so the reported certificates stay sound.  Such a run
+    computes no singular values for the rank test or for reporting: it
+    assumes that a square A has full rank, checks that from the inverse it
+    takes once (see _assumed_full_rank_inverse), and reports every kappa as
+    NaN.  A rectangular A keeps the thin SVD at every state.
     """
     (a,) = _finite(A)
     sch = config.scheme
@@ -251,24 +284,30 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         raise DimensionMismatchError(
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
         )
+    square = a.shape[0] == a.shape[1]
+    start = sch.identity(a.dtype)
     step_dir = None
     if estimator is not None:
         from .stochastic import estimate_gradient
 
         a_sparse = sp.csr_matrix(a)
+        a_inv = _assumed_full_rank_inverse(a) if square else None
 
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    s, full_rank = _entry_rank(a)
-    a_inv = np.linalg.inv(a) if full_rank and a.shape[0] == a.shape[1] else None
-    start = sch.identity(a.dtype)
+        def state_fn(g):
+            state = evaluate(a, g, a_inv=a_inv)
+            return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
+    else:
+        s, full_rank = _entry_rank(a) if square else (None, False)
+        a_inv = np.linalg.inv(a) if full_rank else None
 
-    def state_fn(g):
-        state = evaluate(a, g, a_inv=a_inv)
-        if g is start and a_inv is not None:  # B = A, whose singular values are known
-            state = dataclasses.replace(state, sigma=s)
-        return state
+        def state_fn(g):
+            state = evaluate(a, g, a_inv=a_inv)
+            if g is start and a_inv is not None:  # B = A, whose singular values are known
+                state = dataclasses.replace(state, sigma=s)
+            return state
 
     return _descend(state_fn, start, config, weight_data(sch), 1.0 / config.smoothness(),
                     step_dir=step_dir)

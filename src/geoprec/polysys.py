@@ -22,6 +22,7 @@ Three preconditioning actions are supported:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -90,15 +91,19 @@ def _frozen(a):
 class PolynomialSystem:
     """System of m polynomials in n variables with a degree pattern.
 
-    ``PolynomialSystem(nvars, degrees, polynomials)`` takes one dict
-    {exponent tuple: coefficient} per polynomial, checks every exponent
-    against its polynomial's degree bound and keeps as basis the exponents
-    with a nonzero coefficient.  ``exponents``, ``weights`` and ``coeffs``
+    ``PolynomialSystem(nvars, degrees, polynomials)`` takes one integer degree
+    bound (not a bool) and one dict {exponent tuple: coefficient} per
+    polynomial, checks every exponent against its polynomial's degree bound
+    and keeps as basis the exponents with a nonzero coefficient; a bound that
+    is not an integer raises DimensionMismatchError.  ``exponents``, ``weights`` and ``coeffs``
     are read-only; ``polynomials`` is the canonical dict view.
     """
 
     def __init__(self, nvars, degrees, polynomials):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in degrees):
+            raise DimensionMismatchError(f"degree bounds must be integers, got {degrees}")
+        degrees = tuple(map(int, degrees))
         if len(degrees) != len(polynomials):
             raise DimensionMismatchError("one degree bound per polynomial required")
         rows = [{} for _ in degrees]

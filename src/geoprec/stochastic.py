@@ -4,10 +4,14 @@ The exact gradient needs the block diagonal of (B B*)^-1 (and of (B* B)^-1
 for two-sided schemes).  Rather than inverting, these are estimated from
 matrix-vector products: a Hutchinson estimator with Rademacher probes for
 plain diagonals, a Gaussian sketch for diagonal blocks, and block Lanczos
-quadrature for a single block.  Each inverse application is a
-conjugate-gradient solve, which ``estimate_gradient`` block-Jacobi
-preconditions with the exact Gram blocks (of B B*, and of B* B) it computes
-anyway; ``cg_tol`` still bounds the true relative residual ||M x - b|| / ||b||.
+quadrature for a single block.  Operators take a vector or a block of
+columns.  The inverse is applied to a whole probe set in one
+conjugate-gradient call, which solves the probes as independent systems in one
+loop, one operator product per step on the columns still running; each
+column's arithmetic is that of a solve of the probe alone.  ``estimate_gradient``
+block-Jacobi preconditions these solves with the exact Gram blocks (of B B*,
+and of B* B) it computes anyway; ``cg_tol`` still bounds the true relative
+residual ||M x - b|| / ||b|| of every probe.
 """
 
 import math
@@ -41,10 +45,16 @@ __all__ = [
 ]
 
 
-class LinearOperator:
-    """Abstract map v -> A v with adjoint, plus a running matvec counter.
+def _columns(v):
+    """The number of vectors in v: 1 for a vector, k for an (n, k) block."""
+    return 1 if np.ndim(v) == 1 else np.shape(v)[1]
 
-    Subclasses implement `_matvec` and `_rmatvec`.  Adjoint consistency
+
+class LinearOperator:
+    """Abstract map v -> A v with adjoint, plus running product counters.
+
+    Subclasses implement `_matvec` and `_rmatvec`, each for a vector or an
+    (n, k) block of columns; a block counts as k products.  Adjoint consistency
     <A v, w> = <v, A* w> is verified on a random probe pair at construction.
     ``dtype`` is the field the operator works over, complex128 unless a
     subclass sets it; probes for it are drawn, and solves against it run, in
@@ -75,11 +85,11 @@ class LinearOperator:
         return (self.m, self.n)
 
     def matvec(self, v):
-        self.matvec_count += 1
+        self.matvec_count += _columns(v)
         return self._matvec(v)
 
     def rmatvec(self, v):
-        self.rmatvec_count += 1
+        self.rmatvec_count += _columns(v)
         return self._rmatvec(v)
 
     def _matvec(self, v):  # pragma: no cover - abstract
@@ -149,20 +159,39 @@ class EstimatorConfig:
 
 
 class CgResult(NamedTuple):
+    """A solve of M x = b.  For a block b the columns are independent solves:
+    converged holds for every column, iterations is their total, one product
+    with M each, and relative_residual holds one entry per column."""
+
     x: np.ndarray
     converged: bool
     iterations: int
     relative_residual: float
 
 
+def _dots(u, v):
+    """Re <u_j, v_j> for every row j, each one BLAS dot as np.vdot takes it."""
+    return np.matmul(u.conj()[:, None, :], v[:, :, None])[:, 0, 0].real
+
+
+def _rows(apply, v):
+    """apply(v.T) for a block v of contiguous rows, back in contiguous rows."""
+    return np.ascontiguousarray(apply(v.T).T)
+
+
 def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
                        precond=None) -> CgResult:
     """Solve M x = b for Hermitian positive definite M (operator or array).
 
-    Starts from zero, so M is applied exactly once per iteration.  Stops when
-    ||M x - b|| <= tol ||b||; non-convergence is reported on the result, not
-    raised.  ``precond``, a Hermitian positive definite array or sparse
-    matrix approximating M^-1, makes this preconditioned CG: it changes the
+    Starts from zero, so M is applied exactly once per iteration.  A column
+    stops when ||M x - b|| / ||b|| <= tol, at most max_iters iterations;
+    non-convergence is reported on the result, not raised.  An (m, k) block b
+    is k independent systems solved in one loop: each step applies M once to
+    the block of columns still running, every column takes its own step
+    lengths, and a converged column is frozen.  Each column is held as one
+    contiguous row, so that its inner products are the ones a vector solve
+    takes.  ``precond``, a Hermitian positive definite array or sparse matrix
+    approximating M^-1, makes this preconditioned CG: it changes the
     iterates, not the stopping test.  The solve runs in the common dtype of
     b, M and precond: real arithmetic when all three are real.
     """
@@ -171,36 +200,51 @@ def conjugate_gradient(M, b, tol: float = 1e-10, max_iters: int = 10_000,
     apply_m = M.matvec if isinstance(M, LinearOperator) else M.__matmul__
     precond_dtype = float if precond is None else precond.dtype
     b = np.asarray(b)
-    b = b.astype(np.result_type(b, M.dtype, precond_dtype, float), copy=False)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return CgResult(np.zeros_like(b), True, 0, 0.0)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r if precond is None else precond @ r
+    cols = b.reshape(b.shape[0], -1).T.astype(
+        np.result_type(b, M.dtype, precond_dtype, float), order="C")
+    nb = np.array([np.linalg.norm(c) for c in cols])
+    x = np.zeros_like(cols)
+    rel = np.zeros(len(cols))
+    act = np.flatnonzero(nb)  # a zero column is solved by x = 0
+    r = cols[act]
+    xa = np.zeros_like(r)
+    z = r if precond is None else _rows(precond.__matmul__, r)
     p = z.copy()
-    rs = np.vdot(r, r).real
-    rz = rs if precond is None else np.vdot(r, z).real
-    for k in range(1, max_iters + 1):
-        Mp = apply_m(p)
-        alpha = rz / np.vdot(p, Mp).real
-        x += alpha * p
+    rs = _dots(r, r)
+    rz = rs if precond is None else _dots(r, z)
+    total = 0
+    for _ in range(max_iters):
+        if not act.size:
+            break
+        Mp = _rows(apply_m, p)
+        total += act.size
+        alpha = (rz / _dots(p, Mp))[:, None]
+        xa += alpha * p
         r -= alpha * Mp
-        rs = np.vdot(r, r).real
-        if math.sqrt(rs) <= tol * nb:
-            return CgResult(x, True, k, math.sqrt(rs) / nb)
-        z = r if precond is None else precond @ r
-        rz_new = rs if precond is None else np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
+        rs = _dots(r, r)
+        done = np.sqrt(rs) / nb[act] <= tol
+        if done.any():
+            x[act[done]] = xa[done]
+            rel[act[done]] = np.sqrt(rs[done]) / nb[act[done]]
+            keep = ~done
+            act, xa, r, p, rs, rz = act[keep], xa[keep], r[keep], p[keep], rs[keep], rz[keep]
+        z = r if precond is None else _rows(precond.__matmul__, r)
+        rz_new = rs if precond is None else _dots(r, z)
+        p = z + (rz_new / rz)[:, None] * p
         rz = rz_new
-    return CgResult(x, False, max_iters, math.sqrt(rs) / nb)
+    x[act] = xa
+    rel[act] = np.sqrt(rs) / nb[act]
+    if b.ndim == 1:
+        return CgResult(x[0], not act.size, total, float(rel[0]))
+    return CgResult(x.T, not act.size, total, rel)
 
 
 class _GramSolve(LinearOperator):
-    """v -> (A A*)^-1 v: one preconditioned CG solve against GramOperator(A) per
-    application, to the config's tolerance within conjugate_gradient's default
-    iteration cap; a stalled solve raises NotConvergedError naming the probe,
-    the index of the application."""
+    """v -> (A A*)^-1 v: one preconditioned CG call against GramOperator(A) per
+    application, a block of probes solved column by column in one loop, to the
+    config's tolerance within conjugate_gradient's default iteration cap.  A
+    stalled solve raises NotConvergedError naming its probe, the index of the
+    first unconverged column among all columns this operator has solved."""
 
     def __init__(self, A: LinearOperator, config: EstimatorConfig, precond=None):
         self.base = GramOperator(A)  # products with the matrix are counted on A
@@ -210,7 +254,9 @@ class _GramSolve(LinearOperator):
     def _matvec(self, v):
         sol = conjugate_gradient(self.base, v, tol=self.config.cg_tol, precond=self.precond)
         if not sol.converged:
-            raise NotConvergedError(sol.relative_residual, probe=self.matvec_count - 1)
+            rel = np.atleast_1d(sol.relative_residual)
+            j = np.flatnonzero(~(rel <= self.config.cg_tol))[0]
+            raise NotConvergedError(float(rel[j]), probe=self.matvec_count - rel.size + int(j))
         return sol.x
 
 
@@ -224,16 +270,16 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     """Probe estimate of Diag((A A*)^-1) for a full-row-rank operator A.
 
     Each Rademacher probe z contributes z * x with (A A*) x = z solved by conjugate
-    gradients, so the estimator never forms the inverse; ``precond`` is
-    passed on to every solve.  stderr is the per-coordinate sample standard
-    error over probes.
+    gradients, so the estimator never forms the inverse; the probes are
+    solved together in one block solve, and ``precond`` is passed on to it.
+    stderr is the per-coordinate sample standard error over probes.
     """
-    solve = _GramSolve(A, config, precond)
+    Z = np.stack([rademacher(substream(config.seed, i), A.m)
+                  for i in range(config.num_probes)], axis=1).astype(A.dtype)
+    samples = (np.conj(Z) * _GramSolve(A, config, precond).matvec(Z)).real
     mean = np.zeros(A.m)
     m2 = np.zeros(A.m)
-    for i in range(config.num_probes):
-        z = rademacher(substream(config.seed, i), A.m).astype(A.dtype)
-        sample = (np.conj(z) * solve.matvec(z)).real
+    for i, sample in enumerate(samples.T):
         delta = sample - mean
         mean += delta / (i + 1)
         m2 += delta * (sample - mean)
@@ -271,10 +317,11 @@ def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) 
 def _sketch_blocks(M: LinearOperator, G, blocks):
     """The diagonal blocks (a, b) of a Hermitian operator M, each fitted by the
     regression G_r W = (M G)_r over its rows r = a:b and Hermitian-symmetrized;
-    DimensionMismatchError for a block wider than G, an underdetermined fit."""
+    M is applied once, to the whole probe block G.  DimensionMismatchError for
+    a block wider than G, an underdetermined fit."""
     if any(b - a > G.shape[1] for a, b in blocks):
         raise DimensionMismatchError("block size exceeds the probe count")
-    Z = np.stack([M.matvec(G[:, j].astype(M.dtype)) for j in range(G.shape[1])], axis=1)
+    Z = M.matvec(G.astype(M.dtype))
     fits = [np.linalg.lstsq(G[a:b].T, Z[a:b].T, rcond=None)[0] for a, b in blocks]
     # the regression recovers the transpose of each block (real probes carry no
     # conjugation), so flip before symmetrizing
@@ -302,7 +349,7 @@ def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndar
     B_blocks = []
     tol = 1e-12
     for j in range(iters):
-        W = np.stack([M.matvec(basis[-1][:, i]) for i in range(r)], axis=1)
+        W = M.matvec(basis[-1])
         Aj = basis[-1].conj().T @ W
         Aj = 0.5 * (Aj + Aj.conj().T)
         A_blocks.append(Aj)

@@ -23,6 +23,11 @@ from .polysys import PolynomialSystem
 __all__ = ["read_polysys", "write_polysys"]
 
 
+def _is_int(v):
+    """A JSON integer: bool, which json gives for true and false, is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def read_polysys(path):
     """Parse a system file; returns (PolynomialSystem, point-or-None)."""
     with open(path, "rb") as fh:
@@ -41,13 +46,13 @@ def read_polysys(path):
     nvars = doc["nvars"]
     degrees = doc["degrees"]
     polys_doc = doc["polynomials"]
-    if not isinstance(nvars, int) or nvars < 1:
+    if not _is_int(nvars) or nvars < 1:
         raise ParseError(1, "nvars must be a positive integer")
     if not isinstance(polys_doc, list) or not polys_doc:
         raise ParseError(1, "polynomials must be a non-empty list")
     if not isinstance(degrees, list) or len(degrees) != len(polys_doc):
         raise ParseError(1, "degrees must list one bound per polynomial")
-    if any(not isinstance(d, int) or d < 0 for d in degrees):
+    if any(not _is_int(d) or d < 0 for d in degrees):
         raise ParseError(1, f"degrees must be non-negative integers, got {degrees}")
 
     polys = []
@@ -63,7 +68,7 @@ def read_polysys(path):
             except (TypeError, KeyError, ValueError) as exc:
                 raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
             if (not isinstance(exps, list) or len(exps) != nvars
-                    or any((not isinstance(e, int)) or e < 0 for e in exps)):
+                    or any(not _is_int(e) or e < 0 for e in exps)):
                 raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
             if sum(exps) > degrees[pi]:
                 raise DegreeViolationError(pi, tuple(exps))
@@ -80,9 +85,11 @@ def read_polysys(path):
         raw = doc["point"]
         if not isinstance(raw, list) or len(raw) != nvars:
             raise ParseError(1, "point must list one [re, im] pair per variable")
+        if any(not isinstance(p, list) or len(p) != 2 for p in raw):
+            raise ParseError(1, "point entries must be [re, im] pairs")
         try:
-            point = np.array([complex(p[0], p[1]) for p in raw])
-        except (TypeError, IndexError) as exc:
+            point = np.array([complex(re, im) for re, im in raw])
+        except TypeError as exc:
             raise ParseError(1, "point entries must be [re, im] pairs") from exc
         if not np.isfinite(point).all():
             raise ParseError(1, "point coordinates must be finite")

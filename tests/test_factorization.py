@@ -16,17 +16,20 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import geoprec
 import geoprec.optimize
 from conftest import complex_gaussian, random_direction, random_element, rng_for
 from geoprec.cli import cli_dispatch
+from geoprec.errors import RankDeficientError
 from geoprec.group import GroupElement, GroupScheme, apply, apply_dual
 from geoprec.matrix import ComplexMatrix, condition_euclidean
 from geoprec.mmio import write_matrix
 from geoprec.objective import evaluate, evaluate_cross, hessian_quadratic_form
 from geoprec.optimize import OptimizerConfig, minimize_condition, minimize_cross_condition
 from geoprec.polysys import precondition_full, precondition_shuffle, precondition_sparse
+from geoprec.stochastic import EstimatorConfig
 from test_trajectories import _polynomial
 
 SQUARE = {
@@ -291,3 +294,84 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The compute_uv flag of every np.linalg.svd call."""
+    calls, real_svd = [], np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("case", [c for c in _svd_cases() if c[0] in ("wide-left-block",
+                                                                       "tall-both-ragged")],
+                         ids=lambda c: c[0])
+def test_rectangular_exact_run_takes_no_entry_singular_values(case, svd_calls):
+    """Only a square A is inverted, so a rectangular run's entry singular values
+    would decide nothing: every SVD is a state's, the first giving initial_kappa."""
+    name, A, sch, cap = case
+    rep = minimize_condition(A, OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=cap))
+    assert svd_calls == [True] * (rep.iteration_count + 1)
+    assert (rep.termination.value, rep.iteration_count, rep.final_kF, rep.initial_kappa,
+            rep.final_kappa) == SVD_PINNED[name]
+
+
+def _sparse_square(key, m=30):
+    rng = rng_for(617, key)
+    S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(617 + key), format="csr")
+    return (sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))).tocsr()
+
+
+@pytest.mark.parametrize("scheme", [GroupScheme.diagonal(30, side="left"),
+                                    GroupScheme.blocked(30, 3, 30, side="both")],
+                         ids=["left-torus", "both-block"])
+def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, monkeypatch):
+    """One inverse, of A at entry; no singular values for the rank test or for
+    kappa, which the run reports as NaN throughout."""
+    A = _sparse_square(0)
+    real_inv, square = np.linalg.inv, []
+
+    def inv(a):
+        if np.ndim(a) == 2:
+            square.append(np.array(a))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rep = minimize_condition(A, OptimizerConfig(scheme=scheme, max_iters=3),
+                             estimator=EstimatorConfig(num_probes=8, seed=1))
+    assert svd_calls == []
+    assert len(square) == 1 and np.array_equal(square[0], A.toarray())
+    assert rep.iteration_count == 3
+    assert all(math.isnan(r.kappa) for r in rep.iterations)
+    assert math.isnan(rep.initial_kappa) and math.isnan(rep.final_kappa)
+    assert all(math.isfinite(r.kF) for r in rep.iterations)
+
+
+def _rank4(scale_rows=None):
+    rng = rng_for(618)
+    A = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6))
+    return A if scale_rows is None else scale_rows[:, None] * A
+
+
+@pytest.mark.parametrize("A", [_rank4(), _rank4(np.geomspace(1e-8, 1e8, 6))],
+                         ids=["rank4", "rank4-graded-rows"])
+def test_estimator_run_rejects_a_rank_deficient_square_input(A):
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(6, side="left"), max_iters=3)
+    with pytest.raises(RankDeficientError, match="assumes a full-rank input"):
+        minimize_condition(A, cfg, estimator=EstimatorConfig(num_probes=4, seed=1))
+
+
+def test_estimator_full_rank_check_ignores_row_scales():
+    """diag(1, 1e-17) has full rank: its row-balanced kF is 2, whatever the
+    scales of its rows."""
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(2, side="left"), max_iters=2)
+    rep = minimize_condition(np.diag([1.0, 1e-17]), cfg,
+                             estimator=EstimatorConfig(num_probes=4, seed=1))
+    assert rep.iteration_count == 2
+    assert _rel(rep.initial_kF, 1e17) <= 1e-12

@@ -225,6 +225,23 @@ def test_read_polysys_empty_list(tmp_path):
         read_polysys(p)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(point=[[1.0, 0.0, 7.0], [2.0, 0.0]]),
+    lambda d: d.update(point=[[1.0], [2.0, 0.0]]),
+    lambda d: d.update(degrees=[2, True]),
+    lambda d: d["polynomials"][1][1].update(exponents=[True, 0]),
+], ids=["point-three-numbers", "point-one-number", "degrees-true", "exponents-true"])
+def test_read_polysys_rejects_what_it_would_misread(tmp_path, edit):
+    """Each edit was read without an error: a point entry cut to its first two
+    numbers, JSON true taken as the integer 1."""
+    doc = example2_doc()
+    edit(doc)
+    p = tmp_path / "sys.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        read_polysys(p)
+
+
 def test_read_polysys_degree_violation(tmp_path):
     doc = example2_doc()
     doc["polynomials"][0].append({"exponents": [3, 0], "coeff": [1.0, 0.0]})
@@ -316,6 +333,32 @@ def test_cli_stochastic_path(tmp_path):
     ])
     assert code == 0
     assert out.read_text().startswith("iter,value")
+
+
+def test_cli_stochastic_report_leaves_every_kappa_empty(tmp_path):
+    """An estimator run computes no kappa: no row carries one, nor the summary."""
+    rng = rng_for(105)
+    src = tmp_path / "a.mtx"
+    write_matrix(src, np.diag(np.exp(rng.standard_normal(8))) @ (rng.standard_normal((8, 8))
+                                                                 + 4.0 * np.eye(8)))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["precondition", "--input", str(src), "--max-iters", "4",
+                         "--stochastic", "--probes", "16", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in lines if line[0].isdigit()]
+    assert len(rows) == 5 and all(len(r) == 6 and r[5] == "" for r in rows)
+    assert "# initial_kappa= final_kappa=" in lines
+
+
+def test_cli_stochastic_rank_deficient_input_is_an_input_error(tmp_path):
+    rng = rng_for(106)
+    src = tmp_path / "a.mtx"
+    write_matrix(src, rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6)))
+    proc = _run_cli(["precondition", "--input", str(src), "--stochastic", "--probes", "8",
+                     "--out", str(tmp_path / "r.csv")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "assumes a full-rank input" in proc.stderr
 
 
 def test_cli_stochastic_block_wider_than_probes_is_an_input_error(tmp_path, capsys):
@@ -461,8 +504,15 @@ def _non_ascii_mtx_file(tmp_path):
     lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=["2", "2"])),
     lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=[2.5, 2])),
     lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][0][0].update(exponents=5)),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(point=[[1.0, 0.0, 7.0], [2.0, 0.0]])),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(
+        nvars=True, degrees=[1], polynomials=[[{"exponents": [1], "coeff": [1.0, 0.0]}]],
+        point=[[1.0, 0.0]])),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=[2, True])),
+    lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][1][1].update(
+        exponents=[True, 0])),
 ], ids=["mtx-non-ascii", "json-not-utf8", "degrees-strings", "degrees-fraction",
-        "exponents-int"])
+        "exponents-int", "point-three-numbers", "nvars-true", "degrees-true", "exponents-true"])
 def test_cli_malformed_file_is_an_input_error(tmp_path, make_input):
     """A malformed input file exits 2 with a ParseError message, never a traceback."""
     path = make_input(tmp_path)

@@ -497,6 +497,19 @@ def test_degree_bound_validation():
         PolynomialSystem(2, (1,), ({(2, 0): 1.0},))
 
 
+@pytest.mark.parametrize("degrees", [(2.5, 2), (True, 2), (np.float64(2.0), 2)],
+                         ids=["fraction", "bool", "numpy-float"])
+def test_degree_bounds_must_be_integers(degrees):
+    """A bound of 2.5 was truncated to 2, and True taken as 1."""
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        PolynomialSystem(2, degrees, ({(1, 0): 1.0}, {(0, 1): 1.0}))
+
+
+def test_degree_bounds_accept_numpy_integers():
+    f = PolynomialSystem(2, (np.int64(2), 1), ({(2, 0): 1.0}, {(0, 1): 1.0}))
+    assert f.degrees == (2, 1) and all(type(d) is int for d in f.degrees)
+
+
 def test_polynomial_actions_reject_other_schemes():
     rng = rng_for(99)
     f = random_system(rng, 2, 2, 2)

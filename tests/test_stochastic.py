@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import complex_gaussian, random_element, rng_for
-from geoprec._rng import substream
-from geoprec.errors import DimensionMismatchError
+from geoprec._rng import rademacher, substream
+from geoprec.errors import DimensionMismatchError, NotConvergedError
 from geoprec.group import GroupScheme, apply, split_blocks
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
@@ -321,3 +321,79 @@ def test_gram_operators_consistent():
     op = MatrixOperator(a)
     v = complex_gaussian(rng, 5)
     assert np.allclose(GramOperator(op).matvec(v), a @ (a.conj().T @ v))
+
+
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "jacobi"])
+@pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+def test_block_cg_matches_column_solves(field, preconditioned):
+    """A block of right-hand sides is solved column by column in one loop: each
+    column as its own solve, one operator product per column and step."""
+    a = _sparse_full_row_rank(6)
+    a = a.real if field is float else a
+    op = MatrixOperator(a)
+    gram = GramOperator(op)
+    precond = sp.diags(1.0 / (a @ a.conj().T).diagonal()) if preconditioned else None
+    rng = rng_for(78)
+    b = rng.standard_normal((op.m, 5)).astype(field)
+    b[:, 2] = 0.0  # solved by x = 0 in no iterations
+    b[:, 3] *= 1e6
+    tol = 1e-9
+    before = op.matvec_count
+    res = conjugate_gradient(gram, b, tol=tol, precond=precond)
+    assert op.matvec_count - before == op.rmatvec_count - before == res.iterations
+    assert type(res.converged) is bool and type(res.iterations) is int
+    assert res.converged and res.x.shape == b.shape and res.relative_residual.shape == (5,)
+    cols = [conjugate_gradient(gram, b[:, j], tol=tol, precond=precond) for j in range(5)]
+    assert res.iterations == sum(c.iterations for c in cols)
+    assert cols[2].iterations == 0 and not res.x[:, 2].any()
+    for j, col in enumerate(cols):
+        assert np.linalg.norm(res.x[:, j] - col.x) <= 1e-12 * max(np.linalg.norm(col.x), 1.0)
+        assert res.relative_residual[j] == pytest.approx(col.relative_residual, rel=1e-6, abs=0)
+        assert np.linalg.norm(gram.matvec(res.x[:, j]) - b[:, j]) <= tol * np.linalg.norm(b[:, j])
+
+
+def test_block_products_count_one_per_column():
+    op = MatrixOperator(_sparse_full_row_rank(7))
+    op.matvec(np.ones((op.n, 3)))
+    op.rmatvec(np.ones(op.m))
+    GramOperator(op).matvec(np.ones((op.m, 4)))
+    assert (op.matvec_count, op.rmatvec_count) == (7, 5)
+
+
+def test_hutchinson_block_solve_matches_probe_by_probe():
+    """The probe set is solved in one block call; the estimate is the running
+    mean of the probes' samples, as solved one at a time."""
+    a = _sparse_full_row_rank(8)
+    op = MatrixOperator(a)
+    cfg = EstimatorConfig(num_probes=9, seed=5, cg_tol=1e-10)
+    out = hutchinson_diagonal_inverse(op, cfg)
+    samples = []
+    for i in range(cfg.num_probes):
+        z = rademacher(substream(cfg.seed, i), op.m).astype(complex)
+        samples.append((np.conj(z) * conjugate_gradient(GramOperator(MatrixOperator(a)), z,
+                                                         tol=cfg.cg_tol).x).real)
+    samples = np.array(samples)
+    assert np.allclose(out.diag_estimate, samples.mean(axis=0), rtol=1e-12, atol=0)
+    stderr = samples.std(axis=0, ddof=1) / np.sqrt(cfg.num_probes)
+    assert np.allclose(out.stderr, stderr, rtol=1e-9, atol=1e-15)
+
+
+def test_batched_solve_that_stalls_names_its_probe(monkeypatch):
+    """Probes 0 and 1 are eigenvectors of A A* and converge in one step; probe 2
+    needs three steps, and the cap allows two."""
+    import geoprec.stochastic as stochastic
+
+    capped = stochastic.conjugate_gradient
+    monkeypatch.setattr(stochastic, "conjugate_gradient",
+                        lambda *args, **kwargs: capped(*args, max_iters=2, **kwargs))
+    solve = stochastic._GramSolve(MatrixOperator(np.diag([1.0, 1.0, 2.0, 2.0, 3.0])),
+                                  EstimatorConfig(cg_tol=1e-10))
+    probes = np.array([[1.0, 1.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, -1.0, 0.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0]]).T
+    with pytest.raises(NotConvergedError) as first:
+        solve.matvec(probes)
+    assert first.value.probe == 2 and first.value.residual > 1e-10
+    with pytest.raises(NotConvergedError) as second:  # probes count on across calls
+        solve.matvec(probes[:, ::-1])
+    assert second.value.probe == 3
