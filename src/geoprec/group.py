@@ -419,7 +419,7 @@ def _polar(X, run):
     sigma_max.
     """
     if run.size == 1:
-        _check_blocks(run, X.real**2 + X.imag**2 == 0)
+        _check_blocks(run, X == 0)
         return np.abs(X).astype(X.dtype, copy=False)
     tol = np.finfo(float).eps * run.size
     w, v = np.linalg.eigh(_adjoint(X) @ X)

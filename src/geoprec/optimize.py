@@ -29,19 +29,13 @@ The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
 (float64 element stacks, gradients and estimator directions, and a float64
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
-path is the same for both.  An exact ``minimize_condition`` run on a square A
-also decides at entry, from the singular values of A (which give
-``initial_kappa``) and the cutoff max(m, n) eps sigma_max, whether A has full
-rank.  Such a run inverts A once, at entry, and every state takes
-B^-1 = Y A^-1 X^-1 from the dual action on that inverse instead of factoring
-B; any other run factors every state with a thin SVD, and a rectangular run
-takes no singular values at entry.  An estimator run on a square A takes no
-singular values at all: it assumes full rank, inverts A once, and rejects A
-with RankDeficientError unless the row-balanced A has kF below
-1 / (max(m, n) eps), a test read from that inverse in O(m^2).
+path is the same for both.  A ``minimize_condition`` run on a square A also
+decides at entry, from the one inverse of A it takes, whether A has full rank
+(``_entry_inverse``).  A full-rank run takes B^-1 = Y A^-1 X^-1 at every state
+from the dual action on that inverse; any other run factors every state with
+a thin SVD, but an estimator run on a square A raises RankDeficientError.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -230,34 +224,32 @@ def _finite(*mats):
     return [np.ascontiguousarray(m) for m in out]
 
 
-def _entry_rank(a):
-    """The singular values of a run's input a, and whether a has full rank: no
-    singular value at or below max(m, n) eps sigma_max."""
-    s = singular_values(a)
-    return s, s[-1] > rank_tolerance(s, a.shape)
+def _entry_inverse(a, required):
+    """The inverse of a square a of full rank, else None (RankDeficientError when
+    required): the one rank decision of a run.
 
-
-def _assumed_full_rank_inverse(a):
-    """The inverse of a square a that an estimator run assumes to have full rank.
-
-    The assumption is checked on the inverse itself, in O(m^2): the
-    row-balanced a, D a with D = diag(1 / ||row_i a||), has
-    kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2), which no left diagonal
-    scaling of a changes; RankDeficientError unless it is below
-    1 / (max(m, n) eps).  Each row of a is divided by its largest entry before
-    the norms are taken, so that scaled rows do not overflow.
+    a has full rank when its inverse exists (a LinAlgError means singular) and
+    the row-balanced a, D a with D = diag(1 / ||row_i a||), has
+    kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2) below 1 / (max(m, n) eps),
+    an O(m^2) test that no left diagonal scaling of a changes.  Each row of a
+    is divided by its largest entry before the norms are taken, so that scaled
+    rows do not overflow.
     """
-    a_inv = np.linalg.inv(a)
-    scale = np.abs(a).max(axis=1)
-    weights = np.linalg.norm(a / scale[:, None], axis=1) * np.linalg.norm(a_inv * scale, axis=0)
-    kF = math.sqrt(a.shape[0]) * float(np.linalg.norm(weights))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv, kF = None, math.inf
+    else:
+        scale = np.abs(a).max(axis=1)
+        weights = np.linalg.norm(a / scale[:, None], axis=1) * np.linalg.norm(a_inv * scale, axis=0)
+        kF = math.sqrt(a.shape[0]) * float(np.linalg.norm(weights))
     cutoff = 1.0 / (max(a.shape) * np.finfo(float).eps)
-    if not kF < cutoff:
+    if required and not kF < cutoff:
         raise RankDeficientError(
             f"the estimator path assumes a full-rank input: the row-balanced input has "
             f"kF {kF:.3g}, not below 1 / (max(m, n) eps) = {cutoff:.3g}"
         )
-    return a_inv
+    return a_inv if kF < cutoff else None
 
 
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
@@ -265,18 +257,15 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
 
     A real A, or a complex one whose imaginary parts are all zero, is solved
     in real arithmetic and yields a float64 final element.  A square A of full
-    rank (no singular value at or below max(m, n) eps sigma_max) is inverted
-    once, and every state takes B^-1 from the dual action on A^-1; any other A
-    is solved with a thin SVD of B at every state.  A rectangular A takes no
-    singular values at entry: the first state's SVD gives initial_kappa.
+    rank (see _entry_inverse) is inverted once, and every state takes B^-1
+    from the dual action on A^-1; any other A is solved with a thin SVD of B
+    at every state.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
     computed exactly, so the reported certificates stay sound.  Such a run
-    computes no singular values for the rank test or for reporting: it
-    assumes that a square A has full rank, checks that from the inverse it
-    takes once (see _assumed_full_rank_inverse), and reports every kappa as
-    NaN.  A rectangular A keeps the thin SVD at every state.
+    computes no singular values: it raises RankDeficientError for a square A
+    without full rank, and reports every kappa as NaN.
     """
     (a,) = _finite(A)
     sch = config.scheme
@@ -285,32 +274,24 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
         )
     square = a.shape[0] == a.shape[1]
-    start = sch.identity(a.dtype)
+    a_inv = _entry_inverse(a, required=estimator is not None) if square else None
     step_dir = None
     if estimator is not None:
         from .stochastic import estimate_gradient
 
         a_sparse = sp.csr_matrix(a)
-        a_inv = _assumed_full_rank_inverse(a) if square else None
 
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-        def state_fn(g):
-            state = evaluate(a, g, a_inv=a_inv)
-            return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
-    else:
-        s, full_rank = _entry_rank(a) if square else (None, False)
-        a_inv = np.linalg.inv(a) if full_rank else None
-
-        def state_fn(g):
-            state = evaluate(a, g, a_inv=a_inv)
-            if g is start and a_inv is not None:  # B = A, whose singular values are known
-                state = dataclasses.replace(state, sigma=s)
+    def state_fn(g):
+        state = evaluate(a, g, a_inv=a_inv)
+        if step_dir is None:
             return state
+        return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
 
-    return _descend(state_fn, start, config, weight_data(sch), 1.0 / config.smoothness(),
-                    step_dir=step_dir)
+    return _descend(state_fn, sch.identity(a.dtype), config, weight_data(sch),
+                    1.0 / config.smoothness(), step_dir=step_dir)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
@@ -330,18 +311,25 @@ def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: floa
 
     where gap0 = log(kF(A) / kF*).  strongly_convex None takes the strongly
     convex bound for a left-only scheme on an A of full rank, decided as in
-    minimize_condition; True on a rank-deficient A raises RankDeficientError.
+    minimize_condition for a square A, else from the singular values; True on
+    a rank-deficient A raises RankDeficientError.
     Returns 0 when the input is already optimal (gap0 <= 0) or the remaining
     gap is below eps under the strongly convex bound.  An A with NaN or
     infinite entries raises NonFiniteInputError.
     """
     (a,) = _finite(A)
-    s, full_rank = _entry_rank(a)
+    square = a.shape[0] == a.shape[1]
+    a_inv = _entry_inverse(a, required=False) if square else None
+    if a_inv is not None:
+        full_rank, kF0 = True, float(np.linalg.norm(a) * np.linalg.norm(a_inv))
+    else:
+        s = singular_values(a)
+        full_rank = not square and s[-1] > rank_tolerance(s, a.shape)
+        kF0 = frobenius_from_singular_values(s, a.shape)
     if strongly_convex is None:
         strongly_convex = config.scheme.side == "left" and full_rank
     elif strongly_convex and not full_rank:
         raise RankDeficientError("the strongly convex bound requires a full-rank input")
-    kF0 = frobenius_from_singular_values(s, a.shape)
     gap0 = math.log(kF0 / kF_star_estimate)
     if gap0 <= 0.0:
         return 0

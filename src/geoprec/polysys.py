@@ -88,20 +88,27 @@ def _frozen(a):
     return a
 
 
+def _integers(values):
+    """Whether every value is an integer, Python's or numpy's; a bool is not one."""
+    return all(type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+               for v in values)
+
+
 class PolynomialSystem:
     """System of m polynomials in n variables with a degree pattern.
 
     ``PolynomialSystem(nvars, degrees, polynomials)`` takes one integer degree
     bound (not a bool) and one dict {exponent tuple: coefficient} per
     polynomial, checks every exponent against its polynomial's degree bound
-    and keeps as basis the exponents with a nonzero coefficient; a bound that
-    is not an integer raises DimensionMismatchError.  ``exponents``, ``weights`` and ``coeffs``
-    are read-only; ``polynomials`` is the canonical dict view.
+    and keeps as basis the exponents with a nonzero coefficient; a bound or an
+    exponent that is not an integer raises DimensionMismatchError.
+    ``exponents``, ``weights`` and ``coeffs`` are read-only; ``polynomials``
+    is the canonical dict view.
     """
 
     def __init__(self, nvars, degrees, polynomials):
         degrees = tuple(degrees)
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in degrees):
+        if not _integers(degrees):
             raise DimensionMismatchError(f"degree bounds must be integers, got {degrees}")
         degrees = tuple(map(int, degrees))
         if len(degrees) != len(polynomials):
@@ -109,9 +116,9 @@ class PolynomialSystem:
         rows = [{} for _ in degrees]
         for i, (p, row) in enumerate(zip(polynomials, rows)):
             for alpha, c in p.items():
+                if not _integers(alpha) or len(alpha) != nvars or min(alpha, default=0) < 0:
+                    raise DimensionMismatchError(f"exponents {alpha}: not {nvars} integers >= 0")
                 alpha, c = tuple(map(int, alpha)), complex(c)
-                if len(alpha) != nvars or min(alpha, default=0) < 0:
-                    raise DimensionMismatchError(f"bad exponent vector {alpha}")
                 if c:
                     if sum(alpha) > degrees[i]:
                         raise DimensionMismatchError(f"polynomial {i} has a term of degree "

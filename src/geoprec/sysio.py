@@ -28,6 +28,14 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _complex(pair):
+    """complex(re, im) of an [re, im] pair of JSON numbers (not bools); else TypeError."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
+        raise TypeError(f"not an [re, im] pair of numbers: {pair!r}")
+    return complex(*pair)
+
+
 def read_polysys(path):
     """Parse a system file; returns (PolynomialSystem, point-or-None)."""
     with open(path, "rb") as fh:
@@ -62,10 +70,8 @@ def read_polysys(path):
         poly = {}
         for term in terms:
             try:
-                exps = term["exponents"]
-                re, im = term["coeff"]
-                c = complex(re, im)
-            except (TypeError, KeyError, ValueError) as exc:
+                exps, c = term["exponents"], _complex(term["coeff"])
+            except (TypeError, KeyError) as exc:
                 raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
             if (not isinstance(exps, list) or len(exps) != nvars
                     or any(not _is_int(e) or e < 0 for e in exps)):
@@ -85,12 +91,10 @@ def read_polysys(path):
         raw = doc["point"]
         if not isinstance(raw, list) or len(raw) != nvars:
             raise ParseError(1, "point must list one [re, im] pair per variable")
-        if any(not isinstance(p, list) or len(p) != 2 for p in raw):
-            raise ParseError(1, "point entries must be [re, im] pairs")
         try:
-            point = np.array([complex(re, im) for re, im in raw])
+            point = np.array([_complex(p) for p in raw])
         except TypeError as exc:
-            raise ParseError(1, "point entries must be [re, im] pairs") from exc
+            raise ParseError(1, "point entries must be [re, im] pairs of numbers") from exc
         if not np.isfinite(point).all():
             raise ParseError(1, "point coordinates must be finite")
     return system, point

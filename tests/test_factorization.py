@@ -2,9 +2,10 @@
 
 A square run whose input has full rank inverts A once, at entry, and builds
 every state from D = B^-1 = Y A^-1 X^-1, the dual action on that inverse;
-every other run keeps the thin SVD of B.  The two must describe the same
-objective: on square full-rank inputs the inverse state and the SVD state
-agree in value, kF, gradient and Hessian to round-off.  The Euclidean kappa
+every other run keeps the thin SVD of B.  Full rank is decided from that
+inverse, by a test that no scaling of A's rows changes.  The two must
+describe the same objective: on square full-rank inputs the inverse state and
+the SVD state agree in value, kF, gradient and Hessian to round-off.  The Euclidean kappa
 is computed at the end points of a run only.
 """
 
@@ -167,25 +168,35 @@ def test_square_full_rank_run_inverts_a_once(factorizations, monkeypatch):
     assert np.array_equal(factorizations[0], real_inv(A))
 
 
-def test_cli_maps_a_failed_entry_inverse_to_exit_3(tmp_path, capsys, monkeypatch):
-    """The input has full rank, so the run inverts it at entry; a LinAlgError
-    from that inverse ends the run with exit 3, no traceback."""
-    calls = []
+def test_failed_entry_inverse_sends_an_exact_run_down_the_svd_path(tmp_path, factorizations,
+                                                                   monkeypatch):
+    """A LinAlgError from the entry inverse means that A is singular: the exact
+    run factors every state with a thin SVD, reaches the states the inverse
+    path reaches, and the command line exits 0."""
+    sch = SQUARE["both-ragged"]
+    A = complex_gaussian(rng_for(612), (sch.m, sch.n))
+    cfg = OptimizerConfig(scheme=sch, max_iters=20)
+    ref = minimize_condition(A, cfg)
+    real_inv, calls = np.linalg.inv, []
 
     def singular(a):
+        if np.ndim(a) != 2:
+            return real_inv(a)
         calls.append(np.array(a))
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
-    path = tmp_path / "a.mtx"
-    A = complex_gaussian(rng_for(612), (4, 4))
-    write_matrix(path, ComplexMatrix.dense(A))
-    code = cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv")])
-    assert code == 3
+    factorizations.clear()
+    rep = minimize_condition(A, cfg)
     assert len(calls) == 1 and np.array_equal(calls[0], A)
-    err = capsys.readouterr().err
-    assert "Singular matrix" in err
-    assert "Traceback" not in err
+    assert len(factorizations) == rep.iteration_count + 1
+    assert all(a_inv is None for a_inv in factorizations)
+    assert rep.iteration_count == ref.iteration_count
+    assert _rel(rep.final_kF, ref.final_kF) <= 1e-12
+    path = tmp_path / "a.mtx"
+    write_matrix(path, ComplexMatrix.dense(A))
+    assert cli_dispatch(["precondition", "--input", str(path), "--out", str(tmp_path / "r.csv"),
+                         "--max-iters", "3"]) == 0
 
 
 def _graded(n=48):
@@ -375,3 +386,26 @@ def test_estimator_full_rank_check_ignores_row_scales():
                              estimator=EstimatorConfig(num_probes=4, seed=1))
     assert rep.iteration_count == 2
     assert _rel(rep.initial_kF, 1e17) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "both"])
+@pytest.mark.parametrize("diag", [[1.0, 1e-17], [1e150, 1e-150]], ids=["1e-17", "1e150"])
+def test_graded_diagonal_certifies_at_its_optimum(diag, side):
+    """The rank decision reads the row-balanced input, so a diagonal input with
+    entries far apart runs on its inverse and certifies at kF 2, the least kF
+    of any full-rank 2 x 2 matrix."""
+    sch = GroupScheme.diagonal(2, side="left") if side == "left" else \
+        GroupScheme.diagonal(2, 2, side="both")
+    rep = minimize_condition(np.diag(diag), OptimizerConfig(scheme=sch))
+    assert rep.termination.value == "certified"
+    assert 2.0 <= rep.final_kF <= 2.0 * math.exp(0.01)
+
+
+def test_row_graded_run_reports_the_kF_of_its_final_matrix():
+    """Rows scaled 1, 1e-9, 1e-17 and 1e3: the run certifies, and its final kF
+    is that of the final B, not of a truncated one."""
+    A = np.diag([1.0, 1e-9, 1e-17, 1e3]) @ np.random.default_rng(0).standard_normal((4, 4))
+    rep = minimize_condition(A, OptimizerConfig(scheme=GroupScheme.diagonal(4, side="left")))
+    B = apply(rep.final_element, A)
+    assert rep.termination.value == "certified"
+    assert _rel(rep.final_kF, np.linalg.norm(B) * np.linalg.norm(np.linalg.inv(B))) <= 1e-12

@@ -295,14 +295,25 @@ def test_torus_paths_match_per_block_formulas():
                                rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("tiny", [0.0, 1e-170])
-def test_torus_polar_rejects_zero_square(tiny):
-    """The torus polar factor fails exactly when |x|^2 is zero, as the eigh route does."""
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_torus_polar_rejects_zero_square(zero):
+    """The torus polar factor fails exactly when x is zero."""
     sch = GroupScheme.diagonal(3, side="left")
-    g = GroupElement(sch, np.diag([1.0, tiny, 2.0]))
+    g = GroupElement(sch, np.diag([1.0, zero, 2.0]))
     with pytest.raises(SingularBlockError):
         repolarize(g)
     assert repolarize(GroupElement(sch, np.diag([1.0, 1e-150, 2.0]))).X[1, 1] == 1e-150
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_torus_polar_of_a_tiny_entry_is_its_modulus(field):
+    """|x|^2 underflows to zero for |x| = 1e-170, but x is not zero: its polar
+    factor is |x|."""
+    sch = GroupScheme.diagonal(2, side="left")
+    X = np.diag([1e-170, 1.0]) * (np.exp(0.7j) if field == "complex" else 1.0)
+    P = repolarize(GroupElement(sch, X)).X
+    assert P.dtype == X.dtype
+    assert np.array_equal(P, np.abs(X).astype(X.dtype))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -5,6 +5,10 @@ kF does not change when A is multiplied by a nonzero scalar or by unitary
 real element does not change when A is multiplied by a unit-modulus scalar,
 although that turns a real run into a complex one.
 
+The optimal kF over a left torus does not change when A's rows are scaled,
+since row scalings are elements of that torus: runs on A and on D A certify
+log kF values that agree within the sum of their certificates.
+
 The computed kF of a matrix with condition number kappa carries a relative
 error of a few eps * kappa (the smallest singular value is found to about
 eps * sigma_max), so the first two properties compare within 16 eps kappa,
@@ -23,6 +27,7 @@ from conftest import complex_gaussian, rng_for
 from geoprec.group import GroupElement, GroupScheme
 from geoprec.matrix import condition_frobenius
 from geoprec.objective import evaluate
+from geoprec.optimize import OptimizerConfig, Termination, minimize_condition
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 EPS = np.finfo(float).eps
@@ -119,3 +124,16 @@ def test_state_at_a_real_element_ignores_the_phase_of_A(inp, theta):
     for r, p in pairs:
         assert r.dtype == np.float64
         assert np.abs(r - p).max() <= 1e-12
+
+
+@_PROPERTY
+@given(st.integers(2, 5), st.integers(0, 2**16), st.booleans(), st.data())
+def test_certified_torus_optimum_ignores_row_scales(n, seed, is_complex, data):
+    A = _conditioned(rng_for(63, seed), n, n, 10.0, is_complex)
+    exponent = st.sampled_from([-8.0, 8.0]) | st.floats(-8.0, 8.0)  # the extremes, often
+    scales = 10.0 ** np.array(data.draw(st.lists(exponent, min_size=n, max_size=n)))
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(n, side="left"))
+    plain, scaled = minimize_condition(A, cfg), minimize_condition(scales[:, None] * A, cfg)
+    assert plain.termination is scaled.termination is Termination.CERTIFIED
+    gap = abs(math.log(plain.final_kF) - math.log(scaled.final_kF))
+    assert gap <= plain.certificate + scaled.certificate

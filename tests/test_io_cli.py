@@ -230,10 +230,13 @@ def test_read_polysys_empty_list(tmp_path):
     lambda d: d.update(point=[[1.0], [2.0, 0.0]]),
     lambda d: d.update(degrees=[2, True]),
     lambda d: d["polynomials"][1][1].update(exponents=[True, 0]),
-], ids=["point-three-numbers", "point-one-number", "degrees-true", "exponents-true"])
+    lambda d: d["polynomials"][0][0].update(coeff=[True, False]),
+    lambda d: d.update(point=[[True, False], [0.0, 0.0]]),
+], ids=["point-three-numbers", "point-one-number", "degrees-true", "exponents-true",
+        "coeff-true", "point-true"])
 def test_read_polysys_rejects_what_it_would_misread(tmp_path, edit):
     """Each edit was read without an error: a point entry cut to its first two
-    numbers, JSON true taken as the integer 1."""
+    numbers, JSON true taken as the integer 1 or the number 1."""
     doc = example2_doc()
     edit(doc)
     p = tmp_path / "sys.json"
@@ -511,8 +514,12 @@ def _non_ascii_mtx_file(tmp_path):
     lambda tmp: _polysys_file(tmp, lambda d: d.update(degrees=[2, True])),
     lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][1][1].update(
         exponents=[True, 0])),
+    lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][0][0].update(
+        coeff=[True, False])),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(point=[[True, False], [0.0, 0.0]])),
 ], ids=["mtx-non-ascii", "json-not-utf8", "degrees-strings", "degrees-fraction",
-        "exponents-int", "point-three-numbers", "nvars-true", "degrees-true", "exponents-true"])
+        "exponents-int", "point-three-numbers", "nvars-true", "degrees-true", "exponents-true",
+        "coeff-true", "point-true"])
 def test_cli_malformed_file_is_an_input_error(tmp_path, make_input):
     """A malformed input file exits 2 with a ParseError message, never a traceback."""
     path = make_input(tmp_path)

@@ -510,6 +510,19 @@ def test_degree_bounds_accept_numpy_integers():
     assert f.degrees == (2, 1) and all(type(d) is int for d in f.degrees)
 
 
+@pytest.mark.parametrize("term", [{(1.5, 0): 1.0}, {(0, True): 2.0}, {(np.float64(1.0), 0): 1.0}],
+                         ids=["fraction", "bool", "numpy-float"])
+def test_exponents_must_be_integers(term):
+    """(1.5, 0) was read as (1, 0), and (0, True) as (0, 1)."""
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        PolynomialSystem(2, (2,), (term,))
+
+
+def test_exponents_accept_numpy_integers():
+    f = PolynomialSystem(2, (2,), ({(np.int64(2), np.int32(0)): 1.0, (0, 1): 3.0},))
+    assert f.polynomials == ({(2, 0): 1.0, (0, 1): 3.0},)
+
+
 def test_polynomial_actions_reject_other_schemes():
     rng = rng_for(99)
     f = random_system(rng, 2, 2, 2)
