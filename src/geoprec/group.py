@@ -43,6 +43,7 @@ __all__ = [
     "exp_action",
     "apply",
     "apply_dual",
+    "congruence",
     "repolarize",
     "weight_data",
 ]
@@ -407,6 +408,21 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
     if b.shape[1] != sch.m:
         raise DimensionMismatchError(f"matrix has {b.shape[1]} cols, scheme expects {sch.m}")
     return _times_inverse(b, g.left, sch.left_runs)
+
+
+def congruence(g: GroupElement, P, Q):
+    """The left stacks X_b P_b X_b* and X_b^-* Q_b X_b^-1, one per run of left blocks.
+
+    P and Q hold the diagonal blocks of the Gram matrices A A* and D* D, stacked
+    like g.left; the results are the same blocks for X A and D X^-1, so a
+    left-only state reads them without acting on A or D.
+    """
+    T, U = [], []
+    for x, p, q, r in zip(g.left, P, Q, g.scheme.left_runs):
+        x_inv = _inverse(x, r)
+        T.append(_bmm(_bmm(x, p), _adjoint(x)))
+        U.append(_bmm(_bmm(_adjoint(x_inv), q), x_inv))
+    return T, U
 
 
 def _polar(X, run):

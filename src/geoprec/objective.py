@@ -13,23 +13,38 @@ gradient at g is the orthogonal projection of
 onto the Lie algebra of the scheme.  The cross variant replaces B^+ by an
 independently transformed second matrix.
 
-B^+ enters only through ||B^+||_F and the diagonal blocks of the two Gram
-terms.  When the run is square and of full rank, B^-1 = Y A^-1 X^-1 is the
-dual action on the run's inverse of A, so a state costs the two block-diagonal
-actions and factors nothing; otherwise it costs one thin SVD of B.  The
-Euclidean condition number kappa is not needed by the descent; states without
-singular values compute it on first access.
+Only ||B||_F, ||B^+||_F and the diagonal blocks of the Gram terms enter, so a
+state costs by the case:
+
+* left-only, with A^-1 (a square run of full rank) or with the second matrix
+  of a cross pair: O(sum of size^3) over the blocks.  Under B = X A and
+  D = A^-1 X^-1 (or D = B_2 X^-1), ||B||_F^2 = sum_b tr(X_b P_b X_b*) and
+  ||D||_F^2 = sum_b tr(X_b^-* Q_b X_b^-1), for the Gram stacks P_b = A_b A_b*
+  of A's row slabs and Q_b = D_b* D_b of D's column slabs (``gram_stacks``),
+  which a run builds once;
+* two-sided, with A^-1 or a second matrix: the two block-diagonal actions,
+  O(m n block size), B^-1 = Y A^-1 X^-1 being the dual action on A^-1;
+* otherwise one thin SVD of B.
+
+B, B_pinv and the Euclidean condition number kappa are not needed by the
+descent; a state that did not form them computes them on first access.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroMatrixError
-from .group import GroupElement, LieDirection, WeightData, apply, apply_dual, project_blocks
+from .group import (
+    GroupElement,
+    LieDirection,
+    WeightData,
+    apply,
+    apply_dual,
+    congruence,
+    project_blocks,
+)
 from .matrix import (
     as_dense,
     kappa_from_singular_values,
@@ -42,52 +57,97 @@ __all__ = [
     "ObjectiveState",
     "evaluate",
     "evaluate_cross",
+    "gram_stacks",
     "hessian_quadratic_form",
     "duality_gap_bound",
 ]
 
 
-@dataclass(frozen=True)
 class ObjectiveState:
     """Everything the optimizer needs at one group element g, with B = g . A.
 
-    B_pinv is the pseudoinverse of B for the condition objective: the inverse
-    that the state of a square full-rank run was built from, otherwise built
-    from B on first access.  For the cross objective it is the transformed
-    second matrix.  sigma holds the singular values of B where the state has
-    them.  kappa is the Euclidean condition number of B, for
-    reporting only: taken from sigma, or computed from B without vectors on
-    first access.
+    value, grad, grad_norm, kF and rank_deficient are computed when the state
+    is built.  B, B_pinv and kappa are computed on first access unless the
+    state was built from them.  B_pinv is the pseudoinverse of B for the
+    condition objective: for a square full-rank run the dual action of g on
+    the run's inverse of A, otherwise built from B.  For the cross objective
+    it is the transformed second matrix.  sigma holds the singular values of
+    B where the state has them.  kappa is the Euclidean condition number of B,
+    for reporting only: sigma_max(B) sigma_max(B^-1) when B_pinv is B^-1,
+    otherwise sigma_max over the smallest singular value above the rank
+    cutoff, from sigma or from B without vectors.
     """
 
-    B: np.ndarray
-    value: float
-    grad: LieDirection
-    grad_norm: float
-    kF: float
-    rank_deficient: bool
-    sigma: Optional[np.ndarray] = field(default=None, repr=False)
-    pinv: Optional[np.ndarray] = field(default=None, repr=False)
+    def __init__(self, value, grad: LieDirection, kF, element: GroupElement, matrix,
+                 dual=None, inverse=False, rank_deficient=False, sigma=None, B=None,
+                 B_pinv=None):
+        self.value, self.grad, self.grad_norm, self.kF = value, grad, grad.norm, kF
+        self.rank_deficient, self.sigma = rank_deficient, sigma
+        self._element, self._matrix, self._dual, self._inverse = element, matrix, dual, inverse
+        if B is not None:
+            self.B = B
+        if B_pinv is not None:
+            self.B_pinv = B_pinv
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return apply(self._element, self._matrix)
 
     @cached_property
     def B_pinv(self) -> np.ndarray:
-        if self.pinv is not None:
-            return self.pinv
-        return pseudoinverse(self.B)
+        if self._dual is None:
+            return pseudoinverse(self.B)
+        return apply_dual(self._element, self._dual)
 
     @cached_property
     def kappa(self) -> float:
+        if self._inverse:
+            return float(np.linalg.norm(self.B, 2) * np.linalg.norm(self.B_pinv, 2))
         s = self.sigma if self.sigma is not None else singular_values(self.B)
-        return kappa_from_singular_values(s, self.B.shape)
+        return kappa_from_singular_values(s, self._matrix.shape)
 
 
-def _gram_blocks(R, runs, scale):
-    """The diagonal blocks of R R* / scale, one stack per run of row slabs."""
+def _gram_blocks(R, runs):
+    """The diagonal blocks of R R*, one stack per run of row slabs."""
     out = []
     for r in runs:
         slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
-        out.append(slab @ slab.conj().transpose(0, 2, 1) / scale)
+        out.append(slab @ slab.conj().transpose(0, 2, 1))
     return out
+
+
+def gram_stacks(A, D, scheme):
+    """The Gram stacks (P, Q) that a left-only run reads every state from, or
+    None for a two-sided scheme, whose states act on A and D instead.
+
+    P_b = A_b A_b* over the row slabs of A and Q_b = D_b* D_b over the column
+    slabs of D, in the shape of ``scheme.left_runs``; D is the inverse of a
+    square A of full rank, or the second matrix of a cross pair.
+    """
+    if scheme.side == "both":
+        return None
+    a, d = as_dense(A), as_dense(D)
+    if a.shape[0] != scheme.m or d.shape != (a.shape[1], a.shape[0]):
+        raise DimensionMismatchError(
+            f"matrices of shapes {a.shape} and {d.shape} do not pair under a scheme "
+            f"with {scheme.m} rows"
+        )
+    return _gram_blocks(a, scheme.left_runs), _gram_blocks(d.conj().T, scheme.left_runs)
+
+
+def _trace(stacks):
+    return sum(float(np.einsum("kii->", S).real) for S in stacks)
+
+
+def _left_state(a, d, g, grams, inverse=False) -> ObjectiveState:
+    """The state of log ||X a||_F + log ||d X^-1||_F, read from the Gram stacks of (a, d)."""
+    T, U = congruence(g, *grams)
+    nb2, nd2 = _trace(T), _trace(U)
+    if nb2 == 0.0 or nd2 == 0.0:
+        raise ZeroMatrixError("matrix is identically zero")
+    grad = project_blocks(g.scheme, [t / nb2 - u / nd2 for t, u in zip(T, U)])
+    nb, nd = math.sqrt(nb2), math.sqrt(nd2)
+    return ObjectiveState(math.log(nb) + math.log(nd), grad, nb * nd, g, a, d, inverse)
 
 
 def _grad_from_pair(g, B, d_left, d_right, nd2):
@@ -100,40 +160,52 @@ def _grad_from_pair(g, B, d_left, d_right, nd2):
     """
     sch = g.scheme
     nb2 = np.linalg.norm(B) ** 2
-    P = [b + d for b, d in zip(_gram_blocks(B, sch.left_runs, nb2),
-                               _gram_blocks(d_left, sch.left_runs, -nd2))]
+    P = [b / nb2 - d / nd2 for b, d in zip(_gram_blocks(B, sch.left_runs),
+                                           _gram_blocks(d_left, sch.left_runs))]
     if sch.side == "left":
         return project_blocks(sch, P)
-    Q = [b + d for b, d in zip(_gram_blocks(B.conj().T, sch.right_runs, -nb2),
-                               _gram_blocks(d_right, sch.right_runs, nd2))]
+    Q = [d / nd2 - b / nb2 for b, d in zip(_gram_blocks(B.conj().T, sch.right_runs),
+                                           _gram_blocks(d_right, sch.right_runs))]
     return project_blocks(sch, P, Q)
 
 
-def _pair_state(g, B, D) -> ObjectiveState:
-    """The state of log ||B||_F + log ||D||_F, with D kept as B_pinv."""
+def _pair_state(a, d, g, inverse=False) -> ObjectiveState:
+    """The state of log ||g . a||_F + log ||D||_F for D the dual action on d,
+    kept as B_pinv: the two-sided case."""
+    B, D = apply(g, a), apply_dual(g, d)
     nb, nd = np.linalg.norm(B), np.linalg.norm(D)
     if nb == 0.0 or nd == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
     grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
-    return ObjectiveState(B=B, value=float(np.log(nb) + np.log(nd)), grad=grad,
-                          grad_norm=grad.norm, kF=float(nb * nd), rank_deficient=False, pinv=D)
+    return ObjectiveState(float(np.log(nb) + np.log(nd)), grad, float(nb * nd), g, a, d,
+                          inverse, B=B, B_pinv=D)
 
 
-def evaluate(A, g: GroupElement, a_inv=None) -> ObjectiveState:
+def _dual_state(a, d, g, grams, inverse=False) -> ObjectiveState:
+    """The state of a run that pairs a with d: from its Gram stacks (or ones
+    built here) for a left-only scheme, else from the two actions."""
+    if g.scheme.side == "both":
+        return _pair_state(a, d, g, inverse)
+    return _left_state(a, d, g, gram_stacks(a, d, g.scheme) if grams is None else grams, inverse)
+
+
+def evaluate(A, g: GroupElement, a_inv=None, grams=None) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
     With ``a_inv``, the inverse of a square A of full rank (computed once per
-    run), the state factors nothing: D = B^-1 is apply_dual(g, a_inv),
-    kF = ||B||_F ||D||_F, the Gram blocks of (B^+)* B^+ and B^+ (B^+)* come
-    from D* and D, and D is kept as B_pinv.  Otherwise it is one thin SVD:
-    with B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and
-    V_r / s_r.  Rank-deficient inputs are evaluated with the pseudoinverse and
-    flagged rather than rejected.
+    run), the state factors nothing.  A left-only state reads ||B||_F,
+    ||B^-1||_F and the gradient from ``grams``, the run's
+    ``gram_stacks(A, a_inv, g.scheme)`` (built here when not given); a
+    two-sided state takes D = B^-1 = Y A^-1 X^-1 from apply_dual(g, a_inv) and
+    keeps it as B_pinv.  Otherwise it is one thin SVD: with
+    B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
+    Rank-deficient inputs are evaluated with the pseudoinverse and flagged
+    rather than rejected.
     """
     a = as_dense(A)
-    B = apply(g, a)
     if a_inv is not None:
-        return _pair_state(g, B, apply_dual(g, a_inv))
+        return _dual_state(a, a_inv, g, grams, inverse=True)
+    B = apply(g, a)
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -145,28 +217,22 @@ def evaluate(A, g: GroupElement, a_inv=None) -> ObjectiveState:
     d_left /= pos
     d_right = vh[:r].conj().T / pos if g.scheme.side == "both" else None
     grad = _grad_from_pair(g, B, d_left, d_right, inv_norm**2)
-    return ObjectiveState(
-        B=B,
-        value=math.log(kF),
-        grad=grad,
-        grad_norm=grad.norm,
-        kF=kF,
-        rank_deficient=r < min(B.shape),
-        sigma=s,
-    )
+    return ObjectiveState(math.log(kF), grad, kF, g, a, rank_deficient=r < min(B.shape),
+                          sigma=s, B=B)
 
 
-def evaluate_cross(A, B_independent, g: GroupElement) -> ObjectiveState:
+def evaluate_cross(A, B_independent, g: GroupElement, grams=None) -> ObjectiveState:
     """Objective state for the cross condition of an independent pair (A, B).
 
     A transforms as X A Y^-1 and the second matrix as Y B X^-1; for
-    left-only schemes the pair is (X A, B X^-1).
+    left-only schemes the pair is (X A, B X^-1), read from ``grams``, the
+    run's ``gram_stacks(A, B, g.scheme)`` (built here when not given).
     """
     a = as_dense(A)
     b = as_dense(B_independent)
     if b.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError("second matrix must have the transposed shape of the first")
-    return _pair_state(g, apply(g, a), apply_dual(g, b))
+    return _dual_state(a, b, g, grams)
 
 
 def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:

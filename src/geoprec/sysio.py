@@ -37,7 +37,13 @@ def _complex(pair):
 
 
 def read_polysys(path):
-    """Parse a system file; returns (PolynomialSystem, point-or-None)."""
+    """Parse a system file; returns (PolynomialSystem, point-or-None).
+
+    A number that overflows where it is read (a coefficient or coordinate
+    beyond the float range, an exponent beyond a machine integer, a degree
+    whose Bombieri-Weyl weight overflows) is a ParseError like any other
+    malformed input.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -46,6 +52,14 @@ def read_polysys(path):
         raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "file is not UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
+    try:
+        return _from_document(doc)
+    except OverflowError as exc:
+        raise ParseError(1, f"number out of range: {exc}") from exc
+
+
+def _from_document(doc):
+    """(PolynomialSystem, point-or-None) from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ParseError(1, "top-level value must be an object")
     for key in ("nvars", "degrees", "polynomials"):

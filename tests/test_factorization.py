@@ -1,12 +1,14 @@
 """How a condition state is factored, and where kappa is computed.
 
-A square run whose input has full rank inverts A once, at entry, and builds
-every state from D = B^-1 = Y A^-1 X^-1, the dual action on that inverse;
-every other run keeps the thin SVD of B.  Full rank is decided from that
-inverse, by a test that no scaling of A's rows changes.  The two must
+A square run whose input has full rank inverts A once, at entry.  A
+two-sided run builds every state from D = B^-1 = Y A^-1 X^-1, the dual action
+on that inverse; a left-only run, like a left-only cross run, builds the Gram
+stacks of A and A^-1 once and reads every state from them, acting on neither
+matrix.  Every other run keeps the thin SVD of B.  Full rank is decided from
+that inverse, by a test that no scaling of A's rows changes.  The paths must
 describe the same objective: on square full-rank inputs the inverse state and
-the SVD state agree in value, kF, gradient and Hessian to round-off.  The Euclidean kappa
-is computed at the end points of a run only.
+the SVD state agree in value, kF, gradient and Hessian to round-off.  The
+Euclidean kappa is computed at the end points of a run only.
 """
 
 import math
@@ -18,8 +20,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoprec
+import geoprec.objective
 import geoprec.optimize
 from conftest import complex_gaussian, random_direction, random_element, rng_for
 from geoprec.cli import cli_dispatch
@@ -27,7 +32,7 @@ from geoprec.errors import RankDeficientError
 from geoprec.group import GroupElement, GroupScheme, apply, apply_dual
 from geoprec.matrix import ComplexMatrix, condition_euclidean
 from geoprec.mmio import write_matrix
-from geoprec.objective import evaluate, evaluate_cross, hessian_quadratic_form
+from geoprec.objective import evaluate, evaluate_cross, gram_stacks, hessian_quadratic_form
 from geoprec.optimize import OptimizerConfig, minimize_condition, minimize_cross_condition
 from geoprec.polysys import precondition_full, precondition_shuffle, precondition_sparse
 from geoprec.stochastic import EstimatorConfig
@@ -94,6 +99,67 @@ def test_inverse_state_matches_svd_state(name, field):
     assert _rel(inv.kappa, svd.kappa) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["torus", "uniform", "ragged"]), st.integers(2, 9),
+       st.integers(0, 2**16), st.booleans())
+def test_gram_state_matches_svd_state(kind, m, seed, real):
+    """A left-only state read from the Gram stacks, through evaluate with the
+    run's inverse and through evaluate_cross on the pair (A, A^-1), is the SVD
+    state: value, kF and every gradient stack agree to 1e-12 relative."""
+    sch = {"torus": GroupScheme.diagonal(m), "uniform": GroupScheme.blocked(2 * m, 2),
+           "ragged": GroupScheme.blocked(3 * m + 1, 3)}[kind]
+    rng = rng_for(619, seed)
+    A = np.exp(rng.standard_normal(sch.m))[:, None] * (
+        rng.standard_normal((sch.m, sch.m)) if real else complex_gaussian(rng, (sch.m, sch.m)))
+    g = _real_element(rng, sch) if real else random_element(rng, sch)
+    a_inv = np.linalg.inv(A)
+    svd = evaluate(A, g)
+    for state in (evaluate(A, g, a_inv=a_inv, grams=gram_stacks(A, a_inv, sch)),
+                  evaluate(A, g, a_inv=a_inv), evaluate_cross(A, a_inv, g)):
+        assert _rel(state.value, svd.value) <= 1e-12
+        assert _rel(state.kF, svd.kF) <= 1e-12
+        for p, q in zip(state.grad.left, svd.grad.left):
+            assert p.dtype == q.dtype
+            assert np.linalg.norm(p - q) <= 1e-12 * svd.grad.norm
+
+
+@pytest.fixture
+def actions(monkeypatch):
+    """How often the objective acts on a matrix: calls of apply and apply_dual."""
+    counts = {"apply": 0, "apply_dual": 0}
+
+    def counting(name):
+        real = getattr(geoprec.objective, name)
+
+        def fn(*args):
+            counts[name] += 1
+            return real(*args)
+        return fn
+
+    for name in counts:
+        monkeypatch.setattr(geoprec.objective, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["exact", "estimator", "cross"])
+def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
+    """A left-only full-rank run reads every state from its Gram stacks: B and
+    B^-1 are formed once each for the first and the last kappa, and never by an
+    estimator run, which reports no kappa.  A left cross run forms B alone."""
+    sch = GroupScheme.blocked(30, 4)
+    A = _sparse_square(1).toarray()
+    cfg = OptimizerConfig(scheme=sch, max_iters=5)
+    if kind == "cross":
+        rep = minimize_cross_condition(A, complex_gaussian(rng_for(620), (30, 30)), cfg)
+    else:
+        est = EstimatorConfig(num_probes=8, seed=1) if kind == "estimator" else None
+        rep = minimize_condition(A, cfg, estimator=est)
+    assert rep.iteration_count == 5
+    assert actions == {"exact": {"apply": 2, "apply_dual": 2},
+                       "estimator": {"apply": 0, "apply_dual": 0},
+                       "cross": {"apply": 2, "apply_dual": 0}}[kind]
+
+
 def _rows(rng, m):
     return np.exp(1.5 * rng.standard_normal(m))[:, None]
 
@@ -132,9 +198,9 @@ def factorizations(monkeypatch):
     """The a_inv argument of every evaluate call minimize_condition makes."""
     seen = []
 
-    def spy(a, g, a_inv=None):
+    def spy(a, g, a_inv=None, grams=None):
         seen.append(a_inv)
-        return evaluate(a, g, a_inv)
+        return evaluate(a, g, a_inv, grams)
 
     monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
     return seen
@@ -399,6 +465,10 @@ def test_graded_diagonal_certifies_at_its_optimum(diag, side):
     rep = minimize_condition(np.diag(diag), OptimizerConfig(scheme=sch))
     assert rep.termination.value == "certified"
     assert 2.0 <= rep.final_kF <= 2.0 * math.exp(0.01)
+    # A full-rank run takes kappa = sigma_max(B) sigma_max(B^-1), with no rank
+    # cutoff; at the identity both kappa and kF are the ratio of the entries.
+    assert _rel(rep.initial_kappa, diag[0] / diag[1]) <= 1e-12
+    assert _rel(rep.initial_kF, diag[0] / diag[1]) <= 1e-12
 
 
 def test_row_graded_run_reports_the_kF_of_its_final_matrix():

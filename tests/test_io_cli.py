@@ -517,9 +517,19 @@ def _non_ascii_mtx_file(tmp_path):
     lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][0][0].update(
         coeff=[True, False])),
     lambda tmp: _polysys_file(tmp, lambda d: d.update(point=[[True, False], [0.0, 0.0]])),
+    lambda tmp: _polysys_file(tmp, lambda d: d["polynomials"][0][0].update(
+        coeff=[10**400, 0])),
+    lambda tmp: _polysys_file(tmp, lambda d: d.update(point=[[10**400, 0], [0.0, 0.0]])),
+    lambda tmp: _polysys_file(tmp, lambda d: (d.update(degrees=[2**63, 2]),
+                                              d["polynomials"][0][0].update(
+                                                  exponents=[2**63, 0]))),
+    lambda tmp: _polysys_file(tmp, lambda d: (d.update(degrees=[171, 2]),
+                                              d["polynomials"][0][0].update(
+                                                  exponents=[171, 0]))),
 ], ids=["mtx-non-ascii", "json-not-utf8", "degrees-strings", "degrees-fraction",
         "exponents-int", "point-three-numbers", "nvars-true", "degrees-true", "exponents-true",
-        "coeff-true", "point-true"])
+        "coeff-true", "point-true", "coeff-401-digits", "point-401-digits",
+        "exponent-above-int64", "degree-171"])
 def test_cli_malformed_file_is_an_input_error(tmp_path, make_input):
     """A malformed input file exits 2 with a ParseError message, never a traceback."""
     path = make_input(tmp_path)
