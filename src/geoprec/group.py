@@ -410,18 +410,20 @@ def apply_dual(g: GroupElement, b) -> np.ndarray:
     return _times_inverse(b, g.left, sch.left_runs)
 
 
-def congruence(g: GroupElement, P, Q):
-    """The left stacks X_b P_b X_b* and X_b^-* Q_b X_b^-1, one per run of left blocks.
+def congruence(g: GroupElement, L, S):
+    """The left stacks (X_b L_b)(X_b L_b)* and (S_b X_b^-1)* (S_b X_b^-1), one
+    per run of left blocks.
 
-    P and Q hold the diagonal blocks of the Gram matrices A A* and D* D, stacked
-    like g.left; the results are the same blocks for X A and D X^-1, so a
-    left-only state reads them without acting on A or D.
+    L and S hold factors of the diagonal blocks of the Gram matrices,
+    A A* = L L* and D* D = S* S, stacked like g.left; the results are the
+    same blocks for X A and D X^-1, so a left-only state reads them without
+    acting on A or D.  Their diagonals are sums of squares.
     """
     T, U = [], []
-    for x, p, q, r in zip(g.left, P, Q, g.scheme.left_runs):
-        x_inv = _inverse(x, r)
-        T.append(_bmm(_bmm(x, p), _adjoint(x)))
-        U.append(_bmm(_bmm(_adjoint(x_inv), q), x_inv))
+    for x, l, s, r in zip(g.left, L, S, g.scheme.left_runs):
+        f, h = _bmm(x, l), _bmm(s, _inverse(x, r))
+        T.append(_bmm(f, _adjoint(f)))
+        U.append(_bmm(_adjoint(h), h))
     return T, U
 
 

@@ -18,10 +18,12 @@ state costs by the case:
 
 * left-only, with A^-1 (a square run of full rank) or with the second matrix
   of a cross pair: O(sum of size^3) over the blocks.  Under B = X A and
-  D = A^-1 X^-1 (or D = B_2 X^-1), ||B||_F^2 = sum_b tr(X_b P_b X_b*) and
-  ||D||_F^2 = sum_b tr(X_b^-* Q_b X_b^-1), for the Gram stacks P_b = A_b A_b*
-  of A's row slabs and Q_b = D_b* D_b of D's column slabs (``gram_stacks``),
-  which a run builds once;
+  D = A^-1 X^-1 (or D = B_2 X^-1), ||B||_F^2 = sum_b ||X_b L_b||_F^2 and
+  ||D||_F^2 = sum_b ||S_b X_b^-1||_F^2, for factors L_b L_b* = A_b A_b* of
+  A's row slabs and S_b* S_b = D_b* D_b of D's column slabs, the triangular
+  factors of one QR per slab (``gram_factors``), which a run builds once.
+  Rounding then grows like eps kappa, as it does for X A and D X^-1 formed
+  in full; the Gram blocks A_b A_b* themselves would square kappa;
 * two-sided, with A^-1 or a second matrix: the two block-diagonal actions,
   O(m n block size), B^-1 = Y A^-1 X^-1 being the dual action on A^-1;
 * otherwise one thin SVD of B.
@@ -57,7 +59,7 @@ __all__ = [
     "ObjectiveState",
     "evaluate",
     "evaluate_cross",
-    "gram_stacks",
+    "gram_factors",
     "hessian_quadratic_form",
     "duality_gap_bound",
 ]
@@ -116,32 +118,54 @@ def _gram_blocks(R, runs):
     return out
 
 
-def gram_stacks(A, D, scheme):
-    """The Gram stacks (P, Q) that a left-only run reads every state from, or
-    None for a two-sided scheme, whose states act on A and D instead.
-
-    P_b = A_b A_b* over the row slabs of A and Q_b = D_b* D_b over the column
-    slabs of D, in the shape of ``scheme.left_runs``; D is the inverse of a
-    square A of full rank, or the second matrix of a cross pair.
-    """
-    if scheme.side == "both":
-        return None
+def _pair(A, D, scheme):
+    """A and D as dense arrays, checked to pair under scheme: D has the
+    transposed shape of A, and A the scheme's rows."""
     a, d = as_dense(A), as_dense(D)
     if a.shape[0] != scheme.m or d.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError(
             f"matrices of shapes {a.shape} and {d.shape} do not pair under a scheme "
             f"with {scheme.m} rows"
         )
-    return _gram_blocks(a, scheme.left_runs), _gram_blocks(d.conj().T, scheme.left_runs)
+    return a, d
+
+
+def _slab_factors(R, runs):
+    """Per run, the stack of triangular W_b with W_b* W_b = R_b R_b* for the
+    row slabs R_b of R: the R factor of a QR of R_b*."""
+    out = []
+    for r in runs:
+        slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
+        out.append(np.linalg.qr(slab.conj().transpose(0, 2, 1), mode="r"))
+    return out
+
+
+def _factors(a, d, runs):
+    """(L, S) of ``gram_factors``, stored contiguous: every state multiplies by them."""
+    L = [np.ascontiguousarray(w.conj().transpose(0, 2, 1)) for w in _slab_factors(a, runs)]
+    return L, [np.ascontiguousarray(w) for w in _slab_factors(d.conj().T, runs)]
+
+
+def gram_factors(A, D, scheme):
+    """The factors (L, S) that a left-only run reads every state from, or
+    None for a two-sided scheme, whose states act on A and D instead.
+
+    L_b L_b* = A_b A_b* over the row slabs of A and S_b* S_b = D_b* D_b over
+    the column slabs of D, in the shape of ``scheme.left_runs``; D is the
+    inverse of a square A of full rank, or the second matrix of a cross pair.
+    """
+    if scheme.side == "both":
+        return None
+    return _factors(*_pair(A, D, scheme), scheme.left_runs)
 
 
 def _trace(stacks):
     return sum(float(np.einsum("kii->", S).real) for S in stacks)
 
 
-def _left_state(a, d, g, grams, inverse=False) -> ObjectiveState:
-    """The state of log ||X a||_F + log ||d X^-1||_F, read from the Gram stacks of (a, d)."""
-    T, U = congruence(g, *grams)
+def _left_state(a, d, g, factors, inverse=False) -> ObjectiveState:
+    """The state of log ||X a||_F + log ||d X^-1||_F, read from the Gram factors of (a, d)."""
+    T, U = congruence(g, *factors)
     nb2, nd2 = _trace(T), _trace(U)
     if nb2 == 0.0 or nd2 == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -181,30 +205,33 @@ def _pair_state(a, d, g, inverse=False) -> ObjectiveState:
                           inverse, B=B, B_pinv=D)
 
 
-def _dual_state(a, d, g, grams, inverse=False) -> ObjectiveState:
-    """The state of a run that pairs a with d: from its Gram stacks (or ones
+def _dual_state(A, D, g, factors, inverse=False) -> ObjectiveState:
+    """The state of a run that pairs A with D: from its Gram factors (or ones
     built here) for a left-only scheme, else from the two actions."""
-    if g.scheme.side == "both":
+    sch = g.scheme
+    a, d = _pair(A, D, sch)
+    if sch.side == "both":
         return _pair_state(a, d, g, inverse)
-    return _left_state(a, d, g, gram_stacks(a, d, g.scheme) if grams is None else grams, inverse)
+    return _left_state(a, d, g, _factors(a, d, sch.left_runs) if factors is None else factors,
+                       inverse)
 
 
-def evaluate(A, g: GroupElement, a_inv=None, grams=None) -> ObjectiveState:
+def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
     With ``a_inv``, the inverse of a square A of full rank (computed once per
     run), the state factors nothing.  A left-only state reads ||B||_F,
-    ||B^-1||_F and the gradient from ``grams``, the run's
-    ``gram_stacks(A, a_inv, g.scheme)`` (built here when not given); a
+    ||B^-1||_F and the gradient from ``factors``, the run's
+    ``gram_factors(A, a_inv, g.scheme)`` (built here when not given); a
     two-sided state takes D = B^-1 = Y A^-1 X^-1 from apply_dual(g, a_inv) and
     keeps it as B_pinv.  Otherwise it is one thin SVD: with
     B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
     Rank-deficient inputs are evaluated with the pseudoinverse and flagged
     rather than rejected.
     """
-    a = as_dense(A)
     if a_inv is not None:
-        return _dual_state(a, a_inv, g, grams, inverse=True)
+        return _dual_state(A, a_inv, g, factors, inverse=True)
+    a = as_dense(A)
     B = apply(g, a)
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     if not len(s) or s[0] == 0.0:
@@ -221,18 +248,14 @@ def evaluate(A, g: GroupElement, a_inv=None, grams=None) -> ObjectiveState:
                           sigma=s, B=B)
 
 
-def evaluate_cross(A, B_independent, g: GroupElement, grams=None) -> ObjectiveState:
+def evaluate_cross(A, B_independent, g: GroupElement, factors=None) -> ObjectiveState:
     """Objective state for the cross condition of an independent pair (A, B).
 
     A transforms as X A Y^-1 and the second matrix as Y B X^-1; for
-    left-only schemes the pair is (X A, B X^-1), read from ``grams``, the
-    run's ``gram_stacks(A, B, g.scheme)`` (built here when not given).
+    left-only schemes the pair is (X A, B X^-1), read from ``factors``, the
+    run's ``gram_factors(A, B, g.scheme)`` (built here when not given).
     """
-    a = as_dense(A)
-    b = as_dense(B_independent)
-    if b.shape != (a.shape[1], a.shape[0]):
-        raise DimensionMismatchError("second matrix must have the transposed shape of the first")
-    return _dual_state(a, b, g, grams)
+    return _dual_state(A, B_independent, g, factors)
 
 
 def hessian_quadratic_form(state: ObjectiveState, H: LieDirection) -> float:

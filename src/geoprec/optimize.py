@@ -31,14 +31,14 @@ have no entry with a nonzero imaginary part is solved in real arithmetic
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
 path is the same for both.  A ``minimize_condition`` run on a square A also
 decides at entry, from the one inverse of A it takes, whether A has full rank
-(``_entry_inverse``).  A full-rank left-only run builds the Gram stacks of A and
-of that inverse once (``objective.gram_stacks``) and reads every state from
-them in O(sum of size^3) over the blocks; a full-rank two-sided run takes
-B^-1 = Y A^-1 X^-1 at every state from the dual action on that inverse; any
-other run factors every state with a thin SVD, but an estimator run on a
-square A raises RankDeficientError.  A left-only cross run reads its states
-from the Gram stacks of its pair the same way.  Every run makes exactly one
-``evaluate`` or ``evaluate_cross`` call per state.
+(``_entry_inverse``).  A full-rank left-only run builds factors of the Gram
+blocks of A and of that inverse once (``objective.gram_factors``, one QR per
+slab) and reads every state from them in O(sum of size^3) over the blocks; a
+full-rank two-sided run takes B^-1 = Y A^-1 X^-1 at every state from the dual
+action on that inverse; any other run factors every state with a thin SVD,
+but an estimator run on a square A raises RankDeficientError.  A left-only
+cross run reads its states from the Gram factors of its pair the same way.
+Every run makes exactly one ``evaluate`` or ``evaluate_cross`` call per state.
 """
 
 import math
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
 from .matrix import as_dense, frobenius_from_singular_values, rank_tolerance, singular_values
-from .objective import duality_gap_bound, evaluate, evaluate_cross, gram_stacks
+from .objective import duality_gap_bound, evaluate, evaluate_cross, gram_factors
 
 __all__ = [
     "Termination",
@@ -263,7 +263,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     A real A, or a complex one whose imaginary parts are all zero, is solved
     in real arithmetic and yields a float64 final element.  A square A of full
     rank (see _entry_inverse) is inverted once: a left-only run reads every
-    state from the Gram stacks of A and A^-1, a two-sided run takes B^-1 from
+    state from the Gram factors of A and A^-1, a two-sided run takes B^-1 from
     the dual action on A^-1.  Any other A is solved with a thin SVD of B at
     every state.  A full-rank run reports kappa = sigma_max(B) sigma_max(B^-1)
     with no rank cutoff; an SVD run drops singular values at or below
@@ -292,10 +292,10 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    grams = None if a_inv is None else gram_stacks(a, a_inv, sch)
+    factors = None if a_inv is None else gram_factors(a, a_inv, sch)
 
     def state_fn(g):
-        state = evaluate(a, g, a_inv=a_inv, grams=grams)
+        state = evaluate(a, g, a_inv=a_inv, factors=factors)
         if step_dir is None:
             return state
         return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
@@ -308,8 +308,8 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
     """Gradient descent on the cross condition log ||X A Y^-1|| ||Y B X^-1||."""
     a, b = _finite(A, B)
     sch = config.scheme
-    grams = gram_stacks(a, b, sch)
-    return _descend(lambda g: evaluate_cross(a, b, g, grams=grams), sch.identity(a.dtype),
+    factors = gram_factors(a, b, sch)
+    return _descend(lambda g: evaluate_cross(a, b, g, factors=factors), sch.identity(a.dtype),
                     config, weight_data(sch), 1.0 / config.smoothness())
 
 

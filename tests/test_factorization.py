@@ -2,9 +2,9 @@
 
 A square run whose input has full rank inverts A once, at entry.  A
 two-sided run builds every state from D = B^-1 = Y A^-1 X^-1, the dual action
-on that inverse; a left-only run, like a left-only cross run, builds the Gram
-stacks of A and A^-1 once and reads every state from them, acting on neither
-matrix.  Every other run keeps the thin SVD of B.  Full rank is decided from
+on that inverse; a left-only run, like a left-only cross run, builds factors of
+the Gram blocks of A and A^-1 once and reads every state from them, acting on
+neither matrix.  Every other run keeps the thin SVD of B.  Full rank is decided from
 that inverse, by a test that no scaling of A's rows changes.  The paths must
 describe the same objective: on square full-rank inputs the inverse state and
 the SVD state agree in value, kF, gradient and Hessian to round-off.  The
@@ -32,7 +32,7 @@ from geoprec.errors import RankDeficientError
 from geoprec.group import GroupElement, GroupScheme, apply, apply_dual
 from geoprec.matrix import ComplexMatrix, condition_euclidean
 from geoprec.mmio import write_matrix
-from geoprec.objective import evaluate, evaluate_cross, gram_stacks, hessian_quadratic_form
+from geoprec.objective import evaluate, evaluate_cross, gram_factors, hessian_quadratic_form
 from geoprec.optimize import OptimizerConfig, minimize_condition, minimize_cross_condition
 from geoprec.polysys import precondition_full, precondition_shuffle, precondition_sparse
 from geoprec.stochastic import EstimatorConfig
@@ -103,7 +103,7 @@ def test_inverse_state_matches_svd_state(name, field):
 @given(st.sampled_from(["torus", "uniform", "ragged"]), st.integers(2, 9),
        st.integers(0, 2**16), st.booleans())
 def test_gram_state_matches_svd_state(kind, m, seed, real):
-    """A left-only state read from the Gram stacks, through evaluate with the
+    """A left-only state read from the Gram factors, through evaluate with the
     run's inverse and through evaluate_cross on the pair (A, A^-1), is the SVD
     state: value, kF and every gradient stack agree to 1e-12 relative."""
     sch = {"torus": GroupScheme.diagonal(m), "uniform": GroupScheme.blocked(2 * m, 2),
@@ -114,13 +114,39 @@ def test_gram_state_matches_svd_state(kind, m, seed, real):
     g = _real_element(rng, sch) if real else random_element(rng, sch)
     a_inv = np.linalg.inv(A)
     svd = evaluate(A, g)
-    for state in (evaluate(A, g, a_inv=a_inv, grams=gram_stacks(A, a_inv, sch)),
+    for state in (evaluate(A, g, a_inv=a_inv, factors=gram_factors(A, a_inv, sch)),
                   evaluate(A, g, a_inv=a_inv), evaluate_cross(A, a_inv, g)):
         assert _rel(state.value, svd.value) <= 1e-12
         assert _rel(state.kF, svd.kF) <= 1e-12
         for p, q in zip(state.grad.left, svd.grad.left):
             assert p.dtype == q.dtype
             assert np.linalg.norm(p - q) <= 1e-12 * svd.grad.norm
+
+
+# [[1, 1], [1, 1 + 2^-30]] has kappa about 4.3e9 and the exact float inverse
+# 2^30 [[1 + 2^-30, -1], [-1, 1]]; under the block-diagonal X = A^-1, B = X A
+# is the identity exactly.
+_NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-30]])
+
+
+@pytest.mark.parametrize("scale", [(1.0,), (1.0, 2.0**40, 2.0**-40)], ids=["full", "blocked"])
+def test_left_state_of_an_ill_conditioned_block_keeps_eps_kappa(scale):
+    """At X = A^-1, with the rows of each 2x2 block nearly dependent, the
+    left-only state reads kF = m and a zero gradient to about eps kappa, as
+    the SVD state of B = X A does.  Gram blocks A_b A_b* taken in floating
+    point would lose kF to eps kappa^2, about 1e3 times ||X A||_F^2."""
+    A = sla.block_diag(*(c * _NEAR_SINGULAR for c in scale))
+    a_inv = sla.block_diag(*(np.linalg.inv(_NEAR_SINGULAR) / c for c in scale))
+    assert np.array_equal(a_inv @ A, np.eye(len(A)))
+    sch = GroupScheme.full(2, side="left") if len(scale) == 1 else GroupScheme.blocked(6, 2)
+    g = GroupElement(sch, a_inv)
+    m = len(A)
+    svd = evaluate(A, g)
+    assert _rel(svd.kF, m) <= 1e-12 and svd.grad_norm <= 1e-12
+    for state in (evaluate(A, g, a_inv=a_inv), evaluate_cross(A, a_inv, g),
+                  evaluate(A, g, a_inv=a_inv, factors=gram_factors(A, a_inv, sch))):
+        assert _rel(state.kF, m) <= 1e-5
+        assert state.grad_norm <= 1e-5
 
 
 @pytest.fixture
@@ -143,7 +169,7 @@ def actions(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exact", "estimator", "cross"])
 def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
-    """A left-only full-rank run reads every state from its Gram stacks: B and
+    """A left-only full-rank run reads every state from its Gram factors: B and
     B^-1 are formed once each for the first and the last kappa, and never by an
     estimator run, which reports no kappa.  A left cross run forms B alone."""
     sch = GroupScheme.blocked(30, 4)
@@ -198,9 +224,9 @@ def factorizations(monkeypatch):
     """The a_inv argument of every evaluate call minimize_condition makes."""
     seen = []
 
-    def spy(a, g, a_inv=None, grams=None):
+    def spy(a, g, a_inv=None, factors=None):
         seen.append(a_inv)
-        return evaluate(a, g, a_inv, grams)
+        return evaluate(a, g, a_inv, factors)
 
     monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
     return seen
