@@ -132,9 +132,13 @@ def _pair(A, D, scheme):
 
 def _slab_factors(R, runs):
     """Per run, the stack of triangular W_b with W_b* W_b = R_b R_b* for the
-    row slabs R_b of R: the R factor of a QR of R_b*."""
+    row slabs R_b of R: the R factor of a QR of R_b*, or for 1x1 blocks the
+    row norms, which that QR gives up to sign."""
     out = []
     for r in runs:
+        if r.size == 1:
+            out.append(np.linalg.norm(R[r.start:r.stop], axis=1).reshape(-1, 1, 1))
+            continue
         slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
         out.append(np.linalg.qr(slab.conj().transpose(0, 2, 1), mode="r"))
     return out

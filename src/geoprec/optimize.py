@@ -13,6 +13,13 @@ are fixed by the analysis, so no config sets them.  Two step policies:
   1e-14 descends: the full (base 1/(D + 2)) and sparse (base 1/8) polynomial
   actions in ``polysys``.
 
+A step moves along the geodesic exp(-step H) g.  Halving runs, SVD-path runs
+and estimator runs replace every candidate by its polar factor
+(``repolarize``).  An exact full-rank ``minimize_condition`` run and every
+``minimize_cross_condition`` run read unitarily equivariant states (from the
+entry inverse, Gram factors or the pair), so they step with ``exp_action``
+alone and repolarize once, the element they return.
+
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
 iteration cap.  The tolerance is ``grad_tol_override`` when set, otherwise
@@ -83,7 +90,8 @@ class OptimizerConfig:
 
     The tolerance defaults to gamma * target_eps, the gradient norm under
     which the duality certificate reaches the target.  max_iters must be at
-    least 0 and target_eps finite and positive; ValueError otherwise.
+    least 0, target_eps finite and positive, and grad_tol_override, when set,
+    finite and at least 0; ValueError otherwise.
     """
 
     scheme: GroupScheme
@@ -96,6 +104,9 @@ class OptimizerConfig:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if not (math.isfinite(self.target_eps) and self.target_eps > 0):
             raise ValueError(f"target_eps must be finite and positive, got {self.target_eps}")
+        tol = self.grad_tol_override
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"grad_tol_override must be finite and at least 0, got {tol}")
 
     def smoothness(self) -> float:
         return 4.0 if self.scheme.side == "left" else 8.0
@@ -139,7 +150,7 @@ class _State(NamedTuple):
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
-             halving=False, step_dir=None) -> OptimizationReport:
+             halving=False, step_dir=None, polar_at_end=False) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
@@ -151,6 +162,10 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     until the candidate repolarizes and its value does not increase, and the
     run also ends CONVERGED once no step of at least 1e-14 descends.
     step_dir(g), when given, replaces state.grad as the step direction.
+    Every candidate is repolarized, unless polar_at_end: then a constant step
+    moves by ``exp_action`` alone and only the returned element, if a step
+    was taken, is repolarized.  That needs a unitarily equivariant state_fn
+    and direction (see ``group.repolarize``).
     """
     if config.grad_tol_override is not None:
         grad_tol = config.grad_tol_override
@@ -182,7 +197,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
         direction = state.grad if step_dir is None else step_dir(g)
         if not halving:
             del state  # the old B and gradient must not outlive the next factorization
-            g = repolarize(exp_action(g, direction, -base_step))
+            g = exp_action(g, direction, -base_step)
+            if not polar_at_end:
+                g = repolarize(g)
             del direction
             state = state_fn(g)
             continue
@@ -205,7 +222,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             break
         g, state = cand, cand_state
     report.certificate = bound if math.isfinite(bound) else None
-    report.final_element = g
+    report.final_element = repolarize(g) if polar_at_end and report.iteration_count else g
     report.final_kF = state.kF
     report.initial_kappa = report.iterations[0].kappa
     report.final_kappa = state.kappa
@@ -301,7 +318,8 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
 
     return _descend(state_fn, sch.identity(a.dtype), config, weight_data(sch),
-                    1.0 / config.smoothness(), step_dir=step_dir)
+                    1.0 / config.smoothness(), step_dir=step_dir,
+                    polar_at_end=a_inv is not None and estimator is None)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
@@ -310,7 +328,7 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
     sch = config.scheme
     factors = gram_factors(a, b, sch)
     return _descend(lambda g: evaluate_cross(a, b, g, factors=factors), sch.identity(a.dtype),
-                    config, weight_data(sch), 1.0 / config.smoothness())
+                    config, weight_data(sch), 1.0 / config.smoothness(), polar_at_end=True)
 
 
 def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float,

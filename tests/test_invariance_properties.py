@@ -9,6 +9,11 @@ The optimal kF over a left torus does not change when A's rows are scaled,
 since row scalings are elements of that torus: runs on A and on D A certify
 log kF values that agree within the sum of their certificates.
 
+The states a constant-step run reads without repolarizing, from Gram
+factors or from a pair, are unitarily equivariant: at U g, for U
+block-unitary in the scheme's pattern, value, kF and gradient norm are
+those at g, and each gradient block is U_b H_b U_b*.
+
 The computed kF of a matrix with condition number kappa carries a relative
 error of a few eps * kappa (the smallest singular value is found to about
 eps * sigma_max), so the first two properties compare within 16 eps kappa,
@@ -23,10 +28,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_gaussian, rng_for
+from conftest import complex_gaussian, random_unitary, rng_for
 from geoprec.group import GroupElement, GroupScheme
 from geoprec.matrix import condition_frobenius
-from geoprec.objective import evaluate
+from geoprec.objective import evaluate, evaluate_cross, gram_factors
 from geoprec.optimize import OptimizerConfig, Termination, minimize_condition
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -137,3 +142,70 @@ def test_certified_torus_optimum_ignores_row_scales(n, seed, is_complex, data):
     assert plain.termination is scaled.termination is Termination.CERTIFIED
     gap = abs(math.log(plain.final_kF) - math.log(scaled.final_kF))
     assert gap <= plain.certificate + scaled.certificate
+
+
+def _block_diagonal(blocks, size, make, dtype):
+    out = np.zeros((size, size), dtype=dtype)
+    for a, b in blocks:
+        out[a:b, a:b] = make(b - a)
+    return out
+
+
+@st.composite
+def _unitary_orbits(draw):
+    """A square input A of kappa <= 100 and a second matrix for a cross pair, a
+    positive definite element g of a left torus, uniform or ragged left blocks,
+    or two-sided blocks, and a block-unitary (real: orthogonal) U of its pattern."""
+    kind = draw(st.sampled_from(["torus", "uniform", "ragged", "both"]))
+    size = draw(st.integers(2, 3))
+    n = size * draw(st.integers(1, 3)) if kind == "uniform" else draw(st.integers(2, 8))
+    sch = {"torus": GroupScheme.diagonal(n, side="left"),
+           "uniform": GroupScheme.blocked(n, size, side="left"),
+           "ragged": GroupScheme("left", n, n, _partition(draw, n)),
+           "both": GroupScheme("both", n, n, _partition(draw, n), _partition(draw, n))}[kind]
+    is_complex = draw(st.booleans())
+    rng = rng_for(64, draw(st.integers(0, 2**16)))
+    dtype = complex if is_complex else float
+
+    def positive(k):
+        M = complex_gaussian(rng, (k, k)) if is_complex else rng.standard_normal((k, k))
+        return sla.expm(0.25 * (M + M.conj().T))
+
+    def unitary(k):
+        return random_unitary(rng, k) if is_complex else _orthonormal(rng, k, False)
+
+    both = sch.side == "both"
+    g = GroupElement(sch, _block_diagonal(sch.left_blocks, n, positive, dtype),
+                     _block_diagonal(sch.right_blocks, n, positive, dtype) if both else None)
+    U1 = _block_diagonal(sch.left_blocks, n, unitary, dtype)
+    U2 = _block_diagonal(sch.right_blocks, n, unitary, dtype) if both else None
+    A = _conditioned(rng, n, n, 10.0 ** draw(st.floats(0.0, 2.0)), is_complex)
+    B = _conditioned(rng, n, n, 10.0 ** draw(st.floats(0.0, 2.0)), is_complex)
+    return A, B, g, U1, U2
+
+
+def _check_equivariant(at_g, at_ug, U1, U2):
+    for field in ("value", "kF", "grad_norm"):
+        ref = getattr(at_g, field)
+        assert abs(getattr(at_ug, field) - ref) <= 1e-12 * abs(ref)
+    scale = max(at_g.grad_norm, 1.0)
+    H1 = U1 @ at_g.grad.H1 @ U1.conj().T
+    assert np.abs(at_ug.grad.H1 - H1).max() <= 1e-12 * scale
+    if U2 is not None:
+        H2 = U2 @ at_g.grad.H2 @ U2.conj().T
+        assert np.abs(at_ug.grad.H2 - H2).max() <= 1e-12 * scale
+
+
+@_PROPERTY
+@given(_unitary_orbits())
+def test_state_at_a_unitary_multiple_is_the_conjugated_state(inp):
+    """Left schemes read the states from Gram factors, two-sided ones from the pair."""
+    A, B, g, U1, U2 = inp
+    sch = g.scheme
+    ug = GroupElement(sch, U1 @ g.X, None if U2 is None else U2 @ g.Y)
+    a_inv = np.linalg.inv(A)
+    factors = gram_factors(A, a_inv, sch)
+    _check_equivariant(evaluate(A, g, a_inv, factors), evaluate(A, ug, a_inv, factors), U1, U2)
+    factors = gram_factors(A, B, sch)
+    _check_equivariant(evaluate_cross(A, B, g, factors), evaluate_cross(A, B, ug, factors),
+                       U1, U2)

@@ -414,6 +414,12 @@ def test_cli_emit_preconditioner(tmp_path):
         assert np.array_equal(read_matrix(files[0]).to_dense(), g.X)
         if side == "both":
             assert np.array_equal(read_matrix(files[1]).to_dense(), g.Y)
+        for name, blocks in zip(files, (scheme.left_blocks, scheme.right_blocks)):
+            emitted = read_matrix(name).to_dense()
+            for a, b in blocks:  # the Hermitian positive definite representative
+                block = emitted[a:b, a:b]
+                assert np.abs(block - block.conj().T).max() <= 1e-12 * np.abs(block).max()
+                assert np.linalg.eigvalsh(block).min() > 0
 
 
 def test_cli_polysys_shuffle(tmp_path):

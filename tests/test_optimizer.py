@@ -236,6 +236,15 @@ def test_config_rejects_bad_cap_and_target(kw):
         diag_left(3, **kw)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_config_rejects_bad_gradient_tolerance(tol):
+    """A NaN or negative tolerance is never met, so the run goes on to its cap;
+    an infinite one ends any run as converged at iteration 0."""
+    with pytest.raises(ValueError, match="grad_tol_override"):
+        diag_left(3, grad_tol_override=tol)
+    assert diag_left(3, grad_tol_override=0.0).grad_tol_override == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predicted_bound_rejects_non_finite_input(bad):
     A = np.eye(3)
