@@ -128,9 +128,10 @@ class ComplexMatrix:
         out[r, c] = v.real if real else v
         return out
 
-    def to_csr(self):
+    def to_csr(self, real=False):
+        """CSR matrix of the stored entries; with ``real``, of their real parts."""
         r, c, v = self.triplets()
-        return sp.csr_matrix((v, (r, c)), shape=self.shape)
+        return sp.csr_matrix((v.real if real else v, (r, c)), shape=self.shape)
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"

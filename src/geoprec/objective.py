@@ -16,8 +16,9 @@ independently transformed second matrix.
 Only ||B||_F, ||B^+||_F and the diagonal blocks of the Gram terms enter, so a
 state costs by the case:
 
-* left-only, with A^-1 (a square run of full rank) or with the second matrix
-  of a cross pair: O(sum of size^3) over the blocks.  Under B = X A and
+* left-only, with A^-1 (a square run of full rank, which may pass A^-1
+  times a unitary on its left) or with the second matrix of a cross pair:
+  O(sum of size^3) over the blocks.  Under B = X A and
   D = A^-1 X^-1 (or D = B_2 X^-1), ||B||_F^2 = sum_b ||X_b L_b||_F^2 and
   ||D||_F^2 = sum_b ||S_b X_b^-1||_F^2, for factors L_b L_b* = A_b A_b* of
   A's row slabs and S_b* S_b = D_b* D_b of D's column slabs, the triangular
@@ -72,9 +73,11 @@ class ObjectiveState:
     is built.  B, B_pinv and kappa are computed on first access unless the
     state was built from them.  B_pinv is the pseudoinverse of B for the
     condition objective: for a square full-rank run the dual action of g on
-    the run's inverse of A, otherwise built from B.  For the cross objective
-    it is the transformed second matrix.  sigma holds the singular values of
-    B where the state has them.  kappa is the Euclidean condition number of B,
+    the run's inverse of A, otherwise built from B.  A left-only run may pass
+    U A^-1 for a unitary U instead of A^-1 (``evaluate``); B_pinv is then
+    U B^-1, with the singular values and the D* D of B^-1.  For the cross
+    objective it is the transformed second matrix.  sigma holds the singular
+    values of B where the state has them.  kappa is the Euclidean condition number of B,
     for reporting only: sigma_max(B) sigma_max(B^-1) when B_pinv is B^-1,
     otherwise sigma_max over the smallest singular value above the rank
     cutoff, from sigma or from B without vectors.
@@ -224,11 +227,15 @@ def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
     """Objective state at g for the condition objective.
 
     With ``a_inv``, the inverse of a square A of full rank (computed once per
-    run), the state factors nothing.  A left-only state reads ||B||_F,
-    ||B^-1||_F and the gradient from ``factors``, the run's
-    ``gram_factors(A, a_inv, g.scheme)`` (built here when not given); a
-    two-sided state takes D = B^-1 = Y A^-1 X^-1 from apply_dual(g, a_inv) and
-    keeps it as B_pinv.  Otherwise it is one thin SVD: with
+    run), the state factors nothing.  Under a left-only scheme ``a_inv`` may
+    also be U A^-1 for any unitary U, such as W = R^-* = Q* A^-1 from a QR
+    A* = Q R: the objective reads A^-1 only through the Gram blocks of its
+    column slabs, and B_pinv = U B^-1 has the singular values and the D* D of
+    B^-1, so value, gradient, kF, kappa and the Hessian form are unchanged.
+    A left-only state reads ||B||_F, ||B^-1||_F and the gradient from
+    ``factors``, the run's ``gram_factors(A, a_inv, g.scheme)`` (built here
+    when not given); a two-sided state takes D = B^-1 = Y A^-1 X^-1 from
+    apply_dual(g, a_inv) and keeps it as B_pinv.  Otherwise it is one thin SVD: with
     B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
     Rank-deficient inputs are evaluated with the pseudoinverse and flagged
     rather than rejected.

@@ -4,8 +4,10 @@ A square run whose input has full rank inverts A once, at entry.  A
 two-sided run builds every state from D = B^-1 = Y A^-1 X^-1, the dual action
 on that inverse; a left-only run, like a left-only cross run, builds factors of
 the Gram blocks of A and A^-1 once and reads every state from them, acting on
-neither matrix.  Every other run keeps the thin SVD of B.  Full rank is decided from
-that inverse, by a test that no scaling of A's rows changes.  The paths must
+neither matrix.  A left-only run needs A^-1 only up to a unitary factor on its
+left, so it takes W = R^-* from one QR A* = Q R instead.  Every other run keeps
+the thin SVD of B.  Full rank is decided from that inverse, by a test that no
+scaling of A's rows changes.  The paths must
 describe the same objective: on square full-rank inputs the inverse state and
 the SVD state agree in value, kF, gradient and Hessian to round-off.  The
 Euclidean kappa is computed at the end points of a run only.
@@ -291,6 +293,39 @@ def test_failed_entry_inverse_sends_an_exact_run_down_the_svd_path(tmp_path, fac
                          "--max-iters", "3"]) == 0
 
 
+def test_zero_on_the_entry_qr_diagonal_sends_a_left_run_down_the_svd_path(factorizations,
+                                                                          monkeypatch):
+    """A left-only run takes R from one QR A* = Q R; an exact zero on R's
+    diagonal means that A is singular: the exact run factors every state with a
+    thin SVD and reaches the states the QR path reaches, and an estimator run
+    raises RankDeficientError."""
+    sch = SQUARE["left-ragged"]
+    A = complex_gaussian(rng_for(619), (sch.m, sch.n))
+    cfg = OptimizerConfig(scheme=sch, max_iters=20)
+    ref = minimize_condition(A, cfg)
+    real_qr, calls = np.linalg.qr, []
+
+    def zero_pivot(a, *args, **kwargs):
+        r = real_qr(a, *args, **kwargs)
+        if np.ndim(a) != 2:
+            return r
+        calls.append(np.array(a))
+        r = r.copy()
+        r[2, 2] = 0.0
+        return r
+
+    monkeypatch.setattr(np.linalg, "qr", zero_pivot)
+    factorizations.clear()
+    rep = minimize_condition(A, cfg)
+    assert len(calls) == 1 and np.array_equal(calls[0], A.conj().T)
+    assert len(factorizations) == rep.iteration_count + 1
+    assert all(a_inv is None for a_inv in factorizations)
+    assert rep.iteration_count == ref.iteration_count
+    assert _rel(rep.final_kF, ref.final_kF) <= 1e-12
+    with pytest.raises(RankDeficientError, match="assumes a full-rank input"):
+        minimize_condition(A, cfg, estimator=EstimatorConfig(num_probes=4, seed=1))
+
+
 def _graded(n=48):
     """A complex n x n matrix with shuffled row scales exp(-14) .. exp(14), kappa about 1.6e12."""
     rng = rng_for(616)
@@ -435,21 +470,33 @@ def _sparse_square(key, m=30):
                                     GroupScheme.blocked(30, 3, 30, side="both")],
                          ids=["left-torus", "both-block"])
 def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, monkeypatch):
-    """One inverse, of A at entry; no singular values for the rank test or for
-    kappa, which the run reports as NaN throughout."""
+    """One factorization of A at entry: a QR of A* for a left-only run, which
+    needs A^-1 only up to a unitary factor on its left, an inverse of A for a
+    two-sided run; no singular values for the rank test or for kappa, which the
+    run reports as NaN throughout."""
     A = _sparse_square(0)
-    real_inv, square = np.linalg.inv, []
+    a = A.toarray()
+    calls = {"inv": [], "qr": []}
 
-    def inv(a):
-        if np.ndim(a) == 2:
-            square.append(np.array(a))
-        return real_inv(a)
+    def spying(name):
+        real, seen = getattr(np.linalg, name), calls[name]
 
-    monkeypatch.setattr(np.linalg, "inv", inv)
+        def spy(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                seen.append(np.array(x))
+            return real(x, *args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, spying(name))
     rep = minimize_condition(A, OptimizerConfig(scheme=scheme, max_iters=3),
                              estimator=EstimatorConfig(num_probes=8, seed=1))
     assert svd_calls == []
-    assert len(square) == 1 and np.array_equal(square[0], A.toarray())
+    if scheme.side == "left":
+        assert len(calls["qr"]) == 1 and np.array_equal(calls["qr"][0], a.conj().T)
+        assert not any(x.shape == a.shape and np.array_equal(x, a) for x in calls["inv"])
+    else:
+        assert len(calls["inv"]) == 1 and np.array_equal(calls["inv"][0], a)
     assert rep.iteration_count == 3
     assert all(math.isnan(r.kappa) for r in rep.iterations)
     assert math.isnan(rep.initial_kappa) and math.isnan(rep.final_kappa)

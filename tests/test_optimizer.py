@@ -245,6 +245,14 @@ def test_config_rejects_bad_gradient_tolerance(tol):
     assert diag_left(3, grad_tol_override=0.0).grad_tol_override == 0.0
 
 
+@pytest.mark.parametrize("kstar", [0.0, -1.0, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_predicted_bound_rejects_a_bad_optimum_estimate(kstar):
+    """The bound reads log(kF / kF*), which needs a finite positive kF*."""
+    with pytest.raises(ValueError, match="kF_star_estimate"):
+        predicted_iteration_bound(np.diag([1.0, 2.0, 3.0]), diag_left(3), kstar)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predicted_bound_rejects_non_finite_input(bad):
     A = np.eye(3)
