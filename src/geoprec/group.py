@@ -455,13 +455,15 @@ def repolarize(g: GroupElement) -> GroupElement:
     matrix unchanged, so swapping X for P moves within the level set of the
     objective while keeping the element Hermitian positive definite.
 
-    A constant step need not call it when the state is unitarily
-    equivariant, as one read from Gram factors or from a pair is: the
-    gradient at U P is U H U*, and exp(-s U H U*) U P = U exp(-s H) P, so
-    steps taken without it pass through the same cosets, and one call on
-    the last element gives the same representative.  A step direction fixed
-    in coordinates (probe estimators) is not equivariant, and a candidate
-    too close to singular is caught here (SingularBlockError).
+    A descent need not call it on every step when the state is unitarily
+    equivariant, as one read from Gram factors, from a pair or from the
+    unitarily invariant norms of a polynomial system is: the gradient at
+    U P is U H U*, and exp(-s U H U*) U P = U exp(-s H) P, so steps taken
+    without it pass through the same cosets, and one call on the last
+    element gives the same representative.  A step-halving descent then
+    rejects a singular candidate when its state raises instead.  A step
+    direction fixed in coordinates (probe estimators) is not equivariant.
+    A block too close to singular raises SingularBlockError.
     """
     sch = g.scheme
     left = [_polar(x, r) for x, r in zip(g.left, sch.left_runs)]

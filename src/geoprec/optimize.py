@@ -8,17 +8,18 @@ are fixed by the analysis, so no config sets them.  Two step policies:
   for two-sided schemes: the matrix runs (``minimize_condition``, also with
   the probe estimator) and the polynomial shuffle (``minimize_cross_condition``
   under ``polysys.precondition_shuffle``);
-* halving on any increase, or on a candidate too close to singular to
-  repolarize, from a base step, ending as converged once no step of at least
-  1e-14 descends: the full (base 1/(D + 2)) and sparse (base 1/8) polynomial
-  actions in ``polysys``.
+* halving on any increase, or on a numerically singular candidate, from a
+  base step, ending as converged once no step of at least 1e-14 descends:
+  the full (base 1/(D + 2)) and sparse (base 1/8) polynomial actions in
+  ``polysys``.
 
-A step moves along the geodesic exp(-step H) g.  Halving runs, SVD-path runs
-and estimator runs replace every candidate by its polar factor
-(``repolarize``).  An exact full-rank ``minimize_condition`` run and every
-``minimize_cross_condition`` run read unitarily equivariant states (from the
-entry inverse, Gram factors or the pair), so they step with ``exp_action``
-alone and repolarize once, the element they return.
+A step moves along the geodesic exp(-step H) g.  SVD-path runs and estimator
+runs replace every candidate by its polar factor (``repolarize``).  An exact
+full-rank ``minimize_condition`` run, every ``minimize_cross_condition`` run
+and the two halving actions read unitarily equivariant states (from the
+entry inverse, Gram factors, the pair, or unitarily invariant polynomial
+norms), so they step with ``exp_action`` alone and repolarize once, the
+element they return.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
@@ -168,13 +169,15 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     config.grad_tol_override, else gamma * config.target_eps for the weight
     margin gamma of weights, else 1e-10.
     Without halving every step is base_step; with halving a step is halved
-    until the candidate repolarizes and its value does not increase, and the
-    run also ends CONVERGED once no step of at least 1e-14 descends.
+    until the candidate's value does not increase, and the run also ends
+    CONVERGED once no step of at least 1e-14 descends.  A halving candidate
+    that fails to repolarize, or whose state raises SingularBlockError or
+    LinAlgError (a singular block), counts as an increase.
     step_dir(g), when given, replaces state.grad as the step direction.
-    Every candidate is repolarized, unless polar_at_end: then a constant step
-    moves by ``exp_action`` alone and only the returned element, if a step
-    was taken, is repolarized.  That needs a unitarily equivariant state_fn
-    and direction (see ``group.repolarize``).
+    Every candidate is repolarized, unless polar_at_end: then a step, constant
+    or halving, moves by ``exp_action`` alone and only the returned element,
+    if a step was taken, is repolarized.  That needs a unitarily equivariant
+    state_fn and direction (see ``group.repolarize``).
     """
     if config.grad_tol_override is not None:
         grad_tol = config.grad_tol_override
@@ -214,14 +217,15 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             continue
         step = base_step
         while True:
+            cand = exp_action(g, direction, -step)
             try:
-                cand = repolarize(exp_action(g, direction, -step))
-            except SingularBlockError:  # numerically singular candidate: reject it like an increase
-                cand = None
-            if cand is not None:
+                if not polar_at_end:
+                    cand = repolarize(cand)
                 cand_state = state_fn(cand)
-                if cand_state.value <= state.value:
-                    break
+            except (SingularBlockError, np.linalg.LinAlgError):
+                cand_state = None  # numerically singular candidate: reject it like an increase
+            if cand_state is not None and cand_state.value <= state.value:
+                break
             if step < 1e-14:  # no descent even at tiny steps: numerically stationary
                 cand = None
                 break
@@ -270,6 +274,24 @@ def _upper_inverse(r):
     return out
 
 
+def _row_balanced_kF(a, a_inv, chunk=64):
+    """sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2), the kF of the row-balanced a.
+
+    Each row of a is divided by its largest entry, and the matching column of
+    a^-1 multiplied by it, before the norms are taken, so that scaled rows do
+    not overflow.  A chunk of rows at a time: no m x m temporary, and the
+    columns of a W = R^-* are read along the contiguous rows of R^-1.
+    """
+    m = a.shape[0]
+    weights, cols = np.empty(m), a_inv.T
+    for s in range(0, m, chunk):
+        rows = a[s:s + chunk]
+        scale = np.abs(rows).max(axis=1)[:, None]
+        weights[s:s + chunk] = (np.linalg.norm(rows / scale, axis=1)
+                                * np.linalg.norm(cols[s:s + chunk] * scale, axis=1))
+    return math.sqrt(m) * float(np.linalg.norm(weights))
+
+
 def _entry_inverse(a, required, up_to_unitary=False):
     """The inverse of a square a of full rank, else None (RankDeficientError when
     required): the one rank decision of a run.
@@ -281,8 +303,7 @@ def _entry_inverse(a, required, up_to_unitary=False):
     and the row-balanced a, D a with D = diag(1 / ||row_i a||), has
     kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2) below 1 / (max(m, n) eps),
     an O(m^2) test that no left diagonal scaling of a changes and that reads
-    the same from W, whose column norms are those of a^-1.  Each row of a is divided by its largest
-    entry before the norms are taken, so that scaled rows do not overflow.
+    the same from W, whose column norms are those of a^-1 (``_row_balanced_kF``).
     """
     try:
         if up_to_unitary:
@@ -292,12 +313,7 @@ def _entry_inverse(a, required, up_to_unitary=False):
             a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         a_inv = None
-    if a_inv is None:
-        kF = math.inf
-    else:
-        scale = np.abs(a).max(axis=1)
-        weights = np.linalg.norm(a / scale[:, None], axis=1) * np.linalg.norm(a_inv * scale, axis=0)
-        kF = math.sqrt(a.shape[0]) * float(np.linalg.norm(weights))
+    kF = math.inf if a_inv is None else _row_balanced_kF(a, a_inv)
     cutoff = 1.0 / (max(a.shape) * np.finfo(float).eps)
     if required and not kF < cutoff:
         raise RankDeficientError(

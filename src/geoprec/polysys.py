@@ -40,9 +40,7 @@ from .group import (
     GroupElement,
     GroupScheme,
     WeightData,
-    apply_dual,
     project_blocks,
-    project_to_lie,
 )
 from .matrix import as_dense, pseudoinverse
 from .optimize import OptimizerConfig, _descend, _State, minimize_cross_condition
@@ -173,12 +171,24 @@ class PolynomialSystem:
         size = max(math.comb(n + D, D), n**D)  # the basis, and one equation's top-degree tensor
         if size > cap:
             raise ExpansionOverflowError(size, cap)
-        basis = _full_basis(n, D)
+        return self._expansion
+
+    @cached_property
+    def _expansion(self):
+        basis = _full_basis(self.nvars, self.max_degree)
         if self.exponents is basis.exponents:
             return basis, self.coeffs
         C = np.zeros((self.m, len(basis.weights)), dtype=complex)
         C[:, [basis.index[a] for a in map(tuple, self.exponents.tolist())]] = self.coeffs
-        return basis, C
+        return basis, _frozen(C)
+
+    @cached_property
+    def _tensors(self):
+        """Degree d's coefficients as one symmetric (n,)*d tensor per equation,
+        flattened to m x n^d: the operand of every change of variables."""
+        basis, C = self._expansion
+        return tuple(_frozen((C[:, deg.start:deg.stop] / deg.mult)[:, deg.col])
+                     for deg in basis.degrees)
 
 
 class _Degree(NamedTuple):
@@ -256,9 +266,16 @@ class TorusPoint:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError("torus point must be strictly positive")
+        if not np.all(np.isfinite(t) & (t > 0)):
+            raise ValueError("torus point must be finite and strictly positive")
         object.__setattr__(self, "t", _frozen(t.copy()))
+
+    @classmethod
+    def _from_array(cls, t):
+        """A point holding the float array t, unchecked: the module's own constructor."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "t", _frozen(t))
+        return obj
 
 
 def bw_inner(f: Polynomial, g: Polynomial) -> complex:
@@ -337,10 +354,12 @@ def change_variables(Y, f: PolynomialSystem, cap: int = EXPANSION_CAP) -> Polyno
     Yi = np.linalg.inv(Y)
     basis, C = f._full(cap)
     out = np.empty_like(C)
-    for d, deg in enumerate(basis.degrees):
-        T = (C[:, deg.start:deg.stop] / deg.mult)[:, deg.col].reshape((f.m,) + (n,) * d)
-        for _ in range(d):
-            T = np.tensordot(T, Yi, axes=(1, 0))
+    for d, (deg, T) in enumerate(zip(basis.degrees, f._tensors)):
+        # contract each of the d tensor axes with Yi, the last one first
+        if d:
+            T = T.reshape(-1, n) @ Yi
+        for k in range(1, d):
+            T = Yi.T @ T.reshape(-1, n, n**k)
         out[:, deg.start:deg.stop] = T.reshape(f.m, -1)[:, deg.rep] * deg.mult
     return PolynomialSystem._from_arrays(n, f.degrees, basis.exponents, basis.weights, out)
 
@@ -411,23 +430,28 @@ def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
     basis, C = f._full()
     src, dst, kl, alpha_k = _shifts(n, f.max_degree)
     terms = np.einsum("ip,ip->p", C[:, src], C[:, dst].conj()) * (alpha_k * basis.weights[dst])
-    W = np.zeros(n * n, dtype=complex)
-    np.add.at(W, kl, terms)
+    W = np.bincount(kl, terms.real, n * n) + 1j * np.bincount(kl, terms.imag, n * n)
     return W.reshape(n, n)
 
 
 def _full_objective_state(f, Dp, g):
-    """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F."""
-    fT = shuffle(g.left[0][0], change_variables(g.right[0][0], f))  # one full block a side
+    """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F.
+
+    One change of variables per state; the expansion of f it reads is cached
+    on f.  A singular X or Y raises LinAlgError.
+    """
+    X, Y = g.left[0][0], g.right[0][0]  # one full block a side
+    fT = change_variables(Y, f)
+    fT = fT._with(X @ fT.coeffs)
     G = gram_matrix(fT)
     n2 = float(np.trace(G).real)
-    C = apply_dual(g, Dp)
+    C = Y @ Dp @ np.linalg.inv(X)
     nc2 = np.linalg.norm(C) ** 2
     value = 0.5 * math.log(n2) + 0.5 * math.log(nc2)
     W = _variable_side_form(fT)
     H1 = G / n2 - C.conj().T @ C / nc2
     H2 = -0.5 * (W.T + W.conj()) / n2 + C @ C.conj().T / nc2
-    grad = project_to_lie(g.scheme, H1, H2)
+    grad = project_blocks(g.scheme, [H1[None]], [H2[None]])
     return value, grad, math.sqrt(n2) * math.sqrt(nc2)
 
 
@@ -436,10 +460,13 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     """Joint shuffle and change-of-variables preconditioner.
 
     Descends the log of ||(X, Y) . f||_W ||Y D^+ X^-1||_F with base step
-    1/(D + 2) where D is the top degree, halving on any increase so descent
-    stays monotone.  The duality certificate uses the degree-dependent
-    margin gamma = (D + 2)^(1 - m - n) / (m + n).  scheme must be the full
-    two-sided scheme (m, n).
+    1/(D + 2) where D is the top degree, halving on any increase, or on a
+    singular candidate, so descent stays monotone.  The duality certificate
+    uses the degree-dependent margin gamma = (D + 2)^(1 - m - n) / (m + n).
+    scheme must be the full two-sided scheme (m, n).  The Bombieri-Weyl and
+    Frobenius norms are unitarily invariant, so the state is unitarily
+    equivariant: candidates move by ``exp_action`` alone, and only the
+    returned element is replaced by its polar factor.
     """
     if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
         raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
@@ -452,7 +479,8 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
         value, grad, mu = _full_objective_state(f, Dp, g)
         return _State(value, grad, grad.norm, mu, mu)
 
-    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True)
+    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True,
+                      polar_at_end=True)
     return report.final_element, report
 
 
@@ -462,25 +490,35 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
 def torus_penalty(xi, t: TorusPoint) -> float:
     """log sum_i |xi|^(w_i) t^(-w_i) with w_i = n e_i - 1; minimized when the
     rescaled root coordinates |xi_i| / t_i all share one magnitude."""
-    return float(np.log(np.sum(_penalty_terms(xi, t))))
+    return float(np.log(np.sum(_penalty_terms(_magnitudes(xi), t.t))))
 
 
 def torus_penalty_gradient(xi, t: TorusPoint) -> np.ndarray:
     """Gradient of the penalty with respect to the log-scalings of t."""
-    terms = _penalty_terms(xi, t)
-    n = len(terms)
-    weights = terms / np.sum(terms)
-    omega = n * np.eye(n) - np.ones((n, n))  # row i is w_i
-    return -omega.T @ weights
+    terms = _penalty_terms(_magnitudes(xi), t.t)
+    return _penalty_gradient(terms, np.sum(terms), _omega(len(terms)))
 
 
-def _penalty_terms(xi, t: TorusPoint):
+def _magnitudes(xi):
+    """|xi|; ZeroCoordinateError naming the first zero coordinate."""
     mags = np.abs(np.asarray(xi, dtype=complex))
     zero = np.nonzero(mags == 0)[0]
     if len(zero):
         raise ZeroCoordinateError(int(zero[0]))
-    r = mags / t.t
+    return mags
+
+
+def _omega(n):
+    return n * np.eye(n) - np.ones((n, n))  # row i is w_i
+
+
+def _penalty_terms(mags, t):
+    r = mags / t
     return r ** len(r) / np.prod(r)
+
+
+def _penalty_gradient(terms, total, omega):
+    return -omega.T @ (terms / total)
 
 
 def torus_objective(f: PolynomialSystem, xi, X: GroupElement, t: TorusPoint) -> float:
@@ -491,31 +529,36 @@ def torus_objective(f: PolynomialSystem, xi, X: GroupElement, t: TorusPoint) -> 
     return local_condition(fx, zeta, norm="frobenius") + torus_penalty(xi, t)
 
 
-def _sparse_state(f, xi, Dp0, g):
+def _sparse_state(f, mags, omega, Dp0, g):
     """Objective pieces and gradients for the joint (X, t) descent.
 
     The element g carries the shuffle X and the torus point as Y = diag(t).
     The rescaled pair has Jacobian X D diag(t) at xi / t, so its pseudo-
     inverse transports to diag(t)^-1 D^+ X^-1 while the system norm is read
-    off the Gram matrix of the shuffled, rescaled system.
+    off the Gram matrix of the shuffled, rescaled system.  mags is |xi| and
+    omega the penalty's weight matrix, both fixed for a run.  The candidate's
+    own t is not validated: a t that overflows gives a value that is not
+    finite, and a singular X raises LinAlgError.
     """
     X = g.left[0][0]
-    t = TorusPoint(g.right[0].real.ravel())
+    t = TorusPoint._from_array(g.right[0].real.ravel())
     ft = torus_rescale(t, f)
-    fx = shuffle(X, ft)
+    fx = ft._with(X @ ft.coeffs)
     G = gram_matrix(fx)
     n2 = float(np.trace(G).real)
     C = (Dp0 / t.t[:, None]) @ np.linalg.inv(X)
     nc2 = np.linalg.norm(C) ** 2
     mu = math.sqrt(n2 * nc2)
-    value = mu + torus_penalty(xi, t)
+    terms = _penalty_terms(mags, t.t)
+    total = np.sum(terms)
+    value = mu + float(np.log(total))
     # shuffle-side gradient of log mu, scaled by mu for the un-logged objective
     H1 = mu * (G / n2 - C.conj().T @ C / nc2)
     # torus-side: coefficient exponent weights + row norms of C + penalty gradient
     colw = (np.abs(fx.coeffs) ** 2 * fx.weights).sum(axis=0)  # per-exponent mass
     u_f = fx.exponents.T @ colw / n2
     u_c = -np.real(np.sum(np.abs(C) ** 2, axis=1)) / nc2
-    u = mu * (u_f + u_c) + torus_penalty_gradient(xi, t)
+    u = mu * (u_f + u_c) + _penalty_gradient(terms, total, omega)
     # a real torus stack keeps the torus exponential real
     grad = project_blocks(g.scheme, [H1[None]], [u.reshape(-1, 1, 1)])
     return _State(value, grad, grad.norm, mu, mu)
@@ -531,18 +574,20 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     the system.  config.scheme must be full left of size m.  No certificate
     is computed, so target_eps has no effect, and the run ends as converged
     once the gradient norm is at most grad_tol_override, or 1e-10 when unset.
+    The state is unitarily equivariant in X and the torus side stays real
+    positive, its own polar factor, so candidates move by ``exp_action``
+    alone and only the returned element is replaced by its polar factor.
     """
     if config.scheme != GroupScheme.full(f.m, side="left"):
         raise DimensionMismatchError("sparse preconditioning needs the full left scheme of size m")
     xi = np.asarray(xi, dtype=complex)
     if len(xi) != f.nvars:
         raise DimensionMismatchError("point length does not match nvars")
-    if np.any(np.abs(xi) == 0):
-        raise ZeroCoordinateError(int(np.nonzero(np.abs(xi) == 0)[0][0]))
+    mags, omega = _magnitudes(xi), _omega(f.nvars)
     Dp0 = _jacobian_pinv(f, xi)
     pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
-    report = _descend(lambda g: _sparse_state(f, xi, Dp0, g), pair.identity(), config, None,
-                      0.125, halving=True)
+    report = _descend(lambda g: _sparse_state(f, mags, omega, Dp0, g), pair.identity(), config,
+                      None, 0.125, halving=True, polar_at_end=True)
     g = report.final_element
     element = GroupElement._from_blocks(config.scheme, g.left)
     report.final_element = element

@@ -5,6 +5,8 @@ the direct transcription of each definition, kept as the reference that the
 array implementation in ``geoprec.polysys`` is checked against.
 """
 
+from math import factorial
+
 import numpy as np
 
 from geoprec.polysys import bw_inner
@@ -107,3 +109,48 @@ def evaluate(polys, xi):
                     lowered = [a - (j == k) for j, a in enumerate(alpha)]
                     jac[i, k] += c * alpha[k] * np.prod([x**a for x, a in zip(xi, lowered)])
     return values, jac
+
+
+def _hermitian_part(M):
+    return 0.5 * (M + M.conj().T)
+
+
+def _bw_weight(alpha):
+    return np.prod([factorial(a) for a in alpha]) / factorial(sum(alpha))
+
+
+def full_state(polys, n, Dp, X, Y):
+    """(value, mu, H1, H2) of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F and
+    its gradient, from the term-by-term algebra."""
+    fT = shuffle(X, change_variables(Y, polys, n))
+    G = gram_matrix(fT)
+    n2 = np.trace(G).real
+    C = Y @ Dp @ np.linalg.inv(X)
+    nc2 = np.sum(np.abs(C) ** 2)
+    W = variable_side_form(fT, n)
+    H1 = G / n2 - C.conj().T @ C / nc2
+    H2 = -0.5 * (W.T + W.conj()) / n2 + C @ C.conj().T / nc2
+    value = 0.5 * np.log(n2) + 0.5 * np.log(nc2)
+    return value, np.sqrt(n2 * nc2), _hermitian_part(H1), _hermitian_part(H2)
+
+
+def sparse_state(polys, n, xi, Dp, X, t):
+    """(value, mu, H1, u) of mu_F(X . (t . f), xi / t) + the torus penalty and
+    its gradient in (X, log t), from the term-by-term algebra."""
+    fx = shuffle(X, torus_rescale(t, polys))
+    G = gram_matrix(fx)
+    n2 = np.trace(G).real
+    C = np.diag(1.0 / t) @ Dp @ np.linalg.inv(X)
+    nc2 = np.sum(np.abs(C) ** 2)
+    mu = np.sqrt(n2 * nc2)
+    # the penalty: sum_i prod_j r_j^(w_ij), with w_ij = n [i = j] - 1 and r = |xi| / t
+    r = np.abs(xi) / t
+    w = n * np.eye(n) - 1.0
+    terms = np.array([np.prod(r ** w[i]) for i in range(n)])
+    mass = np.zeros(n)  # sum over equations and monomials of alpha |c|^2 alpha! / |alpha|!
+    for poly in fx:
+        for alpha, c in poly.items():
+            mass += np.asarray(alpha) * abs(c) ** 2 * _bw_weight(alpha)
+    u = mu * (mass / n2 - np.sum(np.abs(C) ** 2, axis=1) / nc2) - w.T @ (terms / terms.sum())
+    H1 = mu * (G / n2 - C.conj().T @ C / nc2)
+    return mu + np.log(terms.sum()), mu, _hermitian_part(H1), u

@@ -154,3 +154,33 @@ def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch
         assert got.dtype == ref.dtype
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def _scored(a, a_inv):
+    """The row-balanced kF as one formula over m x m temporaries."""
+    scale = np.abs(a).max(axis=1)
+    weights = np.linalg.norm(a / scale[:, None], axis=1) * np.linalg.norm(a_inv * scale, axis=0)
+    return np.sqrt(a.shape[0]) * np.linalg.norm(weights)
+
+
+@pytest.mark.parametrize("m", [1, 5, 64, 65, 200])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rank_score_by_chunks_matches_the_whole_formula(m, field):
+    """Rows graded over 1e+-300: the score read a chunk of rows at a time
+    equals the formula over whole scaled copies to 1e-13, for an inverse in C
+    order and for one in Fortran order, as W = R^-* is."""
+    rng = rng_for(723, m, field == "real")
+    noise = complex_gaussian(rng, (m, m)) if field == "complex" else rng.standard_normal((m, m))
+    M = np.eye(m) + 0.3 * noise / np.sqrt(2 * m)
+    rows = 10.0 ** rng.uniform(-300.0, 300.0, m)
+    A, a_inv = rows[:, None] * M, np.linalg.inv(M) / rows  # no inverse of A overflows
+    want = _scored(A, a_inv)
+    assert np.isfinite(want)
+    for order in (a_inv, np.asfortranarray(a_inv)):
+        assert _rel(geoprec.optimize._row_balanced_kF(A, order), want) <= 1e-13
+
+
+def test_rank_score_of_a_graded_diagonal_is_two():
+    A = np.diag([1e300, 1e-300])
+    W = geoprec.optimize._entry_inverse(A, required=True, up_to_unitary=True)
+    assert _rel(geoprec.optimize._row_balanced_kF(A, W), 2.0) <= 1e-15

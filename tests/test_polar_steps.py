@@ -5,9 +5,11 @@ states a run reads from the entry inverse, the Gram factors or a cross pair
 are unitarily equivariant: at U P the gradient is U H U*, and
 exp(-s U H U*) U P = U exp(-s H) P.  So an exact full-rank run and a cross run
 step with ``exp_action`` alone and repolarize once, the element they return.
-The SVD path, estimator runs (whose probes are fixed in coordinates) and
-step-halving runs (which reject a singular candidate through the polar
-factor) keep repolarizing every candidate step.
+So do the step-halving polynomial runs: the Bombieri-Weyl and Frobenius norms
+are unitarily invariant, and the torus side of the sparse action stays real
+positive.  They reject a candidate whose state raises on a singular block.
+The SVD path and estimator runs (whose probes are fixed in coordinates) keep
+repolarizing every candidate step.
 """
 
 import numpy as np
@@ -15,16 +17,28 @@ import pytest
 import scipy.sparse as sp
 
 import geoprec.optimize
+import geoprec.polysys
 from conftest import complex_gaussian, rng_for
-from geoprec.group import GroupScheme, exp_action, repolarize, weight_data
+from geoprec.errors import SingularBlockError
+from geoprec.group import GroupElement, GroupScheme, WeightData, exp_action, repolarize, weight_data
 from geoprec.objective import duality_gap_bound, evaluate, evaluate_cross, gram_factors
 from geoprec.optimize import (
     OptimizerConfig,
     Termination,
+    _State,
     minimize_condition,
     minimize_cross_condition,
 )
-from geoprec.polysys import precondition_full, precondition_sparse
+from geoprec.polysys import (
+    PolynomialSystem,
+    _full_objective_state,
+    _jacobian_pinv,
+    _magnitudes,
+    _omega,
+    _sparse_state,
+    precondition_full,
+    precondition_sparse,
+)
 from geoprec.stochastic import EstimatorConfig
 from test_trajectories import _polynomial
 
@@ -106,15 +120,116 @@ def test_svd_and_estimator_runs_repolarize_every_step(calls):
     assert calls == {"exp_action": 20 + 4, "repolarize": 20 + 4}
 
 
-def test_halving_runs_repolarize_every_candidate(calls):
+def test_halving_runs_repolarize_once(calls):
     f, xi = _polynomial(1, 2, 2, 2)
     sch = GroupScheme.full(2, 2, side="both")
     full = precondition_full(f, xi, sch, OptimizerConfig(scheme=sch, max_iters=20))[1]
-    assert calls["repolarize"] == calls["exp_action"] >= full.iteration_count == 20
+    assert full.iteration_count == 20
+    assert calls["repolarize"] == 1 and calls["exp_action"] >= 20
     f, xi = _polynomial(2, 2, 2, 3, density=0.6)
+    steps = calls["exp_action"]
     sparse = precondition_sparse(f, xi, OptimizerConfig(scheme=GroupScheme.full(2), max_iters=20))[2]
     assert sparse.iteration_count == 20
-    assert calls["repolarize"] == calls["exp_action"] >= 40
+    assert calls["repolarize"] == 2 and calls["exp_action"] >= steps + 20
+
+
+def test_halving_run_without_a_step_does_not_repolarize(calls):
+    f = PolynomialSystem.from_polys(2, [{(1, 0): 1.0}, {(0, 1): 1.0}])
+    sch = GroupScheme.full(2, 2, side="both")
+    g, full = precondition_full(f, [0.0, 0.0], sch, OptimizerConfig(scheme=sch))
+    assert full.iteration_count == 0 and full.termination is Termination.CERTIFIED
+    assert np.array_equal(g.X, np.eye(2)) and np.array_equal(g.Y, np.eye(2))
+    f, xi = _polynomial(2, 2, 2, 3, density=0.6)
+    X, t, sparse = precondition_sparse(f, xi, OptimizerConfig(scheme=GroupScheme.full(2),
+                                                              max_iters=0))
+    assert sparse.iteration_count == 0
+    assert np.array_equal(X.X, np.eye(2)) and np.array_equal(t.t, np.ones(2))
+    assert calls == {"exp_action": 0, "repolarize": 0}
+
+
+def _halving_polar_every_step(state_fn, g, base_step, max_iters, weights, eps, grad_tol):
+    """The step-halving descent that replaces every candidate by its polar
+    factor: (final element, iterations, termination, final mu)."""
+    state = state_fn(g)
+    for k in range(max_iters + 1):
+        if weights is not None and duality_gap_bound(state, weights) <= eps:
+            return g, k, Termination.CERTIFIED, state.kF
+        if state.grad_norm <= grad_tol:
+            return g, k, Termination.CONVERGED, state.kF
+        if k == max_iters:
+            return g, k, Termination.MAX_ITERS, state.kF
+        step = base_step
+        while True:
+            try:
+                cand = repolarize(exp_action(g, state.grad, -step))
+                cand_state = state_fn(cand)
+                if cand_state.value <= state.value:
+                    break
+            except SingularBlockError:
+                pass
+            if step < 1e-14:
+                return g, k, Termination.CONVERGED, state.kF
+            step *= 0.5
+        g, state = cand, cand_state
+
+
+def _full_run():
+    f, xi = _polynomial(1, 2, 2, 2)
+    sch = GroupScheme.full(2, 2, side="both")
+    cfg = OptimizerConfig(scheme=sch, max_iters=80)
+    g, rep = precondition_full(f, xi, sch, cfg)
+    Dp, D = _jacobian_pinv(f, xi), f.max_degree
+
+    def state_fn(g):
+        value, grad, mu = _full_objective_state(f, Dp, g)
+        return _State(value, grad, grad.norm, mu, mu)
+
+    weights = WeightData(D + 2.0, (D + 2.0) ** (1 - f.m - f.nvars) / (f.m + f.nvars))
+    ref = _halving_polar_every_step(state_fn, sch.identity(), 1.0 / (D + 2.0), cfg.max_iters,
+                                    weights, cfg.target_eps, weights.weight_margin * cfg.target_eps)
+    return g, rep, ref
+
+
+def _sparse_run():
+    f, xi = _polynomial(2, 2, 2, 3, density=0.6)
+    X, t, rep = precondition_sparse(f, xi, OptimizerConfig(scheme=GroupScheme.full(2),
+                                                           max_iters=40))
+    pair = GroupScheme("both", 2, 2, (2,), (1, 1))
+    g = GroupElement._from_blocks(pair, X.left, [t.t.astype(complex).reshape(-1, 1, 1)])
+    mags, omega, Dp0 = _magnitudes(xi), _omega(2), _jacobian_pinv(f, xi)
+    ref = _halving_polar_every_step(lambda g: _sparse_state(f, mags, omega, Dp0, g),
+                                    pair.identity(), 0.125, 40, None, None, 1e-10)
+    return g, rep, ref
+
+
+@pytest.mark.parametrize("case", [_full_run, _sparse_run], ids=["full", "sparse"])
+def test_halving_polar_factor_at_the_end_keeps_the_trajectory(case):
+    got, rep, (g, iterations, termination, mu) = case()
+    assert termination is Termination.MAX_ITERS
+    assert (rep.iteration_count, rep.termination) == (iterations, termination)
+    assert abs(rep.final_kF - mu) <= 1e-12 * mu
+    for mine, ref in zip(got.left + got.right, g.left + g.right):
+        assert np.abs(mine - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_halving_rejects_a_candidate_whose_state_raises(monkeypatch):
+    """A LinAlgError from the state of a candidate (a singular block) counts as
+    an increase: the run halves the step and goes on."""
+    f, xi = _polynomial(1, 2, 2, 2)
+    sch = GroupScheme.full(2, 2, side="both")
+    real, seen = geoprec.polysys.change_variables, []
+
+    def failing(Y, f, *args):
+        seen.append(np.array(Y))
+        if len(seen) == 2:  # the first candidate
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(Y, f, *args)
+
+    monkeypatch.setattr(geoprec.polysys, "change_variables", failing)
+    rep = precondition_full(f, xi, sch, OptimizerConfig(scheme=sch, max_iters=5))[1]
+    assert (rep.iteration_count, rep.termination) == (5, Termination.MAX_ITERS)
+    # from the identity, the second candidate exp(-s H / 2) is the square root of the first
+    assert np.abs(seen[2] @ seen[2] - seen[1]).max() <= 1e-12
 
 
 def _polar_every_step(state_fn, config):

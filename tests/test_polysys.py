@@ -457,6 +457,30 @@ def test_torus_rescale_moves_root():
     assert np.allclose(vals, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_torus_point_rejects_non_finite_and_non_positive_entries(bad):
+    """NaN and +-inf used to pass the positivity check."""
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        TorusPoint([bad, 1.0])
+
+
+def test_sparse_state_of_an_overflowed_candidate_is_not_finite():
+    """A candidate's own t is not validated: one that overflows gives a value
+    that is not finite, which the halving rejects like an increase."""
+    from geoprec.group import GroupElement
+    from geoprec.polysys import _jacobian_pinv, _magnitudes, _omega, _sparse_state
+
+    rng = rng_for(100)
+    f = random_system(rng, 2, 2, 3, density=0.6)
+    xi = complex_gaussian(rng, 2)
+    pair = GroupScheme("both", 2, 2, (2,), (1, 1))
+    t = np.array([math.inf, 1.0], dtype=complex).reshape(-1, 1, 1)
+    g = GroupElement._from_blocks(pair, [np.eye(2, dtype=complex)[None]], [t])
+    with np.errstate(all="ignore"):
+        state = _sparse_state(f, _magnitudes(xi), _omega(2), _jacobian_pinv(f, xi), g)
+    assert not math.isfinite(state.value)
+
+
 def test_torus_objective_zero_coordinate_raises():
     f = PolynomialSystem.from_polys(2, [{(1, 0): 1.0}, {(0, 1): 1.0}])
     sch = GroupScheme.full(2, side="left")

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 import polysys_reference as ref
 from conftest import complex_gaussian, hermitian, random_unitary, rng_for
 from test_polysys import random_system
+from geoprec.group import GroupElement, GroupScheme
 from geoprec.polysys import (
     PolynomialSystem,
     TorusPoint,
+    _full_objective_state,
+    _magnitudes,
+    _omega,
+    _sparse_state,
     _variable_side_form,
     bw_norm_system,
     change_variables,
@@ -46,7 +51,10 @@ def _close(x, want):
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _well_conditioned(rng, n):
+def _well_conditioned(rng, n, real=False):
+    if real:
+        S = rng.standard_normal((n, n))
+        return sla.expm(0.15 * (S + S.T)) @ np.linalg.qr(rng.standard_normal((n, n)))[0]
     return sla.expm(0.3 * hermitian(rng, n)) @ random_unitary(rng, n)
 
 
@@ -106,3 +114,51 @@ def test_bw_norm_unitary_invariance(case):
     f, rng = case
     fu = change_variables(random_unitary(rng, f.nvars), f)
     assert abs(bw_norm_system(fu) - bw_norm_system(f)) <= 1e-12 * bw_norm_system(f)
+
+
+@st.composite
+def _state_inputs(draw):
+    """A system from _systems, real or complex, and the operands of its states:
+    non-Hermitian shuffles and changes of variables, a torus point, a point
+    and a pseudoinverse stand-in, all real for a real system."""
+    f, rng = draw(_systems())
+    real = draw(st.booleans())
+    if real:
+        f = PolynomialSystem.from_polys(
+            f.nvars, [{a: c.real for a, c in p.items()} for p in f.polynomials], f.degrees)
+    m, n = f.m, f.nvars
+
+    def field(shape):
+        return rng.standard_normal(shape) if real else complex_gaussian(rng, shape)
+
+    X, Y = _well_conditioned(rng, m, real), _well_conditioned(rng, n, real)
+    t = np.exp(rng.normal(0.0, 0.5, n))
+    return f, X, Y, t, field(n), field((n, m))
+
+
+def _close_state(value, mu, left, right, want, unit):
+    """Value and mu to 1e-12 relative, gradient stacks to 1e-12 of their norm or
+    of unit, the size of the terms that cancel in them, whichever is larger."""
+    v, w_mu, H1, H2 = want
+    assert abs(value - v) <= 1e-12 * abs(v) + 1e-13
+    assert abs(mu - w_mu) <= 1e-12 * w_mu
+    scale = max(np.sqrt(np.linalg.norm(H1) ** 2 + np.linalg.norm(H2) ** 2), unit)
+    assert np.linalg.norm(left - H1) <= 1e-12 * scale
+    assert np.linalg.norm(right - H2) <= 1e-12 * scale
+
+
+@_PROPERTY
+@given(_state_inputs())
+def test_full_and_sparse_states_match_the_dict_reference(case):
+    f, X, Y, t, xi, Dp = case
+    m, n, polys = f.m, f.nvars, f.polynomials
+    full = GroupElement(GroupScheme.full(m, n, side="both"), X, Y)
+    value, grad, mu = _full_objective_state(f, Dp, full)
+    _close_state(value, mu, grad.left[0][0], grad.right[0][0],
+                 ref.full_state(polys, n, Dp, X, Y), 1.0)
+    pair = GroupScheme("both", m, n, (m,), (1,) * n)
+    g = GroupElement._from_blocks(pair, [X[None]], [t.astype(X.dtype).reshape(-1, 1, 1)])
+    state = _sparse_state(f, _magnitudes(xi), _omega(n), Dp, g)
+    assert state.grad_norm == state.grad.norm and state.kF == state.kappa
+    _close_state(state.value, state.kF, state.grad.left[0][0], state.grad.right[0].ravel(),
+                 ref.sparse_state(polys, n, xi, Dp, X, t), state.kF)
