@@ -274,21 +274,21 @@ def _upper_inverse(r):
     return out
 
 
-def _row_balanced_kF(a, a_inv, chunk=64):
+def _row_balanced_kF(a, a_inv):
     """sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2), the kF of the row-balanced a.
 
     Each row of a is divided by its largest entry, and the matching column of
     a^-1 multiplied by it, before the norms are taken, so that scaled rows do
-    not overflow.  A chunk of rows at a time: no m x m temporary, and the
-    columns of a W = R^-* are read along the contiguous rows of R^-1.
+    not overflow.  64 rows at a time: no m x m temporary, and the columns of
+    a W = R^-* are read along the contiguous rows of R^-1.
     """
     m = a.shape[0]
     weights, cols = np.empty(m), a_inv.T
-    for s in range(0, m, chunk):
-        rows = a[s:s + chunk]
+    for s in range(0, m, 64):
+        rows = a[s:s + 64]
         scale = np.abs(rows).max(axis=1)[:, None]
-        weights[s:s + chunk] = (np.linalg.norm(rows / scale, axis=1)
-                                * np.linalg.norm(cols[s:s + chunk] * scale, axis=1))
+        weights[s:s + 64] = (np.linalg.norm(rows / scale, axis=1)
+                             * np.linalg.norm(cols[s:s + 64] * scale, axis=1))
     return math.sqrt(m) * float(np.linalg.norm(weights))
 
 
