@@ -173,7 +173,7 @@ def _cmd_condition(args):
 
 def _cmd_baseline(args):
     a = read_matrix(args.input)
-    dense = as_dense(a, real=True)
+    dense = as_dense(a)
     if args.method == "jacobi-left":
         pre = jacobi_precondition(dense, "left")
     elif args.method == "jacobi-sym":

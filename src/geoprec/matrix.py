@@ -1,9 +1,11 @@
 """Real and complex matrices, norms, pseudoinverse, and condition numbers.
 
 A :class:`ComplexMatrix` is a thin immutable wrapper holding either dense
-row-major storage or canonical sparse coordinate triplets.  Every operation
-in this module accepts either a ``ComplexMatrix`` or a plain array-like and
-produces identical results for dense and sparse storage of the same matrix.
+row-major storage or canonical sparse coordinate triplets of real or complex
+values: float64 when no entry has a nonzero imaginary part, complex128
+otherwise.  Every operation in this module accepts either a ``ComplexMatrix``
+or a plain array-like and produces identical results for dense and sparse
+storage of the same matrix.
 """
 
 from typing import NamedTuple
@@ -39,9 +41,21 @@ __all__ = [
 ]
 
 
-class ComplexMatrix:
-    """Dense or sparse complex matrix.
+def _field(values):
+    """A C-ordered copy of values: float64 when none has a nonzero imaginary
+    part, else complex128."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v) and v.imag.any():
+        return np.array(v, dtype=complex, order="C")
+    return np.array(v.real, dtype=float, order="C")
 
+
+class ComplexMatrix:
+    """Dense or sparse matrix of real or complex values.
+
+    The field is decided once, at construction: entries with no nonzero
+    imaginary part are stored as float64, any others as complex128, and every
+    view (``to_dense``, ``to_csr``, ``triplets``) has the stored dtype.
     Sparse storage is coordinate format, canonicalized at construction:
     entries sorted by (row, col), duplicates summed, exact zeros dropped.
     Instances are immutable and safe to share across threads.
@@ -59,7 +73,7 @@ class ComplexMatrix:
 
     @classmethod
     def dense(cls, array):
-        a = np.array(array, dtype=complex, order="C")
+        a = _field(array)
         if a.ndim != 2:
             raise DimensionMismatchError("dense storage must be 2-dimensional")
         a.setflags(write=False)
@@ -88,7 +102,7 @@ class ComplexMatrix:
         keep = vals != 0
         out_r = (uniq // cols)[keep]
         out_c = (uniq % cols)[keep]
-        out_v = vals[keep]
+        out_v = _field(vals[keep])
         for a in (out_r, out_c, out_v):
             a.setflags(write=False)
         return cls(rows, cols, coo=(out_r, out_c, out_v))
@@ -114,49 +128,40 @@ class ComplexMatrix:
         r, c = np.nonzero(self._dense)
         return r, c, self._dense[r, c]
 
-    @property
-    def is_real(self):
-        """True when no stored entry has a nonzero imaginary part."""
-        return not (self._coo[2] if self.is_sparse else self._dense).imag.any()
-
-    def to_dense(self, real=False):
-        """Dense complex128 array; with ``real``, a float64 array of the real parts."""
+    def to_dense(self):
+        """Dense array in the stored dtype."""
         if self._dense is not None:
-            return np.ascontiguousarray(self._dense.real) if real else self._dense
+            return self._dense
         r, c, v = self._coo
-        out = np.zeros((self.rows, self.cols), dtype=float if real else complex)
-        out[r, c] = v.real if real else v
+        out = np.zeros((self.rows, self.cols), dtype=v.dtype)
+        out[r, c] = v
         return out
 
-    def to_csr(self, real=False):
-        """CSR matrix of the stored entries; with ``real``, of their real parts."""
+    def to_csr(self):
+        """CSR matrix of the stored entries, in the stored dtype."""
         r, c, v = self.triplets()
-        return sp.csr_matrix((v.real if real else v, (r, c)), shape=self.shape)
+        return sp.csr_matrix((v, (r, c)), shape=self.shape)
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
         return f"ComplexMatrix({self.rows}x{self.cols}, {kind})"
 
 
-def as_dense(a, real=False):
+def as_dense(a):
     """Coerce a ComplexMatrix, scipy.sparse matrix or array-like to a dense ndarray.
 
     Real input stays real: the result is float64 for integer, boolean and real
-    floating input and complex128 for complex input.  A ComplexMatrix is
-    complex128.  With ``real``, any input with no nonzero imaginary part is
-    float64; a ComplexMatrix is then densified from its real parts without a
-    complex copy.
+    floating input, for a ComplexMatrix that holds real values too, and
+    complex128 for complex input.
     """
     if isinstance(a, ComplexMatrix):
-        return a.to_dense(real=real and a.is_real)
+        return a.to_dense()
     if sp.issparse(a):
         a = a.toarray()
     out = np.asarray(a)
     out = out.astype(np.promote_types(out.dtype, float), copy=False)
     if out.ndim != 2:
         raise DimensionMismatchError("expected a 2-dimensional matrix")
-    if real and np.iscomplexobj(out) and not out.imag.any():
-        return np.ascontiguousarray(out.real)
     return out
 
 

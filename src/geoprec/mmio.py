@@ -3,7 +3,9 @@
 Supports coordinate and array formats with real, complex, integer, and
 pattern fields and general/symmetric/hermitian/skew-symmetric storage.
 Symmetric variants are expanded to full storage on load; pattern entries
-become 1.0.  Values are written with 17 significant digits so a write/read
+become 1.0.  Real, integer and pattern fields are parsed to float64, and a
+ComplexMatrix stores a complex field with no nonzero imaginary part as
+float64 too.  Values are written with 17 significant digits so a write/read
 round trip is bit exact.
 """
 
@@ -45,9 +47,9 @@ def _parse_value(tokens, field, lineno):
         if field == "complex":
             value = complex(float(tokens[0]), float(tokens[1]))
         elif field == "pattern":
-            return 1.0 + 0.0j
+            return 1.0
         else:
-            value = complex(float(tokens[0]))
+            value = float(tokens[0])
     except (ValueError, IndexError) as exc:
         raise ParseError(lineno, f"bad value: {' '.join(tokens)}") from exc
     if not cmath.isfinite(value):
@@ -116,7 +118,7 @@ def _expanded(i, j, v, symmetry):
     in file order."""
     if symmetry == "general":
         return i, j, v
-    i, j, v = np.asarray(i), np.asarray(j), np.asarray(v, dtype=complex)
+    i, j, v = np.asarray(i), np.asarray(j), np.asarray(v)
     off = i != j
     copies = 1 + off
     i2, j2, v2 = (np.repeat(x, copies) for x in (i, j, v))
@@ -159,7 +161,7 @@ def read_matrix(path) -> ComplexMatrix:
         return ComplexMatrix.sparse(rows, cols, zip(i, j, v))
     i, j, v = _expanded(*_array_entries(body[1:], rows, cols, field, symmetry, size_line),
                         symmetry)
-    dense = np.zeros((rows, cols), dtype=complex)
+    dense = np.zeros((rows, cols), dtype=complex if field == "complex" else float)
     dense[i, j] = v
     return ComplexMatrix.dense(dense)
 
@@ -172,11 +174,11 @@ def write_matrix(path, a, comment=None):
     """Write a ComplexMatrix or array in Matrix Market format.
 
     Sparse storage is emitted as coordinate data and dense storage as a
-    column-major array; the field is real when every entry has zero
-    imaginary part, complex otherwise.
+    column-major array; the field is real when the matrix holds real values,
+    complex otherwise.
     """
     if not isinstance(a, ComplexMatrix):
-        a = ComplexMatrix.dense(np.asarray(a, dtype=complex))
+        a = ComplexMatrix.dense(a)
     if a.is_sparse:
         r, c, entries = a.triplets()
         fmt, size = "coordinate", f"{a.rows} {a.cols} {len(entries)}"
@@ -187,7 +189,7 @@ def write_matrix(path, a, comment=None):
         fmt, size = "array", f"{a.rows} {a.cols}"
         indices = itertools.repeat("")
         values = entries.T.flat  # column-major
-    real = not entries.imag.any()
+    real = not np.iscomplexobj(entries)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix {fmt} {'real' if real else 'complex'} general\n")
         for line in (comment or "").splitlines():

@@ -248,15 +248,16 @@ def _finite(*mats):
     entry is NaN or infinite.
 
     The run's dtype is float64 when no entry of any matrix has a nonzero
-    imaginary part, complex128 otherwise; every later layer follows it.  A real
-    ComplexMatrix is densified as float64 directly.
+    imaginary part, complex128 otherwise; every later layer follows it.  A
+    ComplexMatrix holds real or complex values and is densified in the dtype
+    it stores.
     """
-    out = [as_dense(m, real=True) for m in mats]
+    out = [as_dense(m) for m in mats]
     if not all(np.isfinite(m).all() for m in out):
         raise NonFiniteInputError("input matrix has NaN or infinite entries")
-    if any(np.iscomplexobj(m) for m in out):
+    if any(np.iscomplexobj(m) and m.imag.any() for m in out):
         return [m.astype(complex, copy=False) for m in out]
-    return [np.ascontiguousarray(m) for m in out]
+    return [np.ascontiguousarray(m.real) for m in out]
 
 
 def _upper_inverse(r):
@@ -356,7 +357,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         from .stochastic import estimate_gradient
 
         if isinstance(A, ComplexMatrix) and A.is_sparse:  # no re-scan of the dense copy
-            a_sparse = A.to_csr(real=not np.iscomplexobj(a))
+            a_sparse = A.to_csr()
         else:
             a_sparse = sp.csr_matrix(a)
 

@@ -29,6 +29,7 @@ from math import factorial
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -399,10 +400,10 @@ def polysys_lie_derivative(f: PolynomialSystem, H1, H2) -> PolynomialSystem:
         raise DimensionMismatchError("direction shapes do not match the system")
     basis, C = f._full()
     src, dst, kl, alpha_k = _shifts(f.nvars, f.max_degree)
-    L = np.zeros((len(basis.weights),) * 2, dtype=complex)  # x_l d/dx_k summed against H2
-    np.add.at(L, (src, dst), H2.ravel()[kl] * alpha_k)
+    K = len(basis.weights)  # x_l d/dx_k summed against H2, as a sparse transposed K x K map
+    Lt = sp.csr_matrix((H2.ravel()[kl] * alpha_k, (dst, src)), shape=(K, K))
     return PolynomialSystem._from_arrays(f.nvars, (f.max_degree,) * f.m, basis.exponents,
-                                         basis.weights, H1 @ C - C @ L)
+                                         basis.weights, H1 @ C - (Lt @ C.T).T)
 
 
 def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
@@ -412,10 +413,13 @@ def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
     Reduces to the matrix cross-condition problem for the pair
     (gram_sqrt(f), pseudoinverse of the Jacobian) and runs the left-only
     descent; the returned report tracks exactly the local condition number
-    of the shuffled system when the Jacobian has full row rank.
+    of the shuffled system when the Jacobian has full row rank.  config.scheme
+    must be scheme.
     """
     if scheme.side != "left" or scheme.m != f.m:
         raise DimensionMismatchError("shuffling needs a left-only scheme of size m")
+    if config.scheme != scheme:
+        raise DimensionMismatchError("config.scheme differs from the scheme argument")
     B = _jacobian_pinv(f, xi)
     report = minimize_cross_condition(gram_sqrt(f), B, config)
     return report.final_element, report
@@ -463,13 +467,15 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     1/(D + 2) where D is the top degree, halving on any increase, or on a
     singular candidate, so descent stays monotone.  The duality certificate
     uses the degree-dependent margin gamma = (D + 2)^(1 - m - n) / (m + n).
-    scheme must be the full two-sided scheme (m, n).  The Bombieri-Weyl and
-    Frobenius norms are unitarily invariant, so the state is unitarily
-    equivariant: candidates move by ``exp_action`` alone, and only the
-    returned element is replaced by its polar factor.
+    scheme, and config.scheme with it, must be the full two-sided scheme
+    (m, n).  The Bombieri-Weyl and Frobenius norms are unitarily invariant, so
+    the state is unitarily equivariant: candidates move by ``exp_action``
+    alone, and only the returned element is replaced by its polar factor.
     """
     if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
         raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
+    if config.scheme != scheme:
+        raise DimensionMismatchError("config.scheme differs from the scheme argument")
     Dp = _jacobian_pinv(f, xi)
     Dmax = f.max_degree
     base_step = 1.0 / (Dmax + 2.0)

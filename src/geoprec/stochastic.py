@@ -101,7 +101,8 @@ class LinearOperator:
 
 class MatrixOperator(LinearOperator):
     """Operator view of a dense array, scipy sparse matrix, or ComplexMatrix; a real
-    matrix gives a float64 operator, a complex one a complex128 operator."""
+    matrix, a ComplexMatrix of real values included, gives a float64 operator,
+    a complex one a complex128 operator."""
 
     def __init__(self, a):
         if isinstance(a, ComplexMatrix):

@@ -9,17 +9,20 @@ import pytest
 
 import geoprec
 from conftest import complex_gaussian, rng_for
-from geoprec.cli import cli_dispatch
+from geoprec.bench import run_matrix_suite
+from geoprec.cli import _num, cli_dispatch
 from geoprec.errors import (
     DegreeViolationError,
     ParseError,
     SingularBlockError,
     UnsupportedQualifierError,
+    ZeroJacobianError,
 )
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix
 from geoprec.mmio import read_matrix, write_matrix
 from geoprec.optimize import OptimizerConfig, minimize_condition
+from geoprec.polysys import PolynomialSystem, local_condition
 from geoprec.sysio import read_polysys, write_polysys
 
 
@@ -574,6 +577,58 @@ def test_cli_bench_small(tmp_path):
     assert lines[0].startswith("instance,n,kF_before")
     assert len([l for l in lines if not l.startswith("#")]) == 4  # header + 3 rows
     assert any(l.startswith("# correlation_kF_kappa=") for l in lines)
+
+
+def test_cli_bench_dir_suite(tmp_path):
+    """One row per .mtx file, in name order, for a real and a complex 12 x 12
+    matrix; each row holds what run_matrix_suite returns for the file."""
+    rng = rng_for(620)
+    d = tmp_path / "mats"
+    d.mkdir()
+    write_matrix(d / "a_real.mtx", rng.standard_normal((12, 12)))
+    write_matrix(d / "b_complex.mtx", complex_gaussian(rng, (12, 12)))
+    (d / "notes.txt").write_text("not a matrix\n")
+    out = tmp_path / "bench.csv"
+    assert cli_dispatch(["bench", "--suite", "dir", "--dir", str(d), "--block-size", "3",
+                         "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(header) == 12 and [r[0] for r in rows] == ["a_real.mtx", "b_complex.mtx"]
+    want = run_matrix_suite([(r[0], read_matrix(d / r[0])) for r in rows], block_size=3)
+    for row, res in zip(rows, want):
+        assert dict(zip(header, row)) == {
+            "instance": res.instance, "n": "12",
+            **{k: _num(getattr(res, k)) for k in header[2:10]},
+            "iterations_diag": str(res.iterations_diag),
+            "iterations_block": str(res.iterations_block)}
+        assert res.kF_after_block < res.kF_after_diag < res.kF_before
+    means = [_num(np.mean([getattr(r, k) for r in want]))
+             for k in ("improvement_diag", "improvement_block")]
+    assert lines[-2:] == [f"# mean_improvement_diag={means[0]}",
+                          f"# mean_improvement_block={means[1]}"]
+
+
+def test_cli_bench_dir_suite_needs_a_directory_of_matrices(tmp_path, capsys):
+    assert cli_dispatch(["bench", "--suite", "dir"]) == 1
+    (tmp_path / "notes.txt").write_text("not a matrix\n")
+    assert cli_dispatch(["bench", "--suite", "dir", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--dir is required" in err and "no .mtx files" in err
+
+
+@pytest.mark.parametrize("action", ["shuffle", "full"])
+def test_cli_polysys_zero_jacobian(tmp_path, capsys, action):
+    """x^2 at 0: local_condition raises ZeroJacobianError, the command exits 2."""
+    f = PolynomialSystem.from_polys(1, [{(2,): 1.0}])
+    with pytest.raises(ZeroJacobianError):
+        local_condition(f, [0.0])
+    p = tmp_path / "sys.json"
+    write_polysys(p, f, np.zeros(1))
+    assert cli_dispatch(["polysys-precondition", "--input", str(p), "--action", action,
+                         "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Jacobian vanishes" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,entry", [

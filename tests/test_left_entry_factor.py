@@ -135,7 +135,7 @@ def test_left_estimator_run_keeps_the_trajectory_of_the_inverse(inverting):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch):
     """A sparse ComplexMatrix reaches the estimator as the CSR of its canonical
-    triplets (real parts in a real run), the same arrays a CSR of the dense
+    triplets, in the dtype it stores, the same arrays a CSR of the dense
     copy has."""
     A = _sparse_input(40, field)
     seen, real = [], geoprec.stochastic.estimate_gradient
@@ -148,7 +148,7 @@ def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch
     minimize_condition(A, OptimizerConfig(scheme=GroupScheme.diagonal(40, side="left"),
                                           max_iters=2),
                        estimator=EstimatorConfig(num_probes=4, seed=1))
-    ref = sp.csr_matrix(A.to_dense(real=field == "real"))
+    ref = sp.csr_matrix(A.to_dense())
     assert len(seen) == 2
     for got in seen:
         assert got.dtype == ref.dtype

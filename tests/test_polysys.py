@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -263,6 +264,38 @@ def test_lie_derivative_finite_differences():
         for a in keys:
             fd = (fp.polynomials[i].get(a, 0) - fm.polynomials[i].get(a, 0)) / (2 * t)
             assert abs(fd - ld.polynomials[i].get(a, 0)) <= 1e-6
+
+
+def test_lie_derivative_builds_no_dense_basis_operator():
+    """A cubic in 16 variables has K = 969 basis monomials; a dense K x K complex
+    operator alone would take 15 MB, the sparse shift map under 2 MB."""
+    n = 16
+    e = np.eye(n, dtype=int)
+    f = PolynomialSystem.from_polys(n, [{tuple(3 * e[i]): 1.0, tuple(e[(i + 1) % n]): 2.0}
+                                        for i in range(n)])
+    rng = rng_for(90)
+    H1, H2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    want = polysys_lie_derivative(f, H1, H2)  # warms the basis and shift caches
+    tracemalloc.start()
+    try:
+        got = polysys_lie_derivative(f, H1, H2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_precondition_shuffle_rejects_a_config_of_another_scheme(example2_system):
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(2), max_iters=5)
+    with pytest.raises(DimensionMismatchError):
+        precondition_shuffle(example2_system, [0.0, 0.0], GroupScheme.full(2), cfg)
+
+
+def test_precondition_full_rejects_a_config_of_another_scheme(example2_system):
+    cfg = OptimizerConfig(scheme=GroupScheme.full(2), max_iters=5)
+    with pytest.raises(DimensionMismatchError):
+        precondition_full(example2_system, [0.0, 0.0], GroupScheme.full(2, 2, side="both"), cfg)
 
 
 def test_precondition_shuffle_stationary_at_orthonormal_unitary_jacobian():

@@ -14,11 +14,12 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import complex_gaussian, rng_for
-from geoprec.group import GroupScheme
-from geoprec.matrix import ComplexMatrix
+from geoprec.group import GroupScheme, exp_action, project_to_lie
+from geoprec.matrix import ComplexMatrix, as_dense
+from geoprec.mmio import read_matrix
 from geoprec.objective import evaluate, evaluate_cross
 from geoprec.optimize import OptimizerConfig, _finite, minimize_condition, minimize_cross_condition
-from geoprec.stochastic import EstimatorConfig, estimate_gradient
+from geoprec.stochastic import EstimatorConfig, MatrixOperator, estimate_gradient
 
 PHASE = np.exp(0.7j)
 
@@ -152,3 +153,79 @@ def test_real_complex_matrix_is_densified_as_float64(storage):
     assert a.dtype == np.float64 and a.flags.c_contiguous
     assert np.array_equal(a, A.toarray())
     assert peak <= 1.2 * a.nbytes
+
+
+# --- the field of a ComplexMatrix ------------------------------------------
+
+
+def _stored(build, values):
+    """A ComplexMatrix of the given values, in dense or sparse storage."""
+    if build == "dense":
+        return ComplexMatrix.dense(values)
+    r, c = np.nonzero(values)
+    return ComplexMatrix.sparse(*values.shape, zip(r, c, values[r, c]))
+
+
+def _assert_views(cm, dtype):
+    views = (cm.to_dense(), cm.to_csr(), cm.triplets()[2], as_dense(cm))
+    assert [v.dtype for v in views] == [dtype] * 4
+    assert MatrixOperator(cm).dtype == dtype
+
+
+@pytest.mark.parametrize("values", ["real", "zero-imaginary", "complex"])
+@pytest.mark.parametrize("build", ["dense", "sparse"])
+def test_complex_matrix_stores_real_values_as_float64(build, values):
+    """Values with no nonzero imaginary part are stored, and shown by every view
+    and by MatrixOperator, as float64; complex values as complex128."""
+    A = _matrix(11, 5, 4)
+    A[0, 1] = 0.0
+    given = {"real": A, "zero-imaginary": A + 0j, "complex": A + 1j * A[::-1]}[values]
+    cm = _stored(build, given)
+    _assert_views(cm, np.complex128 if values == "complex" else np.float64)
+    assert np.array_equal(cm.to_dense(), given)
+
+
+def test_sparse_duplicates_whose_imaginary_parts_cancel_are_real():
+    cm = ComplexMatrix.sparse(2, 2, [(0, 0, 1 + 2j), (0, 0, 3 - 2j), (1, 1, 1.0)])
+    _assert_views(cm, np.float64)
+    assert np.array_equal(cm.to_dense(), [[4.0, 0.0], [0.0, 1.0]])
+
+
+_FILES = [
+    ("coordinate real general", "2 2 2\n1 1 1.5\n2 2 -2\n", np.float64),
+    ("coordinate integer symmetric", "2 2 2\n1 1 3\n2 1 -4\n", np.float64),
+    ("coordinate pattern general", "2 2 2\n1 1\n2 1\n", np.float64),
+    ("coordinate complex hermitian", "2 2 2\n1 1 1.5 0\n2 1 2 0\n", np.float64),
+    ("array real general", "2 2\n1\n2\n3\n4\n", np.float64),
+    ("array integer skew-symmetric", "2 2\n0\n5\n0\n", np.float64),
+    ("array complex general", "2 2\n1 0\n2 0\n3 0\n4 -0\n", np.float64),
+    ("coordinate complex general", "2 2 1\n1 2 1 1\n", np.complex128),
+    ("array complex hermitian", "2 2\n1 0\n2 1\n3 0\n", np.complex128),
+]
+
+
+@pytest.mark.parametrize("header,body,dtype", _FILES, ids=[h for h, _, _ in _FILES])
+def test_read_matrix_stores_the_field_of_its_values(tmp_path, header, body, dtype):
+    p = tmp_path / "a.mtx"
+    p.write_text(f"%%MatrixMarket matrix {header}\n{body}")
+    _assert_views(read_matrix(p), dtype)
+
+
+@pytest.mark.parametrize("build", ["dense", "dense-zero-imaginary", "sparse",
+                                   "sparse-zero-imaginary"])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_estimator_direction_of_a_real_complex_matrix_is_the_float64_one(name, build):
+    """estimate_gradient on a ComplexMatrix of real values runs in float64 and
+    returns, bit for bit, the direction it returns for the float64 array."""
+    sch = SCHEMES[name]
+    A = _matrix(12, sch.m, sch.n)
+    rng = rng_for(505, sorted(SCHEMES).index(name))
+    H = project_to_lie(sch, rng.standard_normal((sch.m, sch.m)),
+                       rng.standard_normal((sch.n, sch.n)) if sch.side == "both" else None)
+    g = exp_action(sch.identity(float), H, 0.3)
+    est = EstimatorConfig(num_probes=8, seed=5)
+    cm = _stored(build.split("-")[0], A + 0j if build.endswith("imaginary") else A)
+    got, want = estimate_gradient(cm, g, est), estimate_gradient(A, g, est)
+    for S, T in zip(_stacks(got), _stacks(want)):
+        assert S.dtype == T.dtype == np.float64
+        assert np.array_equal(S, T)

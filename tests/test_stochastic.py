@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from conftest import complex_gaussian, random_element, rng_for
 from geoprec._rng import rademacher, substream
-from geoprec.errors import DimensionMismatchError, NotConvergedError
+from geoprec.errors import BreakdownError, DimensionMismatchError, NotConvergedError
 from geoprec.group import GroupScheme, apply, split_blocks
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
@@ -183,6 +183,15 @@ def test_block_lanczos_full_krylov_exact():
     m = np.diag([1.0, 2.0, 4.0, 8.0]).astype(complex)
     blk = block_lanczos_inverse_block(MatrixOperator(m), (0, 2), iters=4)
     assert np.allclose(blk, np.diag([1.0, 0.5]), atol=1e-10)
+
+
+def test_block_lanczos_partial_rank_loss_raises():
+    """Started from e0, an eigenvector of M, and e1, which is not: the first
+    residual block has rank one, and the method does not deflate."""
+    m = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    with pytest.raises(BreakdownError) as info:
+        block_lanczos_inverse_block(MatrixOperator(m), (0, 2), iters=3)
+    assert info.value.iteration == 1
 
 
 def test_block_lanczos_error_decay():
