@@ -48,18 +48,8 @@ class BenchResult:
 def _bench_one(label, a, block_size, target_eps, max_iters):
     n = a.shape[0]
     t0 = time.perf_counter()
-    diag_cfg = OptimizerConfig(
-        scheme=GroupScheme.diagonal(n, n, side="both"),
-        target_eps=target_eps,
-        max_iters=max_iters,
-    )
-    rep_d = minimize_condition(a, diag_cfg)
-    block_cfg = OptimizerConfig(
-        scheme=GroupScheme.blocked(n, block_size, n, side="both"),
-        target_eps=target_eps,
-        max_iters=max_iters,
-    )
-    rep_b = minimize_condition(a, block_cfg)
+    rep_d, rep_b = (minimize_condition(a, OptimizerConfig(
+        GroupScheme.blocked(n, k, side="both"), target_eps, max_iters)) for k in (1, block_size))
     wall = time.perf_counter() - t0
     return BenchResult(
         instance=label,

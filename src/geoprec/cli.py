@@ -94,25 +94,15 @@ _POSITIVE = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and po
 
 
 def _scheme_from_args(args, m, n):
-    if args.scheme == "diag":
-        return (
-            GroupScheme.diagonal(m, n, side="both")
-            if args.side == "both"
-            else GroupScheme.diagonal(m, side="left")
-        )
-    k = args.block_size
+    k = 1 if args.scheme == "diag" else args.block_size
     if k is None:
         raise argparse.ArgumentTypeError("--block-size is required for the block scheme")
-    if args.side == "both":
-        return GroupScheme.blocked(m, k, n, side="both")
-    return GroupScheme.blocked(m, k, side="left")
+    return GroupScheme.blocked(m, k, n, side=args.side)
 
 
 def _emit_block_diagonal(path, stacks, runs, size):
     """Write the nonzero entries of one side's block stacks as sparse triplets."""
-    rows, cols, vals = block_triplets(stacks, runs)
-    nz = np.flatnonzero(vals)
-    write_matrix(path, ComplexMatrix.sparse(size, size, zip(rows[nz], cols[nz], vals[nz])))
+    write_matrix(path, ComplexMatrix.sparse(size, size, zip(*block_triplets(stacks, runs))))
 
 
 def _cmd_precondition(args):

@@ -105,12 +105,6 @@ class GroupScheme:
             raise DimensionMismatchError("left-only scheme must not carry right blocks")
 
     @classmethod
-    def diagonal(cls, m, n=None, side="left"):
-        n = m if n is None else n
-        right = (1,) * n if side == "both" else None
-        return cls(side, m, n, (1,) * m, right)
-
-    @classmethod
     def blocked(cls, m, block_size, n=None, side="left", right_block_size=None):
         """Contiguous blocks of the given size; a ragged final block if needed."""
         n = m if n is None else n
@@ -120,10 +114,14 @@ class GroupScheme:
         return cls(side, m, n, _even_sizes(m, block_size), right)
 
     @classmethod
+    def diagonal(cls, m, n=None, side="left"):
+        """Blocks of size 1: the diagonal torus."""
+        return cls.blocked(m, 1, n, side)
+
+    @classmethod
     def full(cls, m, n=None, side="left"):
-        n = m if n is None else n
-        right = (n,) if side == "both" else None
-        return cls(side, m, n, (m,), right)
+        """One block a side: the full general linear group."""
+        return cls.blocked(m, m, n, side, n)
 
     @cached_property
     def left_runs(self) -> Tuple[Run, ...]:

@@ -81,24 +81,18 @@ class ComplexMatrix:
 
     @classmethod
     def sparse(cls, rows, cols, triplets):
-        """Build from an iterable of (row, col, value) triplets."""
-        ri, ci, vi = [], [], []
-        for r, c, v in triplets:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DimensionMismatchError(f"index ({r}, {c}) out of bounds")
-            ri.append(r)
-            ci.append(c)
-            vi.append(v)
-        ri = np.asarray(ri, dtype=np.int64)
-        ci = np.asarray(ci, dtype=np.int64)
-        vi = np.asarray(vi, dtype=complex)
+        """Build from an iterable of (row, col, value) triplets, read in one pass."""
+        t = np.fromiter(map(tuple, triplets),
+                        dtype=[("r", np.int64), ("c", np.int64), ("v", complex)])
+        ri, ci = t["r"], t["c"]
+        bad = np.flatnonzero((ri < 0) | (ri >= rows) | (ci < 0) | (ci >= cols))
+        if bad.size:
+            raise DimensionMismatchError(f"index ({ri[bad[0]]}, {ci[bad[0]]}) out of bounds")
         # canonical order, duplicates summed
-        order = np.lexsort((ci, ri))
-        ri, ci, vi = ri[order], ci[order], vi[order]
-        keys = ri * cols + ci
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        t = t[np.lexsort((ci, ri))]
+        uniq, inverse = np.unique(t["r"] * cols + t["c"], return_inverse=True)
         vals = np.zeros(len(uniq), dtype=complex)
-        np.add.at(vals, inverse, vi)
+        np.add.at(vals, inverse, t["v"])
         keep = vals != 0
         out_r = (uniq // cols)[keep]
         out_c = (uniq % cols)[keep]

@@ -14,12 +14,12 @@ are fixed by the analysis, so no config sets them.  Two step policies:
   ``polysys``.
 
 A step moves along the geodesic exp(-step H) g.  SVD-path runs and estimator
-runs replace every candidate by its polar factor (``repolarize``).  An exact
+runs replace every step by its polar factor (``repolarize``).  An exact
 full-rank ``minimize_condition`` run, every ``minimize_cross_condition`` run
-and the two halving actions read unitarily equivariant states (from the
-entry inverse, Gram factors, the pair, or unitarily invariant polynomial
-norms), so they step with ``exp_action`` alone and repolarize once, the
-element they return.
+and every halving run read unitarily equivariant states (from the entry
+inverse, Gram factors, the pair, or unitarily invariant polynomial norms), so
+they step with ``exp_action`` alone and repolarize once, the element they
+return: ``polar_at_end`` for a constant step, always for halving.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
@@ -29,9 +29,11 @@ which the certificate reaches the target), otherwise 1e-10 for a run without
 weights.  The certificate is the end point's bound whenever that is finite;
 the sparse action has none.  A state whose value or gradient norm is not
 finite raises FloatingPointError before any step is taken along it.  The
-Euclidean condition number kappa is read at the first and last states only:
-the first and last iteration records carry it, interior records carry NaN.
-Estimator runs compute no kappa: every record carries NaN.
+Euclidean condition number kappa of the transformed matrix is read at the
+first and last states only: the first and last iteration records carry it,
+interior records carry NaN.  Estimator runs and the full and sparse
+polynomial actions, which transform no matrix, compute no kappa: every record
+carries NaN.
 
 The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
@@ -123,7 +125,8 @@ class OptimizerConfig:
 
 
 class IterationRecord(NamedTuple):
-    """One state of a run; kappa is NaN except on the first and last record."""
+    """One state of a run; kappa is NaN except on the first and last record,
+    and on every record of a run that computes no kappa."""
 
     iteration: int
     value: float
@@ -135,18 +138,31 @@ class IterationRecord(NamedTuple):
 
 @dataclass
 class OptimizationReport:
+    """A run: one record per state from the start, the element it returns and
+    why it stopped.  The summary values are read-only views of the first and
+    last records (NaN, or a None certificate, before any record): kF and kappa
+    at either end, and the certificate, the last duality bound when finite."""
+
     iterations: List[IterationRecord] = field(default_factory=list)
     final_element: Optional[GroupElement] = None
-    initial_kF: float = math.nan
-    final_kF: float = math.nan
-    initial_kappa: float = math.nan
-    final_kappa: float = math.nan
-    certificate: Optional[float] = None
     termination: Termination = Termination.MAX_ITERS
 
     @property
     def iteration_count(self) -> int:
         return len(self.iterations) - 1 if self.iterations else 0
+
+    def _end(self, index, name):
+        return getattr(self.iterations[index], name) if self.iterations else math.nan
+
+    initial_kF = property(lambda self: self._end(0, "kF"))
+    final_kF = property(lambda self: self._end(-1, "kF"))
+    initial_kappa = property(lambda self: self._end(0, "kappa"))
+    final_kappa = property(lambda self: self._end(-1, "kappa"))
+
+    @property
+    def certificate(self) -> Optional[float]:
+        bound = self._end(-1, "duality_bound")
+        return bound if math.isfinite(bound) else None
 
 
 class _State(NamedTuple):
@@ -171,13 +187,14 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     Without halving every step is base_step; with halving a step is halved
     until the candidate's value does not increase, and the run also ends
     CONVERGED once no step of at least 1e-14 descends.  A halving candidate
-    that fails to repolarize, or whose state raises SingularBlockError or
-    LinAlgError (a singular block), counts as an increase.
+    whose state raises SingularBlockError or LinAlgError (a singular block)
+    counts as an increase.
     step_dir(g), when given, replaces state.grad as the step direction.
-    Every candidate is repolarized, unless polar_at_end: then a step, constant
-    or halving, moves by ``exp_action`` alone and only the returned element,
-    if a step was taken, is repolarized.  That needs a unitarily equivariant
-    state_fn and direction (see ``group.repolarize``).
+    A constant step is repolarized unless polar_at_end.  A halving candidate,
+    and a constant step with polar_at_end, moves by ``exp_action`` alone, and
+    only the returned element, if a step was taken, is repolarized.  That
+    needs a unitarily equivariant state_fn and direction (see
+    ``group.repolarize``), which every halving caller has.
     """
     if config.grad_tol_override is not None:
         grad_tol = config.grad_tol_override
@@ -186,7 +203,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     else:
         grad_tol = 1e-10
     state = state_fn(g)
-    report = OptimizationReport(initial_kF=state.kF)
+    report = OptimizationReport()
     for k in range(config.max_iters + 1):
         if not (math.isfinite(state.value) and math.isfinite(state.grad_norm)):
             raise FloatingPointError(
@@ -219,8 +236,6 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
         while True:
             cand = exp_action(g, direction, -step)
             try:
-                if not polar_at_end:
-                    cand = repolarize(cand)
                 cand_state = state_fn(cand)
             except (SingularBlockError, np.linalg.LinAlgError):
                 cand_state = None  # numerically singular candidate: reject it like an increase
@@ -234,12 +249,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             report.termination = Termination.CONVERGED
             break
         g, state = cand, cand_state
-    report.certificate = bound if math.isfinite(bound) else None
-    report.final_element = repolarize(g) if polar_at_end and report.iteration_count else g
-    report.final_kF = state.kF
-    report.initial_kappa = report.iterations[0].kappa
-    report.final_kappa = state.kappa
-    report.iterations[-1] = report.iterations[-1]._replace(kappa=report.final_kappa)
+    polar = polar_at_end or halving
+    report.final_element = repolarize(g) if polar and report.iteration_count else g
+    report.iterations[-1] = report.iterations[-1]._replace(kappa=state.kappa)
     return report
 
 

@@ -429,12 +429,19 @@ def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
 
 
 def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
-    """Matrix W with W[k, l] = sum_i <x_l d f_i / d x_k, f_i>."""
+    """Matrix W with W[k, l] = sum_i <x_l d f_i / d x_k, f_i>.
+
+    The shifts are contracted 4096 at a time, so no temporary is larger than
+    m x 4096; the sums accumulate in shift order, as one pass would.
+    """
     n = f.nvars
     basis, C = f._full()
     src, dst, kl, alpha_k = _shifts(n, f.max_degree)
-    terms = np.einsum("ip,ip->p", C[:, src], C[:, dst].conj()) * (alpha_k * basis.weights[dst])
-    W = np.bincount(kl, terms.real, n * n) + 1j * np.bincount(kl, terms.imag, n * n)
+    W = np.zeros(n * n, dtype=complex)
+    for p in (slice(s, s + 4096) for s in range(0, len(src), 4096)):
+        terms = (np.einsum("ip,ip->p", C[:, src[p]], C[:, dst[p]].conj())
+                 * (alpha_k[p] * basis.weights[dst[p]]))
+        np.add.at(W, kl[p], terms)
     return W.reshape(n, n)
 
 
@@ -483,10 +490,9 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
 
     def state_fn(g):
         value, grad, mu = _full_objective_state(f, Dp, g)
-        return _State(value, grad, grad.norm, mu, mu)
+        return _State(value, grad, grad.norm, mu, math.nan)
 
-    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True,
-                      polar_at_end=True)
+    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True)
     return report.final_element, report
 
 
@@ -567,7 +573,7 @@ def _sparse_state(f, mags, omega, Dp0, g):
     u = mu * (u_f + u_c) + _penalty_gradient(terms, total, omega)
     # a real torus stack keeps the torus exponential real
     grad = project_blocks(g.scheme, [H1[None]], [u.reshape(-1, 1, 1)])
-    return _State(value, grad, grad.norm, mu, mu)
+    return _State(value, grad, grad.norm, mu, math.nan)
 
 
 def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
@@ -593,7 +599,7 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     Dp0 = _jacobian_pinv(f, xi)
     pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
     report = _descend(lambda g: _sparse_state(f, mags, omega, Dp0, g), pair.identity(), config,
-                      None, 0.125, halving=True, polar_at_end=True)
+                      None, 0.125, halving=True)
     g = report.final_element
     element = GroupElement._from_blocks(config.scheme, g.left)
     report.final_element = element

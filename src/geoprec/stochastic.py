@@ -16,7 +16,7 @@ residual ||M x - b|| / ||b|| of every probe.
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,14 @@ from .errors import (
     NotConvergedError,
     SingularProbeBlockError,
 )
-from .group import GroupElement, LieDirection, block_triplets, project_blocks, split_blocks
+from .group import (
+    GroupElement,
+    LieDirection,
+    _bounds,
+    block_triplets,
+    project_blocks,
+    split_blocks,
+)
 from .matrix import ComplexMatrix
 
 __all__ = [
@@ -289,22 +296,16 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     return HutchinsonResult(mean, stderr)
 
 
-def _block_slice(block) -> Tuple[int, int]:
-    if isinstance(block, slice):
-        return block.start or 0, block.stop
-    a, b = block
-    return int(a), int(b)
-
-
 def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) -> np.ndarray:
     """Gaussian sketch of one diagonal block of a Hermitian operator M.
 
-    Draws G with num_probes Gaussian columns, forms Z = M G, and solves the
-    regression G_r W = Z_r restricted to the block rows; with r = 1 this is
-    the Gaussian Hutchinson estimate of a single diagonal entry.  The result
-    is Hermitian-symmetrized.  Probe rows of deficient rank are redrawn once.
+    block_rows is the pair (a, b) of the block's rows a:b.  Draws G with
+    num_probes Gaussian columns, forms Z = M G, and solves the regression
+    G_r W = Z_r restricted to the block rows; with r = 1 this is the Gaussian
+    Hutchinson estimate of a single diagonal entry.  The result is
+    Hermitian-symmetrized.  Probe rows of deficient rank are redrawn once.
     """
-    a, b = _block_slice(block_rows)
+    a, b = block_rows
     for attempt in (0, 1):
         G = substream(seed, attempt).standard_normal((M.m, num_probes))
         # a block wider than the probe set is rejected by the sketch
@@ -332,13 +333,14 @@ def _sketch_blocks(M: LinearOperator, G, blocks):
 def block_lanczos_inverse_block(M: LinearOperator, block, iters: int) -> np.ndarray:
     """Block Lanczos quadrature for one diagonal block of M^-1 (M Hermitian PD).
 
-    Runs block Lanczos started on the coordinate columns of the block, with
-    full reorthogonalization, and returns the leading block of T_k^-1 where
-    T_k is the block-tridiagonal Jacobi matrix.  Early full breakdown means
-    the Krylov space is invariant and the quadrature is already exact;
-    partial rank loss raises (deflation is not implemented).
+    block is the pair (a, b) of the block's rows a:b.  Runs block Lanczos
+    started on the coordinate columns of the block, with full
+    reorthogonalization, and returns the leading block of T_k^-1 where T_k is
+    the block-tridiagonal Jacobi matrix.  Early full breakdown means the
+    Krylov space is invariant and the quadrature is already exact; partial
+    rank loss raises (deflation is not implemented).
     """
-    a, b = _block_slice(block)
+    a, b = block
     r = b - a
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -411,8 +413,7 @@ def _inverse_blocks_estimate(base_op, pattern, gram_blocks, config, side_key):
             base_op, replace(config, seed=config.seed * 2 + side_key), precond)
         return est.diag_estimate
     G = substream(config.seed, 10 + side_key).standard_normal((base_op.m, config.num_probes))
-    blocks = [(a, a + r.size) for r in runs for a in range(r.start, r.stop, r.size)]
-    sketch = _sketch_blocks(_GramSolve(base_op, config, precond), G, blocks)
+    sketch = _sketch_blocks(_GramSolve(base_op, config, precond), G, _bounds(runs))
     return np.concatenate([W.ravel() for W in sketch])
 
 

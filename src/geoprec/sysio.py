@@ -18,14 +18,9 @@ import json
 import numpy as np
 
 from .errors import DegreeViolationError, ParseError
-from .polysys import PolynomialSystem
+from .polysys import PolynomialSystem, _integers
 
 __all__ = ["read_polysys", "write_polysys"]
-
-
-def _is_int(v):
-    """A JSON integer: bool, which json gives for true and false, is not one."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _complex(pair):
@@ -68,13 +63,13 @@ def _from_document(doc):
     nvars = doc["nvars"]
     degrees = doc["degrees"]
     polys_doc = doc["polynomials"]
-    if not _is_int(nvars) or nvars < 1:
+    if not _integers([nvars]) or nvars < 1:
         raise ParseError(1, "nvars must be a positive integer")
     if not isinstance(polys_doc, list) or not polys_doc:
         raise ParseError(1, "polynomials must be a non-empty list")
     if not isinstance(degrees, list) or len(degrees) != len(polys_doc):
         raise ParseError(1, "degrees must list one bound per polynomial")
-    if any(not _is_int(d) or d < 0 for d in degrees):
+    if not _integers(degrees) or min(degrees) < 0:
         raise ParseError(1, f"degrees must be non-negative integers, got {degrees}")
 
     polys = []
@@ -88,7 +83,7 @@ def _from_document(doc):
             except (TypeError, KeyError) as exc:
                 raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
             if (not isinstance(exps, list) or len(exps) != nvars
-                    or any(not _is_int(e) or e < 0 for e in exps)):
+                    or not _integers(exps) or min(exps) < 0):
                 raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
             if sum(exps) > degrees[pi]:
                 raise DegreeViolationError(pi, tuple(exps))

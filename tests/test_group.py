@@ -72,6 +72,21 @@ def test_apply_dual_rejects_wrong_shape(scheme, shape):
         apply_dual(scheme.identity(), np.ones(shape))
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: GroupScheme("left", 3, 3, (3,), (3,)), "must not carry right blocks"),
+    (lambda: exp_action(GroupScheme.diagonal(3).identity(),
+                        LieDirection(GroupScheme.full(3), np.eye(3)), 0.1), "schemes differ"),
+    (lambda: project_to_lie(GroupScheme.diagonal(3, 3, side="both"), np.eye(3)), "needs M2"),
+    (lambda: apply(GroupScheme.diagonal(3).identity(), np.ones((4, 3))), "4 rows"),
+    (lambda: apply(GroupScheme.diagonal(3, 5, side="both").identity(), np.ones((3, 4))),
+     "4 cols"),
+], ids=["left-with-right-sizes", "exp-action-other-scheme", "project-without-M2",
+        "apply-rows", "apply-two-sided-cols"])
+def test_group_rejects_a_mismatched_argument(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_projection_idempotent(scheme):
     rng = rng_for(20, scheme.m, scheme.n)

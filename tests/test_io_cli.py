@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,17 +153,47 @@ def test_read_array_bad_value_reports_line(tmp_path):
     assert info.value.line == 6
 
 
+_COORD = "%%MatrixMarket matrix coordinate real general\n"
+_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
 @pytest.mark.parametrize("text,line", [
     ("%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n1 1 1\n1 1 1.0\n", 2),
     ("%%MatrixMarket matrix array real general\n-1 -1\n1\n", 2),
     ("%%MatrixMarket matrix coordinate real general\n0 2 0\n", 2),
-], ids=["non-ascii", "negative-size", "zero-size"])
+    ("", 1),
+    (_COORD + "% a comment\n\n", 3),
+    (_COORD + "2 x 1\n1 1 1.0\n", 2),
+    (_COORD + "2 2 2\n1 1 1.0\n2 2\n", 4),
+    (_COORD + "2 2 1\n3 1 1.0\n", 3),
+    (_COORD + "2 2 2\n1 1 1.0\n", 2),
+    ("%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0 3.0\n", 3),
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n", 2),
+    (_ARRAY + "2 2\n1\n2\n% note\n3\n", 6),
+    (_ARRAY + "2 2\n", 2),
+], ids=["non-ascii", "negative-size", "zero-size", "empty-file", "no-size-line",
+        "bad-size-line", "coordinate-field-count",
+        "coordinate-index-out-of-bounds", "coordinate-entry-count",
+        "array-values-not-in-pairs", "symmetric-array-not-square", "array-value-count",
+        "array-without-values"])
 def test_read_matrix_rejects_malformed_file(tmp_path, text, line):
     p = tmp_path / "bad.mtx"
     p.write_bytes(text.encode("utf-8"))
     with pytest.raises(ParseError) as info:
         read_matrix(p)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("header", [
+    "%%MatrixMarket vector coordinate real general",
+    "%%MatrixMarket matrix hashed real general",
+    "%%MatrixMarket matrix coordinate real triangular",
+], ids=["object", "format", "symmetry"])
+def test_read_matrix_rejects_unsupported_qualifier(tmp_path, header):
+    p = tmp_path / "bad.mtx"
+    p.write_text(header + "\n1 1 1\n1 1 1.0\n")
+    with pytest.raises(UnsupportedQualifierError):
+        read_matrix(p)
 
 
 _A_THIRD = 1.0 / 3.0
@@ -245,6 +276,30 @@ def test_read_polysys_rejects_what_it_would_misread(tmp_path, edit):
     p = tmp_path / "sys.json"
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
+        read_polysys(p)
+
+
+@pytest.mark.parametrize("text_or_edit,reason", [
+    ('{"nvars": 2,', "Expecting"),
+    ("[1, 2]", "top-level value must be an object"),
+    (lambda d: d.pop("degrees"), "missing field 'degrees'"),
+    (lambda d: d.update(nvars=0), "nvars must be a positive integer"),
+    (lambda d: d.update(degrees=[2]), "one bound per polynomial"),
+    (lambda d: d["polynomials"].__setitem__(1, {"exponents": [0, 2], "coeff": [1.0, 0.0]}),
+     "polynomial 1 must be a list of terms"),
+    (lambda d: d.update(point=[[0.0, 0.0]]), "one [re, im] pair per variable"),
+], ids=["invalid-json", "top-level-list", "missing-field", "nvars-zero",
+        "degrees-length", "polynomial-not-list", "point-length"])
+def test_read_polysys_rejects_malformed_document(tmp_path, text_or_edit, reason):
+    if isinstance(text_or_edit, str):
+        text = text_or_edit
+    else:
+        doc = example2_doc()
+        text_or_edit(doc)
+        text = json.dumps(doc)
+    p = tmp_path / "sys.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(reason)):
         read_polysys(p)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import complex_gaussian, random_unitary, rng_for
 from geoprec.errors import (
+    DimensionMismatchError,
     ZeroDiagonalEntryError,
     ZeroMatrixError,
     ZeroRowOrColumnError,
@@ -218,11 +219,32 @@ def test_sparse_canonicalization():
     assert m.nnz == 1
 
 
+def test_sparse_reads_any_three_item_triplets():
+    """Lists and arrays serve as triplets as tuples do, and a generator is read once."""
+    want = ComplexMatrix.sparse(2, 3, [(0, 2, 1.5), (1, 0, -2j)]).to_dense()
+    for triplets in ([[0, 2, 1.5], [1, 0, -2j]], [np.array([0, 2, 1.5]), (1, 0, -2j)],
+                     ((r, c, v) for r, c, v in [(0, 2, 1.5), (1, 0, -2j)])):
+        assert np.array_equal(ComplexMatrix.sparse(2, 3, triplets).to_dense(), want)
+
+
 def test_sparse_index_bounds():
     from geoprec.errors import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
         ComplexMatrix.sparse(2, 2, [(2, 0, 1.0)])
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: jacobi_precondition(np.ones((2, 3))), DimensionMismatchError),
+    (lambda: jacobi_precondition(np.eye(2), "right"), ValueError),
+    (lambda: ComplexMatrix.dense(np.ones((0, 3))), DimensionMismatchError),
+    (lambda: ComplexMatrix.sparse(2, 0, []), DimensionMismatchError),
+    (lambda: ComplexMatrix.dense(np.ones(3)), DimensionMismatchError),
+], ids=["jacobi-not-square", "jacobi-unknown-mode", "dense-no-rows", "sparse-no-cols",
+        "dense-one-dimensional"])
+def test_matrix_entry_points_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_svd_factorization_reconstruction():

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import complex_gaussian, rng_for
-from geoprec.errors import NonFiniteInputError, RankDeficientError
+from geoprec.errors import DimensionMismatchError, NonFiniteInputError, RankDeficientError
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix, condition_frobenius, pseudoinverse
 from geoprec.optimize import (
@@ -251,6 +251,23 @@ def test_predicted_bound_rejects_a_bad_optimum_estimate(kstar):
     """The bound reads log(kF / kF*), which needs a finite positive kF*."""
     with pytest.raises(ValueError, match="kF_star_estimate"):
         predicted_iteration_bound(np.diag([1.0, 2.0, 3.0]), diag_left(3), kstar)
+
+
+@pytest.mark.parametrize("scheme,shape", [
+    (GroupScheme.diagonal(4), (5, 4)),
+    (GroupScheme.diagonal(4, 3, side="both"), (4, 4)),
+], ids=["rows", "two-sided-cols"])
+def test_minimize_condition_rejects_a_matrix_of_another_shape(scheme, shape):
+    with pytest.raises(DimensionMismatchError, match="does not match scheme"):
+        minimize_condition(np.eye(*shape), OptimizerConfig(scheme=scheme))
+
+
+def test_strongly_convex_bound_is_zero_within_eps_of_the_optimum():
+    """gap0 = eps / 2 is positive but already below eps: no step is needed."""
+    A, cfg = np.diag([1.0, 2.0, 3.0]), diag_left(3)
+    kF_star = condition_frobenius(A) * math.exp(-0.5 * cfg.target_eps)
+    assert predicted_iteration_bound(A, cfg, kF_star, strongly_convex=True) == 0
+    assert predicted_iteration_bound(A, cfg, kF_star, strongly_convex=False) > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

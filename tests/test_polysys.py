@@ -17,6 +17,8 @@ from geoprec.optimize import OptimizerConfig, Termination
 from geoprec.polysys import (
     PolynomialSystem,
     TorusPoint,
+    _shifts,
+    _variable_side_form,
     bw_inner,
     bw_norm_system,
     change_variables,
@@ -128,6 +130,11 @@ def test_local_condition_ijs_both_conventions(example2_system):
     ijs = shuffle(np.linalg.inv(jac), example2_system)
     assert local_condition(ijs, [0, 0], "operator") == pytest.approx(math.sqrt(3.0), abs=1e-9)
     assert local_condition(ijs, [0, 0], "frobenius") == pytest.approx(math.sqrt(6.0), abs=1e-9)
+
+
+def test_local_condition_rejects_an_unknown_norm(example2_system):
+    with pytest.raises(ValueError, match="unknown norm"):
+        local_condition(example2_system, [0, 0], "nuclear")
 
 
 def test_local_condition_identity_jacobian():
@@ -284,6 +291,30 @@ def test_lie_derivative_builds_no_dense_basis_operator():
         tracemalloc.stop()
     assert peak <= 5e6
     assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_variable_side_form_contracts_its_shifts_in_chunks():
+    """16 cubics in 16 variables over the full basis have 39,168 shifts; three
+    16 x 39,168 complex temporaries would take 30 MB.  W keeps the bits of
+    one pass over all shifts."""
+    n = 16
+    e = np.eye(n, dtype=int)
+    f = PolynomialSystem.from_polys(n, [{tuple(3 * e[i]): 1.0, tuple(e[(i + 1) % n]): 2.0}
+                                        for i in range(n)])
+    f = change_variables(np.eye(n) + 0.1 * rng_for(91).standard_normal((n, n)), f)
+    want = _variable_side_form(f)  # warms the shift cache
+    tracemalloc.start()
+    try:
+        got = _variable_side_form(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    basis, C = f._full()
+    src, dst, kl, alpha_k = _shifts(n, 3)
+    terms = np.einsum("ip,ip->p", C[:, src], C[:, dst].conj()) * (alpha_k * basis.weights[dst])
+    one_pass = np.bincount(kl, terms.real, n * n) + 1j * np.bincount(kl, terms.imag, n * n)
+    assert np.array_equal(got, want) and np.array_equal(got, one_pass.reshape(n, n))
 
 
 def test_precondition_shuffle_rejects_a_config_of_another_scheme(example2_system):

@@ -159,6 +159,6 @@ def test_full_and_sparse_states_match_the_dict_reference(case):
     pair = GroupScheme("both", m, n, (m,), (1,) * n)
     g = GroupElement._from_blocks(pair, [X[None]], [t.astype(X.dtype).reshape(-1, 1, 1)])
     state = _sparse_state(f, _magnitudes(xi), _omega(n), Dp, g)
-    assert state.grad_norm == state.grad.norm and state.kF == state.kappa
+    assert state.grad_norm == state.grad.norm and np.isnan(state.kappa)
     _close_state(state.value, state.kF, state.grad.left[0][0], state.grad.right[0].ravel(),
                  ref.sparse_state(polys, n, xi, Dp, X, t), state.kF)

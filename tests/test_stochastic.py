@@ -33,6 +33,24 @@ def test_estimator_config_rejects_bad_cg_tol(cg_tol):
         EstimatorConfig(cg_tol=cg_tol)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EstimatorConfig(num_probes=0),
+    lambda: block_lanczos_inverse_block(MatrixOperator(np.eye(4)), (0, 2), iters=0),
+], ids=["no-probes", "no-lanczos-steps"])
+def test_estimator_rejects_a_count_below_one(call):
+    with pytest.raises(ValueError, match="at least 1"):
+        call()
+
+
+@pytest.mark.parametrize("scheme,shape", [
+    (GroupScheme.diagonal(4), (5, 4)),
+    (GroupScheme.diagonal(4, 6, side="both"), (4, 6)),
+], ids=["rows", "two-sided-not-square"])
+def test_estimate_gradient_rejects_a_matrix_of_another_shape(scheme, shape):
+    with pytest.raises(DimensionMismatchError):
+        estimate_gradient(np.ones(shape), scheme.identity(), EstimatorConfig(num_probes=4))
+
+
 def test_cg_identity_one_iteration():
     b = np.arange(1.0, 5.0).astype(complex)
     res = conjugate_gradient(MatrixOperator(np.eye(4, dtype=complex)), b, tol=1e-12)
