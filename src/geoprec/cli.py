@@ -102,7 +102,7 @@ def _scheme_from_args(args, m, n):
 
 def _emit_block_diagonal(path, stacks, runs, size):
     """Write the nonzero entries of one side's block stacks as sparse triplets."""
-    write_matrix(path, ComplexMatrix.sparse(size, size, zip(*block_triplets(stacks, runs))))
+    write_matrix(path, ComplexMatrix.coordinate(size, size, *block_triplets(stacks, runs)))
 
 
 def _cmd_precondition(args):

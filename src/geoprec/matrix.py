@@ -81,21 +81,37 @@ class ComplexMatrix:
 
     @classmethod
     def sparse(cls, rows, cols, triplets):
-        """Build from an iterable of (row, col, value) triplets, read in one pass."""
+        """Build from an iterable of (row, col, value) triplets, read in one pass.
+
+        Indices are read as float64, so that ``coordinate`` sees and rejects
+        one that is not an integer; integers are exact up to 2**53.
+        """
         t = np.fromiter(map(tuple, triplets),
-                        dtype=[("r", np.int64), ("c", np.int64), ("v", complex)])
-        ri, ci = t["r"], t["c"]
-        bad = np.flatnonzero((ri < 0) | (ri >= rows) | (ci < 0) | (ci >= cols))
+                        dtype=[("r", float), ("c", float), ("v", complex)])
+        return cls.coordinate(rows, cols, t["r"], t["c"], t["v"])
+
+    @classmethod
+    def coordinate(cls, rows, cols, r, c, v):
+        """Build from arrays of row indices, column indices and values.
+
+        The entries are put in canonical form: sorted by (row, col), duplicates
+        summed in the order given, exact zeros dropped.  An index out of bounds
+        or not an integer (1.7, NaN) raises DimensionMismatchError.
+        """
+        r, c, v = np.asarray(r), np.asarray(c), np.asarray(v)
+        bad = np.flatnonzero(~((0 <= r) & (r < rows) & (r == np.trunc(r))
+                               & (0 <= c) & (c < cols) & (c == np.trunc(c))))
         if bad.size:
-            raise DimensionMismatchError(f"index ({ri[bad[0]]}, {ci[bad[0]]}) out of bounds")
-        # canonical order, duplicates summed
-        t = t[np.lexsort((ci, ri))]
-        uniq, inverse = np.unique(t["r"] * cols + t["c"], return_inverse=True)
-        vals = np.zeros(len(uniq), dtype=complex)
-        np.add.at(vals, inverse, t["v"])
+            raise DimensionMismatchError(
+                f"index ({r[bad[0]]}, {c[bad[0]]}) out of bounds or not an integer")
+        key = r.astype(np.int64, copy=False) * cols + c.astype(np.int64, copy=False)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.diff(key, prepend=-1) != 0  # the first of each run of equal keys
+        vals = np.zeros(np.count_nonzero(new), dtype=np.promote_types(v.dtype, float))
+        np.add.at(vals, np.cumsum(new) - 1, v[order])
         keep = vals != 0
-        out_r = (uniq // cols)[keep]
-        out_c = (uniq % cols)[keep]
+        out_r, out_c = np.divmod(key[new][keep], cols)
         out_v = _field(vals[keep])
         for a in (out_r, out_c, out_v):
             a.setflags(write=False)

@@ -272,21 +272,6 @@ def _finite(*mats):
     return [np.ascontiguousarray(m.real) for m in out]
 
 
-def _upper_inverse(r):
-    """The inverse of an upper-triangular r of nonzero diagonal, by halves:
-    [[P, S], [0, T]]^-1 = [[P^-1, -P^-1 S T^-1], [0, T^-1]], with
-    ``np.linalg.inv`` on leaves of size at most 64: about 2 n^3 / 3 flops."""
-    n = r.shape[0]
-    if n <= 64:
-        return np.linalg.inv(r)
-    h = n // 2
-    p, t = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
-    out = np.zeros_like(r)
-    out[:h, :h], out[h:, h:] = p, t
-    out[:h, h:] = -(p @ r[:h, h:]) @ t
-    return out
-
-
 def _row_balanced_kF(a, a_inv):
     """sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2), the kF of the row-balanced a.
 
@@ -318,10 +303,13 @@ def _entry_inverse(a, required, up_to_unitary=False):
     an O(m^2) test that no left diagonal scaling of a changes and that reads
     the same from W, whose column norms are those of a^-1 (``_row_balanced_kF``).
     """
+    from scipy.linalg import get_lapack_funcs  # here, so importing geoprec leaves it unloaded
+
     try:
         if up_to_unitary:
             r = np.linalg.qr(a.conj().T, mode="r")
-            a_inv = _upper_inverse(r).conj().T if np.diagonal(r).all() else None
+            r_inv, info = get_lapack_funcs("trtri", (r,))(r)  # info > 0: a zero on R's diagonal
+            a_inv = r_inv.conj().T if info == 0 else None
         else:
             a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:

@@ -247,6 +247,56 @@ def test_matrix_entry_points_reject_bad_arguments(call, error):
         call()
 
 
+@pytest.mark.parametrize("index", [(1.7, 0), (0, 0.5), (math.nan, 0), (0, math.inf),
+                                   (-1e-300, 0)],
+                         ids=["fractional-row", "fractional-col", "nan", "inf", "tiny-negative"])
+def test_sparse_rejects_an_index_that_is_not_an_integer(index):
+    with pytest.raises(DimensionMismatchError):
+        ComplexMatrix.sparse(2, 2, [(*index, 1.0)])
+    with pytest.raises(DimensionMismatchError):
+        ComplexMatrix.coordinate(2, 2, [index[0]], [index[1]], [1.0])
+
+
+def test_sparse_takes_python_and_numpy_integers():
+    want = np.array([[0.0, 2.0], [3.0, 0.0]])
+    for r, c in [(0, 1), (np.int64(0), np.int32(1)), (np.uint8(0), 1.0)]:
+        m = ComplexMatrix.sparse(2, 2, [(r, c, 2.0), (1, 0, 3.0)])
+        assert np.array_equal(m.to_dense(), want)
+        r_out, c_out, _ = m.triplets()
+        assert r_out.dtype == c_out.dtype == np.int64
+
+
+def test_coordinate_is_the_canonical_form_of_sparse():
+    """Arrays given to coordinate and the same triplets given to sparse make the
+    same entries, bit for bit: duplicates summed in the order given, zeros dropped."""
+    rng = rng_for(223)
+    r, c = rng.integers(0, 4, 40), rng.integers(0, 3, 40)
+    for v in (rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40),
+              complex_gaussian(rng, 40)):
+        v[:5] = 0.0
+        got = ComplexMatrix.coordinate(4, 3, r, c, v)
+        want = ComplexMatrix.sparse(4, 3, zip(r, c, v))
+        for a, b in zip(got.triplets(), want.triplets()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("call,error,index", [
+    (lambda: condition_skeel(np.ones(3)), DimensionMismatchError, None),
+    (lambda: condition_cross(np.zeros((2, 2)), np.eye(2)), ZeroMatrixError, None),
+    (lambda: condition_cross(np.eye(2), ComplexMatrix.sparse(2, 2, [])), ZeroMatrixError, None),
+    (lambda: row_balance(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])),
+     ZeroRowOrColumnError, (1, 0)),
+    (lambda: sinkhorn_equilibrate(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0]])),
+     ZeroRowOrColumnError, (1, 1)),
+], ids=["as-dense-one-dimensional", "cross-zero-first", "cross-zero-second-sparse",
+        "row-balance-zero-row", "sinkhorn-zero-column"])
+def test_matrix_functions_reject_degenerate_input(call, error, index):
+    with pytest.raises(error) as info:
+        call()
+    if index is not None:
+        assert (info.value.index, info.value.axis) == index
+
+
 def test_svd_factorization_reconstruction():
     from geoprec.matrix import svd_factorization
 

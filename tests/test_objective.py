@@ -10,12 +10,14 @@ from conftest import (
     random_unitary,
     rng_for,
 )
+from geoprec.errors import DimensionMismatchError, ZeroMatrixError
 from geoprec.group import GroupScheme, LieDirection, exp_action, weight_data
 from geoprec.matrix import condition_frobenius
 from geoprec.objective import (
     duality_gap_bound,
     evaluate,
     evaluate_cross,
+    gram_factors,
     hessian_quadratic_form,
 )
 
@@ -318,3 +320,17 @@ def test_evaluate_cross_kappa_uses_evaluate_cutoff():
     cross = evaluate_cross(A, np.eye(4), g)
     assert cross.kappa == pytest.approx(evaluate(A, g).kappa, rel=1e-6)
     assert cross.kappa > 1e14
+
+
+_LEFT, _BOTH = GroupScheme.blocked(3, 1, side="left"), GroupScheme.blocked(3, 1, 3, side="both")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: evaluate(np.zeros((3, 3)), _LEFT.identity()), ZeroMatrixError),
+    (lambda: evaluate_cross(np.zeros((3, 3)), np.eye(3), _LEFT.identity()), ZeroMatrixError),
+    (lambda: evaluate_cross(np.eye(3), np.zeros((3, 3)), _BOTH.identity()), ZeroMatrixError),
+    (lambda: gram_factors(np.ones((3, 2)), np.ones((3, 2)), _LEFT), DimensionMismatchError),
+], ids=["svd-path", "left-pair", "two-sided-pair", "pair-shapes"])
+def test_objective_rejects_a_zero_matrix_and_unpaired_shapes(call, error):
+    with pytest.raises(error):
+        call()

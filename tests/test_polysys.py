@@ -580,6 +580,28 @@ def test_precondition_sparse_monotone_on_seeds():
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda f: PolynomialSystem(2, (2,), ({(2, 0): 1.0}, {(0, 1): 1.0})), "one degree bound"),
+    (lambda f: evaluate_system(f, np.ones(3)), "point has length"),
+    (lambda f: shuffle(np.eye(3), f), "shuffle matrix"),
+    (lambda f: change_variables(np.eye(3), f), "change of variables"),
+    (lambda f: torus_rescale(TorusPoint(np.ones(3)), f), "torus point length"),
+    (lambda f: polysys_lie_derivative(f, np.eye(2), np.eye(3)), "direction shapes"),
+    (lambda f: polysys_lie_derivative(f, np.eye(3), np.eye(2)), "direction shapes"),
+    (lambda f: precondition_shuffle(f, np.ones(2), GroupScheme.full(2, 2, side="both"),
+                                    OptimizerConfig(scheme=GroupScheme.full(2, 2, side="both"))),
+     "left-only scheme"),
+    (lambda f: precondition_sparse(f, np.ones(3),
+                                   OptimizerConfig(scheme=GroupScheme.full(2, side="left"))),
+     "point length"),
+], ids=["one-bound-per-polynomial", "evaluate-point-length", "shuffle-shape",
+        "change-variables-shape", "torus-length", "lie-derivative-H2", "lie-derivative-H1",
+        "shuffle-scheme-side", "sparse-point-length"])
+def test_polynomial_entry_points_reject_mismatched_shapes(call, match, example2_system):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call(example2_system)
+
+
 def test_degree_bound_validation():
     with pytest.raises(DimensionMismatchError):
         PolynomialSystem(2, (1,), ({(2, 0): 1.0},))

@@ -3,8 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import complex_gaussian, random_element, rng_for
+from geoprec import stochastic
 from geoprec._rng import rademacher, substream
-from geoprec.errors import BreakdownError, DimensionMismatchError, NotConvergedError
+from geoprec.errors import (
+    BreakdownError,
+    DimensionMismatchError,
+    NotConvergedError,
+    SingularProbeBlockError,
+)
 from geoprec.group import GroupScheme, apply, split_blocks
 from geoprec.objective import evaluate
 from geoprec.stochastic import (
@@ -340,6 +346,28 @@ def test_estimate_gradient_rejects_blocks_wider_than_the_probes(side, probes):
 def test_block_hutchinson_rejects_blocks_wider_than_the_probes():
     with pytest.raises(DimensionMismatchError, match="probe count"):
         block_hutchinson(MatrixOperator(np.eye(10)), (0, 5), num_probes=4, seed=1)
+
+
+class _ZeroDraws:
+    """A generator stand-in whose Gaussian draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@pytest.mark.parametrize("deficient", [(0,), (0, 1)], ids=["first-draw", "both-draws"])
+def test_block_hutchinson_redraws_a_deficient_probe_block_once(monkeypatch, deficient):
+    """A probe block of deficient rank is drawn again from the next substream;
+    a second deficient draw raises."""
+    M = MatrixOperator(np.diag(np.arange(1.0, 7.0)))
+    want = block_hutchinson(M, (0, 2), num_probes=4, seed=1)
+    monkeypatch.setattr(stochastic, "substream", lambda seed, attempt: (
+        _ZeroDraws() if attempt in deficient else substream(seed, 0)))
+    if len(deficient) == 2:
+        with pytest.raises(SingularProbeBlockError):
+            block_hutchinson(M, (0, 2), num_probes=4, seed=1)
+    else:
+        assert np.array_equal(block_hutchinson(M, (0, 2), num_probes=4, seed=1), want)
 
 
 def test_gram_operators_consistent():
