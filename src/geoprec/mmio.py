@@ -189,6 +189,8 @@ def read_matrix(path) -> ComplexMatrix:
         raise ParseError(size_line, f"bad size line: {size_text}") from exc
     if rows < 1 or cols < 1:
         raise ParseError(size_line, f"matrix dimensions must be positive: {size_text}")
+    if symmetry != "general" and rows != cols:
+        raise ParseError(size_line, f"symmetric {fmt} storage must be square")
 
     parts = [_parse(b"", fmt, field, rows, cols)]  # empty arrays of the right dtypes
     chunks = _chunks(data, end + 1, size_line + 1)
@@ -214,8 +216,6 @@ def read_matrix(path) -> ComplexMatrix:
         if len(v) != nnz:
             raise ParseError(size_line, f"expected {nnz} entries, found {len(v)}")
         return ComplexMatrix.coordinate(rows, cols, *_expanded(*ij, v, symmetry))
-    if symmetry != "general" and rows != cols:
-        raise ParseError(size_line, "symmetric array storage must be square")
     expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
     if len(v) != expected:
         lines = _data_lines(_chunks(data, end + 1, size_line + 1))

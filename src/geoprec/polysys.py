@@ -25,6 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
 from typing import Dict, NamedTuple, Tuple
 
@@ -89,8 +90,63 @@ def _frozen(a):
 
 def _integers(values):
     """Whether every value is an integer, Python's or numpy's; a bool is not one."""
-    return all(type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
-               for v in values)
+    return all(t is int or (issubclass(t, numbers.Integral) and not issubclass(t, bool))
+               for t in set(map(type, values)))
+
+
+def _exponent_rows(rows, nvars):
+    """The len(rows) x nvars intp array of rows of nvars integers >= 0;
+    ValueError for a row of another length or a value that is not such an
+    integer, OverflowError for one beyond a machine integer."""
+    flat = list(chain.from_iterable(rows))
+    if not (set(map(len, rows)) <= {nvars} and _integers(flat) and min(flat, default=0) >= 0):
+        raise ValueError(f"not rows of {nvars} integers >= 0")
+    return np.fromiter(flat, np.intp, len(flat)).reshape(len(rows), int(nvars))
+
+
+def _beyond(degrees, owner, exponents):
+    """Whether the degree of each term exceeds the bound of its polynomial
+    owner[k]; summed as Python integers where an int64 sum could wrap."""
+    wide = exponents.max(initial=0) > (2**63 - 1) // max(exponents.shape[1], 1)
+    bounds = np.array([min(d, 2**63 - 1) for d in degrees], dtype=np.int64)
+    return exponents.sum(axis=1, dtype=object if wide else None) > bounds[owner]
+
+
+def _first_fault(nvars, degrees, polynomials):
+    """Raise the first fault of the terms in dict order, checked one at a time."""
+    for i, p in enumerate(polynomials):
+        for alpha, c in p.items():
+            if not _integers(alpha) or len(alpha) != nvars or min(alpha, default=0) < 0:
+                raise DimensionMismatchError(f"exponents {alpha}: not {nvars} integers >= 0")
+            if complex(c) and sum(alpha) > degrees[i]:
+                raise DimensionMismatchError(f"polynomial {i} has a term of degree "
+                                             f"{sum(alpha)} > bound {degrees[i]}")
+
+
+def _from_terms(m, owner, exponents, values):
+    """(exponents, weights, coeffs) of m polynomials, polynomial owner[k]
+    having the term values[k] x^exponents[k].
+
+    The terms of one polynomial and exponent are summed in their given order,
+    and an exponent whose every sum is zero is left out of the basis.
+    """
+    # graded lex: ascending degree, then descending lexicographic; a stable sort
+    order = np.lexsort((owner, *-exponents.T[::-1], exponents.sum(axis=1)))
+    order = order[values[order] != 0]  # a zero term adds nothing to a sum
+    exponents, owner, values = exponents[order], owner[order], values[order]
+    new = np.ones(len(order), dtype=bool)  # the first term of each exponent
+    new[1:] = (exponents[1:] != exponents[:-1]).any(axis=1)
+    again = ~new  # a term of the same polynomial and exponent as the one before
+    again[1:] &= owner[1:] == owner[:-1]
+    if again.any():  # sum in order; a sum that cancels is a zero term of the next pass
+        sums = values[~again]
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python's complex sum
+            np.add.at(sums, np.cumsum(~again)[again] - 1, values[again])
+        return _from_terms(m, owner[~again], exponents[~again], sums)
+    coeffs = np.zeros((m, np.count_nonzero(new)), dtype=complex)
+    coeffs[owner, np.cumsum(new) - 1] = values
+    basis = _frozen(exponents[new])
+    return basis, _frozen(_bw_weights(basis)), _frozen(coeffs)
 
 
 class PolynomialSystem:
@@ -112,26 +168,20 @@ class PolynomialSystem:
         degrees = tuple(map(int, degrees))
         if len(degrees) != len(polynomials):
             raise DimensionMismatchError("one degree bound per polynomial required")
-        rows = [{} for _ in degrees]
-        for i, (p, row) in enumerate(zip(polynomials, rows)):
-            for alpha, c in p.items():
-                if not _integers(alpha) or len(alpha) != nvars or min(alpha, default=0) < 0:
-                    raise DimensionMismatchError(f"exponents {alpha}: not {nvars} integers >= 0")
-                alpha, c = tuple(map(int, alpha)), complex(c)
-                if c:
-                    if sum(alpha) > degrees[i]:
-                        raise DimensionMismatchError(f"polynomial {i} has a term of degree "
-                                                     f"{sum(alpha)} > bound {degrees[i]}")
-                    row[alpha] = c
-        # graded lex: ascending degree, then descending lexicographic
-        basis = sorted(set().union(*rows), key=lambda a: (-sum(a), a), reverse=True)
-        column = {alpha: k for k, alpha in enumerate(basis)}
-        coeffs = np.zeros((len(rows), len(basis)), dtype=complex)
-        for i, row in enumerate(rows):
-            coeffs[i, [column[a] for a in row]] = list(row.values())
-        self.exponents = _frozen(np.array(basis, dtype=np.intp).reshape(len(basis), int(nvars)))
-        self.nvars, self.degrees, self.coeffs = int(nvars), degrees, _frozen(coeffs)
-        self.weights = _frozen(_bw_weights(self.exponents))
+        keys = [alpha for p in polynomials for alpha in p]
+        owner = np.repeat(np.arange(len(degrees)), list(map(len, polynomials)))
+        try:
+            values = np.fromiter(map(complex, chain.from_iterable(p.values() for p in polynomials)),
+                                 complex, len(keys))
+            exponents = _exponent_rows(keys, nvars)
+            if (_beyond(degrees, owner, exponents) & (values != 0)).any():
+                raise ValueError("a term beyond its degree bound")
+        except (TypeError, ValueError, OverflowError):
+            _first_fault(nvars, degrees, polynomials)
+            raise  # an exponent beyond a machine integer, within its bound
+        self.nvars, self.degrees = int(nvars), degrees
+        self.exponents, self.weights, self.coeffs = _from_terms(len(degrees), owner, exponents,
+                                                                values)
 
     @classmethod
     def _from_arrays(cls, nvars, degrees, exponents, weights, coeffs):

@@ -10,15 +10,25 @@ A system is stored as a JSON document with top-level fields
 
 Parsing then serializing is canonical: terms in graded-lex order with zero
 coefficients dropped.
+
+The reader collects every term's exponents, coefficient and polynomial into
+arrays in one pass and checks them in bulk; only a file that fails a check is
+read again one term at a time, to report its first fault in file order.  A
+coefficient -0.0 reads as 0.0 and a repeated exponent is summed in file
+order, as a sum from zero does.  The writer emits json's indent-1 layout
+itself, byte for byte what ``json.dump(doc, fh, indent=1)`` and a newline
+wrote: one head per basis exponent, each polynomial's coefficients as text
+from one ``json.dumps`` of their floats, and one write per file.
 """
 
 import cmath
 import json
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegreeViolationError, ParseError
-from .polysys import PolynomialSystem, _integers
+from .polysys import PolynomialSystem, _beyond, _exponent_rows, _from_terms, _integers
 
 __all__ = ["read_polysys", "write_polysys"]
 
@@ -72,28 +82,13 @@ def _from_document(doc):
     if not _integers(degrees) or min(degrees) < 0:
         raise ParseError(1, f"degrees must be non-negative integers, got {degrees}")
 
-    polys = []
-    for pi, terms in enumerate(polys_doc):
-        if not isinstance(terms, list):
-            raise ParseError(1, f"polynomial {pi} must be a list of terms")
-        poly = {}
-        for term in terms:
-            try:
-                exps, c = term["exponents"], _complex(term["coeff"])
-            except (TypeError, KeyError) as exc:
-                raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
-            if (not isinstance(exps, list) or len(exps) != nvars
-                    or not _integers(exps) or min(exps) < 0):
-                raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
-            if sum(exps) > degrees[pi]:
-                raise DegreeViolationError(pi, tuple(exps))
-            if not cmath.isfinite(c):
-                raise ParseError(1, f"non-finite coefficient of {exps} in polynomial {pi}")
-            if c != 0:
-                alpha = tuple(exps)
-                poly[alpha] = poly.get(alpha, 0) + c
-        polys.append(poly)
-    system = PolynomialSystem(nvars, tuple(degrees), tuple(polys))
+    try:
+        owner, exponents, values = _term_arrays(polys_doc, nvars, degrees)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        _first_fault(polys_doc, nvars, degrees)
+        raise  # an exponent beyond a machine integer, within its bound
+    system = PolynomialSystem._from_arrays(nvars, tuple(degrees),
+                                           *_from_terms(len(degrees), owner, exponents, values))
 
     point = None
     if doc.get("point") is not None:
@@ -109,22 +104,73 @@ def _from_document(doc):
     return system, point
 
 
+def _term_arrays(polys_doc, nvars, degrees):
+    """(owner, exponents, coefficients) of the terms in file order, owner[k]
+    the polynomial of term k.  Checked in bulk: a term that fails a check
+    raises TypeError, KeyError, ValueError or OverflowError, unnamed."""
+    terms = list(chain.from_iterable(polys_doc))
+    pairs = [t["coeff"] for t in terms]
+    numbers = list(chain.from_iterable(pairs))
+    if not (set(map(type, polys_doc)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, numbers)) <= {int, float}):
+        raise TypeError("a malformed term")
+    exponents = _exponent_rows([t["exponents"] for t in terms], nvars)
+    owner = np.repeat(np.arange(len(polys_doc)), list(map(len, polys_doc)))
+    # + 0.0: a sum starts from zero, so a coefficient -0.0 reads as 0.0
+    values = np.fromiter(map(float, numbers), float, len(numbers)).view(complex) + 0.0
+    if _beyond(degrees, owner, exponents).any() or not np.isfinite(values).all():
+        raise ValueError("a term beyond its degree bound or with a coefficient not finite")
+    return owner, exponents, values
+
+
+def _first_fault(polys_doc, nvars, degrees):
+    """Raise the first fault of the terms in file order, checked one at a time."""
+    for pi, terms in enumerate(polys_doc):
+        if not isinstance(terms, list):
+            raise ParseError(1, f"polynomial {pi} must be a list of terms")
+        for term in terms:
+            try:
+                exps, c = term["exponents"], _complex(term["coeff"])
+            except (TypeError, KeyError) as exc:
+                raise ParseError(1, f"malformed term in polynomial {pi}: {term!r}") from exc
+            if (not isinstance(exps, list) or len(exps) != nvars
+                    or not _integers(exps) or min(exps) < 0):
+                raise ParseError(1, f"bad exponents {exps} in polynomial {pi}")
+            if sum(exps) > degrees[pi]:
+                raise DegreeViolationError(pi, tuple(exps))
+            if not cmath.isfinite(c):
+                raise ParseError(1, f"non-finite coefficient of {exps} in polynomial {pi}")
+
+
+def _array(items, depth):
+    """json's indent-1 text of a list at the given depth, from its items' texts."""
+    pad = "\n" + " " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]" if items else "[]"
+
+
+def _floats(x):
+    """json's text of each value of a float array."""
+    return json.dumps(x.tolist())[1:-1].split(", ")
+
+
+def _terms(heads, row):
+    """The texts of one polynomial's terms, from the head of each basis
+    exponent and the polynomial's coefficients over the basis."""
+    cols = np.flatnonzero(row)
+    parts = _floats(row[cols].view(float))  # re, im of each term
+    return [f"{heads[k]}{re},\n     {im}\n    ]\n   }}"
+            for k, re, im in zip(cols.tolist(), parts[::2], parts[1::2])]
+
+
 def write_polysys(path, system: PolynomialSystem, point=None):
     """Serialize in canonical form (graded-lex terms, no zero coefficients)."""
-    doc = {
-        "nvars": system.nvars,
-        "degrees": list(system.degrees),
-        "polynomials": [
-            [
-                {"exponents": list(alpha), "coeff": [c.real, c.imag]}
-                for alpha, c in poly.items()
-            ]
-            for poly in system.polynomials
-        ],
-    }
+    head = '{\n    "exponents": ' + _array(["%d"] * system.nvars, 4) + ',\n    "coeff": [\n     '
+    heads = [head % tuple(alpha) for alpha in system.exponents.tolist()]
+    polys = [_array(_terms(heads, row), 2) for row in system.coeffs]
+    text = ['{\n "nvars": ', str(system.nvars), ',\n "degrees": ',
+            _array(list(map(str, system.degrees)), 1), ',\n "polynomials": ', _array(polys, 1)]
     if point is not None:
-        pt = np.asarray(point, dtype=complex)
-        doc["point"] = [[z.real, z.imag] for z in pt]
+        parts = _floats(np.array(point, dtype=complex).view(float))
+        text += [',\n "point": ', _array([_array(z, 2) for z in zip(parts[::2], parts[1::2])], 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("".join([*text, "\n}\n"]))

@@ -2,14 +2,63 @@
 
 A system is a list of dicts {exponent tuple: coefficient}.  These loops are
 the direct transcription of each definition, kept as the reference that the
-array implementation in ``geoprec.polysys`` is checked against.
+array implementation in ``geoprec.polysys`` is checked against.  So are the
+dict-based constructor and file reader and the json writer that
+``PolynomialSystem`` and ``geoprec.sysio`` replaced by array code.
 """
 
+import json
 from math import factorial
 
 import numpy as np
 
-from geoprec.polysys import bw_inner
+from geoprec.polysys import _bw_weights, bw_inner
+
+
+def system_arrays(nvars, degrees, polynomials):
+    """(exponents, weights, coeffs) as PolynomialSystem(nvars, degrees,
+    polynomials) built them from dicts: the basis is every exponent with a
+    nonzero coefficient, in graded-lex order."""
+    rows = [{} for _ in degrees]
+    for p, row in zip(polynomials, rows):
+        for alpha, c in p.items():
+            if complex(c):
+                row[tuple(map(int, alpha))] = complex(c)
+    basis = sorted(set().union(*rows), key=lambda a: (-sum(a), a), reverse=True)
+    column = {alpha: k for k, alpha in enumerate(basis)}
+    coeffs = np.zeros((len(rows), len(basis)), dtype=complex)
+    for i, row in enumerate(rows):
+        coeffs[i, [column[a] for a in row]] = list(row.values())
+    exponents = np.array(basis, dtype=np.intp).reshape(len(basis), nvars)
+    return exponents, _bw_weights(exponents), coeffs
+
+
+def document_polynomials(doc):
+    """The dicts that a system file's terms were read into: a zero term
+    skipped, a repeated exponent summed from 0 in file order."""
+    polys = []
+    for terms in doc["polynomials"]:
+        poly = {}
+        for term in terms:
+            c = complex(*term["coeff"])
+            if c != 0:
+                alpha = tuple(term["exponents"])
+                poly[alpha] = poly.get(alpha, 0) + c
+        polys.append(poly)
+    return polys
+
+
+def polysys_text(system, point=None):
+    """The text of a system file as json.dump(..., indent=1) wrote it."""
+    doc = {
+        "nvars": system.nvars,
+        "degrees": list(system.degrees),
+        "polynomials": [[{"exponents": list(alpha), "coeff": [c.real, c.imag]}
+                         for alpha, c in poly.items()] for poly in system.polynomials],
+    }
+    if point is not None:
+        doc["point"] = [[z.real, z.imag] for z in np.asarray(point, dtype=complex)]
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def _add(g, key, v):

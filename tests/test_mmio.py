@@ -158,6 +158,23 @@ def test_read_matrix_checks_each_line_of_a_chunk(tmp_path, text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix coordinate real skew-symmetric\n3 2 1\n3 1 1.0\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n2 1 1.0\n",
+    "%%MatrixMarket matrix array real hermitian\n% note\n3 2\n1.0\nx\n",
+], ids=["coordinate-skew-symmetric", "coordinate-symmetric", "array-before-bad-value"])
+def test_read_matrix_symmetric_storage_must_be_square(tmp_path, text):
+    """A symmetric kind of storage with rows != cols is refused at its size
+    line.  The coordinate files were read as a 3x2 matrix, or raised a
+    DimensionMismatchError with a 0-based index."""
+    p = tmp_path / "a.mtx"
+    p.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read_matrix(p)
+    size_line = 3 if "% note" in text else 2
+    assert str(info.value) == f"line {size_line}: symmetric {text.split()[2]} storage must be square"
+
+
 def test_read_matrix_splits_tokens_at_every_ascii_whitespace(tmp_path):
     """\\x0b, \\x0c and \\x1c-\\x1f separate tokens, and make a line blank, as str.split has it."""
     p = tmp_path / "ws.mtx"
