@@ -37,7 +37,7 @@ print(f"Jacobi left:      kappa = {condition_euclidean(XA):.4f}   (worse than A!
 XAY = jacobi_precondition(A, "two_sided")
 print(f"Jacobi two-sided: kappa = {condition_euclidean(XAY):.4f}   (still worse)")
 sk = sinkhorn_equilibrate(A)
-eq = sk.X @ A @ np.linalg.inv(sk.Y)
+eq = apply(sk.element, A)
 print(f"Sinkhorn:         kappa = {condition_euclidean(eq):.4f}   "
       f"(converged={sk.converged}: this zero pattern has no equilibrating limit,")
 print("                  the scalings diverge and the scaled matrix degenerates)")

@@ -24,14 +24,17 @@ from .errors import (
     SingularBlockError,
     SingularProbeBlockError,
 )
-from .group import GroupScheme, block_triplets
+from .group import GroupScheme, apply, block_triplets
 from .matrix import (
     ComplexMatrix,
     as_dense,
     condition_euclidean,
     condition_frobenius,
     condition_skeel,
+    frobenius_from_singular_values,
     jacobi_precondition,
+    kappa_from_singular_values,
+    singular_values,
     sinkhorn_equilibrate,
 )
 from .mmio import read_matrix, write_matrix
@@ -169,13 +172,11 @@ def _cmd_baseline(args):
     elif args.method == "jacobi-sym":
         pre = jacobi_precondition(dense, "two_sided")
     else:
-        res = sinkhorn_equilibrate(dense)
-        pre = res.X @ dense @ np.linalg.inv(res.Y)
-    print(
-        f"method={args.method} "
-        f"kF {_num(condition_frobenius(dense))} -> {_num(condition_frobenius(pre))} "
-        f"kappa {_num(condition_euclidean(dense))} -> {_num(condition_euclidean(pre))}"
-    )
+        pre = apply(sinkhorn_equilibrate(dense).element, dense)
+    sv = [singular_values(dense), singular_values(pre)]  # the scalings keep the shape
+    kF = [_num(frobenius_from_singular_values(s, dense.shape)) for s in sv]
+    kappa = [_num(kappa_from_singular_values(s, dense.shape)) for s in sv]
+    print(f"method={args.method} kF {kF[0]} -> {kF[1]} kappa {kappa[0]} -> {kappa[1]}")
     return 0
 
 

@@ -6,6 +6,11 @@ values: float64 when no entry has a nonzero imaginary part, complex128
 otherwise.  Every operation in this module accepts either a ``ComplexMatrix``
 or a plain array-like and produces identical results for dense and sparse
 storage of the same matrix.
+
+The diagonal baselines return what they compute, a preconditioner: row
+balancing and Sinkhorn balancing return torus elements of ``geoprec.group``,
+stored as vectors and applied with ``group.apply`` in O(mn), while Jacobi
+scaling returns the scaled matrix itself.
 """
 
 from typing import NamedTuple
@@ -296,39 +301,60 @@ def jacobi_precondition(a, mode: str = "left") -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def row_balance(a) -> np.ndarray:
-    """Left scaling X = diag(1/||row_i||_2); baseline heuristic, not an optimizer."""
+def row_balance(a):
+    """The left torus element x_i = 1 / ||row_i A||_2 that gives every row of
+    x A unit norm (van der Sluis, 1969); a baseline heuristic, not an optimizer.
+
+    Returns a GroupElement of ``GroupScheme.diagonal(m)``, one float64 (m, 1, 1)
+    stack, to be applied with ``group.apply``.  Each row is divided by its
+    largest magnitude before its norm is taken, so graded rows neither
+    overflow nor underflow.  A zero row raises ZeroRowOrColumnError, and a
+    scaling beyond the float range (a row of subnormals) FloatingPointError.
+    """
+    from .group import GroupElement, GroupScheme  # group imports this module at load
+
     m = as_dense(a)
-    norms = np.linalg.norm(m, axis=1)
-    zero = np.nonzero(norms == 0)[0]
+    scale = np.abs(m).max(axis=1)
+    zero = np.nonzero(scale == 0)[0]
     if len(zero):
         raise ZeroRowOrColumnError(int(zero[0]), 0)
-    return np.diag(1.0 / norms)
+    x = 1.0 / (scale * np.linalg.norm(m / scale[:, None], axis=1))
+    if not np.isfinite(x).all():
+        raise FloatingPointError("row balance scaling is not finite")
+    return GroupElement._from_blocks(GroupScheme.diagonal(len(x)), [x.reshape(-1, 1, 1)])
 
 
 class SinkhornResult(NamedTuple):
-    X: np.ndarray  # left diagonal scaling (float64), X[0, 0] fixed to 1
-    Y: np.ndarray  # right diagonal scaling (float64), applied as A -> X A Y^-1
+    """The two-sided torus element (X, Y) = (diag d, diag e) of a Sinkhorn
+    balance, applied as A -> X A Y^-1 by ``group.apply``: float64 (m, 1, 1)
+    and (n, 1, 1) stacks, X[0, 0] fixed to 1."""
+
+    element: "GroupElement"
     converged: bool
     iterations: int
 
 
 def sinkhorn_equilibrate(a, max_iters: int = 1000, tol: float = 1e-10) -> SinkhornResult:
-    """Diagonal X, Y making the row and column sums of |X A Y^-1| equal.
+    """Diagonal X, Y making the row and column sums of |X A Y^-1| equal
+    (Sinkhorn, 1964).
 
     Alternates row and column normalization on |A|, so both scalings are real
-    and positive and are returned as float64 for real and complex A alike.  The
-    scaling pair is unique only up to a scalar; the ambiguity is fixed by
-    forcing X[0,0] = 1.
+    and positive, float64 for real and complex A alike.  Each iteration forms
+    the scaled matrix twice: the one formed to test convergence, and its row
+    sums, start the next iteration.  The scaling pair is unique only up to a
+    scalar; the ambiguity is fixed by forcing X[0,0] = 1.  A zero row or
+    column raises ZeroRowOrColumnError, and a scaling that leaves the float
+    range FloatingPointError.
     """
+    from .group import GroupElement, GroupScheme  # group imports this module at load
+
     m = np.abs(as_dense(a))
     rows, cols = m.shape
-    zr = np.nonzero(m.sum(axis=1) == 0)[0]
-    if len(zr):
-        raise ZeroRowOrColumnError(int(zr[0]), 0)
-    zc = np.nonzero(m.sum(axis=0) == 0)[0]
-    if len(zc):
-        raise ZeroRowOrColumnError(int(zc[0]), 1)
+    rs = m.sum(axis=1)  # the row sums of the scaled matrix at d = 1, e = 1
+    for axis, sums in enumerate((rs, m.sum(axis=0))):
+        zero = np.nonzero(sums == 0)[0]
+        if len(zero):
+            raise ZeroRowOrColumnError(int(zero[0]), axis)
 
     d = np.ones(rows)
     e = np.ones(cols)  # applied as division: column j scaled by 1/e[j]
@@ -336,20 +362,18 @@ def sinkhorn_equilibrate(a, max_iters: int = 1000, tol: float = 1e-10) -> Sinkho
     it = 0
     col_target = rows / cols  # after rows sum to 1, columns must sum to m/n
     for it in range(1, max_iters + 1):
+        d = d / rs
+        cs = ((d[:, None] * m) / e[None, :]).sum(axis=0)
+        e = e * cs / col_target
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise FloatingPointError(f"Sinkhorn scaling is not finite at iteration {it}")
         scaled = (d[:, None] * m) / e[None, :]
         rs = scaled.sum(axis=1)
-        d = d / rs
-        scaled = (d[:, None] * m) / e[None, :]
-        cs = scaled.sum(axis=0)
-        e = e * cs / col_target
-        scaled = (d[:, None] * m) / e[None, :]
-        rdev = np.max(np.abs(scaled.sum(axis=1) - 1.0))
+        rdev = np.max(np.abs(rs - 1.0))
         cdev = np.max(np.abs(scaled.sum(axis=0) - col_target)) / col_target
         if max(rdev, cdev) <= tol:
             converged = True
             break
-    # fix the scalar ambiguity
-    scale = d[0]
-    d = d / scale
-    e = e / scale
-    return SinkhornResult(np.diag(d), np.diag(e), converged, it)
+    left, right = [[(v / d[0]).reshape(-1, 1, 1)] for v in (d, e)]  # fix the scalar ambiguity
+    element = GroupElement._from_blocks(GroupScheme.diagonal(rows, cols, "both"), left, right)
+    return SinkhornResult(element, converged, it)

@@ -18,7 +18,8 @@ coefficient -0.0 reads as 0.0 and a repeated exponent is summed in file
 order, as a sum from zero does.  The writer emits json's indent-1 layout
 itself, byte for byte what ``json.dump(doc, fh, indent=1)`` and a newline
 wrote: one head per basis exponent, each polynomial's coefficients as text
-from one ``json.dumps`` of their floats, and one write per file.
+from one ``json.dumps`` of their floats, and one write per polynomial, so
+that the writer holds one polynomial's text at a time.
 """
 
 import cmath
@@ -163,14 +164,21 @@ def _terms(heads, row):
 
 
 def write_polysys(path, system: PolynomialSystem, point=None):
-    """Serialize in canonical form (graded-lex terms, no zero coefficients)."""
+    """Serialize in canonical form (graded-lex terms, no zero coefficients).
+
+    Each polynomial's text is written on its own, so the writer holds one
+    polynomial's text at a time, not the file's.  The point is formatted
+    before the file is opened.
+    """
     head = '{\n    "exponents": ' + _array(["%d"] * system.nvars, 4) + ',\n    "coeff": [\n     '
     heads = [head % tuple(alpha) for alpha in system.exponents.tolist()]
-    polys = [_array(_terms(heads, row), 2) for row in system.coeffs]
-    text = ['{\n "nvars": ', str(system.nvars), ',\n "degrees": ',
-            _array(list(map(str, system.degrees)), 1), ',\n "polynomials": ', _array(polys, 1)]
+    tail = "\n ]"
     if point is not None:
         parts = _floats(np.array(point, dtype=complex).view(float))
-        text += [',\n "point": ', _array([_array(z, 2) for z in zip(parts[::2], parts[1::2])], 1)]
+        tail += ',\n "point": ' + _array([_array(z, 2) for z in zip(parts[::2], parts[1::2])], 1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([*text, "\n}\n"]))
+        fh.write(f'{{\n "nvars": {system.nvars},\n "degrees": '
+                 f'{_array(list(map(str, system.degrees)), 1)},\n "polynomials": [')
+        for k, row in enumerate(system.coeffs):
+            fh.write(("," if k else "") + "\n  " + _array(_terms(heads, row), 2))
+        fh.write(tail + "\n}\n")

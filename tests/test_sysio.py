@@ -4,6 +4,7 @@ writer they replaced (tests/polysys_reference.py)."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,27 @@ def test_write_polysys_writes_what_json_wrote(tmp_path_factory, case, point):
     path = tmp_path_factory.mktemp("w") / "sys.json"
     write_polysys(path, system, point)
     assert path.read_bytes() == ref.polysys_text(system, point).encode("utf-8")
+
+
+def test_write_polysys_holds_one_polynomial_text_at_a_time(tmp_path):
+    """16 full cubics in 8 variables (165 terms each, a 0.45 MB file): the
+    writer that joined every polynomial's text into the file's text held about
+    4 times the file's bytes."""
+    rng = np.random.default_rng(3)
+    support = _monomials(8, 3)
+    f = PolynomialSystem.from_polys(8, [dict(zip(support, rng.standard_normal((165, 2)) @ [1, 1j]))
+                                        for _ in range(16)], [3] * 16)
+    point = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    path = tmp_path / "sys.json"
+    write_polysys(path, f, point)  # warm up
+    tracemalloc.start()
+    try:
+        write_polysys(path, f, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * path.stat().st_size
+    assert path.read_bytes() == ref.polysys_text(f, point).encode("utf-8")
 
 
 @_PROPERTY
