@@ -318,7 +318,8 @@ def row_balance(a):
     zero = np.nonzero(scale == 0)[0]
     if len(zero):
         raise ZeroRowOrColumnError(int(zero[0]), 0)
-    x = 1.0 / (scale * np.linalg.norm(m / scale[:, None], axis=1))
+    with np.errstate(all="ignore"):  # the check below reports a scaling out of range
+        x = 1.0 / (scale * np.linalg.norm(m / scale[:, None], axis=1))
     if not np.isfinite(x).all():
         raise FloatingPointError("row balance scaling is not finite")
     return GroupElement._from_blocks(GroupScheme.diagonal(len(x)), [x.reshape(-1, 1, 1)])
@@ -362,9 +363,10 @@ def sinkhorn_equilibrate(a, max_iters: int = 1000, tol: float = 1e-10) -> Sinkho
     it = 0
     col_target = rows / cols  # after rows sum to 1, columns must sum to m/n
     for it in range(1, max_iters + 1):
-        d = d / rs
-        cs = ((d[:, None] * m) / e[None, :]).sum(axis=0)
-        e = e * cs / col_target
+        with np.errstate(all="ignore"):  # the check below reports a scaling out of range
+            d = d / rs
+            cs = ((d[:, None] * m) / e[None, :]).sum(axis=0)
+            e = e * cs / col_target
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise FloatingPointError(f"Sinkhorn scaling is not finite at iteration {it}")
         scaled = (d[:, None] * m) / e[None, :]

@@ -23,17 +23,16 @@ return: ``polar_at_end`` for a constant step, always for halving.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
-iteration cap.  The tolerance is ``grad_tol_override`` when set, otherwise
-gamma * target_eps for the run's weight margin gamma (the gradient norm below
-which the certificate reaches the target), otherwise 1e-10 for a run without
-weights.  The certificate is the end point's bound whenever that is finite;
-the sparse action has none.  A state whose value or gradient norm is not
-finite raises FloatingPointError before any step is taken along it.  The
-Euclidean condition number kappa of the transformed matrix is read at the
-first and last states only: the first and last iteration records carry it,
-interior records carry NaN.  Estimator runs and the full and sparse
-polynomial actions, which transform no matrix, compute no kappa: every record
-carries NaN.
+iteration cap.  The tolerance is gamma * target_eps for the run's weight
+margin gamma (the gradient norm below which the certificate reaches the
+target), or 1e-10 for a run without weights.  The certificate is the end
+point's bound whenever that is finite; the sparse action has none.  A state
+whose value or gradient norm is not finite raises FloatingPointError before
+any step is taken along it.  The Euclidean condition number kappa of the
+transformed matrix is read at the first and last states only: the first and
+last iteration records carry it, interior records carry NaN.  Estimator runs
+and the full and sparse polynomial actions, which transform no matrix, compute
+no kappa: every record carries NaN.
 
 The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
@@ -97,28 +96,23 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """What one descent run may vary: the scheme, the certificate target, the
-    iteration cap, and the gradient tolerance.
+    """What one descent run may vary: the scheme, the certificate target and
+    the iteration cap.
 
-    The tolerance defaults to gamma * target_eps, the gradient norm under
+    The gradient tolerance is gamma * target_eps, the gradient norm under
     which the duality certificate reaches the target.  max_iters must be at
-    least 0, target_eps finite and positive, and grad_tol_override, when set,
-    finite and at least 0; ValueError otherwise.
+    least 0 and target_eps finite and positive; ValueError otherwise.
     """
 
     scheme: GroupScheme
     target_eps: float = 1e-2
     max_iters: int = 10_000
-    grad_tol_override: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if not (math.isfinite(self.target_eps) and self.target_eps > 0):
             raise ValueError(f"target_eps must be finite and positive, got {self.target_eps}")
-        tol = self.grad_tol_override
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"grad_tol_override must be finite and at least 0, got {tol}")
 
     def smoothness(self) -> float:
         return 4.0 if self.scheme.side == "left" else 8.0
@@ -182,8 +176,8 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
     kappa is read at the first and last states only.  weights None means no
     certificate.  The run ends CONVERGED once the gradient norm is at most
-    config.grad_tol_override, else gamma * config.target_eps for the weight
-    margin gamma of weights, else 1e-10.
+    gamma * config.target_eps for the weight margin gamma of weights, else
+    1e-10.
     Without halving every step is base_step; with halving a step is halved
     until the candidate's value does not increase, and the run also ends
     CONVERGED once no step of at least 1e-14 descends.  A halving candidate
@@ -196,12 +190,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     needs a unitarily equivariant state_fn and direction (see
     ``group.repolarize``), which every halving caller has.
     """
-    if config.grad_tol_override is not None:
-        grad_tol = config.grad_tol_override
-    elif weights is not None:
-        grad_tol = weights.weight_margin * config.target_eps
-    else:
-        grad_tol = 1e-10
+    grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
     report = OptimizationReport()
     for k in range(config.max_iters + 1):

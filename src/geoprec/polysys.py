@@ -30,7 +30,6 @@ from math import factorial
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -285,19 +284,10 @@ def _full_basis(n, D) -> _Basis:
     return _Basis(exponents, _frozen(_bw_weights(exponents)), index, tuple(degrees))
 
 
-@lru_cache(maxsize=16)
-def _shifts(n, D):
-    """Index maps alpha -> beta = alpha - e_k + e_l over the full basis.
-
-    Returns (src, dst, kl, a) over every alpha with alpha_k > 0 and every l:
-    the basis indices of alpha and beta, the flat index k * n + l and alpha_k.
-    """
-    basis, eye = _full_basis(n, D), np.eye(n, dtype=np.intp)
-    k, l = np.divmod(np.arange(n * n), n)
-    src, kl = np.nonzero(basis.exponents[:, k])
-    beta = basis.exponents[src] - eye[k[kl]] + eye[l[kl]]
-    dst = np.array([basis.index[b] for b in map(tuple, beta.tolist())], dtype=np.intp)
-    return tuple(map(_frozen, (src, dst, kl, basis.exponents[src, k[kl]].astype(float))))
+def _fold(basis, tensors):
+    """The coefficients over the full basis of one symmetric tensor per degree."""
+    return np.concatenate([T[:, deg.rep] * deg.mult for deg, T in zip(basis.degrees, tensors)],
+                          axis=1)
 
 
 @dataclass(frozen=True)
@@ -402,17 +392,31 @@ def change_variables(Y, f: PolynomialSystem, cap: int = EXPANSION_CAP) -> Polyno
     n = f.nvars
     if Y.shape != (n, n):
         raise DimensionMismatchError(f"change of variables must be {n}x{n}")
+    basis, tensors = _substituted_tensors(Y, f, cap)
+    return PolynomialSystem._from_arrays(n, f.degrees, basis.exponents, basis.weights,
+                                         _fold(basis, tensors))
+
+
+def _substituted_tensors(Y, f: PolynomialSystem, cap: int = EXPANSION_CAP):
+    """The full basis of f and, for each degree d, the m x n^d tensor of
+    x |-> f(Y^-1 x): f._tensors with each of the d axes contracted with Y^-1.
+    Raises when the basis, or n^D, exceeds cap."""
     Yi = np.linalg.inv(Y)
-    basis, C = f._full(cap)
-    out = np.empty_like(C)
-    for d, (deg, T) in enumerate(zip(basis.degrees, f._tensors)):
-        # contract each of the d tensor axes with Yi, the last one first
-        if d:
-            T = T.reshape(-1, n) @ Yi
-        for k in range(1, d):
-            T = Yi.T @ T.reshape(-1, n, n**k)
-        out[:, deg.start:deg.stop] = T.reshape(f.m, -1)[:, deg.rep] * deg.mult
-    return PolynomialSystem._from_arrays(n, f.degrees, basis.exponents, basis.weights, out)
+    basis, _ = f._full(cap)
+    tensors = []
+    for d, T in enumerate(f._tensors):
+        for k in range(d):  # the last axis first
+            T = _along(T, Yi, k)
+        tensors.append(T)
+    return basis, tensors
+
+
+def _along(T, A, k):
+    """The m x n^d tensor T contracted with the n x n matrix A on the axis
+    that k axes follow: sum_a T[..., a, ...] A[a, b]."""
+    n = len(A)
+    out = T.reshape(-1, n) @ A if k == 0 else A.T @ T.reshape(-1, n, n**k)
+    return out.reshape(T.shape)
 
 
 def torus_rescale(t: TorusPoint, f: PolynomialSystem) -> PolynomialSystem:
@@ -442,18 +446,22 @@ def polysys_lie_derivative(f: PolynomialSystem, H1, H2) -> PolynomialSystem:
 
     (Pi(H) f)_i = sum_j H1[i, j] f_j - sum_{k, l} H2[k, l] x_l d f_i / d x_k;
     the second part moves one power between variables, so the degree pattern
-    is preserved.
+    is preserved.  On degree d's tensor it is H2 contracted with each of the
+    d axes in turn, summed.
     """
     H1 = as_dense(H1)
     H2 = as_dense(H2)
-    if H1.shape != (f.m, f.m) or H2.shape != (f.nvars, f.nvars):
+    n = f.nvars
+    if H1.shape != (f.m, f.m) or H2.shape != (n, n):
         raise DimensionMismatchError("direction shapes do not match the system")
     basis, C = f._full()
-    src, dst, kl, alpha_k = _shifts(f.nvars, f.max_degree)
-    K = len(basis.weights)  # x_l d/dx_k summed against H2, as a sparse transposed K x K map
-    Lt = sp.csr_matrix((H2.ravel()[kl] * alpha_k, (dst, src)), shape=(K, K))
-    return PolynomialSystem._from_arrays(f.nvars, (f.max_degree,) * f.m, basis.exponents,
-                                         basis.weights, H1 @ C - (Lt @ C.T).T)
+    moved = []
+    for d, T in enumerate(f._tensors):
+        moved.append(np.zeros_like(T))
+        for k in range(d):
+            moved[-1] += _along(T, H2, k)
+    return PolynomialSystem._from_arrays(n, (f.max_degree,) * f.m, basis.exponents,
+                                         basis.weights, H1 @ C - _fold(basis, moved))
 
 
 def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
@@ -478,38 +486,33 @@ def precondition_shuffle(f: PolynomialSystem, xi, scheme: GroupScheme,
 # --- full action: shuffle + change of variables ---------------------------
 
 
-def _variable_side_form(f: PolynomialSystem) -> np.ndarray:
-    """Matrix W with W[k, l] = sum_i <x_l d f_i / d x_k, f_i>.
-
-    The shifts are contracted 4096 at a time, so no temporary is larger than
-    m x 4096; the sums accumulate in shift order, as one pass would.
-    """
-    n = f.nvars
-    basis, C = f._full()
-    src, dst, kl, alpha_k = _shifts(n, f.max_degree)
-    W = np.zeros(n * n, dtype=complex)
-    for p in (slice(s, s + 4096) for s in range(0, len(src), 4096)):
-        terms = (np.einsum("ip,ip->p", C[:, src[p]], C[:, dst[p]].conj())
-                 * (alpha_k[p] * basis.weights[dst[p]]))
-        np.add.at(W, kl[p], terms)
-    return W.reshape(n, n)
+def _gram_and_side_form(tensors, n):
+    """The Gram matrix sum_d T_d T_d^* of a system with tensors T_d (each
+    m x n^d), and W[k, l] = sum_i <x_l d f_i / d x_k, f_i> = sum_d d M_d M_d^*
+    for the n x m n^(d-1) unfolding M_d of T_d: on degree d,
+    <x_l d_k f, f>_W = <d_k f, d_l f>_W / d."""
+    G = sum(T @ T.conj().T for T in tensors)
+    W = np.zeros((n, n), dtype=complex)
+    for d, T in enumerate(tensors[1:], 1):
+        M = T.reshape(-1, n)  # M_d^T, unfolded along the last axis: T_d is symmetric
+        W += d * (M.T @ M.conj())
+    return G, W
 
 
 def _full_objective_state(f, Dp, g):
     """Value and gradient of log ||(X, Y) . f||_W + log ||Y D^+ X^-1||_F.
 
-    One change of variables per state; the expansion of f it reads is cached
-    on f.  A singular X or Y raises LinAlgError.
+    Reads the Gram matrix and the variable-side form off the tensors of
+    (X, Y) . f, X applied to those of x |-> f(Y^-1 x); the expansion of f
+    they start from is cached on f.  A singular X or Y raises LinAlgError.
     """
     X, Y = g.left[0][0], g.right[0][0]  # one full block a side
-    fT = change_variables(Y, f)
-    fT = fT._with(X @ fT.coeffs)
-    G = gram_matrix(fT)
+    _, tensors = _substituted_tensors(Y, f)
+    G, W = _gram_and_side_form([X @ T for T in tensors], f.nvars)
     n2 = float(np.trace(G).real)
     C = Y @ Dp @ np.linalg.inv(X)
     nc2 = np.linalg.norm(C) ** 2
     value = 0.5 * math.log(n2) + 0.5 * math.log(nc2)
-    W = _variable_side_form(fT)
     H1 = G / n2 - C.conj().T @ C / nc2
     H2 = -0.5 * (W.T + W.conj()) / n2 + C @ C.conj().T / nc2
     grad = project_blocks(g.scheme, [H1[None]], [H2[None]])
@@ -635,7 +638,7 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     trajectory is monotone; the torus action never changes the support of
     the system.  config.scheme must be full left of size m.  No certificate
     is computed, so target_eps has no effect, and the run ends as converged
-    once the gradient norm is at most grad_tol_override, or 1e-10 when unset.
+    once the gradient norm is at most 1e-10.
     The state is unitarily equivariant in X and the torus side stays real
     positive, its own polar factor, so candidates move by ``exp_action``
     alone and only the returned element is replaced by its polar factor.

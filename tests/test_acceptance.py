@@ -201,7 +201,7 @@ def test_criterion_07_strongly_convex_rate():
     t0 = time.perf_counter()
     a = np.diag([1.0, 10.0])
     cfg = OptimizerConfig(scheme=GroupScheme.diagonal(2, side="left"),
-                          target_eps=1e-12, max_iters=250, grad_tol_override=0.0)
+                          target_eps=1e-12, max_iters=250)
     rep = minimize_condition(a, cfg)
     fstar = math.log(2.0)
     slope_bound = math.log(1.0 - 1.0 / condition_frobenius(a) ** 2) + 0.01

@@ -4,6 +4,7 @@ loop (tests/sinkhorn_reference.py) bit for bit, and ``geoprec baseline``
 prints what it printed when it applied dense diagonal matrices."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sinkhorn_reference as ref
+from test_io_cli import _run_cli
 from geoprec.cli import cli_dispatch
 from geoprec.errors import ZeroRowOrColumnError
 from geoprec.group import GroupScheme, apply
@@ -65,6 +67,23 @@ def test_cli_baseline_exits_3_on_a_scaling_that_is_not_finite(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("Sinkhorn scaling is not finite at iteration 1\n")
+
+
+def test_a_scaling_out_of_range_raises_without_a_warning(tmp_path):
+    """The finiteness checks report a scaling out of range, so the arithmetic
+    before them warns of nothing, and the command prints its one-line message
+    alone."""
+    a = np.array([[1e-310, 3e-310], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (row_balance, sinkhorn_equilibrate):
+            with pytest.raises(FloatingPointError):
+                fn(a)
+    path = tmp_path / "tiny.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1e-310\n1\n3e-310\n2\n")
+    run = _run_cli(["baseline", "--input", str(path), "--method", "sinkhorn"])
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == "Sinkhorn scaling is not finite at iteration 1\n"
 
 
 @st.composite

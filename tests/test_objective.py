@@ -121,8 +121,7 @@ def test_gradient_vanishes_iff_gram_matrices_project_equally():
     rng = rng_for(44)
     A = complex_gaussian(rng, (4, 4))
     scheme = GroupScheme.diagonal(4, side="left")
-    rep = minimize_condition(A, OptimizerConfig(scheme=scheme, target_eps=1e-9, max_iters=50_000,
-                                                grad_tol_override=1e-9))
+    rep = minimize_condition(A, OptimizerConfig(scheme=scheme, target_eps=1e-9, max_iters=50_000))
     state = evaluate(A, rep.final_element)
     B, Bp = state.B, state.B_pinv
     lhs = project_to_lie(scheme, B @ B.conj().T / np.linalg.norm(B) ** 2).H1

@@ -148,8 +148,7 @@ def test_empirical_iterations_below_predicted_bound():
 
 def test_strongly_convex_linear_rate():
     a = np.diag([1.0, 10.0])
-    rep = minimize_condition(a, diag_left(2, target_eps=1e-12, max_iters=300,
-                                          grad_tol_override=0.0))
+    rep = minimize_condition(a, diag_left(2, target_eps=1e-12, max_iters=300))
     fstar = math.log(2.0)
     kf2 = condition_frobenius(a) ** 2
     slope_bound = math.log(1.0 - 1.0 / kf2) + 0.01
@@ -205,7 +204,7 @@ def test_halving_stall_converges_with_end_point_certificate():
         return _State(v, ascent, ascent.norm, v, v)
 
     weights = WeightData(1.0, 10.0 * ascent.norm)
-    cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50, grad_tol_override=0.0)
+    cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50)
     start = sch.identity()
     rep = _descend(state_fn, start, cfg, weights, 0.5, halving=True)
     assert rep.termination is Termination.CONVERGED
@@ -234,15 +233,6 @@ def test_config_rejects_bad_cap_and_target(kw):
     is never met, and an infinite one is met by any state."""
     with pytest.raises(ValueError):
         diag_left(3, **kw)
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
-def test_config_rejects_bad_gradient_tolerance(tol):
-    """A NaN or negative tolerance is never met, so the run goes on to its cap;
-    an infinite one ends any run as converged at iteration 0."""
-    with pytest.raises(ValueError, match="grad_tol_override"):
-        diag_left(3, grad_tol_override=tol)
-    assert diag_left(3, grad_tol_override=0.0).grad_tol_override == 0.0
 
 
 @pytest.mark.parametrize("kstar", [0.0, -1.0, math.inf, math.nan],

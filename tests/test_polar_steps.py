@@ -217,7 +217,7 @@ def test_halving_rejects_a_candidate_whose_state_raises(monkeypatch):
     an increase: the run halves the step and goes on."""
     f, xi = _polynomial(1, 2, 2, 2)
     sch = GroupScheme.full(2, 2, side="both")
-    real, seen = geoprec.polysys.change_variables, []
+    real, seen = geoprec.polysys._substituted_tensors, []
 
     def failing(Y, f, *args):
         seen.append(np.array(Y))
@@ -225,7 +225,7 @@ def test_halving_rejects_a_candidate_whose_state_raises(monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
         return real(Y, f, *args)
 
-    monkeypatch.setattr(geoprec.polysys, "change_variables", failing)
+    monkeypatch.setattr(geoprec.polysys, "_substituted_tensors", failing)
     rep = precondition_full(f, xi, sch, OptimizerConfig(scheme=sch, max_iters=5))[1]
     assert (rep.iteration_count, rep.termination) == (5, Termination.MAX_ITERS)
     # from the identity, the second candidate exp(-s H / 2) is the square root of the first

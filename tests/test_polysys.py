@@ -12,13 +12,12 @@ from geoprec.errors import (
     ExpansionOverflowError,
     ZeroCoordinateError,
 )
-from geoprec.group import GroupScheme
+from geoprec.group import GroupElement, GroupScheme
 from geoprec.optimize import OptimizerConfig, Termination
 from geoprec.polysys import (
     PolynomialSystem,
     TorusPoint,
-    _shifts,
-    _variable_side_form,
+    _full_objective_state,
     bw_inner,
     bw_norm_system,
     change_variables,
@@ -275,14 +274,15 @@ def test_lie_derivative_finite_differences():
 
 def test_lie_derivative_builds_no_dense_basis_operator():
     """A cubic in 16 variables has K = 969 basis monomials; a dense K x K complex
-    operator alone would take 15 MB, the sparse shift map under 2 MB."""
+    operator alone would take 15 MB, where each of the 16 x 16^3 complex
+    tensors that the contractions hold takes 1 MB."""
     n = 16
     e = np.eye(n, dtype=int)
     f = PolynomialSystem.from_polys(n, [{tuple(3 * e[i]): 1.0, tuple(e[(i + 1) % n]): 2.0}
                                         for i in range(n)])
     rng = rng_for(90)
     H1, H2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    want = polysys_lie_derivative(f, H1, H2)  # warms the basis and shift caches
+    want = polysys_lie_derivative(f, H1, H2)  # warms the basis and tensor caches
     tracemalloc.start()
     try:
         got = polysys_lie_derivative(f, H1, H2)
@@ -293,28 +293,71 @@ def test_lie_derivative_builds_no_dense_basis_operator():
     assert np.array_equal(got.coeffs, want.coeffs)
 
 
-def test_variable_side_form_contracts_its_shifts_in_chunks():
-    """16 cubics in 16 variables over the full basis have 39,168 shifts; three
-    16 x 39,168 complex temporaries would take 30 MB.  W keeps the bits of
-    one pass over all shifts."""
+def test_full_state_holds_a_few_tensors_at_a_time():
+    """16 cubics in 16 variables: one full state holds a few 16 x 16^3 complex
+    tensors, 1 MB each, where one m x (number of shifts) temporary over the
+    39,168 shifts of the full basis would take 10 MB."""
     n = 16
     e = np.eye(n, dtype=int)
     f = PolynomialSystem.from_polys(n, [{tuple(3 * e[i]): 1.0, tuple(e[(i + 1) % n]): 2.0}
                                         for i in range(n)])
-    f = change_variables(np.eye(n) + 0.1 * rng_for(91).standard_normal((n, n)), f)
-    want = _variable_side_form(f)  # warms the shift cache
+    rng = rng_for(91)
+    X, Y = (np.eye(n) + 0.1 * rng.standard_normal((n, n)) for _ in range(2))
+    g = GroupElement(GroupScheme.full(n, n, side="both"), X, Y)
+    Dp = rng.standard_normal((n, n))
+    want = _full_objective_state(f, Dp, g)  # warms the basis and tensor caches
     tracemalloc.start()
     try:
-        got = _variable_side_form(f)
+        got = _full_objective_state(f, Dp, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-    basis, C = f._full()
-    src, dst, kl, alpha_k = _shifts(n, 3)
-    terms = np.einsum("ip,ip->p", C[:, src], C[:, dst].conj()) * (alpha_k * basis.weights[dst])
-    one_pass = np.bincount(kl, terms.real, n * n) + 1j * np.bincount(kl, terms.imag, n * n)
-    assert np.array_equal(got, want) and np.array_equal(got, one_pass.reshape(n, n))
+    assert got[0] == want[0] and got[2] == want[2]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1].left + got[1].right,
+                                                    want[1].left + want[1].right))
+
+
+def test_substituted_tensors_evaluate_to_f_of_y_inverse_x():
+    """Degree d's tensor, contracted with x on all d axes and summed over d,
+    is f(Y^-1 x)."""
+    from geoprec.polysys import _substituted_tensors
+
+    rng = rng_for(93)
+    f = random_system(rng, 2, 3, 3, density=0.7)
+    Y = complex_gaussian(rng, (3, 3))
+    x = complex_gaussian(rng, 3)
+    _, tensors = _substituted_tensors(Y, f)
+    powers = [np.ones(1, dtype=complex)]
+    for _ in tensors[1:]:
+        powers.append(np.kron(powers[-1], x))
+    got = sum(T @ p for T, p in zip(tensors, powers))
+    want = evaluate_system(f, np.linalg.solve(Y, x)).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_full_state_builds_no_system_and_calls_no_change_of_variables(monkeypatch):
+    """A full state reads its Gram matrix and side form off the tensors: it
+    builds no PolynomialSystem and calls neither change_variables nor
+    gram_matrix, and its value is still log ||(X, Y) . f||_W ||Y D^+ X^-1||_F."""
+    import geoprec.polysys
+
+    rng = rng_for(94)
+    f = random_system(rng, 2, 2, 3)
+    Dp = np.linalg.pinv(evaluate_system(f, complex_gaussian(rng, 2)).jacobian)
+    X, Y = complex_gaussian(rng, (2, 2)), complex_gaussian(rng, (2, 2))
+    g = GroupElement(GroupScheme.full(2, 2, side="both"), X, Y)
+    want = math.log(bw_norm_system(shuffle(X, change_variables(Y, f)))
+                    * np.linalg.norm(Y @ Dp @ np.linalg.inv(X)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full state must not build a system")
+
+    for name in ("change_variables", "gram_matrix"):
+        monkeypatch.setattr(geoprec.polysys, name, forbidden)
+    monkeypatch.setattr(PolynomialSystem, "_from_arrays", classmethod(forbidden))
+    value, _, _ = _full_objective_state(f, Dp, g)
+    assert value == pytest.approx(want, rel=1e-12)
 
 
 def test_precondition_shuffle_rejects_a_config_of_another_scheme(example2_system):

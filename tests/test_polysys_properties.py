@@ -13,10 +13,10 @@ from geoprec.polysys import (
     PolynomialSystem,
     TorusPoint,
     _full_objective_state,
+    _gram_and_side_form,
     _magnitudes,
     _omega,
     _sparse_state,
-    _variable_side_form,
     bw_norm_system,
     change_variables,
     evaluate_system,
@@ -73,7 +73,9 @@ def test_operations_match_the_dict_reference(case):
     _close_polys(polysys_lie_derivative(f, H1, H2).polynomials,
                  ref.lie_derivative(polys, H1, H2, n))
     _close(gram_matrix(f), ref.gram_matrix(polys))
-    _close(_variable_side_form(f), ref.variable_side_form(polys, n))
+    G, W = _gram_and_side_form(f._tensors, n)
+    _close(G, ref.gram_matrix(polys))
+    _close(W, ref.variable_side_form(polys, n))
     xi = complex_gaussian(rng, n)
     ep = evaluate_system(f, xi)
     values, jac = ref.evaluate(polys, xi)
@@ -114,6 +116,9 @@ def test_bw_norm_unitary_invariance(case):
     f, rng = case
     fu = change_variables(random_unitary(rng, f.nvars), f)
     assert abs(bw_norm_system(fu) - bw_norm_system(f)) <= 1e-12 * bw_norm_system(f)
+    # ||f||_W^2 is the squared Frobenius norm of the symmetric tensors
+    tensor_norm2 = sum(np.linalg.norm(T) ** 2 for T in f._tensors)
+    assert abs(tensor_norm2 - bw_norm_system(f) ** 2) <= 1e-12 * bw_norm_system(f) ** 2
 
 
 @st.composite
