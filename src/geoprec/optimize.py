@@ -42,14 +42,17 @@ path is the same for both.  A ``minimize_condition`` run on a square A also
 decides at entry, from the one inverse of A it takes, whether A has full rank
 (``_entry_inverse``).  A left-only run needs that inverse only up to a unitary
 factor on its left, so it takes W = R^-* from one QR A* = Q R, with
-A^-1 = Q W, instead of inverting A; a two-sided run inverts A.  A full-rank
-left-only run builds factors of the Gram blocks of A and of W once
-(``objective.gram_factors``, one QR per slab) and reads every state from them
-in O(sum of size^3) over the blocks; a full-rank two-sided run takes
-B^-1 = Y A^-1 X^-1 at every state from the dual action on A^-1; any other run
-factors every state with a thin SVD, but an estimator run on a square A
-raises RankDeficientError.  A left-only cross run reads its states from the
-Gram factors of its pair the same way.
+A^-1 = Q W, instead of inverting A; on sparse storage it takes the same W, up
+to a diagonal unitary, as U^-* D from the Cholesky factor U of the sparse
+row-balanced Gram matrix (D A)(D A)* whenever that matrix is well conditioned
+(``_balanced_gram_inverse``), and the QR otherwise.  A two-sided run
+inverts A.  A full-rank left-only run builds factors of the Gram blocks of A
+and of W once (``objective.gram_factors``, one QR per slab) and reads every
+state from them in O(sum of size^3) over the blocks; a full-rank two-sided
+run takes B^-1 = Y A^-1 X^-1 at every state from the dual action on A^-1; any
+other run factors every state with a thin SVD, but an estimator run on a
+square A raises RankDeficientError.  A left-only cross run reads its states
+from the Gram factors of its pair the same way.
 Every run makes exactly one ``evaluate`` or ``evaluate_cross`` call per state.
 """
 
@@ -279,7 +282,76 @@ def _row_balanced_kF(a, a_inv):
     return math.sqrt(m) * float(np.linalg.norm(weights))
 
 
-def _entry_inverse(a, required, up_to_unitary=False):
+def _input_csr(A, a):
+    """The CSR of a sparse input A, from its dense copy a; None for dense storage.
+
+    A sparse ComplexMatrix gives the CSR of its canonical triplets with no scan
+    of a, a scipy.sparse matrix the CSR of a; both hold the same arrays in a's
+    dtype.
+    """
+    if isinstance(A, ComplexMatrix):
+        return A.to_csr() if A.is_sparse else None
+    return sp.csr_matrix(a) if sp.issparse(A) else None
+
+
+def _balanced_gram_inverse(a_csr):
+    """(W, kF) from the Cholesky factor of the row-balanced Gram matrix, else None.
+
+    With d_i = 1 / max |row_i a| and D = diag(d), G = (D a)(D a)* = U* U
+    (``?potrf``) gives W = U^-* D, with a^-1 = Q W for the unitary
+    Q = (D a)* U^-1, and the rank score of ``_row_balanced_kF`` from the
+    balanced row norms sqrt(G_ii) and the column norms of U^-*.  G is sparse,
+    so forming it and its 1-norm costs O(nnz(G)); only the factor is dense.
+
+    The factor is as accurate as the QR's, whose error the row balance keeps
+    at about eps cond(D a), when eps cond(G) is within the round-off budget
+    1e-12 (van der Sluis 1969; Demmel, LAPACK Working Note 14, 1989).  So
+    the route applies only when eps ||G||_1 ||G^-1||_1 <= 1e-12, with
+    ||G^-1||_1 read from the triangular inverse U^-1, and otherwise returns
+    None for the caller's QR path, as it does when potrf fails (a zero or
+    repeated row).  Two O(m^2) tests spare the O(m^3) work where they can.
+    Before the inverse, ``?pocon`` estimates rcond(G) from a lower bound on
+    ||G^-1||_1 and refuses when it reports eps > 1e-12 rcond(G): the refused
+    input then pays only G, potrf and pocon on top of the QR path.  After it,
+    the upper bound ||G^-1||_1 <= max_i (|U^-1| |U^-1|^T 1)_i accepts without
+    forming G^-1's column slabs; it reads up to about 3.4 times pocon's
+    estimate on random sparse inputs, and those slabs decide in between.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    m, counts = a_csr.shape[0], np.diff(a_csr.indptr)
+    scale = np.ones(m)  # a zero row stays zero, and potrf fails on it
+    scale[counts > 0] = np.maximum.reduceat(np.abs(a_csr.data), a_csr.indptr[:-1][counts > 0])
+    da = sp.csr_matrix((a_csr.data / np.repeat(scale, counts), a_csr.indices, a_csr.indptr),
+                       shape=a_csr.shape)
+    gram = da @ da.conj().T
+    g = gram.toarray(order="F")
+    potrf, pocon, trtri = get_lapack_funcs(("potrf", "pocon", "trtri"), (g,))
+    u, info = potrf(g, overwrite_a=True)
+    if info != 0:
+        return None
+    norm1, eps = float(abs(gram).sum(axis=0).max()), np.finfo(float).eps
+    rcond, info = pocon(u, norm1)
+    if not (info == 0 and eps <= 1e-12 * rcond):
+        return None
+    u_inv, _ = trtri(u, overwrite_c=True)  # U's diagonal is positive: no zero pivot
+    row_sq, bound = np.zeros(m), np.zeros(m)
+    for s in range(0, m, 32):  # column slabs of the Fortran-ordered U^-1: no m x m temporary
+        slab = np.abs(u_inv[:, s:s + 32])
+        row_sq += np.einsum("ij,ij->i", slab, slab)
+        bound += slab @ slab.sum(axis=0)
+    inv_norm1 = bound.max()
+    if eps * norm1 * inv_norm1 > 1e-12:  # the 1-norm itself, from slabs of G^-1 = U^-1 U^-*
+        inv_norm1 = max(np.abs(u_inv[:, s:] @ u_inv[s:s + 32, s:].conj().T).sum(axis=0).max()
+                        for s in range(0, m, 32))
+    if not eps * norm1 * inv_norm1 <= 1e-12:
+        return None
+    u_inv /= scale[:, None]
+    weights = np.sqrt(gram.diagonal().real * row_sq)
+    return u_inv.conj().T, math.sqrt(m) * float(np.linalg.norm(weights))
+
+
+def _entry_inverse(a, required, up_to_unitary=False, a_csr=None):
     """The inverse of a square a of full rank, else None (RankDeficientError when
     required): the one rank decision of a run.
 
@@ -291,19 +363,28 @@ def _entry_inverse(a, required, up_to_unitary=False):
     kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2) below 1 / (max(m, n) eps),
     an O(m^2) test that no left diagonal scaling of a changes and that reads
     the same from W, whose column norms are those of a^-1 (``_row_balanced_kF``).
+
+    With up_to_unitary and a_csr, the CSR of a sparse a, W = U^-* D comes
+    instead from the Cholesky factor U of the sparse row-balanced Gram matrix
+    when that is well conditioned (``_balanced_gram_inverse``); otherwise the
+    QR path runs as without a_csr and alone makes the rank decision.
     """
     from scipy.linalg import get_lapack_funcs  # here, so importing geoprec leaves it unloaded
 
-    try:
-        if up_to_unitary:
-            r = np.linalg.qr(a.conj().T, mode="r")
-            r_inv, info = get_lapack_funcs("trtri", (r,))(r)  # info > 0: a zero on R's diagonal
-            a_inv = r_inv.conj().T if info == 0 else None
-        else:
-            a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        a_inv = None
-    kF = math.inf if a_inv is None else _row_balanced_kF(a, a_inv)
+    found = _balanced_gram_inverse(a_csr) if up_to_unitary and a_csr is not None else None
+    if found is not None:
+        a_inv, kF = found
+    else:
+        try:
+            if up_to_unitary:
+                r = np.linalg.qr(a.conj().T, mode="r")
+                r_inv, info = get_lapack_funcs("trtri", (r,))(r)  # info > 0: zero on R's diagonal
+                a_inv = r_inv.conj().T if info == 0 else None
+            else:
+                a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            a_inv = None
+        kF = math.inf if a_inv is None else _row_balanced_kF(a, a_inv)
     cutoff = 1.0 / (max(a.shape) * np.finfo(float).eps)
     if required and not kF < cutoff:
         raise RankDeficientError(
@@ -320,11 +401,15 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     in real arithmetic and yields a float64 final element.  A square A of full
     rank (see _entry_inverse) is factored once, at entry: a left-only run reads
     every state from the Gram factors of A and of W = R^-* from a QR A* = Q R,
-    which equal those of A^-1 = Q W; a two-sided run takes B^-1 from the dual
-    action on A^-1.  Any other A is solved with a thin SVD of B at
-    every state.  A full-rank run reports kappa = sigma_max(B) sigma_max(B^-1)
-    with no rank cutoff; an SVD run drops singular values at or below
-    max(m, n) eps sigma_max.
+    which equal those of A^-1 = Q W, or, for a sparse A (a sparse
+    ComplexMatrix or a scipy.sparse matrix) whose row-balanced Gram matrix is
+    well conditioned, of W = U^-* D from that matrix's Cholesky factor; a
+    two-sided run takes B^-1 from the dual action on A^-1.  A sparse A in a
+    square left-only run or an estimator run is turned into one CSR, before
+    the entry, which the entry factor and the estimator share.  Any other A
+    is solved with a thin SVD of B at every state.  A full-rank run reports
+    kappa = sigma_max(B) sigma_max(B^-1) with no rank cutoff; an SVD run drops
+    singular values at or below max(m, n) eps sigma_max.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
     probe estimator while values, gradient norms, and certificates are still
@@ -338,16 +423,16 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         raise DimensionMismatchError(
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
         )
-    square = a.shape[0] == a.shape[1]
-    a_inv = _entry_inverse(a, required=estimator is not None,
-                           up_to_unitary=sch.side == "left") if square else None
+    square, left = a.shape[0] == a.shape[1], sch.side == "left"
+    # The CSR is built only where the entry route or the estimator reads it.
+    a_sparse = _input_csr(A, a) if (square and left) or estimator is not None else None
+    a_inv = _entry_inverse(a, required=estimator is not None, up_to_unitary=left,
+                           a_csr=a_sparse) if square else None
     step_dir = None
     if estimator is not None:
         from .stochastic import estimate_gradient
 
-        if isinstance(A, ComplexMatrix) and A.is_sparse:  # no re-scan of the dense copy
-            a_sparse = A.to_csr()
-        else:
+        if a_sparse is None:
             a_sparse = sp.csr_matrix(a)
 
         def step_dir(g):
@@ -396,7 +481,8 @@ def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: floa
     (a,) = _finite(A)
     square = a.shape[0] == a.shape[1]
     # Only ||A^-1||_F and the rank decision are read, so W serves for any scheme.
-    a_inv = _entry_inverse(a, required=False, up_to_unitary=True) if square else None
+    a_inv = _entry_inverse(a, required=False, up_to_unitary=True,
+                           a_csr=_input_csr(A, a)) if square else None
     if a_inv is not None:
         full_rank, kF0 = True, float(np.linalg.norm(a) * np.linalg.norm(a_inv))
     else:

@@ -56,3 +56,45 @@ def rng_for(*key):
 def example1_matrix():
     """The 3x3 triangular worked example whose Jacobi scalings worsen kappa."""
     return np.array([[3, 0, 0], [1, 1, 0], [0, 3, 1]], dtype=complex)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """(routine, info) for every call of a LAPACK routine that geoprec takes from
+    scipy.linalg.get_lapack_funcs, the routine named without its type prefix."""
+    calls, real = [], sla.get_lapack_funcs
+
+    def spied(name, f):
+        def call(*args, **kwargs):
+            out = f(*args, **kwargs)
+            calls.append((name, out[-1]))
+            return out
+        return call
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        if isinstance(names, str):
+            return spied(names, funcs)
+        return [spied(n, f) for n, f in zip(names, funcs)]
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", get_lapack_funcs)
+    return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The 2-D arguments of every np.linalg.qr and np.linalg.inv call, by name."""
+    calls = {"qr": [], "inv": []}
+
+    def spying(name):
+        real, seen = getattr(np.linalg, name), calls[name]
+
+        def spy(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                seen.append(np.array(x))
+            return real(x, *args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, spying(name))
+    return calls

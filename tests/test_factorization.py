@@ -474,34 +474,25 @@ def _sparse_square(key, m=30):
 @pytest.mark.parametrize("scheme", [GroupScheme.diagonal(30, side="left"),
                                     GroupScheme.blocked(30, 3, 30, side="both")],
                          ids=["left-torus", "both-block"])
-def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, monkeypatch):
-    """One factorization of A at entry: a QR of A* for a left-only run, which
-    needs A^-1 only up to a unitary factor on its left, an inverse of A for a
-    two-sided run; no singular values for the rank test or for kappa, which the
-    run reports as NaN throughout."""
+def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, lapack_calls,
+                                                        linalg_calls):
+    """One factorization at entry: for a left-only run, which needs A^-1 only
+    up to a unitary factor on its left, one Cholesky factorization of the
+    row-balanced Gram matrix of this sparse, well-conditioned A, and neither a
+    QR nor an inverse of A; an inverse of A for a two-sided run; no singular
+    values for the rank test or for kappa, which the run reports as NaN
+    throughout."""
     A = _sparse_square(0)
     a = A.toarray()
-    calls = {"inv": [], "qr": []}
-
-    def spying(name):
-        real, seen = getattr(np.linalg, name), calls[name]
-
-        def spy(x, *args, **kwargs):
-            if np.ndim(x) == 2:
-                seen.append(np.array(x))
-            return real(x, *args, **kwargs)
-        return spy
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, spying(name))
     rep = minimize_condition(A, OptimizerConfig(scheme=scheme, max_iters=3),
                              estimator=EstimatorConfig(num_probes=8, seed=1))
     assert svd_calls == []
     if scheme.side == "left":
-        assert len(calls["qr"]) == 1 and np.array_equal(calls["qr"][0], a.conj().T)
-        assert not any(x.shape == a.shape and np.array_equal(x, a) for x in calls["inv"])
+        assert [c for c in lapack_calls if c[0] == "potrf"] == [("potrf", 0)]
+        assert linalg_calls["qr"] == []
+        assert not any(x.shape == a.shape and np.array_equal(x, a) for x in linalg_calls["inv"])
     else:
-        assert len(calls["inv"]) == 1 and np.array_equal(calls["inv"][0], a)
+        assert len(linalg_calls["inv"]) == 1 and np.array_equal(linalg_calls["inv"][0], a)
     assert rep.iteration_count == 3
     assert all(math.isnan(r.kappa) for r in rep.iterations)
     assert math.isnan(rep.initial_kappa) and math.isnan(rep.final_kappa)

@@ -1,4 +1,6 @@
-"""The entry factor of a left-only run: W = R^-* from one QR A* = Q R.
+"""The entry factor of a left-only run: W = R^-* from one QR A* = Q R, or, for
+a sparse A, W = U^-* D from the Cholesky factor U of the row-balanced Gram
+matrix G = (D A)(D A)*.
 
 A left-only objective log ||X A||_F + log ||A^-1 X^-1||_F reads A^-1 only
 through the Gram blocks of its column slabs, which do not change when A^-1 is
@@ -9,6 +11,13 @@ kF, gradient, kappa and Hessian form agree with those read from inv(A) to
 round-off, and a run keeps the trajectory of one whose states come from
 inv(A).  A two-sided run still inverts A, since its dual action Y A^-1 X^-1
 needs Q.
+
+A sparse A (a sparse ComplexMatrix or a scipy.sparse matrix) takes the
+Cholesky route when G is well conditioned: ``?potrf`` succeeds, ``?pocon``
+reports eps <= 1e-12 rcond(G), and ||G^-1||_1, read from U^-1, keeps
+eps cond_1(G) within 1e-12 as well.  Otherwise, for a zero,
+repeated or nearly repeated row, it takes the QR route unchanged, and the QR
+route alone makes the rank decision.  Dense storage always takes the QR route.
 """
 
 import numpy as np
@@ -20,14 +29,27 @@ from hypothesis import strategies as st
 import geoprec.optimize
 import geoprec.stochastic
 from conftest import complex_gaussian, random_direction, random_element, rng_for
+from geoprec.errors import RankDeficientError
 from geoprec.group import GroupScheme
 from geoprec.matrix import ComplexMatrix
 from geoprec.objective import evaluate, gram_factors, hessian_quadratic_form
-from geoprec.optimize import OptimizerConfig, minimize_condition
+from geoprec.optimize import OptimizerConfig, minimize_condition, predicted_iteration_bound
 from geoprec.stochastic import EstimatorConfig
 from test_factorization import _real_element, _rel, _stacks
 
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _left_scheme(draw):
+    """A left torus, uniform or ragged block scheme on 2 to 144 rows."""
+    kind = draw(st.sampled_from(["torus", "uniform", "ragged"]))
+    m, size = draw(st.integers(2, 140)), draw(st.integers(2, 6))
+    if kind == "torus":
+        return GroupScheme.diagonal(m, side="left")
+    m = size * max(1, m // size)
+    if kind == "ragged":
+        m += draw(st.integers(1, size - 1))
+    return GroupScheme.blocked(m, size, side="left")
 
 
 @st.composite
@@ -36,15 +58,8 @@ def _left_inputs(draw):
     up to exp(+-14), under a left torus, uniform or ragged block scheme, and a
     random element and direction of that scheme.  m reaches 140, so W's
     triangular inverse runs its halving at the sizes above 64."""
-    kind = draw(st.sampled_from(["torus", "uniform", "ragged"]))
-    m, size = draw(st.integers(2, 140)), draw(st.integers(2, 6))
-    if kind == "torus":
-        sch = GroupScheme.diagonal(m, side="left")
-    else:
-        m = size * max(1, m // size)
-        if kind == "ragged":
-            m += draw(st.integers(1, size - 1))
-        sch = GroupScheme.blocked(m, size, side="left")
+    sch = _left_scheme(draw)
+    m = sch.m
     is_complex, grade = draw(st.booleans()), draw(st.floats(0.0, 14.0))
     rng = rng_for(720, draw(st.integers(0, 2**16)))
     noise = complex_gaussian(rng, (m, m)) if is_complex else rng.standard_normal((m, m))
@@ -54,15 +69,11 @@ def _left_inputs(draw):
     return A, sch, g, random_direction(rng, sch, norm=1.0)
 
 
-@_PROPERTY
-@given(_left_inputs())
-def test_entry_factor_gives_the_states_of_the_inverse(inp):
-    A, sch, g, H = inp
-    W = geoprec.optimize._entry_inverse(A, required=False, up_to_unitary=True)
-    a_inv = np.linalg.inv(A)
+def _assert_states_of_the_inverse(A, a_inv, W, sch, g, H):
+    """The state read from W at g, with its Hessian form along H, is the one
+    read from a_inv = inv(A): value, kF, kappa, gradient and Hessian form to
+    1e-12."""
     assert W.dtype == A.dtype
-    gram = a_inv.conj().T @ a_inv
-    assert np.linalg.norm(W.conj().T @ W - gram) <= 1e-12 * np.linalg.norm(gram)
     got = evaluate(A, g, W, gram_factors(A, W, sch))
     ref = evaluate(A, g, a_inv, gram_factors(A, a_inv, sch))
     for field in ("value", "kF", "kappa"):
@@ -74,12 +85,23 @@ def test_entry_factor_gives_the_states_of_the_inverse(inp):
     assert abs(h_got - h_ref) <= 1e-12 * max(abs(h_ref), 1.0)
 
 
+@_PROPERTY
+@given(_left_inputs())
+def test_entry_factor_gives_the_states_of_the_inverse(inp):
+    A, sch, g, H = inp
+    W = geoprec.optimize._entry_inverse(A, required=False, up_to_unitary=True)
+    a_inv = np.linalg.inv(A)
+    gram = a_inv.conj().T @ a_inv
+    assert np.linalg.norm(W.conj().T @ W - gram) <= 1e-12 * np.linalg.norm(gram)
+    _assert_states_of_the_inverse(A, a_inv, W, sch, g, H)
+
+
 @pytest.fixture
 def inverting(monkeypatch):
     """Make minimize_condition read its left-only states from inv(A) instead of W."""
     real = geoprec.optimize._entry_inverse
 
-    def inverse(a, required, up_to_unitary=False):
+    def inverse(a, required, up_to_unitary=False, a_csr=None):
         return real(a, required)
 
     def run(*args, **kwargs):
@@ -156,6 +178,22 @@ def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
+@pytest.mark.parametrize("storage", ["ComplexMatrix", "scipy"])
+def test_an_exact_two_sided_or_non_square_sparse_run_builds_no_csr(storage, monkeypatch):
+    """Only the left entry route and the estimator read the CSR of a sparse
+    input, so an exact run that reaches neither builds none."""
+    def refuse(A, a):
+        raise AssertionError("a CSR was built")
+
+    monkeypatch.setattr(geoprec.optimize, "_input_csr", refuse)
+    a = _sparse_input(30, "real").to_dense()
+    for b, sch in ((a, GroupScheme.diagonal(30, 30, side="both")),
+                   (a[:, :20], GroupScheme.diagonal(30, side="left"))):
+        rep = minimize_condition(_sparse_storage(b, storage), OptimizerConfig(scheme=sch,
+                                                                               max_iters=2))
+        assert rep.iteration_count == 2
+
+
 def _scored(a, a_inv):
     """The row-balanced kF as one formula over m x m temporaries."""
     scale = np.abs(a).max(axis=1)
@@ -184,3 +222,217 @@ def test_rank_score_of_a_graded_diagonal_is_two():
     A = np.diag([1e300, 1e-300])
     W = geoprec.optimize._entry_inverse(A, required=True, up_to_unitary=True)
     assert _rel(geoprec.optimize._row_balanced_kF(A, W), 2.0) <= 1e-15
+
+
+def _sparse_storage(A, kind):
+    """A dense A as a sparse ComplexMatrix or as a scipy.sparse CSR."""
+    if kind == "scipy":
+        return sp.csr_matrix(A)
+    r, c = np.nonzero(A)
+    return ComplexMatrix.coordinate(A.shape[0], A.shape[1], r, c, A[r, c])
+
+
+def _sparse_identity_plus(rng, m, k, is_complex=False):
+    """I + 0.3 N / sqrt(2k) with k Gaussian entries N at random places in each row."""
+    rows, cols = np.repeat(np.arange(m), k), rng.integers(0, m, m * k)
+    vals = complex_gaussian(rng, m * k) if is_complex else rng.standard_normal(m * k)
+    M = np.eye(m, dtype=vals.dtype)
+    np.add.at(M, (rows, cols), 0.3 * vals / np.sqrt(2 * k))
+    return M
+
+
+@st.composite
+def _sparse_left_inputs(draw):
+    """(A, a, scheme, g, H, ill): a square full-rank A in sparse storage, a
+    sparse ComplexMatrix or a scipy.sparse CSR, with dense copy a, real or
+    complex, with rows graded up to exp(+-14), under a left torus, uniform or
+    ragged block scheme, with a random element and direction.
+
+    A is the identity plus up to 5 random entries per row.  An ill-conditioned
+    A (ill) repeats one row in the next and adds delta = 2^-6 .. 2^-7 to the
+    diagonal there.  That puts eps cond(G) of the balanced Gram matrix above
+    1e-12, so the Cholesky route must refuse, while cond(D a) stays in the
+    hundreds, where the QR route, like any inverse, reads the states to 1e-12.
+    """
+    sch = _left_scheme(draw)
+    m = sch.m
+    is_complex, grade, ill = draw(st.booleans()), draw(st.floats(0.0, 14.0)), draw(st.booleans())
+    rng = rng_for(726, draw(st.integers(0, 2**16)))
+    M = _sparse_identity_plus(rng, m, draw(st.integers(1, 5)), is_complex)
+    if ill:
+        i = draw(st.integers(0, m - 2))
+        M[i + 1] = M[i]
+        M[i + 1, i + 1] += 2.0 ** -draw(st.floats(6.0, 7.0))
+    a = np.exp(grade * rng.uniform(-1.0, 1.0, m))[:, None] * M
+    A = _sparse_storage(a, draw(st.sampled_from(["ComplexMatrix", "scipy"])))
+    g = random_element(rng, sch) if is_complex else _real_element(rng, sch)
+    return A, a, sch, g, random_direction(rng, sch, norm=1.0), ill
+
+
+@_PROPERTY
+@given(_sparse_left_inputs())
+def test_sparse_entry_factor_gives_the_states_of_the_inverse(inp):
+    """On either route: the Cholesky route for a well-conditioned A, the QR
+    route for an ill-conditioned one."""
+    A, a, sch, g, H, ill = inp
+    a_csr = geoprec.optimize._input_csr(A, a)
+    assert (geoprec.optimize._balanced_gram_inverse(a_csr) is None) == ill
+    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True, a_csr=a_csr)
+    _assert_states_of_the_inverse(a, np.linalg.inv(a), W, sch, g, H)
+
+
+@pytest.mark.parametrize("estimator", [None, EstimatorConfig(num_probes=8, seed=5)],
+                         ids=["exact", "estimator"])
+@pytest.mark.parametrize("storage", ["ComplexMatrix", "scipy"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_well_conditioned_sparse_left_run_takes_one_cholesky_factorization(
+        field, storage, estimator, lapack_calls, linalg_calls):
+    """One potrf, and neither a QR nor an inverse of A; the run keeps the
+    iterations, termination and kF, to 1e-12, of the same A stored densely,
+    which takes the QR route."""
+    n = 130
+    a = _sparse_input(n, field).to_dense()
+    cfg = OptimizerConfig(scheme=GroupScheme.blocked(n, 4, side="left"), max_iters=4)
+    rep = minimize_condition(_sparse_storage(a, storage), cfg, estimator=estimator)
+    assert [c for c in lapack_calls if c[0] == "potrf"] == [("potrf", 0)]
+    assert linalg_calls["qr"] == []
+    assert not any(x.shape == a.shape for x in linalg_calls["inv"])
+    ref = minimize_condition(a, cfg, estimator=estimator)
+    assert len(linalg_calls["qr"]) == 1
+    assert (rep.iteration_count, rep.termination) == (ref.iteration_count, ref.termination)
+    assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
+
+
+def _readme_block(m=40):
+    """The identity with its leading 2 x 2 block [[1, 1], [1, 1 + 2^-30]], kappa 4.3e9."""
+    a = np.eye(m)
+    a[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 2.0**-30]]
+    return a
+
+
+def _near_repeated_row(m=20):
+    """I + 0.3 N / sqrt(6), 3 entries of N per row, whose row 11 repeats row 10
+    but for 2^-6 added on its diagonal: eps cond(G) is 4.3e-12, but pocon
+    reads G's reciprocal condition number 8 times too large and accepts it."""
+    a = _sparse_identity_plus(rng_for(725, m, 4), m, 3)
+    a[11] = a[10]
+    a[11, 11] += 2.0**-6
+    return a
+
+
+@pytest.mark.parametrize("name", ["readme-block", "near-repeated-row"])
+def test_ill_conditioned_sparse_left_run_takes_the_qr_route(name, lapack_calls, linalg_calls):
+    """potrf fails, or pocon or the upper bound on ||G^-1||_1 refuses: the run
+    takes one QR of A*, and its report is that of the same A stored densely,
+    record for record.  Its states are those of inv(A) to the accuracy of the
+    QR route: 1e-12 for the near-repeated row; 1e-6 for the README block,
+    whose kappa(A) is 4.3e9 and whose QR-route W reads kF 4e-8 off
+    inv(A)'s."""
+    a = _readme_block() if name == "readme-block" else _near_repeated_row()
+    m = a.shape[0]
+    sch = GroupScheme.diagonal(m, side="left")
+    cfg = OptimizerConfig(scheme=sch, max_iters=5)
+    rep = minimize_condition(_sparse_storage(a, "ComplexMatrix"), cfg)
+    assert lapack_calls[0][0] == "potrf"
+    if name == "near-repeated-row":  # pocon accepted it; the upper bound did not
+        assert lapack_calls[:3] == [("potrf", 0), ("pocon", 0), ("trtri", 0)]
+        gram = a / np.abs(a).max(axis=1)[:, None]
+        gram = gram @ gram.T
+        assert np.finfo(float).eps * np.linalg.cond(gram) > 1e-12
+    assert len(linalg_calls["qr"]) == 1 and np.array_equal(linalg_calls["qr"][0], a.T)
+    ref = minimize_condition(a, cfg)
+    assert rep.iterations == ref.iterations and rep.termination is ref.termination
+    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True,
+                                        a_csr=sp.csr_matrix(a))
+    tol = 1e-6 if name == "readme-block" else 1e-12
+    rng = rng_for(727, m)
+    for g in (sch.identity(float), _real_element(rng, sch)):
+        got = evaluate(a, g, W, gram_factors(a, W, sch))
+        want = evaluate(a, g, np.linalg.inv(a), gram_factors(a, np.linalg.inv(a), sch))
+        assert _rel(got.value, want.value) <= tol and _rel(got.kF, want.kF) <= tol
+
+
+
+def _uniform_in_the_gap(m=40):
+    """0.4 + U on the diagonal and 3 entries U elsewhere in each row:
+    eps cond_1(G) is 8.0e-13, within the budget, as pocon reports, but the
+    upper bound on ||G^-1||_1 reads 1.26e-12."""
+    rng = rng_for(728, m, 22)
+    a = np.diag(0.4 + rng.uniform(size=m))
+    for i in range(m):
+        a[i, rng.choice(np.delete(np.arange(m), i), 3, replace=False)] = rng.uniform(size=3)
+    return a
+
+
+def test_the_1_norm_of_the_inverse_gram_decides_where_the_upper_bound_refuses(
+        lapack_calls, linalg_calls):
+    """pocon accepts and the upper bound on ||G^-1||_1 refuses; the 1-norm
+    itself, from the column slabs of U^-1 U^-*, accepts.  So the run takes the
+    Cholesky route, with no QR, keeps the report of the same A stored densely
+    to 1e-12, and its states are those of inv(A) to 1e-12."""
+    a = _uniform_in_the_gap()
+    m = a.shape[0]
+    sch = GroupScheme.diagonal(m, side="left")
+    cfg = OptimizerConfig(scheme=sch, max_iters=5)
+    rep = minimize_condition(_sparse_storage(a, "ComplexMatrix"), cfg)
+    assert lapack_calls == [("potrf", 0), ("pocon", 0), ("trtri", 0)]
+    assert linalg_calls["qr"] == []
+    ref = minimize_condition(a, cfg)
+    assert (rep.iteration_count, rep.termination) == (ref.iteration_count, ref.termination)
+    assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
+    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True,
+                                        a_csr=sp.csr_matrix(a))
+    rng = rng_for(729, m)
+    _assert_states_of_the_inverse(a, np.linalg.inv(a), W, sch, _real_element(rng, sch),
+                                  random_direction(rng, sch, norm=1.0))
+
+def _singular(kind, m=30):
+    a = _sparse_input(m, "real").to_dense()
+    if kind == "zero-row":
+        a[7] = 0.0
+    else:
+        a[7] = a[3]
+    return a
+
+
+@pytest.mark.parametrize("kind", ["zero-row", "repeated-row"])
+def test_singular_sparse_left_input_leaves_the_cholesky_route(kind, lapack_calls, monkeypatch):
+    """potrf fails on the zero pivot of a zero row; a repeated row's zero
+    pivot may round to a tiny positive one, which pocon refuses.  Either way
+    the route stops before its triangular inverse, and the QR route decides
+    as for dense storage: an exact run takes the SVD path, with the report of
+    the same A stored densely, and an estimator run raises
+    RankDeficientError."""
+    a = _singular(kind)
+    A = _sparse_storage(a, "ComplexMatrix")
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(a.shape[0], side="left"), max_iters=5)
+    inverses, real = [], geoprec.optimize.evaluate
+
+    def spy(a, g, a_inv=None, factors=None):
+        inverses.append(a_inv)
+        return real(a, g, a_inv, factors)
+
+    monkeypatch.setattr(geoprec.optimize, "evaluate", spy)
+    rep = minimize_condition(A, cfg)
+    potrf_failed = lapack_calls[0][0] == "potrf" and lapack_calls[0][1] > 0
+    assert potrf_failed or kind == "repeated-row"
+    # the one trtri is the QR route's
+    assert [c[0] for c in lapack_calls] == ["potrf"] + ["pocon"] * (not potrf_failed) + ["trtri"]
+    assert inverses and all(a_inv is None for a_inv in inverses)
+    ref = minimize_condition(a, cfg)
+    assert rep.iterations == ref.iterations and rep.termination is ref.termination
+    with pytest.raises(RankDeficientError, match="assumes a full-rank input"):
+        minimize_condition(A, cfg, estimator=EstimatorConfig(num_probes=4, seed=1))
+
+
+@pytest.mark.parametrize("storage", ["ComplexMatrix", "scipy"])
+def test_predicted_iteration_bound_reads_a_sparse_input_from_its_cholesky_factor(
+        storage, lapack_calls):
+    """The same bound for the sparse and the dense storage of one matrix, the
+    sparse one read from the Cholesky route."""
+    a = _sparse_input(60, "complex").to_dense()
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(60, side="left"))
+    kF0 = np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a))
+    got = predicted_iteration_bound(_sparse_storage(a, storage), cfg, kF0 / 3.0)
+    assert [c for c in lapack_calls if c[0] == "potrf"] == [("potrf", 0)]
+    assert got == predicted_iteration_bound(a, cfg, kF0 / 3.0) > 0
