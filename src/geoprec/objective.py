@@ -24,7 +24,9 @@ state costs by the case:
   A's row slabs and S_b* S_b = D_b* D_b of D's column slabs, the triangular
   factors of one QR per slab (``gram_factors``), which a run builds once.
   Rounding then grows like eps kappa, as it does for X A and D X^-1 formed
-  in full; the Gram blocks A_b A_b* themselves would square kappa;
+  in full; the Gram blocks A_b A_b* themselves would square kappa.  The same
+  factors give the least kF over the scheme, and an element attaining it,
+  in closed form (``left_optimum``);
 * two-sided, with A^-1 or a second matrix: the two block-diagonal actions,
   O(m n block size), B^-1 = Y A^-1 X^-1 being the dual action on A^-1;
 * otherwise one thin SVD of B.
@@ -43,6 +45,7 @@ from .group import (
     GroupElement,
     LieDirection,
     WeightData,
+    _adjoint,
     apply,
     apply_dual,
     congruence,
@@ -133,6 +136,19 @@ def _pair(A, D, scheme):
     return a, d
 
 
+def _row_norms(R):
+    """np.linalg.norm(R, axis=1), bit for bit, 64 rows at a time: no temporary of
+    R's size.  A last slab of one row would be summed pairwise where numpy sums
+    the rows of a column-major R in sequence, so 65 rows are taken together."""
+    m = R.shape[0]
+    out, s = np.empty(m), 0
+    while s < m:
+        stop = s + 64 + (m - s == 65)
+        out[s:stop] = np.linalg.norm(R[s:stop], axis=1)
+        s = stop
+    return out
+
+
 def _slab_factors(R, runs):
     """Per run, the stack of triangular W_b with W_b* W_b = R_b R_b* for the
     row slabs R_b of R: the R factor of a QR of R_b*, or for 1x1 blocks the
@@ -140,7 +156,7 @@ def _slab_factors(R, runs):
     out = []
     for r in runs:
         if r.size == 1:
-            out.append(np.linalg.norm(R[r.start:r.stop], axis=1).reshape(-1, 1, 1))
+            out.append(_row_norms(R[r.start:r.stop]).reshape(-1, 1, 1))
             continue
         slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
         out.append(np.linalg.qr(slab.conj().transpose(0, 2, 1), mode="r"))
@@ -164,6 +180,37 @@ def gram_factors(A, D, scheme):
     if scheme.side == "both":
         return None
     return _factors(*_pair(A, D, scheme), scheme.left_runs)
+
+
+def left_optimum(factors, scheme, dtype):
+    """The minimizer of kF(X A) over a left-only scheme, and the least kF itself,
+    read from a run's ``gram_factors`` (L, S).
+
+    kF(X)^2 = (sum_b ||X_b L_b||_F^2)(sum_b ||S_b X_b^-1||_F^2), so Cauchy-Schwarz
+    across the blocks and the trace inequality within each give
+    kF* = sum_b ||S_b L_b||_*, the sum of nuclear norms.  With the SVD
+    S_b L_b = U_b Sigma_b V_b*, X_b = Sigma_b^-1/2 U_b* S_b attains it: then
+    X_b L_b = Sigma_b^1/2 V_b* and S_b X_b^-1 = U_b Sigma_b^1/2 (van der Sluis,
+    Numer. Math. 1969; Bhatia, Positive Definite Matrices, 2007, ch. 4).  On
+    1x1 blocks, whose factors are row norms, that is x_i = sqrt(S_i / L_i) and
+    kF* = sum_i S_i L_i, with no SVD.  Returns (element, kF*), the element's stacks of the given
+    dtype and Hermitian positive definite: each block is replaced by its polar
+    factor, as ``repolarize`` does, but read from the block's SVD, accurate to
+    eps cond(X_b) where the X_b* X_b of ``repolarize`` squares the condition
+    and would move kF off kF* by more than round-off on graded blocks.
+    """
+    L, S = factors
+    stacks, kF = [], 0.0
+    for l, s, r in zip(L, S, scheme.left_runs):
+        if r.size == 1:
+            stacks.append((np.sqrt(s) / np.sqrt(l)).astype(dtype, copy=False))
+            kF += float((s * l).sum())
+            continue
+        u, sigma, _ = np.linalg.svd(s @ l)
+        _, w, vh = np.linalg.svd((_adjoint(u) @ s) / np.sqrt(sigma)[:, :, None])
+        stacks.append((_adjoint(vh) * w[:, None, :]) @ vh)
+        kF += float(sigma.sum())
+    return GroupElement._from_blocks(scheme, stacks), kF
 
 
 def _trace(stacks):

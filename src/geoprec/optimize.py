@@ -2,19 +2,24 @@
 
 Every action runs ``_descend`` on a state function, which maps a group
 element to its value, gradient, gradient norm, kF and kappa.  The step sizes
-are fixed by the analysis, so no config sets them.  Two step policies:
+are fixed by the analysis, so no config sets them.  Three step policies:
 
 * constant step 1/L, the paper's default, with L = 4 for left-only and L = 8
   for two-sided schemes: the matrix runs (``minimize_condition``, also with
-  the probe estimator) and the polynomial shuffle (``minimize_cross_condition``
-  under ``polysys.precondition_shuffle``);
+  the probe estimator on a two-sided scheme or a rectangular A) and the
+  polynomial shuffle (``minimize_cross_condition`` under
+  ``polysys.precondition_shuffle``);
+* one step to the closed-form optimum (``objective.left_optimum``), after
+  which the run ends, certified or converged: a left-only estimator run on a
+  square A of full rank, which holds the exact W of its entry and so the
+  Gram factors the optimum is read from;
 * halving on any increase, or on a numerically singular candidate, from a
   base step, ending as converged once no step of at least 1e-14 descends:
   the full (base 1/(D + 2)) and sparse (base 1/8) polynomial actions in
   ``polysys``.
 
-A step moves along the geodesic exp(-step H) g.  SVD-path runs and estimator
-runs replace every step by its polar factor (``repolarize``).  An exact
+A step moves along the geodesic exp(-step H) g.  SVD-path runs and probe-stepping
+estimator runs replace every step by its polar factor (``repolarize``).  An exact
 full-rank ``minimize_condition`` run, every ``minimize_cross_condition`` run
 and every halving run read unitarily equivariant states (from the entry
 inverse, Gram factors, the pair, or unitarily invariant polynomial norms), so
@@ -78,7 +83,7 @@ from .matrix import (
     rank_tolerance,
     singular_values,
 )
-from .objective import duality_gap_bound, evaluate, evaluate_cross, gram_factors
+from .objective import duality_gap_bound, evaluate, evaluate_cross, gram_factors, left_optimum
 
 __all__ = [
     "Termination",
@@ -173,7 +178,8 @@ class _State(NamedTuple):
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
-             halving=False, step_dir=None, polar_at_end=False) -> OptimizationReport:
+             halving=False, step_dir=None, polar_at_end=False,
+             optimum=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
@@ -192,6 +198,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     only the returned element, if a step was taken, is repolarized.  That
     needs a unitarily equivariant state_fn and direction (see
     ``group.repolarize``), which every halving caller has.
+    optimum, when given, is a minimizer in closed form with Hermitian positive
+    definite blocks: the first step moves to it instead, and the run then
+    ends, CONVERGED unless the state it lands on certifies.
     """
     grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
@@ -209,12 +218,16 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
         if bound <= config.target_eps:
             report.termination = Termination.CERTIFIED
             break
-        if state.grad_norm <= grad_tol:
+        if state.grad_norm <= grad_tol or (optimum is not None and k == 1):
             report.termination = Termination.CONVERGED
             break
         if k == config.max_iters:
             report.termination = Termination.MAX_ITERS
             break
+        if optimum is not None:
+            g = optimum
+            state = state_fn(g)
+            continue
         direction = state.grad if step_dir is None else step_dir(g)
         if not halving:
             del state  # the old B and gradient must not outlive the next factorization
@@ -415,7 +428,12 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     probe estimator while values, gradient norms, and certificates are still
     computed exactly, so the reported certificates stay sound.  Such a run
     computes no singular values: it raises RankDeficientError for a square A
-    without full rank, and reports every kappa as NaN.
+    without full rank, and reports every kappa as NaN.  A scheme block wider
+    than the probe count raises DimensionMismatchError at entry.  A left-only
+    estimator run on a square A takes no probe step: its entry factor gives
+    the Gram factors from which ``objective.left_optimum`` reads the optimum
+    in closed form, and the run takes one step there, certified from the
+    exact gradient of the state it lands on, or else ending converged.
     """
     (a,) = _finite(A)
     sch = config.scheme
@@ -423,13 +441,19 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         raise DimensionMismatchError(
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
         )
+    if estimator is not None and max(sch.left_sizes + (sch.right_sizes or ())) > \
+            estimator.num_probes:  # the block sketch could not fit it
+        raise DimensionMismatchError("block size exceeds the probe count")
     square, left = a.shape[0] == a.shape[1], sch.side == "left"
     # The CSR is built only where the entry route or the estimator reads it.
     a_sparse = _input_csr(A, a) if (square and left) or estimator is not None else None
     a_inv = _entry_inverse(a, required=estimator is not None, up_to_unitary=left,
                            a_csr=a_sparse) if square else None
-    step_dir = None
-    if estimator is not None:
+    factors = None if a_inv is None else gram_factors(a, a_inv, sch)
+    step_dir = optimum = None
+    if estimator is not None and factors is not None:
+        optimum = left_optimum(factors, sch, a.dtype)[0]  # the exact W makes probes pointless
+    elif estimator is not None:
         from .stochastic import estimate_gradient
 
         if a_sparse is None:
@@ -438,17 +462,15 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         def step_dir(g):
             return estimate_gradient(a_sparse, g, estimator)
 
-    factors = None if a_inv is None else gram_factors(a, a_inv, sch)
-
     def state_fn(g):
         state = evaluate(a, g, a_inv=a_inv, factors=factors)
-        if step_dir is None:
+        if estimator is None:
             return state
         return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
 
     return _descend(state_fn, sch.identity(a.dtype), config, weight_data(sch),
                     1.0 / config.smoothness(), step_dir=step_dir,
-                    polar_at_end=a_inv is not None and estimator is None)
+                    polar_at_end=a_inv is not None and estimator is None, optimum=optimum)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
@@ -460,7 +482,8 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
                     config, weight_data(sch), 1.0 / config.smoothness(), polar_at_end=True)
 
 
-def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: float,
+def predicted_iteration_bound(A, config: OptimizerConfig,
+                              kF_star_estimate: Optional[float] = None,
                               strongly_convex: Optional[bool] = None) -> int:
     """Worst-case iteration count from the convergence analysis.
 
@@ -470,19 +493,28 @@ def predicted_iteration_bound(A, config: OptimizerConfig, kF_star_estimate: floa
     where gap0 = log(kF(A) / kF*).  strongly_convex None takes the strongly
     convex bound for a left-only scheme on an A of full rank, decided as in
     minimize_condition for a square A, else from the singular values; True on
-    a rank-deficient A raises RankDeficientError.
+    a rank-deficient A raises RankDeficientError.  kF_star_estimate None reads
+    kF* itself, in closed form (``objective.left_optimum``), for a left-only
+    scheme on a square A of full rank; on any other input it is required.
     Returns 0 when the input is already optimal (gap0 <= 0) or the remaining
     gap is below eps under the strongly convex bound.  An A with NaN or
     infinite entries raises NonFiniteInputError, a kF_star_estimate that is
-    not finite and positive ValueError.
+    not finite and positive, or None where kF* has no closed form, ValueError.
     """
-    if not (math.isfinite(kF_star_estimate) and kF_star_estimate > 0):
+    if kF_star_estimate is not None and not (math.isfinite(kF_star_estimate)
+                                             and kF_star_estimate > 0):
         raise ValueError(f"kF_star_estimate must be finite and positive, got {kF_star_estimate}")
     (a,) = _finite(A)
+    sch = config.scheme
     square = a.shape[0] == a.shape[1]
-    # Only ||A^-1||_F and the rank decision are read, so W serves for any scheme.
+    # ||A^-1||_F, the rank decision and the left factors read W for any scheme.
     a_inv = _entry_inverse(a, required=False, up_to_unitary=True,
                            a_csr=_input_csr(A, a)) if square else None
+    if kF_star_estimate is None:
+        if a_inv is None or sch.side != "left":
+            raise ValueError("kF_star_estimate is required unless the scheme is left-only "
+                             "and A square of full rank")
+        kF_star_estimate = left_optimum(gram_factors(a, a_inv, sch), sch, a.dtype)[1]
     if a_inv is not None:
         full_rank, kF0 = True, float(np.linalg.norm(a) * np.linalg.norm(a_inv))
     else:

@@ -173,7 +173,8 @@ def actions(monkeypatch):
 def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
     """A left-only full-rank run reads every state from its Gram factors: B and
     B^-1 are formed once each for the first and the last kappa, and never by an
-    estimator run, which reports no kappa.  A left cross run forms B alone."""
+    estimator run, which reports no kappa and takes one closed-form step to a
+    certificate.  A left cross run forms B alone."""
     sch = GroupScheme.blocked(30, 4)
     A = _sparse_square(1).toarray()
     cfg = OptimizerConfig(scheme=sch, max_iters=5)
@@ -182,7 +183,8 @@ def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
     else:
         est = EstimatorConfig(num_probes=8, seed=1) if kind == "estimator" else None
         rep = minimize_condition(A, cfg, estimator=est)
-    assert rep.iteration_count == 5
+    assert (rep.iteration_count, rep.termination.value) == \
+        ((1, "certified") if kind == "estimator" else (5, "max_iters"))
     assert actions == {"exact": {"apply": 2, "apply_dual": 2},
                        "estimator": {"apply": 0, "apply_dual": 0},
                        "cross": {"apply": 2, "apply_dual": 0}}[kind]
@@ -481,7 +483,7 @@ def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, lapack
     row-balanced Gram matrix of this sparse, well-conditioned A, and neither a
     QR nor an inverse of A; an inverse of A for a two-sided run; no singular
     values for the rank test or for kappa, which the run reports as NaN
-    throughout."""
+    throughout.  The left-only run certifies after its one closed-form step."""
     A = _sparse_square(0)
     a = A.toarray()
     rep = minimize_condition(A, OptimizerConfig(scheme=scheme, max_iters=3),
@@ -493,7 +495,8 @@ def test_square_estimator_run_takes_no_singular_values(scheme, svd_calls, lapack
         assert not any(x.shape == a.shape and np.array_equal(x, a) for x in linalg_calls["inv"])
     else:
         assert len(linalg_calls["inv"]) == 1 and np.array_equal(linalg_calls["inv"][0], a)
-    assert rep.iteration_count == 3
+    assert (rep.iteration_count, rep.termination.value) == \
+        ((1, "certified") if scheme.side == "left" else (3, "max_iters"))
     assert all(math.isnan(r.kappa) for r in rep.iterations)
     assert math.isnan(rep.initial_kappa) and math.isnan(rep.final_kappa)
     assert all(math.isfinite(r.kF) for r in rep.iterations)
@@ -515,11 +518,11 @@ def test_estimator_run_rejects_a_rank_deficient_square_input(A):
 
 def test_estimator_full_rank_check_ignores_row_scales():
     """diag(1, 1e-17) has full rank: its row-balanced kF is 2, whatever the
-    scales of its rows."""
+    scales of its rows.  So the run takes its closed-form step and certifies."""
     cfg = OptimizerConfig(scheme=GroupScheme.diagonal(2, side="left"), max_iters=2)
     rep = minimize_condition(np.diag([1.0, 1e-17]), cfg,
                              estimator=EstimatorConfig(num_probes=4, seed=1))
-    assert rep.iteration_count == 2
+    assert (rep.iteration_count, rep.termination.value) == (1, "certified")
     assert _rel(rep.initial_kF, 1e17) <= 1e-12
 
 

@@ -397,18 +397,21 @@ def test_cli_stochastic_path(tmp_path):
 
 
 def test_cli_stochastic_report_leaves_every_kappa_empty(tmp_path):
-    """An estimator run computes no kappa: no row carries one, nor the summary."""
+    """An estimator run computes no kappa: no row carries one, nor the summary.
+    The left run takes its one closed-form step, the two-sided run all 4."""
     rng = rng_for(105)
     src = tmp_path / "a.mtx"
     write_matrix(src, np.diag(np.exp(rng.standard_normal(8))) @ (rng.standard_normal((8, 8))
                                                                  + 4.0 * np.eye(8)))
     out = tmp_path / "r.csv"
-    assert cli_dispatch(["precondition", "--input", str(src), "--max-iters", "4",
-                         "--stochastic", "--probes", "16", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    rows = [line.split(",") for line in lines if line[0].isdigit()]
-    assert len(rows) == 5 and all(len(r) == 6 and r[5] == "" for r in rows)
-    assert "# initial_kappa= final_kappa=" in lines
+    for side, count in (("left", 2), ("both", 5)):
+        assert cli_dispatch(["precondition", "--input", str(src), "--max-iters", "4",
+                             "--side", side, "--stochastic", "--probes", "16",
+                             "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines if line[0].isdigit()]
+        assert len(rows) == count and all(len(r) == 6 and r[5] == "" for r in rows)
+        assert "# initial_kappa= final_kappa=" in lines
 
 
 def test_cli_stochastic_rank_deficient_input_is_an_input_error(tmp_path):

@@ -145,12 +145,14 @@ def _sparse_input(n, field):
 
 
 def test_left_estimator_run_keeps_the_trajectory_of_the_inverse(inverting):
+    """Both routes take the one closed-form step and certify there."""
     n = 130
     A = _sparse_input(n, "complex")
     cfg = OptimizerConfig(scheme=GroupScheme.diagonal(n, side="left"), max_iters=4)
     est = EstimatorConfig(num_probes=8, seed=5)
     rep, ref = minimize_condition(A, cfg, estimator=est), inverting(A, cfg, estimator=est)
-    assert (rep.iteration_count, rep.termination.value) == (ref.iteration_count, "max_iters")
+    assert (rep.iteration_count, rep.termination.value) == (ref.iteration_count, "certified")
+    assert rep.iteration_count == 1
     assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
 
 
@@ -158,7 +160,7 @@ def test_left_estimator_run_keeps_the_trajectory_of_the_inverse(inverting):
 def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch):
     """A sparse ComplexMatrix reaches the estimator as the CSR of its canonical
     triplets, in the dtype it stores, the same arrays a CSR of the dense
-    copy has."""
+    copy has.  The run is two-sided: a square left run takes no estimate."""
     A = _sparse_input(40, field)
     seen, real = [], geoprec.stochastic.estimate_gradient
 
@@ -167,7 +169,7 @@ def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch
         return real(a, g, config)
 
     monkeypatch.setattr(geoprec.stochastic, "estimate_gradient", spy)
-    minimize_condition(A, OptimizerConfig(scheme=GroupScheme.diagonal(40, side="left"),
+    minimize_condition(A, OptimizerConfig(scheme=GroupScheme.diagonal(40, 40, side="both"),
                                           max_iters=2),
                        estimator=EstimatorConfig(num_probes=4, seed=1))
     ref = sp.csr_matrix(A.to_dense())

@@ -8,8 +8,9 @@ step with ``exp_action`` alone and repolarize once, the element they return.
 So do the step-halving polynomial runs: the Bombieri-Weyl and Frobenius norms
 are unitarily invariant, and the torus side of the sparse action stays real
 positive.  They reject a candidate whose state raises on a singular block.
-The SVD path and estimator runs (whose probes are fixed in coordinates) keep
-repolarizing every candidate step.
+The SVD path and two-sided estimator runs (whose probes are fixed in
+coordinates) keep repolarizing every candidate step; a square left estimator
+run takes no probe step, but one to the closed-form optimum.
 """
 
 import numpy as np
@@ -113,8 +114,8 @@ def test_svd_and_estimator_runs_repolarize_every_step(calls):
     assert calls == {"exp_action": 20, "repolarize": 20}
     n = 30
     A = sp.random(n, n, density=0.1, random_state=np.random.RandomState(7)) + 4.0 * sp.eye(n)
-    est = minimize_condition(A.tocsr(), OptimizerConfig(scheme=GroupScheme.blocked(n, 3),
-                                                        max_iters=4),
+    est = minimize_condition(A.tocsr(), OptimizerConfig(
+        scheme=GroupScheme.blocked(n, 3, n, side="both"), max_iters=4),
                              estimator=EstimatorConfig(num_probes=8, seed=3))
     assert est.iteration_count == 4
     assert calls == {"exp_action": 20 + 4, "repolarize": 20 + 4}

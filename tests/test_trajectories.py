@@ -4,8 +4,14 @@ Each case pins the iteration count, the termination and the final kF (mu
 for the polynomial actions) of one small seeded run.  The pinned values were
 recorded when the matrix, full and sparse descents still ran in three
 separate loops, so they guard the single descent engine against any change
-of trajectory; the two block-estimator cases were recorded while the
-estimator's block path still ran its own solve loop and regression.  Iterations and terminations must match exactly; kF and mu
+of trajectory; the two-sided block-estimator case was recorded while the
+estimator's block path still ran its own solve loop and regression.  The two
+left estimator cases no longer descend: a square full-rank left run with an
+estimator forms the exact W = R^-* at entry, and the closed-form optimum read
+from it certifies in one step.  Their pins are (1, certified, kF*), and
+kF* is checked against the dense oracle sum_b ||A^-1[:, b] A[b, :]||_*,
+so those two pins are not recorded numbers.  Iterations and terminations
+must match exactly; kF and mu
 must agree to round-off, within 1e-12 relative: the torus exponential may
 move by one ulp per step, a square full-rank state is factored by an inverse
 where the pins were recorded with a thin SVD, and the Bombieri-Weyl sums of
@@ -52,15 +58,17 @@ def _exact(key, scheme, max_iters):
     return run
 
 
+def _estimator_input(m=40):
+    rng = rng_for(401)
+    S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(7), format="csr")
+    return (sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))).tocsr()
+
+
 def _estimator(scheme):
     def run():
-        m = 40
-        rng = rng_for(401)
-        S = sp.random(m, m, density=0.1, random_state=np.random.RandomState(7), format="csr")
-        A = sp.diags(np.exp(rng.standard_normal(m))) @ (S + 4.0 * sp.eye(m))
         cfg = OptimizerConfig(scheme=scheme, target_eps=1e-2, max_iters=4)
         est = EstimatorConfig(num_probes=16, cg_tol=1e-10, seed=3)
-        return minimize_condition(A.tocsr(), cfg, estimator=est)
+        return minimize_condition(_estimator_input(), cfg, estimator=est)
     return run
 
 
@@ -118,9 +126,9 @@ CASES = {
 
 # name -> (iterations, termination, final kF or mu)
 PINNED = {
-    "estimator": (4, "max_iters", 168.7604421921333),
+    "estimator": (1, "certified", 43.55119690368261),
     "estimator-both-block": (4, "max_iters", 169.8570625393818),
-    "estimator-left-block": (4, "max_iters", 168.77281731268604),
+    "estimator-left-block": (1, "certified", 43.30927738453417),
     "exact-both-block": (150, "max_iters", 13.186304817334623),
     "exact-both-diag": (150, "max_iters", 79.51872848034475),
     "exact-left-block": (225, "certified", 45.725860866598836),
@@ -158,3 +166,14 @@ def test_trajectory_pinned(name):
         return
     assert rep.iteration_count == iterations
     assert rep.final_kF == pytest.approx(final, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name, size", [("estimator", 1), ("estimator-left-block", 3)])
+def test_left_estimator_pins_are_the_least_kF(name, size):
+    """The two left estimator pins are kF* = sum_b ||A^-1[:, b] A[b, :]||_*, the
+    least kF over the scheme, from the dense inverse: not a recorded number."""
+    a = _estimator_input().toarray()
+    a_inv = np.linalg.inv(a)
+    least = sum(np.linalg.norm(a_inv[:, b:b + size] @ a[b:b + size], "nuc")
+                for b in range(0, a.shape[0], size))
+    assert PINNED[name][2] == pytest.approx(least, rel=1e-12, abs=0)
