@@ -180,6 +180,16 @@ def as_dense(a):
     return out
 
 
+def _dense_rows(csr, start, stop, order="C"):
+    """Rows start:stop of a CSR matrix with no duplicate entries, as a dense array
+    scattered from the stored entries: no ``toarray`` and no copy of the rest."""
+    lo, hi = csr.indptr[start], csr.indptr[stop]
+    out = np.zeros((stop - start, csr.shape[1]), dtype=csr.dtype, order=order)
+    rows = np.repeat(np.arange(stop - start), np.diff(csr.indptr[start:stop + 1]))
+    out[rows, csr.indices[lo:hi]] = csr.data[lo:hi]
+    return out
+
+
 def _require_nonzero(a):
     if not np.any(a):
         raise ZeroMatrixError("matrix is identically zero")

@@ -39,6 +39,7 @@ import math
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, ZeroMatrixError
 from .group import (
@@ -52,6 +53,7 @@ from .group import (
     project_blocks,
 )
 from .matrix import (
+    _dense_rows,
     as_dense,
     kappa_from_singular_values,
     pseudoinverse,
@@ -81,9 +83,10 @@ class ObjectiveState:
     U B^-1, with the singular values and the D* D of B^-1.  For the cross
     objective it is the transformed second matrix.  sigma holds the singular
     values of B where the state has them.  kappa is the Euclidean condition number of B,
-    for reporting only: sigma_max(B) sigma_max(B^-1) when B_pinv is B^-1,
-    otherwise sigma_max over the smallest singular value above the rank
-    cutoff, from sigma or from B without vectors.
+    for reporting only, from sigma or from one SVD of B without vectors:
+    sigma_max / sigma_min when B_pinv is B^-1, otherwise sigma_max over the
+    smallest singular value above the rank cutoff.  A left-only state read
+    from Gram factors may hold A as a CSR matrix, densified only for B.
     """
 
     def __init__(self, value, grad: LieDirection, kF, element: GroupElement, matrix,
@@ -110,7 +113,8 @@ class ObjectiveState:
     @cached_property
     def kappa(self) -> float:
         if self._inverse:
-            return float(np.linalg.norm(self.B, 2) * np.linalg.norm(self.B_pinv, 2))
+            s = singular_values(self.B)
+            return float(s[0] / s[-1])
         s = self.sigma if self.sigma is not None else singular_values(self.B)
         return kappa_from_singular_values(s, self._matrix.shape)
 
@@ -125,9 +129,13 @@ def _gram_blocks(R, runs):
 
 
 def _pair(A, D, scheme):
-    """A and D as dense arrays, checked to pair under scheme: D has the
-    transposed shape of A, and A the scheme's rows."""
-    a, d = as_dense(A), as_dense(D)
+    """A and D, checked to pair under scheme: D has the transposed shape of A,
+    and A the scheme's rows.  D comes back dense, and so does A unless it is a
+    float or complex CSR in canonical form, as ``optimize._finite`` makes it,
+    which the factors read from its entries."""
+    kept = sp.issparse(A) and A.format == "csr" and A.dtype.kind in "fc" and \
+        A.has_canonical_format
+    a, d = (A if kept else as_dense(A)), as_dense(D)
     if a.shape[0] != scheme.m or d.shape != (a.shape[1], a.shape[0]):
         raise DimensionMismatchError(
             f"matrices of shapes {a.shape} and {d.shape} do not pair under a scheme "
@@ -137,10 +145,17 @@ def _pair(A, D, scheme):
 
 
 def _row_norms(R):
-    """np.linalg.norm(R, axis=1), bit for bit, 64 rows at a time: no temporary of
-    R's size.  A last slab of one row would be summed pairwise where numpy sums
-    the rows of a column-major R in sequence, so 65 rows are taken together."""
+    """The row norms of R.  A CSR R gives them from its stored entries, in
+    O(nnz).  A dense R gives np.linalg.norm(R, axis=1), bit for bit, 64 rows
+    at a time: no temporary of R's size.  A last slab of one row would be
+    summed pairwise where numpy sums the rows of a column-major R in
+    sequence, so 65 rows are taken together."""
     m = R.shape[0]
+    if sp.issparse(R):
+        counts, out = np.diff(R.indptr), np.zeros(m)
+        sq = (R.data.conj() * R.data).real
+        out[counts > 0] = np.add.reduceat(sq, R.indptr[:-1][counts > 0])
+        return np.sqrt(out)
     out, s = np.empty(m), 0
     while s < m:
         stop = s + 64 + (m - s == 65)
@@ -149,37 +164,53 @@ def _row_norms(R):
     return out
 
 
-def _slab_factors(R, runs):
+def _slab_factors(R, runs, norms=None, conj=True):
     """Per run, the stack of triangular W_b with W_b* W_b = R_b R_b* for the
     row slabs R_b of R: the R factor of a QR of R_b*, or for 1x1 blocks the
-    row norms, which that QR gives up to sign."""
+    row norms, which that QR gives up to sign, taken from norms where given.
+    With conj False the QRs are of R_b^T instead: for R = D^T, the factors
+    W_b* W_b = D_b* D_b of the column slabs of D, with no conjugate copy of D.
+
+    R is a dense array or a CSR matrix.  The QRs take whole blocks about 64
+    rows at a time, so a CSR is never densified further than that.
+    """
     out = []
     for r in runs:
         if r.size == 1:
-            out.append(_row_norms(R[r.start:r.stop]).reshape(-1, 1, 1))
+            rows = _row_norms(R[r.start:r.stop]) if norms is None else norms[r.start:r.stop]
+            out.append(rows.reshape(-1, 1, 1))
             continue
-        slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
-        out.append(np.linalg.qr(slab.conj().transpose(0, 2, 1), mode="r"))
+        step, stacks = max(1, 64 // r.size) * r.size, []
+        for lo in range(r.start, r.stop, step):
+            hi = min(lo + step, r.stop)
+            slab = (_dense_rows(R, lo, hi) if sp.issparse(R) else R[lo:hi]).reshape(
+                -1, r.size, R.shape[1])
+            stacks.append(np.linalg.qr((slab.conj() if conj else slab).transpose(0, 2, 1),
+                                       mode="r"))
+        out.append(np.concatenate(stacks))
     return out
 
 
-def _factors(a, d, runs):
+def _factors(a, d, runs, d_norms=None):
     """(L, S) of ``gram_factors``, stored contiguous: every state multiplies by them."""
-    L = [np.ascontiguousarray(w.conj().transpose(0, 2, 1)) for w in _slab_factors(a, runs)]
-    return L, [np.ascontiguousarray(w) for w in _slab_factors(d.conj().T, runs)]
+    L = [np.ascontiguousarray(_adjoint(w)) for w in _slab_factors(a, runs)]
+    return L, [np.ascontiguousarray(w) for w in _slab_factors(d.T, runs, d_norms, conj=False)]
 
 
-def gram_factors(A, D, scheme):
+def gram_factors(A, D, scheme, d_norms=None):
     """The factors (L, S) that a left-only run reads every state from, or
     None for a two-sided scheme, whose states act on A and D instead.
 
     L_b L_b* = A_b A_b* over the row slabs of A and S_b* S_b = D_b* D_b over
     the column slabs of D, in the shape of ``scheme.left_runs``; D is the
     inverse of a square A of full rank, or the second matrix of a cross pair.
+    A CSR A is read from its entries, a bounded number of block rows at a time
+    (``_slab_factors``).  d_norms, the column norms of D where the caller has
+    them, give the 1x1 factors of S without a pass over D.
     """
     if scheme.side == "both":
         return None
-    return _factors(*_pair(A, D, scheme), scheme.left_runs)
+    return _factors(*_pair(A, D, scheme), scheme.left_runs, d_norms)
 
 
 def left_optimum(factors, scheme, dtype):
@@ -261,13 +292,15 @@ def _pair_state(a, d, g, inverse=False) -> ObjectiveState:
 
 def _dual_state(A, D, g, factors, inverse=False) -> ObjectiveState:
     """The state of a run that pairs A with D: from its Gram factors (or ones
-    built here) for a left-only scheme, else from the two actions."""
+    built here) for a left-only scheme, else from the two actions.  A
+    left-only state from given factors reads neither A nor D."""
     sch = g.scheme
+    if sch.side == "left" and factors is not None:
+        return _left_state(A, D, g, factors, inverse)
     a, d = _pair(A, D, sch)
     if sch.side == "both":
         return _pair_state(a, d, g, inverse)
-    return _left_state(a, d, g, _factors(a, d, sch.left_runs) if factors is None else factors,
-                       inverse)
+    return _left_state(a, d, g, _factors(a, d, sch.left_runs), inverse)
 
 
 def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:

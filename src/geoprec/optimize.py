@@ -53,7 +53,14 @@ row-balanced Gram matrix (D A)(D A)* whenever that matrix is well conditioned
 (``_balanced_gram_inverse``), and the QR otherwise.  A two-sided run
 inverts A.  A full-rank left-only run builds factors of the Gram blocks of A
 and of W once (``objective.gram_factors``, one QR per slab) and reads every
-state from them in O(sum of size^3) over the blocks; a full-rank two-sided
+state from them in O(sum of size^3) over the blocks.  A square left-only run
+on sparse storage holds A as one canonical CSR (``_finite``, with
+``keep_sparse``) and never densifies it on the Cholesky route: the entry and
+the factors of A read its entries (torus row norms in O(nnz), block slabs a
+bounded number at a time), and a torus takes the factors of W from the
+column norms the entry factor already summed.  A is densified only for the
+QR path where that route refuses, for the SVD path of a rank-deficient A,
+and for B and kappa at an exact run's end points.  A full-rank two-sided
 run takes B^-1 = Y A^-1 X^-1 at every state from the dual action on A^-1; any
 other run factors every state with a thin SVD, but an estimator run on a
 square A raises RankDeficientError.  A left-only cross run reads its states
@@ -78,6 +85,7 @@ from .errors import (
 from .group import GroupScheme, GroupElement, LieDirection, exp_action, repolarize, weight_data
 from .matrix import (
     ComplexMatrix,
+    _dense_rows,
     as_dense,
     frobenius_from_singular_values,
     rank_tolerance,
@@ -260,21 +268,55 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     return report
 
 
-def _finite(*mats):
+def _finite(*mats, keep_sparse=False):
     """The matrices as dense arrays in the run's dtype; NonFiniteInputError if any
     entry is NaN or infinite.
 
     The run's dtype is float64 when no entry of any matrix has a nonzero
     imaginary part, complex128 otherwise; every later layer follows it.  A
     ComplexMatrix holds real or complex values and is densified in the dtype
-    it stores.
+    it stores.  With keep_sparse a square matrix in sparse storage, a sparse
+    ComplexMatrix or a scipy.sparse matrix, comes back as its canonical CSR
+    (``_canonical_csr``) instead, checked on its stored entries alone.
     """
-    out = [as_dense(m) for m in mats]
-    if not all(np.isfinite(m).all() for m in out):
+    out = [_canonical_csr(m) if keep_sparse and _square_sparse(m) else as_dense(m)
+           for m in mats]
+    entries = [m.data if sp.issparse(m) else m for m in out]
+    if not all(np.isfinite(e).all() for e in entries):
         raise NonFiniteInputError("input matrix has NaN or infinite entries")
-    if any(np.iscomplexobj(m) and m.imag.any() for m in out):
-        return [m.astype(complex, copy=False) for m in out]
-    return [np.ascontiguousarray(m.real) for m in out]
+    dtype = complex if any(np.iscomplexobj(e) and e.imag.any() for e in entries) else float
+    return [_in_dtype(m, dtype) for m in out]
+
+
+def _in_dtype(m, dtype):
+    """A dense or CSR m in dtype, C-contiguous when dense: a real-valued complex m
+    keeps its real part."""
+    if sp.issparse(m):
+        if np.iscomplexobj(m.data) == (dtype is complex):
+            return m
+        data = m.data.astype(complex) if dtype is complex else np.ascontiguousarray(m.data.real)
+        return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    if dtype is complex:
+        return m.astype(complex, copy=False)
+    return np.ascontiguousarray(m.real)
+
+
+def _square_sparse(A):
+    sparse = sp.issparse(A) or (isinstance(A, ComplexMatrix) and A.is_sparse)
+    return sparse and A.shape[0] == A.shape[1]
+
+
+def _canonical_csr(A):
+    """A sparse ComplexMatrix or scipy.sparse matrix as one CSR in canonical form,
+    sorted indices, duplicates summed and stored zeros dropped, in a float64 or
+    complex128 dtype: the entries of its dense copy, with no dense copy.  A
+    ComplexMatrix is canonical already; a scipy input is copied first."""
+    if isinstance(A, ComplexMatrix):
+        return A.to_csr()
+    csr = sp.csr_matrix(A, dtype=np.promote_types(A.dtype, float), copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return csr
 
 
 def _row_balanced_kF(a, a_inv):
@@ -295,26 +337,19 @@ def _row_balanced_kF(a, a_inv):
     return math.sqrt(m) * float(np.linalg.norm(weights))
 
 
-def _input_csr(A, a):
-    """The CSR of a sparse input A, from its dense copy a; None for dense storage.
-
-    A sparse ComplexMatrix gives the CSR of its canonical triplets with no scan
-    of a, a scipy.sparse matrix the CSR of a; both hold the same arrays in a's
-    dtype.
-    """
-    if isinstance(A, ComplexMatrix):
-        return A.to_csr() if A.is_sparse else None
-    return sp.csr_matrix(a) if sp.issparse(A) else None
-
-
 def _balanced_gram_inverse(a_csr):
-    """(W, kF) from the Cholesky factor of the row-balanced Gram matrix, else None.
+    """(W, kF, norms) from the Cholesky factor of the row-balanced Gram matrix,
+    else None.
 
     With d_i = 1 / max |row_i a| and D = diag(d), G = (D a)(D a)* = U* U
     (``?potrf``) gives W = U^-* D, with a^-1 = Q W for the unitary
-    Q = (D a)* U^-1, and the rank score of ``_row_balanced_kF`` from the
-    balanced row norms sqrt(G_ii) and the column norms of U^-*.  G is sparse,
-    so forming it and its 1-norm costs O(nnz(G)); only the factor is dense.
+    Q = (D a)* U^-1, the column norms of W, d_i ||row_i U^-1||, and the rank
+    score of ``_row_balanced_kF`` from the balanced row norms sqrt(G_ii) and
+    the column norms of U^-*.  a_csr is canonical (``_canonical_csr``): a
+    stored zero would make a zero row's scale 0.  G is sparse, so forming it
+    and its 1-norm costs O(nnz(G)); only the factor is dense, and it is
+    scattered from G's entries into the one m x m array that potrf and trtri
+    overwrite and W views.
 
     The factor is as accurate as the QR's, whose error the row balance keeps
     at about eps cond(D a), when eps cond(G) is within the round-off budget
@@ -338,7 +373,7 @@ def _balanced_gram_inverse(a_csr):
     da = sp.csr_matrix((a_csr.data / np.repeat(scale, counts), a_csr.indices, a_csr.indptr),
                        shape=a_csr.shape)
     gram = da @ da.conj().T
-    g = gram.toarray(order="F")
+    g = _dense_rows(gram, 0, m, order="F")
     potrf, pocon, trtri = get_lapack_funcs(("potrf", "pocon", "trtri"), (g,))
     u, info = potrf(g, overwrite_a=True)
     if info != 0:
@@ -361,12 +396,15 @@ def _balanced_gram_inverse(a_csr):
         return None
     u_inv /= scale[:, None]
     weights = np.sqrt(gram.diagonal().real * row_sq)
-    return u_inv.conj().T, math.sqrt(m) * float(np.linalg.norm(weights))
+    if np.iscomplexobj(u_inv):
+        np.conjugate(u_inv, out=u_inv)  # W = U^-* D in place: no second m x m array
+    return u_inv.T, math.sqrt(m) * float(np.linalg.norm(weights)), np.sqrt(row_sq) / scale
 
 
-def _entry_inverse(a, required, up_to_unitary=False, a_csr=None):
-    """The inverse of a square a of full rank, else None (RankDeficientError when
-    required): the one rank decision of a run.
+def _entry_inverse(a, required, up_to_unitary=False):
+    """(a_inv, norms): the inverse of a square a of full rank, else None
+    (RankDeficientError when required), the one rank decision of a run; and the
+    column norms of a_inv where the route that found it has them, else None.
 
     With up_to_unitary it returns W = R^-* from one QR a* = Q R instead, so
     that a^-1 = Q W: W has the column norms and column Gram blocks of a^-1,
@@ -377,17 +415,19 @@ def _entry_inverse(a, required, up_to_unitary=False, a_csr=None):
     an O(m^2) test that no left diagonal scaling of a changes and that reads
     the same from W, whose column norms are those of a^-1 (``_row_balanced_kF``).
 
-    With up_to_unitary and a_csr, the CSR of a sparse a, W = U^-* D comes
-    instead from the Cholesky factor U of the sparse row-balanced Gram matrix
-    when that is well conditioned (``_balanced_gram_inverse``); otherwise the
-    QR path runs as without a_csr and alone makes the rank decision.
+    a is dense or a canonical CSR.  With up_to_unitary, a CSR a gives
+    W = U^-* D and its column norms from the Cholesky factor U of the sparse
+    row-balanced Gram matrix when that is well conditioned
+    (``_balanced_gram_inverse``); otherwise a is densified here, once, and
+    the QR path runs as for dense storage and alone makes the rank decision.
     """
     from scipy.linalg import get_lapack_funcs  # here, so importing geoprec leaves it unloaded
 
-    found = _balanced_gram_inverse(a_csr) if up_to_unitary and a_csr is not None else None
+    found = _balanced_gram_inverse(a) if up_to_unitary and sp.issparse(a) else None
     if found is not None:
-        a_inv, kF = found
+        a_inv, kF, norms = found
     else:
+        a, norms = as_dense(a), None
         try:
             if up_to_unitary:
                 r = np.linalg.qr(a.conj().T, mode="r")
@@ -404,7 +444,7 @@ def _entry_inverse(a, required, up_to_unitary=False, a_csr=None):
             f"the estimator path assumes a full-rank input: the row-balanced input has "
             f"kF {kF:.3g}, not below 1 / (max(m, n) eps) = {cutoff:.3g}"
         )
-    return a_inv if kF < cutoff else None
+    return (a_inv, norms) if kF < cutoff else (None, None)
 
 
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:
@@ -418,10 +458,12 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     ComplexMatrix or a scipy.sparse matrix) whose row-balanced Gram matrix is
     well conditioned, of W = U^-* D from that matrix's Cholesky factor; a
     two-sided run takes B^-1 from the dual action on A^-1.  A sparse A in a
-    square left-only run or an estimator run is turned into one CSR, before
-    the entry, which the entry factor and the estimator share.  Any other A
-    is solved with a thin SVD of B at every state.  A full-rank run reports
-    kappa = sigma_max(B) sigma_max(B^-1) with no rank cutoff; an SVD run drops
+    square left-only run is held as one canonical CSR, read through its
+    entries: it is densified only where the Cholesky route refuses, for the
+    QR, or A turns out rank-deficient, and for B at an exact run's first and
+    last states.  Any other A is solved densely, with a thin SVD of B at
+    every state.  A full-rank run reports kappa = sigma_max(B) / sigma_min(B)
+    from one SVD of B without vectors and no rank cutoff; an SVD run drops
     singular values at or below max(m, n) eps sigma_max.
 
     With an EstimatorConfig, the step direction comes from the matrix-free
@@ -435,8 +477,9 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     in closed form, and the run takes one step there, certified from the
     exact gradient of the state it lands on, or else ending converged.
     """
-    (a,) = _finite(A)
     sch = config.scheme
+    left = sch.side == "left"
+    (a,) = _finite(A, keep_sparse=left)
     if a.shape[0] != sch.m or (sch.side == "both" and a.shape[1] != sch.n):
         raise DimensionMismatchError(
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
@@ -444,23 +487,22 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     if estimator is not None and max(sch.left_sizes + (sch.right_sizes or ())) > \
             estimator.num_probes:  # the block sketch could not fit it
         raise DimensionMismatchError("block size exceeds the probe count")
-    square, left = a.shape[0] == a.shape[1], sch.side == "left"
-    # The CSR is built only where the entry route or the estimator reads it.
-    a_sparse = _input_csr(A, a) if (square and left) or estimator is not None else None
-    a_inv = _entry_inverse(a, required=estimator is not None, up_to_unitary=left,
-                           a_csr=a_sparse) if square else None
-    factors = None if a_inv is None else gram_factors(a, a_inv, sch)
+    square = a.shape[0] == a.shape[1]
+    a_inv, norms = _entry_inverse(a, required=estimator is not None,
+                                  up_to_unitary=left) if square else (None, None)
+    if a_inv is None:
+        a = as_dense(a)  # every state of an SVD run reads B
+    factors = None if a_inv is None else gram_factors(a, a_inv, sch, norms)
     step_dir = optimum = None
     if estimator is not None and factors is not None:
         optimum = left_optimum(factors, sch, a.dtype)[0]  # the exact W makes probes pointless
     elif estimator is not None:
         from .stochastic import estimate_gradient
 
-        if a_sparse is None:
-            a_sparse = sp.csr_matrix(a)
+        a_csr = sp.csr_matrix(a)
 
         def step_dir(g):
-            return estimate_gradient(a_sparse, g, estimator)
+            return estimate_gradient(a_csr, g, estimator)
 
     def state_fn(g):
         state = evaluate(a, g, a_inv=a_inv, factors=factors)
@@ -497,26 +539,29 @@ def predicted_iteration_bound(A, config: OptimizerConfig,
     kF* itself, in closed form (``objective.left_optimum``), for a left-only
     scheme on a square A of full rank; on any other input it is required.
     Returns 0 when the input is already optimal (gap0 <= 0) or the remaining
-    gap is below eps under the strongly convex bound.  An A with NaN or
+    gap is below eps under the strongly convex bound.  A square A in sparse
+    storage is read as in minimize_condition, from one canonical CSR that
+    the Cholesky route never densifies.  An A with NaN or
     infinite entries raises NonFiniteInputError, a kF_star_estimate that is
     not finite and positive, or None where kF* has no closed form, ValueError.
     """
     if kF_star_estimate is not None and not (math.isfinite(kF_star_estimate)
                                              and kF_star_estimate > 0):
         raise ValueError(f"kF_star_estimate must be finite and positive, got {kF_star_estimate}")
-    (a,) = _finite(A)
+    (a,) = _finite(A, keep_sparse=True)
     sch = config.scheme
     square = a.shape[0] == a.shape[1]
     # ||A^-1||_F, the rank decision and the left factors read W for any scheme.
-    a_inv = _entry_inverse(a, required=False, up_to_unitary=True,
-                           a_csr=_input_csr(A, a)) if square else None
+    a_inv, norms = _entry_inverse(a, required=False, up_to_unitary=True) if square else \
+        (None, None)
     if kF_star_estimate is None:
         if a_inv is None or sch.side != "left":
             raise ValueError("kF_star_estimate is required unless the scheme is left-only "
                              "and A square of full rank")
-        kF_star_estimate = left_optimum(gram_factors(a, a_inv, sch), sch, a.dtype)[1]
+        kF_star_estimate = left_optimum(gram_factors(a, a_inv, sch, norms), sch, a.dtype)[1]
     if a_inv is not None:
-        full_rank, kF0 = True, float(np.linalg.norm(a) * np.linalg.norm(a_inv))
+        entries = a.data if sp.issparse(a) else a
+        full_rank, kF0 = True, float(np.linalg.norm(entries) * np.linalg.norm(a_inv))
     else:
         s = singular_values(a)
         full_rank = not square and s[-1] > rank_tolerance(s, a.shape)

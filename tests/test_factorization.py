@@ -171,10 +171,11 @@ def actions(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exact", "estimator", "cross"])
 def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
-    """A left-only full-rank run reads every state from its Gram factors: B and
-    B^-1 are formed once each for the first and the last kappa, and never by an
-    estimator run, which reports no kappa and takes one closed-form step to a
-    certificate.  A left cross run forms B alone."""
+    """A left-only full-rank run reads every state from its Gram factors: B is
+    formed once each for the first and the last kappa, which its singular
+    values alone give, B^-1 never, and neither by an estimator run, which
+    reports no kappa and takes one closed-form step to a certificate.  A left
+    cross run forms B alone."""
     sch = GroupScheme.blocked(30, 4)
     A = _sparse_square(1).toarray()
     cfg = OptimizerConfig(scheme=sch, max_iters=5)
@@ -185,7 +186,7 @@ def test_left_run_acts_on_a_matrix_only_for_its_end_point_kappas(kind, actions):
         rep = minimize_condition(A, cfg, estimator=est)
     assert (rep.iteration_count, rep.termination.value) == \
         ((1, "certified") if kind == "estimator" else (5, "max_iters"))
-    assert actions == {"exact": {"apply": 2, "apply_dual": 2},
+    assert actions == {"exact": {"apply": 2, "apply_dual": 0},
                        "estimator": {"apply": 0, "apply_dual": 0},
                        "cross": {"apply": 2, "apply_dual": 0}}[kind]
 
@@ -537,7 +538,7 @@ def test_graded_diagonal_certifies_at_its_optimum(diag, side):
     rep = minimize_condition(np.diag(diag), OptimizerConfig(scheme=sch))
     assert rep.termination.value == "certified"
     assert 2.0 <= rep.final_kF <= 2.0 * math.exp(0.01)
-    # A full-rank run takes kappa = sigma_max(B) sigma_max(B^-1), with no rank
+    # A full-rank run takes kappa = sigma_max(B) / sigma_min(B), with no rank
     # cutoff; at the identity both kappa and kF are the ratio of the entries.
     assert _rel(rep.initial_kappa, diag[0] / diag[1]) <= 1e-12
     assert _rel(rep.initial_kF, diag[0] / diag[1]) <= 1e-12

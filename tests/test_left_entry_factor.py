@@ -18,6 +18,8 @@ reports eps <= 1e-12 rcond(G), and ||G^-1||_1, read from U^-1, keeps
 eps cond_1(G) within 1e-12 as well.  Otherwise, for a zero,
 repeated or nearly repeated row, it takes the QR route unchanged, and the QR
 route alone makes the rank decision.  Dense storage always takes the QR route.
+A sparse A is held as one canonical CSR, whatever its layout, and the
+Cholesky route never densifies it; the QR route densifies it once.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ import geoprec.optimize
 import geoprec.stochastic
 from conftest import complex_gaussian, random_direction, random_element, rng_for
 from geoprec.errors import RankDeficientError
-from geoprec.group import GroupScheme
+from geoprec.group import GroupScheme, _adjoint
 from geoprec.matrix import ComplexMatrix
 from geoprec.objective import evaluate, gram_factors, hessian_quadratic_form
 from geoprec.optimize import OptimizerConfig, minimize_condition, predicted_iteration_bound
@@ -89,7 +91,7 @@ def _assert_states_of_the_inverse(A, a_inv, W, sch, g, H):
 @given(_left_inputs())
 def test_entry_factor_gives_the_states_of_the_inverse(inp):
     A, sch, g, H = inp
-    W = geoprec.optimize._entry_inverse(A, required=False, up_to_unitary=True)
+    W = geoprec.optimize._entry_inverse(A, required=False, up_to_unitary=True)[0]
     a_inv = np.linalg.inv(A)
     gram = a_inv.conj().T @ a_inv
     assert np.linalg.norm(W.conj().T @ W - gram) <= 1e-12 * np.linalg.norm(gram)
@@ -101,7 +103,7 @@ def inverting(monkeypatch):
     """Make minimize_condition read its left-only states from inv(A) instead of W."""
     real = geoprec.optimize._entry_inverse
 
-    def inverse(a, required, up_to_unitary=False, a_csr=None):
+    def inverse(a, required, up_to_unitary=False):
         return real(a, required)
 
     def run(*args, **kwargs):
@@ -184,10 +186,10 @@ def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch
 def test_an_exact_two_sided_or_non_square_sparse_run_builds_no_csr(storage, monkeypatch):
     """Only the left entry route and the estimator read the CSR of a sparse
     input, so an exact run that reaches neither builds none."""
-    def refuse(A, a):
+    def refuse(A):
         raise AssertionError("a CSR was built")
 
-    monkeypatch.setattr(geoprec.optimize, "_input_csr", refuse)
+    monkeypatch.setattr(geoprec.optimize, "_canonical_csr", refuse)
     a = _sparse_input(30, "real").to_dense()
     for b, sch in ((a, GroupScheme.diagonal(30, 30, side="both")),
                    (a[:, :20], GroupScheme.diagonal(30, side="left"))):
@@ -222,7 +224,7 @@ def test_rank_score_by_chunks_matches_the_whole_formula(m, field):
 
 def test_rank_score_of_a_graded_diagonal_is_two():
     A = np.diag([1e300, 1e-300])
-    W = geoprec.optimize._entry_inverse(A, required=True, up_to_unitary=True)
+    W = geoprec.optimize._entry_inverse(A, required=True, up_to_unitary=True)[0]
     assert _rel(geoprec.optimize._row_balanced_kF(A, W), 2.0) <= 1e-15
 
 
@@ -277,9 +279,9 @@ def test_sparse_entry_factor_gives_the_states_of_the_inverse(inp):
     """On either route: the Cholesky route for a well-conditioned A, the QR
     route for an ill-conditioned one."""
     A, a, sch, g, H, ill = inp
-    a_csr = geoprec.optimize._input_csr(A, a)
+    a_csr = geoprec.optimize._canonical_csr(A)
     assert (geoprec.optimize._balanced_gram_inverse(a_csr) is None) == ill
-    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True, a_csr=a_csr)
+    W = geoprec.optimize._entry_inverse(a_csr, required=False, up_to_unitary=True)[0]
     _assert_states_of_the_inverse(a, np.linalg.inv(a), W, sch, g, H)
 
 
@@ -344,8 +346,7 @@ def test_ill_conditioned_sparse_left_run_takes_the_qr_route(name, lapack_calls, 
     assert len(linalg_calls["qr"]) == 1 and np.array_equal(linalg_calls["qr"][0], a.T)
     ref = minimize_condition(a, cfg)
     assert rep.iterations == ref.iterations and rep.termination is ref.termination
-    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True,
-                                        a_csr=sp.csr_matrix(a))
+    W = geoprec.optimize._entry_inverse(sp.csr_matrix(a), required=False, up_to_unitary=True)[0]
     tol = 1e-6 if name == "readme-block" else 1e-12
     rng = rng_for(727, m)
     for g in (sch.identity(float), _real_element(rng, sch)):
@@ -382,8 +383,7 @@ def test_the_1_norm_of_the_inverse_gram_decides_where_the_upper_bound_refuses(
     ref = minimize_condition(a, cfg)
     assert (rep.iteration_count, rep.termination) == (ref.iteration_count, ref.termination)
     assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
-    W = geoprec.optimize._entry_inverse(a, required=False, up_to_unitary=True,
-                                        a_csr=sp.csr_matrix(a))
+    W = geoprec.optimize._entry_inverse(sp.csr_matrix(a), required=False, up_to_unitary=True)[0]
     rng = rng_for(729, m)
     _assert_states_of_the_inverse(a, np.linalg.inv(a), W, sch, _real_element(rng, sch),
                                   random_direction(rng, sch, norm=1.0))
@@ -438,3 +438,170 @@ def test_predicted_iteration_bound_reads_a_sparse_input_from_its_cholesky_factor
     got = predicted_iteration_bound(_sparse_storage(a, storage), cfg, kF0 / 3.0)
     assert [c for c in lapack_calls if c[0] == "potrf"] == [("potrf", 0)]
     assert got == predicted_iteration_bound(a, cfg, kF0 / 3.0) > 0
+
+
+def _stored(a, storage, rng, zero_row=None):
+    """a in sparse storage, each entry split into the exact parts v/2, v/4, v/4
+    stored in random order, with an explicit zero in every row and, for
+    zero_row, only explicit zeros in that row: a sparse ComplexMatrix, or a
+    scipy CSR or COO whose indices are unsorted and repeated."""
+    r, c = np.nonzero(a)
+    v = a[r, c]
+    parts = (np.concatenate([r, r, r]), np.concatenate([c, c, c]),
+             np.concatenate([0.5 * v, 0.25 * v, 0.25 * v]))
+    m = a.shape[0]
+    zeros = (np.arange(m), rng.integers(0, m, m), np.zeros(m, dtype=a.dtype))
+    if zero_row is not None:
+        zeros = [np.append(z, e) for z, e in zip(zeros, (zero_row, (zero_row + 1) % m, 0.0))]
+    rows, cols, vals = (np.concatenate(p) for p in zip(parts, zeros))
+    order = rng.permutation(len(vals))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if storage == "ComplexMatrix":
+        return ComplexMatrix.coordinate(m, m, rows, cols, vals)
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=a.shape)
+    if storage == "coo":
+        return coo
+    by_row = np.argsort(rows, kind="stable")  # CSR rows in order, columns as they come
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    csr = sp.csr_matrix((vals[by_row], cols[by_row], indptr), shape=a.shape)
+    assert not csr.has_canonical_format
+    return csr
+
+
+@st.composite
+def _stored_left_inputs(draw):
+    """(A, a, scheme, zero_row): a square a, the identity plus up to 5 random
+    entries per row graded up to exp(+-14), in the storage of ``_stored``, real,
+    complex, or complex with every imaginary part zero, under a left torus, a
+    4-block scheme or one with a ragged last block.  With zero_row, that row
+    of a is zero and A stores it as explicit zeros."""
+    kind = draw(st.sampled_from(["torus", "4-blocks", "ragged"]))
+    m = 4 * draw(st.integers(1, 16)) + (draw(st.integers(1, 3)) if kind == "ragged" else 0)
+    sch = GroupScheme.diagonal(m, side="left") if kind == "torus" else \
+        GroupScheme.blocked(m, 4, side="left")
+    field = draw(st.sampled_from(["real", "complex", "complex-zero-imaginary"]))
+    rng = rng_for(733, draw(st.integers(0, 2**16)))
+    a = np.exp(draw(st.floats(0.0, 14.0)) * rng.uniform(-1.0, 1.0, m))[:, None] * \
+        _sparse_identity_plus(rng, m, draw(st.integers(1, 5)), field == "complex")
+    zero_row = draw(st.one_of(st.none(), st.integers(0, m - 1))) if m > 1 else None
+    if zero_row is not None:
+        a[zero_row] = 0.0
+    stored = a.astype(complex) if field == "complex-zero-imaginary" else a
+    storage = draw(st.sampled_from(["ComplexMatrix", "csr", "coo"]))
+    return _stored(stored, storage, rng, zero_row), a, sch, zero_row
+
+
+def _close(x, y):
+    return np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
+@_PROPERTY
+@given(_stored_left_inputs())
+def test_sparse_route_matches_the_dense_qr_route(inp):
+    """A left run on sparse storage, whatever its layout, reads A from one
+    canonical CSR and never densifies it; it matches the run on the dense copy,
+    which takes the QR route, to 1e-12: the Gram blocks L_b L_b* and S_b* S_b,
+    each iteration's kF, the termination and the final element, in float64
+    where no entry has a nonzero imaginary part.  A row stored as explicit
+    zeros is a zero row: the Cholesky route refuses it, and the run takes the
+    SVD path as the dense copy does."""
+    A, a, sch, zero_row = inp
+    (csr,) = geoprec.optimize._finite(A, keep_sparse=True)
+    assert sp.issparse(csr) and csr.has_canonical_format and csr.dtype == a.dtype
+    assert np.all(csr.data != 0) and np.array_equal(csr.toarray(), a)
+    found = geoprec.optimize._balanced_gram_inverse(csr)
+    assert (found is None) == (zero_row is not None)
+    cfg = OptimizerConfig(scheme=sch, max_iters=3)
+    rep, ref = minimize_condition(A, cfg), minimize_condition(a, cfg)
+    assert (rep.iteration_count, rep.termination) == (ref.iteration_count, ref.termination)
+    assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
+    assert rep.final_element.X.dtype == a.dtype
+    assert _close(rep.final_element.X, ref.final_element.X)
+    if zero_row is not None:
+        return
+    W, norms = geoprec.optimize._entry_inverse(csr, required=True, up_to_unitary=True)
+    W_qr, _ = geoprec.optimize._entry_inverse(a, required=True, up_to_unitary=True)
+    (L, S), (L_qr, S_qr) = gram_factors(csr, W, sch, norms), gram_factors(a, W_qr, sch)
+    if sp.issparse(A):  # not a canonical CSR: the factors read its dense copy
+        dense = gram_factors(A.toarray(), W_qr, sch)[0]
+        assert all(np.array_equal(x, y) for x, y in zip(gram_factors(A, W_qr, sch)[0], dense))
+    for x, y in zip(L, L_qr):
+        assert x.dtype == y.dtype and _close(x @ _adjoint(x), y @ _adjoint(y))
+    for x, y in zip(S, S_qr):
+        assert x.dtype == y.dtype and _close(_adjoint(x) @ x, _adjoint(y) @ y)
+    est = EstimatorConfig(num_probes=4, seed=1)
+    rep, ref = minimize_condition(A, cfg, estimator=est), minimize_condition(a, cfg, estimator=est)
+    assert (rep.iteration_count, rep.termination) == (ref.iteration_count, ref.termination)
+    assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
+    assert _close(rep.final_element.X, ref.final_element.X)
+
+
+def _scale_input(m, storage):
+    """6 entries per row, a diagonal 2 + U and 5 more U, rows scaled by
+    exp(N(0, 1)): a sparse ComplexMatrix or scipy CSR that the Cholesky route
+    takes."""
+    rng = rng_for(734, m)
+    offsets = np.arange(5) * (m // 5) + rng.integers(1, m // 5, (m, 5))  # 5 distinct, none 0
+    cols = np.hstack([np.arange(m)[:, None], (np.arange(m)[:, None] + offsets) % m]).ravel()
+    vals = np.hstack([2.0 + rng.uniform(size=(m, 1)), rng.uniform(size=(m, 5))])
+    vals = (vals * np.exp(rng.standard_normal(m))[:, None]).ravel()
+    rows = np.repeat(np.arange(m), 6)
+    if storage == "scipy":
+        return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    return ComplexMatrix.coordinate(m, m, rows, cols, vals)
+
+
+def _patch_densifying(monkeypatch, on_call):
+    """Route every ComplexMatrix.to_dense and scipy toarray call through
+    on_call(matrix) before it runs."""
+    for cls, name in ((ComplexMatrix, "to_dense"), (sp.csr_matrix, "toarray"),
+                      (sp.coo_matrix, "toarray"), (sp.csc_matrix, "toarray")):
+        def spy(self, *args, _real=getattr(cls, name), **kwargs):
+            on_call(self)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, spy)
+
+
+@pytest.mark.parametrize("storage", ["ComplexMatrix", "scipy"])
+@pytest.mark.parametrize("size", [1, 4], ids=["torus", "4-blocks"])
+def test_accepted_sparse_left_estimator_run_never_densifies_its_input(size, storage,
+                                                                      monkeypatch):
+    """With the Cholesky route, the entry reads A's CSR alone: no dense copy of
+    A is made, so the run's tracemalloc peak at m = 1000 stays within 1.25
+    times the 8 m^2 bytes of W, the one m x m array it holds."""
+    import tracemalloc
+
+    m = 1000
+    A = _scale_input(m, storage)
+    sch = GroupScheme.diagonal(m, side="left") if size == 1 else \
+        GroupScheme.blocked(m, size, side="left")
+
+    def refuse(matrix):
+        raise AssertionError(f"a {matrix.shape} matrix was densified")
+
+    _patch_densifying(monkeypatch, refuse)
+    cfg, est = OptimizerConfig(scheme=sch, max_iters=3), EstimatorConfig(num_probes=8, seed=1)
+    tracemalloc.start()
+    try:
+        rep = minimize_condition(A, cfg, estimator=est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.iteration_count, rep.termination.value) == (1, "certified")
+    assert peak <= 1.25 * 8 * m**2, peak / 1e6
+
+
+@pytest.mark.parametrize("name", ["readme-block", "near-repeated-row"])
+def test_refused_sparse_left_estimator_run_densifies_its_input_once(name, monkeypatch,
+                                                                     linalg_calls):
+    """Where the Cholesky route refuses, the entry densifies A once for its one
+    QR of A*, and the run reads nothing dense of A after it."""
+    a = _readme_block() if name == "readme-block" else _near_repeated_row()
+    seen = []
+    _patch_densifying(monkeypatch, lambda matrix: seen.append(matrix.shape))
+    cfg = OptimizerConfig(scheme=GroupScheme.diagonal(a.shape[0], side="left"), max_iters=3)
+    rep = minimize_condition(_sparse_storage(a, "ComplexMatrix"), cfg,
+                             estimator=EstimatorConfig(num_probes=4, seed=1))
+    assert seen == [a.shape]
+    assert len(linalg_calls["qr"]) == 1 and np.array_equal(linalg_calls["qr"][0], a.T)
+    assert rep.iteration_count == 1

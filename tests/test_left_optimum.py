@@ -63,8 +63,9 @@ def _left_problems(draw, max_m=60):
 
 
 def _entry(A, a):
-    return geoprec.optimize._entry_inverse(a, required=True, up_to_unitary=True,
-                                           a_csr=geoprec.optimize._input_csr(A, a))
+    """The W of a run's entry: from the CSR of a sparse A, as the run takes it."""
+    (entry,) = geoprec.optimize._finite(A, keep_sparse=True)
+    return geoprec.optimize._entry_inverse(entry, required=True, up_to_unitary=True)[0]
 
 
 @_PROPERTY
