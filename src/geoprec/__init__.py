@@ -28,8 +28,6 @@ from .errors import (
 )
 from .matrix import (
     ComplexMatrix,
-    SvdFactorization,
-    condition_cross,
     condition_euclidean,
     condition_frobenius,
     condition_skeel,
@@ -38,7 +36,6 @@ from .matrix import (
     pseudoinverse,
     row_balance,
     sinkhorn_equilibrate,
-    svd_factorization,
 )
 from .group import (
     GroupElement,

@@ -96,37 +96,34 @@ _POSITIVE_COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
 _POSITIVE = _bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 
 
-def _scheme_from_args(args, m, n):
-    k = 1 if args.scheme == "diag" else args.block_size
-    if k is None:
-        raise argparse.ArgumentTypeError("--block-size is required for the block scheme")
-    return GroupScheme.blocked(m, k, n, side=args.side)
-
-
 def _emit_block_diagonal(path, stacks, runs, size):
     """Write the nonzero entries of one side's block stacks as sparse triplets."""
     write_matrix(path, ComplexMatrix.coordinate(size, size, *block_triplets(stacks, runs)))
 
 
 def _cmd_precondition(args):
+    # the arguments are checked before the input is read and the descent run
+    k = 1 if args.scheme == "diag" else args.block_size
+    if k is None:
+        raise argparse.ArgumentTypeError("--block-size is required for the block scheme")
+    paths = args.emit_preconditioner.split(",") if args.emit_preconditioner else None
+    if paths and args.side == "both" and len(paths) < 2:
+        raise argparse.ArgumentTypeError(
+            "--emit-preconditioner needs X.mtx,Y.mtx for two-sided schemes"
+        )
     a = read_matrix(args.input)
     m, n = a.shape
-    scheme = _scheme_from_args(args, m, n)
+    scheme = GroupScheme.blocked(m, k, n, side=args.side)
     config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
     estimator = None
     if args.stochastic:
         estimator = EstimatorConfig(num_probes=args.probes, cg_tol=args.cg_tol, seed=args.seed)
     report = minimize_condition(a, config, estimator=estimator)
     _write_report(args.out, report)
-    if args.emit_preconditioner:
-        paths = args.emit_preconditioner.split(",")
+    if paths:
         g = report.final_element
         _emit_block_diagonal(paths[0], g.left, scheme.left_runs, m)
         if scheme.side == "both":
-            if len(paths) < 2:
-                raise argparse.ArgumentTypeError(
-                    "--emit-preconditioner needs X.mtx,Y.mtx for two-sided schemes"
-                )
             _emit_block_diagonal(paths[1], g.right, scheme.right_runs, n)
     print(f"{report.termination.value} kF {_num(report.initial_kF)} -> {_num(report.final_kF)}")
     return 0
@@ -180,6 +177,13 @@ def _cmd_baseline(args):
     return 0
 
 
+_BENCH_COLUMNS = (
+    "instance", "n", "kF_before", "kF_after_diag", "kF_after_block",
+    "kappa_before", "kappa_after_diag", "kappa_after_block",
+    "improvement_diag", "improvement_block", "iterations_diag", "iterations_block",
+)
+
+
 def _cmd_bench(args):
     if args.suite == "gaussian":
         if args.n < 2 * args.block_size:
@@ -196,19 +200,10 @@ def _cmd_bench(args):
             return INPUT_ERROR
         mats = [(name, read_matrix(os.path.join(args.dir, name)).to_dense()) for name in names]
         results = run_matrix_suite(mats, block_size=args.block_size)
-    header = (
-        "instance,n,kF_before,kF_after_diag,kF_after_block,"
-        "kappa_before,kappa_after_diag,kappa_after_block,"
-        "improvement_diag,improvement_block,iterations_diag,iterations_block"
-    )
-    lines = [header]
+    lines = [",".join(_BENCH_COLUMNS)]
     for r in results:
-        lines.append(
-            f"{r.instance},{r.n},{_num(r.kF_before)},{_num(r.kF_after_diag)},"
-            f"{_num(r.kF_after_block)},{_num(r.kappa_before)},{_num(r.kappa_after_diag)},"
-            f"{_num(r.kappa_after_block)},{_num(r.improvement_diag)},"
-            f"{_num(r.improvement_block)},{r.iterations_diag},{r.iterations_block}"
-        )
+        cells = (getattr(r, c) for c in _BENCH_COLUMNS)
+        lines.append(",".join(_num(v) if isinstance(v, float) else str(v) for v in cells))
     mean_d = float(np.mean([r.improvement_diag for r in results]))
     mean_b = float(np.mean([r.improvement_block for r in results]))
     lines.append(f"# mean_improvement_diag={_num(mean_d)}")

@@ -429,20 +429,21 @@ def _polar(X, run):
     """Hermitian PD factor P of X = U P per block, (X* X)^(1/2); |x| for 1x1 blocks.
 
     The eigendecomposition of X* X squares the condition number of a block,
-    so it resolves blocks up to a condition number of about (size eps)^-1/2
-    only.  A run in which it flags a block is redone from the SVD of X, and
-    raises SingularBlockError only for a block with sigma_min <= size eps
-    sigma_max.
+    so it gives P only within the budget eps cond(X* X) <= 1e-12 that the
+    Cholesky entry of ``optimize`` keeps, checked on every block of the run.
+    A run outside it takes P from the SVD of X, accurate to eps cond(X)
+    (Higham, SIAM J. Sci. Stat. Comput. 1986), and raises SingularBlockError
+    for a block with sigma_min <= size eps sigma_max.
     """
     if run.size == 1:
         _check_blocks(run, X == 0)
         return np.abs(X).astype(X.dtype, copy=False)
-    tol = np.finfo(float).eps * run.size
+    eps = np.finfo(float).eps
     w, v = np.linalg.eigh(_adjoint(X) @ X)
-    if not np.any((w[:, 0] <= 0) | (w[:, 0] < w[:, -1] * tol)):
+    if np.all((w[:, 0] > 0) & (eps * w[:, -1] <= 1e-12 * w[:, 0])):
         return (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
     _, s, vh = np.linalg.svd(X)
-    _check_blocks(run, s[:, -1] <= s[:, 0] * tol)
+    _check_blocks(run, s[:, -1] <= s[:, 0] * eps * run.size)
     return (_adjoint(vh) * s[:, None, :]) @ vh
 
 
@@ -461,7 +462,9 @@ def repolarize(g: GroupElement) -> GroupElement:
     element gives the same representative.  A step-halving descent then
     rejects a singular candidate when its state raises instead.  A step
     direction fixed in coordinates (probe estimators) is not equivariant.
-    A block too close to singular raises SingularBlockError.
+    P is accurate to about eps cond(X) per block, from X* X only where that
+    squares no more than ``_polar``'s budget allows, else from the SVD of X;
+    a block too close to singular raises SingularBlockError.
     """
     sch = g.scheme
     left = [_polar(x, r) for x, r in zip(g.left, sch.left_runs)]

@@ -27,10 +27,8 @@ from .errors import (
 
 __all__ = [
     "ComplexMatrix",
-    "SvdFactorization",
     "frobenius_norm",
     "pseudoinverse",
-    "svd_factorization",
     "singular_values",
     "rank_tolerance",
     "kappa_from_singular_values",
@@ -38,7 +36,6 @@ __all__ = [
     "condition_frobenius",
     "condition_euclidean",
     "condition_skeel",
-    "condition_cross",
     "jacobi_precondition",
     "row_balance",
     "sinkhorn_equilibrate",
@@ -195,23 +192,6 @@ def _require_nonzero(a):
         raise ZeroMatrixError("matrix is identically zero")
 
 
-class SvdFactorization(NamedTuple):
-    """Thin SVD with an explicit rank cutoff.
-
-    Singular values are nonincreasing; values at or below ``rank_tolerance``
-    count as zero for rank and pseudoinverse purposes.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-    rank_tolerance: float
-
-    @property
-    def rank(self):
-        return int(np.count_nonzero(self.singular_values > self.rank_tolerance))
-
-
 def rank_tolerance(s, shape) -> float:
     """The cutoff max(m, n) * eps * sigma_max at or below which a singular value
     of a matrix of the given shape counts as zero.  ``s`` holds the singular
@@ -231,14 +211,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def svd_factorization(a) -> SvdFactorization:
-    """Thin SVD of ``a`` with the cutoff max(m, n) * eps * sigma_max."""
-    m = as_dense(a)
-    _require_nonzero(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdFactorization(u, s, vh.conj().T, rank_tolerance(s, m.shape))
-
-
 def frobenius_norm(a) -> float:
     """sqrt of the sum of squared entry magnitudes."""
     if isinstance(a, ComplexMatrix) and a.is_sparse:
@@ -249,10 +221,11 @@ def frobenius_norm(a) -> float:
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the singular values at or below
     max(m, n) * eps * sigma_max dropped."""
-    f = svd_factorization(a)
-    s = f.singular_values
-    inv = np.where(s > f.rank_tolerance, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (f.right_vectors * inv) @ f.left_vectors.conj().T
+    m = as_dense(a)
+    _require_nonzero(m)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    inv = np.where(s > rank_tolerance(s, m.shape), 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return (vh.conj().T * inv) @ u.conj().T
 
 
 def frobenius_from_singular_values(s, shape) -> float:
@@ -279,14 +252,6 @@ def condition_skeel(a) -> float:
     _require_nonzero(m)
     prod = np.abs(pseudoinverse(m)) @ np.abs(m)
     return float(np.max(np.sum(prod, axis=1)))
-
-
-def condition_cross(a, b) -> float:
-    """Cross condition number ||A||_F * ||B||_F of two independent matrices."""
-    na, nb = frobenius_norm(a), frobenius_norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroMatrixError("matrix is identically zero")
-    return na * nb
 
 
 def jacobi_precondition(a, mode: str = "left") -> np.ndarray:

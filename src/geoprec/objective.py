@@ -47,6 +47,7 @@ from .group import (
     LieDirection,
     WeightData,
     _adjoint,
+    _polar,
     apply,
     apply_dual,
     congruence,
@@ -226,9 +227,9 @@ def left_optimum(factors, scheme, dtype):
     1x1 blocks, whose factors are row norms, that is x_i = sqrt(S_i / L_i) and
     kF* = sum_i S_i L_i, with no SVD.  Returns (element, kF*), the element's stacks of the given
     dtype and Hermitian positive definite: each block is replaced by its polar
-    factor, as ``repolarize`` does, but read from the block's SVD, accurate to
-    eps cond(X_b) where the X_b* X_b of ``repolarize`` squares the condition
-    and would move kF off kF* by more than round-off on graded blocks.
+    factor by ``group._polar``, as ``repolarize`` does, accurate to about
+    eps cond(X_b), so the element's kF stays within round-off of kF* on
+    graded blocks too.
     """
     L, S = factors
     stacks, kF = [], 0.0
@@ -238,8 +239,7 @@ def left_optimum(factors, scheme, dtype):
             kF += float((s * l).sum())
             continue
         u, sigma, _ = np.linalg.svd(s @ l)
-        _, w, vh = np.linalg.svd((_adjoint(u) @ s) / np.sqrt(sigma)[:, :, None])
-        stacks.append((_adjoint(vh) * w[:, None, :]) @ vh)
+        stacks.append(_polar((_adjoint(u) @ s) / np.sqrt(sigma)[:, :, None], r))
         kF += float(sigma.sum())
     return GroupElement._from_blocks(scheme, stacks), kF
 

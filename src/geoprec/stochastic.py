@@ -62,7 +62,9 @@ class LinearOperator:
 
     Subclasses implement `_matvec` and `_rmatvec`, each for a vector or an
     (n, k) block of columns; a block counts as k products.  Adjoint consistency
-    <A v, w> = <v, A* w> is verified on a random probe pair at construction.
+    <A v, w> = <v, A* w> is verified on a random probe pair at construction,
+    unless a subclass whose adjoint holds by construction passes
+    check_adjoint=False.
     ``dtype`` is the field the operator works over, complex128 unless a
     subclass sets it; probes for it are drawn, and solves against it run, in
     that dtype.
@@ -120,7 +122,8 @@ class MatrixOperator(LinearOperator):
         self.mat_h = self.mat.conj().T
         if sp.issparse(a):
             self.mat_h = self.mat_h.tocsr()
-        super().__init__(self.mat.shape[0], self.mat.shape[1])
+        # mat_h is formed from mat, so the adjoint check could not fail
+        super().__init__(self.mat.shape[0], self.mat.shape[1], check_adjoint=False)
 
     def _matvec(self, v):
         return self.mat @ v
@@ -285,15 +288,9 @@ def hutchinson_diagonal_inverse(A: LinearOperator, config: EstimatorConfig,
     Z = np.stack([rademacher(substream(config.seed, i), A.m)
                   for i in range(config.num_probes)], axis=1).astype(A.dtype)
     samples = (np.conj(Z) * _GramSolve(A, config, precond).matvec(Z)).real
-    mean = np.zeros(A.m)
-    m2 = np.zeros(A.m)
-    for i, sample in enumerate(samples.T):
-        delta = sample - mean
-        mean += delta / (i + 1)
-        m2 += delta * (sample - mean)
-    # one probe leaves m2 = 0, hence a zero standard error
-    stderr = np.sqrt(m2 / max(config.num_probes - 1, 1) / config.num_probes)
-    return HutchinsonResult(mean, stderr)
+    k = config.num_probes  # one probe has a zero standard error
+    stderr = samples.std(axis=1, ddof=min(k - 1, 1)) / np.sqrt(k)
+    return HutchinsonResult(samples.mean(axis=1), stderr)
 
 
 def block_hutchinson(M: LinearOperator, block_rows, num_probes: int, seed: int) -> np.ndarray:

@@ -483,6 +483,23 @@ def test_cli_emit_preconditioner(tmp_path):
                 assert np.linalg.eigvalsh(block).min() > 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--side", "both", "--emit-preconditioner", "X.mtx"],
+    ["--scheme", "block", "--emit-preconditioner", "X.mtx"],
+], ids=["one-path-for-two-sides", "block-without-size"])
+def test_cli_precondition_checks_its_arguments_before_the_descent(tmp_path, flags, capsys):
+    """A two-sided run given one --emit-preconditioner path, or a block scheme
+    without --block-size, is a usage error (exit 1) found before the input is
+    read: no report and no preconditioner file is written."""
+    out, xfile = tmp_path / "rep.csv", tmp_path / "X.mtx"
+    flags = [str(xfile) if f == "X.mtx" else f for f in flags]
+    for path in (_example1_file(tmp_path), tmp_path / "missing.mtx"):
+        code = cli_dispatch(["precondition", "--input", str(path), "--out", str(out), *flags])
+        assert code == 1
+        assert not out.exists() and not xfile.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_polysys_shuffle(tmp_path):
     p = tmp_path / "sys.json"
     p.write_text(json.dumps(example2_doc()))

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import geoprec.optimize
 import geoprec.stochastic
 from conftest import random_element, rng_for
-from geoprec.group import GroupScheme, apply
+from geoprec.group import GroupScheme, apply, repolarize
 from geoprec.matrix import condition_frobenius
 from geoprec.objective import _row_norms, evaluate, gram_factors, left_optimum
 from geoprec.optimize import (
@@ -96,6 +96,37 @@ def test_certified_descent_ends_within_its_certificate_of_the_least_kF(problem):
     assert math.log(rep.final_kF / _oracle(a, sch)) <= rep.certificate + 1e-12
 
 
+def _graded_rows(seed, m, spread):
+    """diag(exp(U(-8, 8))) (I + spread N) from np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-8.0, 8.0, m))[:, None] * (np.eye(m) + spread * rng.standard_normal((m, m)))
+
+
+def test_polar_factor_keeps_the_least_kF_on_graded_blocks():
+    """repolarize of the closed-form element keeps its kF, read from the factors,
+    within 1e-13 of kF* on graded blocks of 5 and 2: the polar factor is
+    accurate to eps cond(X_b), where one read from X_b* X_b was off by up to
+    5.6e-7 on these inputs."""
+    sch = GroupScheme("left", 7, 7, (5, 2))
+    for seed in range(200):
+        a = _graded_rows(seed, 7, 0.5)
+        a_inv = np.linalg.inv(a)
+        factors = gram_factors(a, a_inv, sch)
+        g, kF_star = left_optimum(factors, sch, a.dtype)
+        assert _rel(evaluate(a, repolarize(g), a_inv, factors).kF, kF_star) <= 1e-13
+
+
+def test_exact_left_run_returns_the_element_it_reports():
+    """An exact left run on graded rows returns a final element whose kF is its
+    reported final kF to 1e-12, though the element is repolarized only at the end."""
+    sch = GroupScheme.blocked(20, 5)
+    for seed in range(20):
+        a = _graded_rows(seed, 20, 0.3)
+        rep = minimize_condition(a, OptimizerConfig(scheme=sch, max_iters=300))
+        kF = evaluate(a, rep.final_element, a_inv=np.linalg.inv(a)).kF
+        assert _rel(kF, rep.final_kF) <= 1e-12
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("storage", ["dense", "ComplexMatrix"])
 @pytest.mark.parametrize("m", [64, 65, 129, 200])
@@ -155,6 +186,17 @@ def test_left_estimator_run_short_of_its_target_converges_after_one_step():
     ends CONVERGED after its one step."""
     a, sch = _graded(size=3)
     rep = minimize_condition(a, OptimizerConfig(scheme=sch, target_eps=1e-300, max_iters=50),
+                             estimator=_EST)
+    assert (rep.iteration_count, rep.termination) == (1, Termination.CONVERGED)
+    assert _rel(rep.final_kF, _oracle(a, sch)) <= 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 3], ids=["torus", "3-blocks"])
+def test_left_estimator_run_capped_at_one_step_converges(size):
+    """With max_iters=1 the closed-form step is the last one allowed: the run
+    ends CONVERGED after it, not MAX_ITERS, at kF*."""
+    a, sch = _graded(size=size)
+    rep = minimize_condition(a, OptimizerConfig(scheme=sch, target_eps=1e-300, max_iters=1),
                              estimator=_EST)
     assert (rep.iteration_count, rep.termination) == (1, Termination.CONVERGED)
     assert _rel(rep.final_kF, _oracle(a, sch)) <= 1e-12

@@ -99,6 +99,14 @@ def test_hutchinson_identity_exact_zero_variance():
     assert np.allclose(out.stderr, 0.0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hutchinson_one_probe_has_a_zero_standard_error():
+    a = np.diag([1.0, 2.0, 3.0])
+    out = hutchinson_diagonal_inverse(MatrixOperator(a), EstimatorConfig(num_probes=1, seed=4))
+    assert np.allclose(out.diag_estimate, [1.0, 0.25, 1.0 / 9.0], rtol=1e-8)
+    assert np.array_equal(out.stderr, np.zeros(3))
+
+
 def test_hutchinson_diagonal_exact_per_probe():
     # Rademacher probes on a diagonal Gram matrix: z * M z = diag(M) identically
     a = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -416,8 +424,8 @@ def test_block_products_count_one_per_column():
 
 
 def test_hutchinson_block_solve_matches_probe_by_probe():
-    """The probe set is solved in one block call; the estimate is the running
-    mean of the probes' samples, as solved one at a time."""
+    """The probe set is solved in one block call; the estimate is the mean of
+    the probes' samples, as solved one at a time."""
     a = _sparse_full_row_rank(8)
     op = MatrixOperator(a)
     cfg = EstimatorConfig(num_probes=9, seed=5, cg_tol=1e-10)
