@@ -3,7 +3,7 @@
 Subcommands: precondition, polysys-precondition, condition, baseline, bench.
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Reports are CSV with the fixed header iter,value,grad_norm,duality_bound,kF,kappa
-and '#'-prefixed summary rows; identical argv and seed give byte-identical files.
+and '#'-prefixed summary rows; identical argv give byte-identical files.
 The kappa cell is filled on the first and last rows only, and left empty, as
 are the kappa summary values, on estimator runs, which compute no kappa.
 """
@@ -117,7 +117,7 @@ def _cmd_precondition(args):
     config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
     estimator = None
     if args.stochastic:
-        estimator = EstimatorConfig(num_probes=args.probes, cg_tol=args.cg_tol, seed=args.seed)
+        estimator = EstimatorConfig(num_probes=args.probes)
     report = minimize_condition(a, config, estimator=estimator)
     _write_report(args.out, report)
     if paths:
@@ -232,8 +232,6 @@ def build_parser():
     p.add_argument("--max-iters", type=_COUNT, default=10_000)
     p.add_argument("--stochastic", action="store_true")
     p.add_argument("--probes", type=_POSITIVE_COUNT, default=200)
-    p.add_argument("--cg-tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-preconditioner", default=None, metavar="X.mtx[,Y.mtx]")
     p.set_defaults(func=_cmd_precondition)

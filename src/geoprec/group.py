@@ -460,8 +460,7 @@ def repolarize(g: GroupElement) -> GroupElement:
     U P is U H U*, and exp(-s U H U*) U P = U exp(-s H) P, so steps taken
     without it pass through the same cosets, and one call on the last
     element gives the same representative.  A step-halving descent then
-    rejects a singular candidate when its state raises instead.  A step
-    direction fixed in coordinates (probe estimators) is not equivariant.
+    rejects a singular candidate when its state raises instead.
     P is accurate to about eps cond(X) per block, from X* X only where that
     squares no more than ``_polar``'s budget allows, else from the SVD of X;
     a block too close to singular raises SingularBlockError.

@@ -4,11 +4,10 @@ Every action runs ``_descend`` on a state function, which maps a group
 element to its value, gradient, gradient norm, kF and kappa.  The step sizes
 are fixed by the analysis, so no config sets them.  Three step policies:
 
-* constant step 1/L, the paper's default, with L = 4 for left-only and L = 8
-  for two-sided schemes: the matrix runs (``minimize_condition``, also with
-  the probe estimator on a two-sided scheme or a rectangular A) and the
-  polynomial shuffle (``minimize_cross_condition`` under
-  ``polysys.precondition_shuffle``);
+* constant step 1/L along the exact gradient, the paper's default, with
+  L = 4 for left-only and L = 8 for two-sided schemes: the matrix runs
+  (``minimize_condition``, with or without an estimator) and the polynomial
+  shuffle (``minimize_cross_condition`` under ``polysys.precondition_shuffle``);
 * one step to the closed-form optimum (``objective.left_optimum``), after
   which the run ends, certified or converged: a left-only estimator run on a
   square A of full rank, which holds the exact W of its entry and so the
@@ -18,13 +17,14 @@ are fixed by the analysis, so no config sets them.  Three step policies:
   the full (base 1/(D + 2)) and sparse (base 1/8) polynomial actions in
   ``polysys``.
 
-A step moves along the geodesic exp(-step H) g.  SVD-path runs and probe-stepping
-estimator runs replace every step by its polar factor (``repolarize``).  An exact
-full-rank ``minimize_condition`` run, every ``minimize_cross_condition`` run
-and every halving run read unitarily equivariant states (from the entry
-inverse, Gram factors, the pair, or unitarily invariant polynomial norms), so
-they step with ``exp_action`` alone and repolarize once, the element they
-return: ``polar_at_end`` for a constant step, always for halving.
+A step moves along the geodesic exp(-step H) g.  SVD-path runs replace every
+step by its polar factor (``repolarize``).  A full-rank ``minimize_condition``
+run, every ``minimize_cross_condition`` run and every halving run read
+unitarily equivariant states (from the entry inverse, Gram factors, the pair,
+or unitarily invariant polynomial norms), so they step with ``exp_action``
+alone and repolarize once, the element they return: ``polar_at_end`` for a
+constant step, always for halving.  The closed-form optimum is Hermitian
+positive definite already and is returned as it is.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
@@ -41,7 +41,7 @@ no kappa: every record carries NaN.
 
 The matrix runs decide their arithmetic once, at entry: a run whose inputs
 have no entry with a nonzero imaginary part is solved in real arithmetic
-(float64 element stacks, gradients and estimator directions, and a float64
+(float64 element stacks and gradients, and a float64
 ``final_element.X``/``.Y``), any other run in complex arithmetic.  The code
 path is the same for both.  A ``minimize_condition`` run on a square A also
 decides at entry, from the one inverse of A it takes, whether A has full rank
@@ -186,8 +186,7 @@ class _State(NamedTuple):
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
-             halving=False, step_dir=None, polar_at_end=False,
-             optimum=None) -> OptimizationReport:
+             halving=False, polar_at_end=False, optimum=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
@@ -195,20 +194,21 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     certificate.  The run ends CONVERGED once the gradient norm is at most
     gamma * config.target_eps for the weight margin gamma of weights, else
     1e-10.
+    Every step is along state.grad.
     Without halving every step is base_step; with halving a step is halved
     until the candidate's value does not increase, and the run also ends
     CONVERGED once no step of at least 1e-14 descends.  A halving candidate
     whose state raises SingularBlockError or LinAlgError (a singular block)
     counts as an increase.
-    step_dir(g), when given, replaces state.grad as the step direction.
     A constant step is repolarized unless polar_at_end.  A halving candidate,
     and a constant step with polar_at_end, moves by ``exp_action`` alone, and
     only the returned element, if a step was taken, is repolarized.  That
-    needs a unitarily equivariant state_fn and direction (see
-    ``group.repolarize``), which every halving caller has.
+    needs a unitarily equivariant state_fn (see ``group.repolarize``), which
+    every halving caller has.
     optimum, when given, is a minimizer in closed form with Hermitian positive
     definite blocks: the first step moves to it instead, and the run then
-    ends, CONVERGED unless the state it lands on certifies.
+    ends, CONVERGED unless the state it lands on certifies, and returns it
+    unrepolarized.
     """
     grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
@@ -236,18 +236,18 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             g = optimum
             state = state_fn(g)
             continue
-        direction = state.grad if step_dir is None else step_dir(g)
         if not halving:
+            grad = state.grad
             del state  # the old B and gradient must not outlive the next factorization
-            g = exp_action(g, direction, -base_step)
+            g = exp_action(g, grad, -base_step)
             if not polar_at_end:
                 g = repolarize(g)
-            del direction
+            del grad
             state = state_fn(g)
             continue
         step = base_step
         while True:
-            cand = exp_action(g, direction, -step)
+            cand = exp_action(g, state.grad, -step)
             try:
                 cand_state = state_fn(cand)
             except (SingularBlockError, np.linalg.LinAlgError):
@@ -262,7 +262,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             report.termination = Termination.CONVERGED
             break
         g, state = cand, cand_state
-    polar = polar_at_end or halving
+    polar = (polar_at_end or halving) and optimum is None
     report.final_element = repolarize(g) if polar and report.iteration_count else g
     report.iterations[-1] = report.iterations[-1]._replace(kappa=state.kappa)
     return report
@@ -466,16 +466,16 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     from one SVD of B without vectors and no rank cutoff; an SVD run drops
     singular values at or below max(m, n) eps sigma_max.
 
-    With an EstimatorConfig, the step direction comes from the matrix-free
-    probe estimator while values, gradient norms, and certificates are still
-    computed exactly, so the reported certificates stay sound.  Such a run
-    computes no singular values: it raises RankDeficientError for a square A
-    without full rank, and reports every kappa as NaN.  A scheme block wider
-    than the probe count raises DimensionMismatchError at entry.  A left-only
-    estimator run on a square A takes no probe step: its entry factor gives
-    the Gram factors from which ``objective.left_optimum`` reads the optimum
-    in closed form, and the run takes one step there, certified from the
-    exact gradient of the state it lands on, or else ending converged.
+    An EstimatorConfig asks for the matrix-free contract: such a run reports
+    every kappa as NaN, on a square A computes no singular values and raises
+    RankDeficientError unless A has full rank, and raises
+    DimensionMismatchError at entry for a scheme block wider than the probe
+    count.  It steps along the exact gradient its states hold, as the exact
+    run on the same A does, and so returns that run's records and element;
+    but a left-only estimator run on a square A takes one step, to the
+    optimum that ``objective.left_optimum`` reads in closed form from the
+    Gram factors of its entry, certified from the exact gradient of the state
+    it lands on, or else ending converged.
     """
     sch = config.scheme
     left = sch.side == "left"
@@ -493,16 +493,9 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     if a_inv is None:
         a = as_dense(a)  # every state of an SVD run reads B
     factors = None if a_inv is None else gram_factors(a, a_inv, sch, norms)
-    step_dir = optimum = None
+    optimum = None
     if estimator is not None and factors is not None:
-        optimum = left_optimum(factors, sch, a.dtype)[0]  # the exact W makes probes pointless
-    elif estimator is not None:
-        from .stochastic import estimate_gradient
-
-        a_csr = sp.csr_matrix(a)
-
-        def step_dir(g):
-            return estimate_gradient(a_csr, g, estimator)
+        optimum = left_optimum(factors, sch, a.dtype)[0]
 
     def state_fn(g):
         state = evaluate(a, g, a_inv=a_inv, factors=factors)
@@ -511,8 +504,8 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
 
     return _descend(state_fn, sch.identity(a.dtype), config, weight_data(sch),
-                    1.0 / config.smoothness(), step_dir=step_dir,
-                    polar_at_end=a_inv is not None and estimator is None, optimum=optimum)
+                    1.0 / config.smoothness(), polar_at_end=a_inv is not None,
+                    optimum=optimum)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:

@@ -373,8 +373,7 @@ def test_cli_deterministic_output(tmp_path):
         out = tmp_path / name
         code = cli_dispatch([
             "precondition", "--input", str(src), "--scheme", "block", "--block-size", "2",
-            "--side", "both", "--eps", "1e-2", "--max-iters", "300",
-            "--seed", "7", "--out", str(out),
+            "--side", "both", "--eps", "1e-2", "--max-iters", "300", "--out", str(out),
         ])
         assert code == 0
         outs.append(out.read_bytes())
@@ -390,7 +389,7 @@ def test_cli_stochastic_path(tmp_path):
     code = cli_dispatch([
         "precondition", "--input", str(src), "--scheme", "diag", "--side", "left",
         "--eps", "1e-2", "--max-iters", "60", "--stochastic", "--probes", "64",
-        "--seed", "3", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     assert out.read_text().startswith("iter,value")
@@ -412,6 +411,26 @@ def test_cli_stochastic_report_leaves_every_kappa_empty(tmp_path):
         rows = [line.split(",") for line in lines if line[0].isdigit()]
         assert len(rows) == count and all(len(r) == 6 and r[5] == "" for r in rows)
         assert "# initial_kappa= final_kappa=" in lines
+
+
+@pytest.mark.parametrize("shape, side", [((6, 9), "both"), ((9, 6), "left")],
+                         ids=["wide-both", "tall-left"])
+def test_cli_stochastic_rectangular_run_writes_the_exact_report(tmp_path, shape, side):
+    """A rectangular estimator run exits 0 with the exact run's report, but for
+    the kappa cells it leaves empty."""
+    rng = rng_for(107)
+    src = tmp_path / "a.mtx"
+    write_matrix(src, np.exp(rng.standard_normal((shape[0], 1))) * rng.standard_normal(shape))
+    reports = []
+    for extra in (["--stochastic", "--probes", "4"], []):
+        out = tmp_path / f"r{len(reports)}.csv"
+        assert cli_dispatch(["precondition", "--input", str(src), "--side", side,
+                             "--max-iters", "10", "--out", str(out), *extra]) == 0
+        reports.append([line.split(",") for line in out.read_text().splitlines()
+                        if line[0].isdigit()])
+    est, exact = reports
+    assert len(est) == len(exact) == 11
+    assert all(r[:5] == s[:5] and r[5] == "" for r, s in zip(est, exact))
 
 
 def test_cli_stochastic_rank_deficient_input_is_an_input_error(tmp_path):
@@ -541,11 +560,10 @@ def _run_cli(flags):
 @pytest.mark.parametrize("flags", [
     ["precondition", "--max-iters", "-1"],
     ["precondition", "--stochastic", "--probes", "0"],
-    ["precondition", "--stochastic", "--seed", "-1"],
     ["precondition", "--eps", "0"],
     ["polysys-precondition", "--action", "full", "--max-iters", "-1"],
     ["bench", "--n", "3"],  # below twice the default --block-size 5
-], ids=["max-iters", "probes", "seed", "eps", "polysys-max-iters", "bench-n"])
+], ids=["max-iters", "probes", "eps", "polysys-max-iters", "bench-n"])
 def test_cli_bad_numeric_flag_is_a_usage_error(tmp_path, flags):
     """A bad numeric flag is a usage error (exit 1) whose last line names it, never
     a traceback."""

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geoprec.optimize
-import geoprec.stochastic
 from conftest import complex_gaussian, random_direction, random_element, rng_for
 from geoprec.errors import RankDeficientError
 from geoprec.group import GroupScheme, _adjoint
@@ -158,34 +157,10 @@ def test_left_estimator_run_keeps_the_trajectory_of_the_inverse(inverting):
     assert max(_rel(r.kF, s.kF) for r, s in zip(rep.iterations, ref.iterations)) <= 1e-12
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_estimator_takes_a_sparse_input_csr_from_its_triplets(field, monkeypatch):
-    """A sparse ComplexMatrix reaches the estimator as the CSR of its canonical
-    triplets, in the dtype it stores, the same arrays a CSR of the dense
-    copy has.  The run is two-sided: a square left run takes no estimate."""
-    A = _sparse_input(40, field)
-    seen, real = [], geoprec.stochastic.estimate_gradient
-
-    def spy(a, g, config):
-        seen.append(a)
-        return real(a, g, config)
-
-    monkeypatch.setattr(geoprec.stochastic, "estimate_gradient", spy)
-    minimize_condition(A, OptimizerConfig(scheme=GroupScheme.diagonal(40, 40, side="both"),
-                                          max_iters=2),
-                       estimator=EstimatorConfig(num_probes=4, seed=1))
-    ref = sp.csr_matrix(A.to_dense())
-    assert len(seen) == 2
-    for got in seen:
-        assert got.dtype == ref.dtype
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
-
-
 @pytest.mark.parametrize("storage", ["ComplexMatrix", "scipy"])
 def test_an_exact_two_sided_or_non_square_sparse_run_builds_no_csr(storage, monkeypatch):
-    """Only the left entry route and the estimator read the CSR of a sparse
-    input, so an exact run that reaches neither builds none."""
+    """Only the left entry route reads the CSR of a sparse input, so an exact
+    run that does not reach it builds none."""
     def refuse(A):
         raise AssertionError("a CSR was built")
 

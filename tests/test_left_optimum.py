@@ -10,7 +10,7 @@ better, and a certified descent ends within its certificate of it.
 
 A square full-rank left run with an estimator forms W at entry, so it takes
 one step to that optimum, certified from the exact gradient of the state it
-lands on, and takes no probe step.
+lands on.
 """
 
 import math

@@ -183,6 +183,34 @@ def test_scipy_sparse_input_matches_complex_matrix(estimator):
     assert np.array_equal(got.final_element.X, want.final_element.X)
 
 
+def _row_scaled(key, m, n):
+    rng = rng_for(key)
+    return np.exp(2.0 * rng.standard_normal((m, 1))) * complex_gaussian(rng, (m, n))
+
+
+@pytest.mark.parametrize("shape, scheme", [
+    ((6, 9), GroupScheme.blocked(6, 3, 9, side="both")),
+    ((9, 6), GroupScheme.blocked(9, 3, side="left")),
+    ((8, 8), GroupScheme.diagonal(8, 8, side="both")),
+    ((9, 9), GroupScheme.blocked(9, 3, 9, side="both")),
+], ids=["wide-both", "tall-left", "square-both-torus", "square-both-block"])
+def test_estimator_run_is_the_exact_run(shape, scheme):
+    """An estimator run that takes no closed-form step steps along the exact
+    gradient its states hold, so it is the exact run record for record, but
+    for kappa, which it never computes, and returns the same element."""
+    A = _row_scaled(67, *shape)
+    cfg = OptimizerConfig(scheme=scheme, max_iters=20)
+    est = minimize_condition(A, cfg, estimator=EstimatorConfig(num_probes=8, seed=3))
+    exact = minimize_condition(A, cfg)
+    assert est.termination is exact.termination and est.iteration_count == exact.iteration_count
+    assert est.iteration_count > 0
+    for got, want in zip(est.iterations, exact.iterations):
+        assert got[:5] == want[:5] and math.isnan(got.kappa)
+    assert np.array_equal(est.final_element.X, exact.final_element.X)
+    assert (scheme.side == "left"
+            or np.array_equal(est.final_element.Y, exact.final_element.Y))
+
+
 @pytest.mark.parametrize("side", ["left", "both"])
 def test_non_finite_state_raises_before_any_step(side):
     """diag(1e300, 1e-300) overflows the norms; the first state is rejected, not stepped along."""

@@ -3,14 +3,15 @@
 The objective is constant on cosets of the block-unitary subgroup, and the
 states a run reads from the entry inverse, the Gram factors or a cross pair
 are unitarily equivariant: at U P the gradient is U H U*, and
-exp(-s U H U*) U P = U exp(-s H) P.  So an exact full-rank run and a cross run
-step with ``exp_action`` alone and repolarize once, the element they return.
+exp(-s U H U*) U P = U exp(-s H) P.  So a full-rank run, with or without an
+estimator, and a cross run step with ``exp_action`` alone and repolarize once,
+the element they return.
 So do the step-halving polynomial runs: the Bombieri-Weyl and Frobenius norms
 are unitarily invariant, and the torus side of the sparse action stays real
 positive.  They reject a candidate whose state raises on a singular block.
-The SVD path and two-sided estimator runs (whose probes are fixed in
-coordinates) keep repolarizing every candidate step; a square left estimator
-run takes no probe step, but one to the closed-form optimum.
+The SVD path keeps repolarizing every step; a square left estimator run
+takes one step, to the closed-form optimum, whose blocks are Hermitian
+positive definite already.
 """
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_run_without_a_step_does_not_repolarize(calls):
     assert calls == {"exp_action": 0, "repolarize": 0}
 
 
-def test_svd_and_estimator_runs_repolarize_every_step(calls):
+def test_svd_runs_repolarize_every_step_and_two_sided_estimator_runs_once(calls):
     wide = _rows(rng_for(702), 6) * complex_gaussian(rng_for(702), (6, 9))
     svd = minimize_condition(wide, OptimizerConfig(scheme=GroupScheme.blocked(6, 3), max_iters=20))
     assert svd.iteration_count == 20
@@ -118,7 +119,7 @@ def test_svd_and_estimator_runs_repolarize_every_step(calls):
         scheme=GroupScheme.blocked(n, 3, n, side="both"), max_iters=4),
                              estimator=EstimatorConfig(num_probes=8, seed=3))
     assert est.iteration_count == 4
-    assert calls == {"exp_action": 20 + 4, "repolarize": 20 + 4}
+    assert calls == {"exp_action": 20 + 4, "repolarize": 20 + 1}
 
 
 def test_halving_runs_repolarize_once(calls):

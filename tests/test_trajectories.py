@@ -4,13 +4,14 @@ Each case pins the iteration count, the termination and the final kF (mu
 for the polynomial actions) of one small seeded run.  The pinned values were
 recorded when the matrix, full and sparse descents still ran in three
 separate loops, so they guard the single descent engine against any change
-of trajectory; the two-sided block-estimator case was recorded while the
-estimator's block path still ran its own solve loop and regression.  The two
-left estimator cases no longer descend: a square full-rank left run with an
+of trajectory.  No estimator case steps along a probe estimate.  The two
+left estimator cases do not descend: a square full-rank left run with an
 estimator forms the exact W = R^-* at entry, and the closed-form optimum read
 from it certifies in one step.  Their pins are (1, certified, kF*), and
-kF* is checked against the dense oracle sum_b ||A^-1[:, b] A[b, :]||_*,
-so those two pins are not recorded numbers.  Iterations and terminations
+kF* is checked against the dense oracle sum_b ||A^-1[:, b] A[b, :]||_*.  The
+two-sided estimator case steps along the exact gradient, and its pin is
+checked against the exact run on the same input.  So none of the three
+estimator pins is a recorded number.  Iterations and terminations
 must match exactly; kF and mu
 must agree to round-off, within 1e-12 relative: the torus exponential may
 move by one ulp per step, a square full-rank state is factored by an inverse
@@ -127,7 +128,7 @@ CASES = {
 # name -> (iterations, termination, final kF or mu)
 PINNED = {
     "estimator": (1, "certified", 43.55119690368261),
-    "estimator-both-block": (4, "max_iters", 169.8570625393818),
+    "estimator-both-block": (4, "max_iters", 169.79521496827252),
     "estimator-left-block": (1, "certified", 43.30927738453417),
     "exact-both-block": (150, "max_iters", 13.186304817334623),
     "exact-both-diag": (150, "max_iters", 79.51872848034475),
@@ -177,3 +178,14 @@ def test_left_estimator_pins_are_the_least_kF(name, size):
     least = sum(np.linalg.norm(a_inv[:, b:b + size] @ a[b:b + size], "nuc")
                 for b in range(0, a.shape[0], size))
     assert PINNED[name][2] == pytest.approx(least, rel=1e-12, abs=0)
+
+
+def test_two_sided_estimator_pin_is_the_exact_run():
+    """The two-sided estimator pin is the exact run's on the same input and
+    config: the estimator run steps along the same exact gradient."""
+    cfg = OptimizerConfig(scheme=GroupScheme.blocked(40, 4, 40, side="both"), target_eps=1e-2,
+                          max_iters=4)
+    rep = minimize_condition(_estimator_input(), cfg)
+    iterations, termination, final = PINNED["estimator-both-block"]
+    assert (rep.iteration_count, rep.termination.value) == (iterations, termination)
+    assert rep.final_kF == pytest.approx(final, rel=1e-12, abs=0)
