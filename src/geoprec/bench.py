@@ -46,14 +46,15 @@ class BenchResult:
 
 
 def _bench_one(label, a, block_size, target_eps, max_iters):
-    n = a.shape[0]
+    m, n = a.shape
     t0 = time.perf_counter()
     rep_d, rep_b = (minimize_condition(a, OptimizerConfig(
-        GroupScheme.blocked(n, k, side="both"), target_eps, max_iters)) for k in (1, block_size))
+        GroupScheme.blocked(m, k, n, side="both"), target_eps, max_iters))
+        for k in (1, block_size))
     wall = time.perf_counter() - t0
     return BenchResult(
         instance=label,
-        n=n,
+        n=m,
         kF_before=rep_d.initial_kF,
         kF_after_diag=rep_d.final_kF,
         kF_after_block=rep_b.final_kF,
@@ -77,7 +78,11 @@ def run_gaussian_suite(n: int, samples: int, block_size: int = 5, seed: int = 42
 
 def run_matrix_suite(mats, block_size: int = 5, target_eps: float = 1e-2,
                      max_iters: int = 1500) -> List[BenchResult]:
-    """Same comparison over explicit (label, matrix) pairs, e.g. files on disk."""
+    """Same comparison over explicit (label, matrix) pairs, e.g. files on disk.
+
+    A matrix may be rectangular: both schemes are two-sided, with blocks of
+    the given size on its rows and on its columns.  ``BenchResult.n`` is the
+    row count."""
     return [_bench_one(lbl, as_dense(a), block_size, target_eps, max_iters) for lbl, a in mats]
 
 

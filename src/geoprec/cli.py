@@ -16,14 +16,7 @@ import sys
 import numpy as np
 
 from .bench import correlation_kF_kappa, run_gaussian_suite, run_matrix_suite
-from .errors import (
-    BreakdownError,
-    ExpansionOverflowError,
-    GeoprecError,
-    NotConvergedError,
-    SingularBlockError,
-    SingularProbeBlockError,
-)
+from .errors import ExpansionOverflowError, GeoprecError, SingularBlockError
 from .group import GroupScheme, apply, block_triplets
 from .matrix import (
     ComplexMatrix,
@@ -45,8 +38,8 @@ from .sysio import read_polysys
 
 USAGE_ERROR, INPUT_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
-_NUMERICAL = (NotConvergedError, ExpansionOverflowError, BreakdownError, SingularBlockError,
-              SingularProbeBlockError, np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL = (ExpansionOverflowError, SingularBlockError, np.linalg.LinAlgError,
+              FloatingPointError)
 
 
 def _num(x):

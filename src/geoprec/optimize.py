@@ -50,12 +50,13 @@ factor on its left, so it takes W = R^-* from one QR A* = Q R, with
 A^-1 = Q W, instead of inverting A; on sparse storage it takes the same W, up
 to a diagonal unitary, as U^-* D from the Cholesky factor U of the sparse
 row-balanced Gram matrix (D A)(D A)* whenever that matrix is well conditioned
-(``_balanced_gram_inverse``), and the QR otherwise.  A two-sided run
-inverts A.  A full-rank left-only run builds factors of the Gram blocks of A
-and of W once (``objective.gram_factors``, one QR per slab) and reads every
-state from them in O(sum of size^3) over the blocks.  A square left-only run
-on sparse storage holds A as one canonical CSR (``_finite``, with
-``keep_sparse``) and never densifies it on the Cholesky route: the entry and
+(``_balanced_gram_inverse``), a gate that is also the rank decision, and the
+QR otherwise.  A two-sided run inverts A.  A full-rank left-only run builds
+factors of the Gram blocks of A and of W once (``objective.gram_factors``,
+one QR per slab) and reads every state from them in O(sum of size^3) over
+the blocks.  A square left-only run on sparse storage holds A as one
+canonical CSR, that of its ``ComplexMatrix`` (``_finite``, with
+``keep_sparse``), and never densifies it on the Cholesky route: the entry and
 the factors of A read its entries (torus row norms in O(nnz), block slabs a
 bounded number at a time), and a torus takes the factors of W from the
 column norms the entry factor already summed.  A is densified only for the
@@ -275,9 +276,11 @@ def _finite(*mats, keep_sparse=False):
     The run's dtype is float64 when no entry of any matrix has a nonzero
     imaginary part, complex128 otherwise; every later layer follows it.  A
     ComplexMatrix holds real or complex values and is densified in the dtype
-    it stores.  With keep_sparse a square matrix in sparse storage, a sparse
-    ComplexMatrix or a scipy.sparse matrix, comes back as its canonical CSR
-    (``_canonical_csr``) instead, checked on its stored entries alone.
+    it stores.  With keep_sparse, which the callers pass with one matrix
+    only, a square matrix in sparse storage, a sparse ComplexMatrix or a
+    scipy.sparse matrix, comes back as its canonical CSR (``_canonical_csr``)
+    instead, checked on its stored entries alone; its dtype, decided by
+    ``ComplexMatrix`` from those entries, is the run's.
     """
     out = [_canonical_csr(m) if keep_sparse and _square_sparse(m) else as_dense(m)
            for m in mats]
@@ -285,17 +288,12 @@ def _finite(*mats, keep_sparse=False):
     if not all(np.isfinite(e).all() for e in entries):
         raise NonFiniteInputError("input matrix has NaN or infinite entries")
     dtype = complex if any(np.iscomplexobj(e) and e.imag.any() for e in entries) else float
-    return [_in_dtype(m, dtype) for m in out]
+    return [m if sp.issparse(m) else _in_dtype(m, dtype) for m in out]
 
 
 def _in_dtype(m, dtype):
-    """A dense or CSR m in dtype, C-contiguous when dense: a real-valued complex m
-    keeps its real part."""
-    if sp.issparse(m):
-        if np.iscomplexobj(m.data) == (dtype is complex):
-            return m
-        data = m.data.astype(complex) if dtype is complex else np.ascontiguousarray(m.data.real)
-        return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    """A dense m in dtype, C-contiguous: a real-valued complex m keeps its real
+    part."""
     if dtype is complex:
         return m.astype(complex, copy=False)
     return np.ascontiguousarray(m.real)
@@ -307,16 +305,16 @@ def _square_sparse(A):
 
 
 def _canonical_csr(A):
-    """A sparse ComplexMatrix or scipy.sparse matrix as one CSR in canonical form,
-    sorted indices, duplicates summed and stored zeros dropped, in a float64 or
-    complex128 dtype: the entries of its dense copy, with no dense copy.  A
-    ComplexMatrix is canonical already; a scipy input is copied first."""
-    if isinstance(A, ComplexMatrix):
-        return A.to_csr()
-    csr = sp.csr_matrix(A, dtype=np.promote_types(A.dtype, float), copy=True)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    return csr
+    """A sparse ComplexMatrix or scipy.sparse matrix as the CSR of its
+    ``ComplexMatrix``: sorted indices, duplicates summed, stored zeros dropped,
+    float64 when no entry has a nonzero imaginary part, else complex128.
+    These are the entries of its dense copy, with no dense copy.  A scipy
+    input is read through ``ComplexMatrix.coordinate`` from its stored
+    triplets."""
+    if not isinstance(A, ComplexMatrix):
+        coo = A.tocoo()
+        A = ComplexMatrix.coordinate(*A.shape, coo.row, coo.col, coo.data)
+    return A.to_csr()
 
 
 def _row_balanced_kF(a, a_inv):
@@ -338,18 +336,16 @@ def _row_balanced_kF(a, a_inv):
 
 
 def _balanced_gram_inverse(a_csr):
-    """(W, kF, norms) from the Cholesky factor of the row-balanced Gram matrix,
-    else None.
+    """(W, norms) from the Cholesky factor of the row-balanced Gram matrix, else
+    None.
 
     With d_i = 1 / max |row_i a| and D = diag(d), G = (D a)(D a)* = U* U
     (``?potrf``) gives W = U^-* D, with a^-1 = Q W for the unitary
-    Q = (D a)* U^-1, the column norms of W, d_i ||row_i U^-1||, and the rank
-    score of ``_row_balanced_kF`` from the balanced row norms sqrt(G_ii) and
-    the column norms of U^-*.  a_csr is canonical (``_canonical_csr``): a
-    stored zero would make a zero row's scale 0.  G is sparse, so forming it
-    and its 1-norm costs O(nnz(G)); only the factor is dense, and it is
-    scattered from G's entries into the one m x m array that potrf and trtri
-    overwrite and W views.
+    Q = (D a)* U^-1, and the column norms of W, d_i ||row_i U^-1||.  a_csr is
+    canonical (``_canonical_csr``): a stored zero would make a zero row's
+    scale 0.  G is sparse, so forming it and its 1-norm costs O(nnz(G)); only
+    the factor is dense, and it is scattered from G's entries into the one
+    m x m array that potrf and trtri overwrite and W views.
 
     The factor is as accurate as the QR's, whose error the row balance keeps
     at about eps cond(D a), when eps cond(G) is within the round-off budget
@@ -364,6 +360,14 @@ def _balanced_gram_inverse(a_csr):
     the upper bound ||G^-1||_1 <= max_i (|U^-1| |U^-1|^T 1)_i accepts without
     forming G^-1's column slabs; it reads up to about 3.4 times pocon's
     estimate on random sparse inputs, and those slabs decide in between.
+
+    This gate is also the rank decision: an accepted a has full rank.  G is
+    Hermitian, so cond_2(G) <= cond_1(G) <= 1e-12 / eps = 4504 and
+    cond_2(D a) <= 67.1.  Rows of D a scaled to unit norm change that by at
+    most sqrt(m), and kF(M) <= m cond_2(M), so the row-balanced kF of
+    ``_row_balanced_kF`` is at most 67.1 m^1.5: below the cutoff
+    1 / (m eps) of the QR path for every m up to about 3.4e5, where W alone
+    would take 0.9 TB.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -395,10 +399,9 @@ def _balanced_gram_inverse(a_csr):
     if not eps * norm1 * inv_norm1 <= 1e-12:
         return None
     u_inv /= scale[:, None]
-    weights = np.sqrt(gram.diagonal().real * row_sq)
     if np.iscomplexobj(u_inv):
         np.conjugate(u_inv, out=u_inv)  # W = U^-* D in place: no second m x m array
-    return u_inv.T, math.sqrt(m) * float(np.linalg.norm(weights)), np.sqrt(row_sq) / scale
+    return u_inv.T, np.sqrt(row_sq) / scale
 
 
 def _entry_inverse(a, required, up_to_unitary=False):
@@ -408,9 +411,10 @@ def _entry_inverse(a, required, up_to_unitary=False):
 
     With up_to_unitary it returns W = R^-* from one QR a* = Q R instead, so
     that a^-1 = Q W: W has the column norms and column Gram blocks of a^-1,
-    for about 2 n^3 flops against the inverse's 8 n^3 / 3.  a has full rank
-    when it is not singular (a LinAlgError, or an exact zero on R's diagonal)
-    and the row-balanced a, D a with D = diag(1 / ||row_i a||), has
+    for about 2 n^3 flops against the inverse's 8 n^3 / 3.  On these dense
+    routes a has full rank when it is not singular (a LinAlgError, or an
+    exact zero on R's diagonal) and the row-balanced a, D a with
+    D = diag(1 / ||row_i a||), has
     kF = sqrt(m sum_i ||row_i a||^2 ||col_i a^-1||^2) below 1 / (max(m, n) eps),
     an O(m^2) test that no left diagonal scaling of a changes and that reads
     the same from W, whose column norms are those of a^-1 (``_row_balanced_kF``).
@@ -418,33 +422,33 @@ def _entry_inverse(a, required, up_to_unitary=False):
     a is dense or a canonical CSR.  With up_to_unitary, a CSR a gives
     W = U^-* D and its column norms from the Cholesky factor U of the sparse
     row-balanced Gram matrix when that is well conditioned
-    (``_balanced_gram_inverse``); otherwise a is densified here, once, and
+    (``_balanced_gram_inverse``), whose gate proves that a has full rank, so
+    the pair is returned as it is; otherwise a is densified here, once, and
     the QR path runs as for dense storage and alone makes the rank decision.
     """
     from scipy.linalg import get_lapack_funcs  # here, so importing geoprec leaves it unloaded
 
     found = _balanced_gram_inverse(a) if up_to_unitary and sp.issparse(a) else None
     if found is not None:
-        a_inv, kF, norms = found
-    else:
-        a, norms = as_dense(a), None
-        try:
-            if up_to_unitary:
-                r = np.linalg.qr(a.conj().T, mode="r")
-                r_inv, info = get_lapack_funcs("trtri", (r,))(r)  # info > 0: zero on R's diagonal
-                a_inv = r_inv.conj().T if info == 0 else None
-            else:
-                a_inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            a_inv = None
-        kF = math.inf if a_inv is None else _row_balanced_kF(a, a_inv)
+        return found
+    a = as_dense(a)
+    try:
+        if up_to_unitary:
+            r = np.linalg.qr(a.conj().T, mode="r")
+            r_inv, info = get_lapack_funcs("trtri", (r,))(r)  # info > 0: zero on R's diagonal
+            a_inv = r_inv.conj().T if info == 0 else None
+        else:
+            a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv = None
+    kF = math.inf if a_inv is None else _row_balanced_kF(a, a_inv)
     cutoff = 1.0 / (max(a.shape) * np.finfo(float).eps)
     if required and not kF < cutoff:
         raise RankDeficientError(
             f"the estimator path assumes a full-rank input: the row-balanced input has "
             f"kF {kF:.3g}, not below 1 / (max(m, n) eps) = {cutoff:.3g}"
         )
-    return (a_inv, norms) if kF < cutoff else (None, None)
+    return (a_inv, None) if kF < cutoff else (None, None)
 
 
 def minimize_condition(A, config: OptimizerConfig, estimator=None) -> OptimizationReport:

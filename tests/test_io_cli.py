@@ -702,6 +702,22 @@ def test_cli_bench_dir_suite(tmp_path):
                           f"# mean_improvement_block={means[1]}"]
 
 
+def test_cli_bench_dir_suite_takes_a_rectangular_matrix(tmp_path):
+    """A 12 x 14 file runs under two-sided schemes on its 12 rows and 14
+    columns, and its row reports the row count as n."""
+    d = tmp_path / "mats"
+    d.mkdir()
+    write_matrix(d / "wide.mtx", rng_for(621).standard_normal((12, 14)))
+    out = tmp_path / "bench.csv"
+    assert cli_dispatch(["bench", "--suite", "dir", "--dir", str(d), "--block-size", "3",
+                         "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert (row["instance"], row["n"]) == ("wide.mtx", "12")
+    assert float(row["kF_after_block"]) < float(row["kF_before"])
+    assert float(row["kF_after_diag"]) < float(row["kF_before"])
+
+
 def test_cli_bench_dir_suite_needs_a_directory_of_matrices(tmp_path, capsys):
     assert cli_dispatch(["bench", "--suite", "dir"]) == 1
     (tmp_path / "notes.txt").write_text("not a matrix\n")

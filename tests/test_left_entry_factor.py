@@ -22,10 +22,12 @@ A sparse A is held as one canonical CSR, whatever its layout, and the
 Cholesky route never densifies it; the QR route densifies it once.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geoprec.optimize
@@ -363,6 +365,53 @@ def test_the_1_norm_of_the_inverse_gram_decides_where_the_upper_bound_refuses(
     _assert_states_of_the_inverse(a, np.linalg.inv(a), W, sch, _real_element(rng, sch),
                                   random_direction(rng, sch, norm=1.0))
 
+
+def _balanced_gram(a):
+    d = a / np.abs(a).max(axis=1)[:, None]
+    return d @ d.conj().T
+
+
+@st.composite
+def _gated_inputs(draw):
+    """A square a, the identity plus up to 5 random entries per row, real or
+    complex, with rows graded up to exp(+-14).  Near-dependent inputs repeat
+    one row in the next but for delta added on its diagonal, with delta
+    scaled from 2^-6 so that eps cond_1(G) lands near a target: at the
+    gate's edge, 10^-13 .. 10^-11.5, where pocon and the upper bound on
+    ||G^-1||_1 can disagree, or beyond it, up to 10^-2, where a gate that
+    accepted would break the bound."""
+    m = draw(st.integers(4, 200))
+    rng = rng_for(735, draw(st.integers(0, 2**16)))
+    M = _sparse_identity_plus(rng, m, draw(st.integers(1, 5)), draw(st.booleans()))
+    near = draw(st.sampled_from([None, (-13.0, -11.5), (-11.5, -2.0)]))
+    if near is not None:
+        i, target = rng.integers(0, m - 1), 10.0 ** rng.uniform(*near)
+        M[i + 1] = M[i]
+        M[i + 1, i + 1] += 2.0**-6
+        ratio = np.finfo(float).eps * np.linalg.cond(_balanced_gram(M), 1) / target
+        M[i + 1, i + 1] += 2.0**-6 * (math.sqrt(ratio) - 1.0)  # cond(G) goes as delta^-2
+    return np.exp(draw(st.floats(0.0, 14.0)) * rng.uniform(-1.0, 1.0, m))[:, None] * M
+
+
+@_PROPERTY
+@given(_gated_inputs())
+@example(_near_repeated_row())  # pocon accepts it, the 1-norm of G^-1 refuses it
+@example(_uniform_in_the_gap())  # the bound refuses it, the 1-norm of G^-1 accepts it
+def test_the_cholesky_gate_is_the_rank_decision(a):
+    """Where the Cholesky route accepts, the row-balanced kF of the dense
+    copy, read with its QR-route W, is at most sqrt(1e-12 / eps) m^1.5, about
+    67.1 m^1.5, and so below the QR route's rank cutoff 1 / (m eps): an
+    accepted input has full rank."""
+    m, eps = a.shape[0], np.finfo(float).eps
+    if geoprec.optimize._balanced_gram_inverse(
+            geoprec.optimize._canonical_csr(sp.csr_matrix(a))) is None:
+        return
+    W = geoprec.optimize._entry_inverse(a, required=True, up_to_unitary=True)[0]
+    kF = geoprec.optimize._row_balanced_kF(a, W)
+    assert kF <= math.sqrt(1e-12 / eps) * m**1.5
+    assert kF < 1.0 / (m * eps)
+
+
 def _singular(kind, m=30):
     a = _sparse_input(m, "real").to_dense()
     if kind == "zero-row":
@@ -419,7 +468,8 @@ def _stored(a, storage, rng, zero_row=None):
     """a in sparse storage, each entry split into the exact parts v/2, v/4, v/4
     stored in random order, with an explicit zero in every row and, for
     zero_row, only explicit zeros in that row: a sparse ComplexMatrix, or a
-    scipy CSR or COO whose indices are unsorted and repeated."""
+    scipy CSR or COO whose indices are unsorted and repeated, or ("int") such
+    a CSR of int64 values, for an a of multiples of 4."""
     r, c = np.nonzero(a)
     v = a[r, c]
     parts = (np.concatenate([r, r, r]), np.concatenate([c, c, c]),
@@ -431,6 +481,8 @@ def _stored(a, storage, rng, zero_row=None):
     rows, cols, vals = (np.concatenate(p) for p in zip(parts, zeros))
     order = rng.permutation(len(vals))
     rows, cols, vals = rows[order], cols[order], vals[order]
+    if storage == "int":
+        vals = vals.astype(np.int64)  # exact: every part of a multiple of 4 is an integer
     if storage == "ComplexMatrix":
         return ComplexMatrix.coordinate(m, m, rows, cols, vals)
     coo = sp.coo_matrix((vals, (rows, cols)), shape=a.shape)
@@ -449,20 +501,25 @@ def _stored_left_inputs(draw):
     entries per row graded up to exp(+-14), in the storage of ``_stored``, real,
     complex, or complex with every imaginary part zero, under a left torus, a
     4-block scheme or one with a ragged last block.  With zero_row, that row
-    of a is zero and A stores it as explicit zeros."""
+    of a is zero and A stores it as explicit zeros.  The integer layout holds
+    a real a rounded to multiples of 4, with rows graded up by exp(0 .. 14)."""
     kind = draw(st.sampled_from(["torus", "4-blocks", "ragged"]))
     m = 4 * draw(st.integers(1, 16)) + (draw(st.integers(1, 3)) if kind == "ragged" else 0)
     sch = GroupScheme.diagonal(m, side="left") if kind == "torus" else \
         GroupScheme.blocked(m, 4, side="left")
-    field = draw(st.sampled_from(["real", "complex", "complex-zero-imaginary"]))
+    storage = draw(st.sampled_from(["ComplexMatrix", "csr", "coo", "int"]))
+    field = "real" if storage == "int" else \
+        draw(st.sampled_from(["real", "complex", "complex-zero-imaginary"]))
     rng = rng_for(733, draw(st.integers(0, 2**16)))
-    a = np.exp(draw(st.floats(0.0, 14.0)) * rng.uniform(-1.0, 1.0, m))[:, None] * \
+    low = 0.0 if storage == "int" else -1.0
+    a = np.exp(draw(st.floats(0.0, 14.0)) * rng.uniform(low, 1.0, m))[:, None] * \
         _sparse_identity_plus(rng, m, draw(st.integers(1, 5)), field == "complex")
+    if storage == "int":
+        a = 4.0 * np.rint(16.0 * a)
     zero_row = draw(st.one_of(st.none(), st.integers(0, m - 1))) if m > 1 else None
     if zero_row is not None:
         a[zero_row] = 0.0
     stored = a.astype(complex) if field == "complex-zero-imaginary" else a
-    storage = draw(st.sampled_from(["ComplexMatrix", "csr", "coo"]))
     return _stored(stored, storage, rng, zero_row), a, sch, zero_row
 
 
@@ -484,6 +541,14 @@ def test_sparse_route_matches_the_dense_qr_route(inp):
     (csr,) = geoprec.optimize._finite(A, keep_sparse=True)
     assert sp.issparse(csr) and csr.has_canonical_format and csr.dtype == a.dtype
     assert np.all(csr.data != 0) and np.array_equal(csr.toarray(), a)
+    if sp.issparse(A):  # the CSR of the ComplexMatrix of the same triplets, bit for bit
+        coo = A.tocoo()
+        (want,) = geoprec.optimize._finite(
+            ComplexMatrix.coordinate(*A.shape, coo.row, coo.col, coo.data), keep_sparse=True)
+        assert csr.dtype == want.dtype
+        for got, ref in ((csr.indptr, want.indptr), (csr.indices, want.indices),
+                         (csr.data, want.data)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     found = geoprec.optimize._balanced_gram_inverse(csr)
     assert (found is None) == (zero_row is not None)
     cfg = OptimizerConfig(scheme=sch, max_iters=3)
