@@ -278,8 +278,14 @@ def _adjoint(S):
 def project_blocks(scheme: GroupScheme, left, right=None) -> LieDirection:
     """project_to_lie of the block-diagonal matrices whose diagonal blocks are
     the stacks left (and right): the Hermitian part of every block."""
-    h2 = right and [0.5 * (S + _adjoint(S)) for S in right]
-    return LieDirection._from_blocks(scheme, [0.5 * (S + _adjoint(S)) for S in left], h2)
+    return LieDirection._from_blocks(scheme, [_hermitian(S) for S in left],
+                                     right and [_hermitian(S) for S in right])
+
+
+def _hermitian(S):
+    """The Hermitian part of every block of a stack, a new array in the stack's
+    dtype: of a 1x1 block, exactly its real part."""
+    return S.real.astype(S.dtype) if S.shape[-1] == 1 else 0.5 * (S + _adjoint(S))
 
 
 def project_to_lie(scheme: GroupScheme, M1, M2=None) -> LieDirection:
@@ -337,7 +343,8 @@ def _check_blocks(run, singular):
 def _inverse(S, run):
     """The blockwise inverse of a stack."""
     if run.size == 1:
-        _check_blocks(run, S == 0)
+        if not S.all():
+            _check_blocks(run, S == 0)
         return 1.0 / S
     try:
         return np.linalg.inv(S)
@@ -418,10 +425,10 @@ def congruence(g: GroupElement, L, S):
     acting on A or D.  Their diagonals are sums of squares.
     """
     T, U = [], []
-    for x, l, s, r in zip(g.left, L, S, g.scheme.left_runs):
+    for x, l, s, r in zip(g.left, L, S, g.scheme.left_runs):  # 1x1: the adjoint is the conjugate
         f, h = _bmm(x, l), _bmm(s, _inverse(x, r))
-        T.append(_bmm(f, _adjoint(f)))
-        U.append(_bmm(_adjoint(h), h))
+        T.append(f * f.conj() if r.size == 1 else f @ _adjoint(f))
+        U.append(h.conj() * h if r.size == 1 else _adjoint(h) @ h)
     return T, U
 
 

@@ -27,8 +27,16 @@ state costs by the case:
   in full; the Gram blocks A_b A_b* themselves would square kappa.  The same
   factors give the least kF over the scheme, and an element attaining it,
   in closed form (``left_optimum``);
-* two-sided, with A^-1 or a second matrix: the two block-diagonal actions,
-  O(m n block size), B^-1 = Y A^-1 X^-1 being the dual action on A^-1;
+* the two-sided torus, with A^-1 or a second matrix: four matvecs, O(m n),
+  with the entrywise squared moduli of the pair, two m x n float64 arrays
+  a run builds once (``gram_factors``; 16 MB for n = 1000): the diagonals of
+  B B*, B* B, D D* and D* D are x^2 (|A|^2 y^-2), y^-2 (|A|^2^T x^2),
+  y^2 (|D|^2 x^-2) and x^-2 (|D|^2^T y^2) for X = diag(x), Y = diag(y).  The
+  first state's ||B||_F^2 sums the same squares, so they overflow where the
+  dual action's norms would;
+* other two-sided schemes, with A^-1 or a second matrix: the two
+  block-diagonal actions, O(m n block size), B^-1 = Y A^-1 X^-1 being the
+  dual action on A^-1;
 * otherwise one thin SVD of B.
 
 B, B_pinv and the Euclidean condition number kappa are not needed by the
@@ -47,6 +55,7 @@ from .group import (
     LieDirection,
     WeightData,
     _adjoint,
+    _inverse,
     _polar,
     apply,
     apply_dual,
@@ -131,16 +140,18 @@ def _gram_blocks(R, runs):
 
 def _pair(A, D, scheme):
     """A and D, checked to pair under scheme: D has the transposed shape of A,
-    and A the scheme's rows.  D comes back dense, and so does A unless it is a
-    float or complex CSR in canonical form, as ``optimize._finite`` makes it,
-    which the factors read from its entries."""
-    kept = sp.issparse(A) and A.format == "csr" and A.dtype.kind in "fc" and \
-        A.has_canonical_format
+    and A the scheme's rows (and columns, for a two-sided scheme).  D comes
+    back dense, and so does A unless it is a float or complex CSR in
+    canonical form, as ``optimize._finite`` makes it, under a left-only
+    scheme, whose factors read it from its entries."""
+    kept = scheme.side == "left" and sp.issparse(A) and A.format == "csr" and \
+        A.dtype.kind in "fc" and A.has_canonical_format
     a, d = (A if kept else as_dense(A)), as_dense(D)
-    if a.shape[0] != scheme.m or d.shape != (a.shape[1], a.shape[0]):
+    cols = scheme.n if scheme.side == "both" else a.shape[1]
+    if a.shape != (scheme.m, cols) or d.shape != (cols, scheme.m):
         raise DimensionMismatchError(
             f"matrices of shapes {a.shape} and {d.shape} do not pair under a scheme "
-            f"with {scheme.m} rows"
+            f"with {scheme.m} rows and {cols} columns"
         )
     return a, d
 
@@ -198,20 +209,30 @@ def _factors(a, d, runs, d_norms=None):
     return L, [np.ascontiguousarray(w) for w in _slab_factors(d.T, runs, d_norms, conj=False)]
 
 
+def _abs2(a):
+    """The entrywise squared moduli of a, as a contiguous float64 array of its own."""
+    return np.ascontiguousarray((a.conj() * a).real)
+
+
 def gram_factors(A, D, scheme, d_norms=None):
-    """The factors (L, S) that a left-only run reads every state from, or
-    None for a two-sided scheme, whose states act on A and D instead.
+    """What a run reads every state of the pair (A, D) from: the factors
+    (L, S) for a left-only scheme, the squared moduli (|A|^2, |D|^2) for the
+    two-sided torus, and None for any other two-sided scheme, whose states
+    act on A and D instead.
 
     L_b L_b* = A_b A_b* over the row slabs of A and S_b* S_b = D_b* D_b over
     the column slabs of D, in the shape of ``scheme.left_runs``; D is the
     inverse of a square A of full rank, or the second matrix of a cross pair.
     A CSR A is read from its entries, a bounded number of block rows at a time
     (``_slab_factors``).  d_norms, the column norms of D where the caller has
-    them, give the 1x1 factors of S without a pass over D.
+    them, give the 1x1 factors of S without a pass over D.  The squares are
+    two float64 arrays of the pair's shapes, 16 MB for a square A at n = 1000.
     """
-    if scheme.side == "both":
-        return None
-    return _factors(*_pair(A, D, scheme), scheme.left_runs, d_norms)
+    a, d = _pair(A, D, scheme)
+    if scheme.side == "left":
+        return _factors(a, d, scheme.left_runs, d_norms)
+    torus = max(scheme.left_sizes + scheme.right_sizes) == 1
+    return (_abs2(a), _abs2(d)) if torus else None
 
 
 def left_optimum(factors, scheme, dtype):
@@ -290,17 +311,44 @@ def _pair_state(a, d, g, inverse=False) -> ObjectiveState:
                           inverse, B=B, B_pinv=D)
 
 
+def _torus_state(a, d, g, squares, inverse=False) -> ObjectiveState:
+    """The state of log ||X a Y^-1||_F + log ||Y d X^-1||_F on the two-sided
+    torus, read from the squared moduli (|a|^2, |d|^2) of the pair.
+
+    With X = diag(x) and Y = diag(y), B = X a Y^-1 and D = Y d X^-1 have
+    |B_ij|^2 = |x_i|^2 |a_ij|^2 |y_j|^-2, so the diagonals of B B*, B* B, D D*
+    and D* D, and the norms that sum them, are four matvecs (Sinkhorn, Ann.
+    Math. Statist. 1964).  The projected gradient is the two differences of
+    those diagonals, real, held in the element's field.  B and D are left to
+    first access.
+    """
+    (a2, d2), (x,), (y,), sch = squares, g.left, g.right, g.scheme
+    x2, y2 = _abs2(x).ravel(), _abs2(y).ravel()
+    ix2, iy2 = _inverse(x2, sch.left_runs[0]), _inverse(y2, sch.right_runs[0])
+    rB, cB = x2 * (a2 @ iy2), iy2 * (x2 @ a2)
+    rD, cD = y2 * (d2 @ ix2), ix2 * (y2 @ d2)
+    nb2, nd2 = float(rB.sum()), float(rD.sum())
+    if nb2 == 0.0 or nd2 == 0.0:
+        raise ZeroMatrixError("matrix is identically zero")
+    field = np.result_type(x, y)  # the gradient's, as on the pair route
+    grad = LieDirection._from_blocks(sch, *([v.astype(field, copy=False)[:, None, None]]
+                                            for v in (rB / nb2 - cD / nd2, rD / nd2 - cB / nb2)))
+    nb, nd = math.sqrt(nb2), math.sqrt(nd2)
+    return ObjectiveState(math.log(nb) + math.log(nd), grad, nb * nd, g, a, d, inverse)
+
+
 def _dual_state(A, D, g, factors, inverse=False) -> ObjectiveState:
-    """The state of a run that pairs A with D: from its Gram factors (or ones
-    built here) for a left-only scheme, else from the two actions.  A
-    left-only state from given factors reads neither A nor D."""
-    sch = g.scheme
-    if sch.side == "left" and factors is not None:
-        return _left_state(A, D, g, factors, inverse)
-    a, d = _pair(A, D, sch)
-    if sch.side == "both":
-        return _pair_state(a, d, g, inverse)
-    return _left_state(a, d, g, _factors(a, d, sch.left_runs), inverse)
+    """The state of a run that pairs A with D: from what ``gram_factors``
+    gives (given, or built here) for a left-only scheme or the two-sided
+    torus, else from the two actions.  A left-only state from given factors
+    reads neither A nor D."""
+    if factors is None:
+        A, D = _pair(A, D, g.scheme)
+        factors = gram_factors(A, D, g.scheme)
+    if factors is None:
+        return _pair_state(A, D, g, inverse)
+    state = _left_state if g.scheme.side == "left" else _torus_state
+    return state(A, D, g, factors, inverse)
 
 
 def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
@@ -314,7 +362,9 @@ def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
     B^-1, so value, gradient, kF, kappa and the Hessian form are unchanged.
     A left-only state reads ||B||_F, ||B^-1||_F and the gradient from
     ``factors``, the run's ``gram_factors(A, a_inv, g.scheme)`` (built here
-    when not given); a two-sided state takes D = B^-1 = Y A^-1 X^-1 from
+    when not given), and so does a two-sided torus state, from the squared
+    moduli of A and a_inv in four O(m n) matvecs, with D = B^-1 = Y A^-1 X^-1
+    formed only when B_pinv is read; any other two-sided state takes D from
     apply_dual(g, a_inv) and keeps it as B_pinv.  Otherwise it is one thin SVD: with
     B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
     Rank-deficient inputs are evaluated with the pseudoinverse and flagged
@@ -343,8 +393,10 @@ def evaluate_cross(A, B_independent, g: GroupElement, factors=None) -> Objective
     """Objective state for the cross condition of an independent pair (A, B).
 
     A transforms as X A Y^-1 and the second matrix as Y B X^-1; for
-    left-only schemes the pair is (X A, B X^-1), read from ``factors``, the
-    run's ``gram_factors(A, B, g.scheme)`` (built here when not given).
+    left-only schemes the pair is (X A, B X^-1).  A left-only or two-sided
+    torus state is read from ``factors``, the run's
+    ``gram_factors(A, B, g.scheme)`` (built here when not given): Gram
+    factors, or the squared moduli of the pair in four O(m n) matvecs.
     """
     return _dual_state(A, B_independent, g, factors)
 

@@ -62,10 +62,14 @@ bounded number at a time), and a torus takes the factors of W from the
 column norms the entry factor already summed.  A is densified only for the
 QR path where that route refuses, for the SVD path of a rank-deficient A,
 and for B and kappa at an exact run's end points.  A full-rank two-sided
-run takes B^-1 = Y A^-1 X^-1 at every state from the dual action on A^-1; any
-other run factors every state with a thin SVD, but an estimator run on a
-square A raises RankDeficientError.  A left-only cross run reads its states
-from the Gram factors of its pair the same way.
+block run takes B^-1 = Y A^-1 X^-1 at every state from the dual action on
+A^-1; a full-rank two-sided torus run squares the moduli of A and A^-1 once
+(``objective.gram_factors``, two m x n float64 arrays) and reads every state
+from them in four O(m n) matvecs, forming B and B^-1 only at the end points.
+Any other run factors every state with a thin SVD, but an estimator run on a
+square A raises RankDeficientError.  A left-only or two-sided torus cross run
+reads its states from its pair's Gram factors or squared moduli the same way.
+The closed-form optimum is read for left-only schemes only.
 Every run makes exactly one ``evaluate`` or ``evaluate_cross`` call per state.
 """
 
@@ -461,7 +465,9 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
     which equal those of A^-1 = Q W, or, for a sparse A (a sparse
     ComplexMatrix or a scipy.sparse matrix) whose row-balanced Gram matrix is
     well conditioned, of W = U^-* D from that matrix's Cholesky factor; a
-    two-sided run takes B^-1 from the dual action on A^-1.  A sparse A in a
+    two-sided torus run reads every state from the squared moduli of A and
+    A^-1, and any other two-sided run takes B^-1 from the dual action on
+    A^-1.  A sparse A in a
     square left-only run is held as one canonical CSR, read through its
     entries: it is densified only where the Cholesky route refuses, for the
     QR, or A turns out rank-deficient, and for B at an exact run's first and
@@ -498,7 +504,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         a = as_dense(a)  # every state of an SVD run reads B
     factors = None if a_inv is None else gram_factors(a, a_inv, sch, norms)
     optimum = None
-    if estimator is not None and factors is not None:
+    if estimator is not None and factors is not None and left:
         optimum = left_optimum(factors, sch, a.dtype)[0]
 
     def state_fn(g):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complex_gaussian,
@@ -10,8 +12,16 @@ from conftest import (
     random_unitary,
     rng_for,
 )
-from geoprec.errors import DimensionMismatchError, ZeroMatrixError
-from geoprec.group import GroupScheme, LieDirection, exp_action, weight_data
+from geoprec.errors import DimensionMismatchError, SingularBlockError, ZeroMatrixError
+from geoprec.group import (
+    GroupElement,
+    GroupScheme,
+    LieDirection,
+    apply,
+    exp_action,
+    project_to_lie,
+    weight_data,
+)
 from geoprec.matrix import condition_frobenius
 from geoprec.objective import (
     duality_gap_bound,
@@ -333,3 +343,102 @@ _LEFT, _BOTH = GroupScheme.blocked(3, 1, side="left"), GroupScheme.blocked(3, 1,
 def test_objective_rejects_a_zero_matrix_and_unpaired_shapes(call, error):
     with pytest.raises(error):
         call()
+
+
+def _field_gaussian(rng, shape, field):
+    return complex_gaussian(rng, shape) if field == "complex" else rng.standard_normal(shape)
+
+
+@st.composite
+def _torus_pairs(draw, cross):
+    """A two-sided torus on m x n, a random element of it and the pair it acts on.
+
+    The element's entries have moduli exp(spread N(0, 1)), with random phases
+    in the complex field.  Square: A = I + 0.3 G / sqrt(m), well conditioned
+    so that the SVD reference stays accurate at the element, with its dense
+    inverse.  Cross: a rectangular A and an independent second matrix."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 12)) if cross else m
+    field = draw(st.sampled_from(["real", "complex"]))
+    spread = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(k):
+        x = np.exp(spread * rng.standard_normal(k))
+        return x * np.exp(2j * np.pi * rng.uniform(size=k)) if field == "complex" else x
+
+    sch = GroupScheme.diagonal(m, n, side="both")
+    g = GroupElement(sch, np.diag(entries(m)), np.diag(entries(n)))
+    if cross:
+        return sch, g, _field_gaussian(rng, (m, n), field), _field_gaussian(rng, (n, m), field)
+    A = np.eye(m) + 0.3 * _field_gaussian(rng, (m, m), field) / math.sqrt(m)
+    return sch, g, A, np.linalg.inv(A)
+
+
+def _assert_torus_state(state, kF, grad, g, D):
+    assert abs(state.value - math.log(kF)) <= 1e-13 * math.log(kF)
+    assert abs(state.kF - kF) <= 1e-13 * kF
+    diff = math.sqrt(np.linalg.norm(state.grad.H1 - grad.H1) ** 2
+                     + np.linalg.norm(state.grad.H2 - grad.H2) ** 2)
+    assert diff <= 1e-12 * grad.norm
+    assert state.grad.H1.dtype == state.grad.H2.dtype == np.result_type(*g.left, *g.right)
+    dense = g.Y @ D @ np.diag(1.0 / np.diag(g.X))  # Y D X^-1, formed densely
+    assert np.linalg.norm(state.B_pinv - dense) <= 1e-14 * np.linalg.norm(dense)
+
+
+_TORUS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_TORUS
+@given(_torus_pairs(cross=False))
+def test_two_sided_torus_state_matches_the_dense_reference(inp):
+    """A two-sided torus state read from the squared moduli of (A, A^-1) has
+    the value, kF and gradient of the dense formula, and its lazy B_pinv is
+    Y A^-1 X^-1."""
+    sch, g, A, a_inv = inp
+    kF, _, _, grad, _ = _reference_state(A, g)
+    state = evaluate(A, g, a_inv)
+    _assert_torus_state(state, kF, grad, g, a_inv)
+
+
+@_TORUS
+@given(_torus_pairs(cross=True))
+def test_two_sided_torus_cross_state_matches_the_dense_reference(inp):
+    """The same for a rectangular cross pair (A, C): value, kF and gradient of
+    log ||X A Y^-1||_F + log ||Y C X^-1||_F formed densely."""
+    sch, g, A, C = inp
+    B, D = g.X @ A @ np.diag(1.0 / np.diag(g.Y)), g.Y @ C @ np.diag(1.0 / np.diag(g.X))
+    nb2, nd2 = np.linalg.norm(B) ** 2, np.linalg.norm(D) ** 2
+    grad = project_to_lie(sch, B @ B.conj().T / nb2 - D.conj().T @ D / nd2,
+                          D @ D.conj().T / nd2 - B.conj().T @ B / nb2)
+    state = evaluate_cross(A, C, g)
+    _assert_torus_state(state, math.sqrt(nb2 * nd2), grad, g, C)
+    assert np.array_equal(state.B, apply(g, A))
+
+
+@pytest.mark.parametrize("side", ["left", "both"])
+def test_evaluate_rejects_a_zero_torus_entry(side):
+    """A zero entry of a torus element is a singular 1x1 block: evaluate names
+    it, on the left route from Gram factors and on the two-sided route from
+    squared moduli, for a zero in X and, two-sided, in Y."""
+    A = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
+    sch = GroupScheme.diagonal(3, 3, side=side)
+    zeros = [(np.diag([1.0, 0.0, 2.0]), None if side == "left" else np.eye(3))]
+    if side == "both":
+        zeros.append((np.eye(3), np.diag([1.0, 2.0, 0.0])))
+    for (X, Y), at in zip(zeros, (1, 2)):
+        g = GroupElement(sch, X, Y)
+        factors = gram_factors(A, np.linalg.inv(A), sch)
+        with pytest.raises(SingularBlockError, match=f"1x1 block at {at}"):
+            evaluate(A, g, np.linalg.inv(A), factors)
+
+
+def test_two_sided_torus_rejects_a_pair_of_the_wrong_width():
+    """The squared moduli are read only for a pair of the scheme's shape: an
+    A with more columns than Y has rows is rejected by name, as the actions
+    reject it, not by a failing matvec."""
+    sch = GroupScheme.diagonal(3, 3, side="both")
+    with pytest.raises(DimensionMismatchError, match="3 rows and 3 columns"):
+        evaluate(np.ones((3, 4)), sch.identity(float), np.ones((4, 3)))
+    with pytest.raises(DimensionMismatchError):
+        gram_factors(np.ones((3, 4)), np.ones((4, 3)), sch)
