@@ -461,13 +461,15 @@ def repolarize(g: GroupElement) -> GroupElement:
     matrix unchanged, so swapping X for P moves within the level set of the
     objective while keeping the element Hermitian positive definite.
 
-    A descent need not call it on every step when the state is unitarily
-    equivariant, as one read from Gram factors, from a pair or from the
-    unitarily invariant norms of a polynomial system is: the gradient at
-    U P is U H U*, and exp(-s U H U*) U P = U exp(-s H) P, so steps taken
-    without it pass through the same cosets, and one call on the last
-    element gives the same representative.  A step-halving descent then
-    rejects a singular candidate when its state raises instead.
+    A descent calls it once, on the element it returns
+    (``optimize._descend``), and never between steps: every state it reads
+    is unitarily equivariant, from the entry inverse, Gram factors, squared
+    moduli, a pair, the thin SVD of B or the unitarily invariant norms of a
+    polynomial system.  The gradient at U P is U H U*, and
+    exp(-s U H U*) U P = U exp(-s H) P, so steps taken without it pass
+    through the same cosets, and one call on the last element gives the
+    representative that a call after every step would.  A step-halving
+    descent rejects a singular candidate when its state raises instead.
     P is accurate to about eps cond(X) per block, from X* X only where that
     squares no more than ``_polar``'s budget allows, else from the SVD of X;
     a block too close to singular raises SingularBlockError.

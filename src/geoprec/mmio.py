@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedQualifierError
+from .errors import NonFiniteInputError, ParseError, UnsupportedQualifierError
 from .matrix import ComplexMatrix
 
 __all__ = ["read_matrix", "write_matrix"]
@@ -235,7 +235,8 @@ def write_matrix(path, a, comment=None):
 
     Sparse storage is emitted as coordinate data and dense storage as a
     column-major array; the field is real when the matrix holds real values,
-    complex otherwise.
+    complex otherwise.  A NaN or infinite entry, which ``read_matrix`` would
+    refuse, raises NonFiniteInputError before the file is opened.
     """
     if not isinstance(a, ComplexMatrix):
         a = ComplexMatrix.dense(a)
@@ -245,6 +246,8 @@ def write_matrix(path, a, comment=None):
     else:
         entries = a.to_dense()
         fmt, size, values = "array", f"{a.rows} {a.cols}", entries.T.flat  # column-major
+    if not np.isfinite(entries).all():
+        raise NonFiniteInputError("matrix entries must be finite")
     real = not np.iscomplexobj(entries)
     line = ("%d %d " if a.is_sparse else "") + ("%.17g\n" if real else "%.17g %.17g\n")
     with open(path, "w", encoding="ascii") as fh:

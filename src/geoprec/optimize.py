@@ -17,14 +17,15 @@ are fixed by the analysis, so no config sets them.  Three step policies:
   the full (base 1/(D + 2)) and sparse (base 1/8) polynomial actions in
   ``polysys``.
 
-A step moves along the geodesic exp(-step H) g.  SVD-path runs replace every
-step by its polar factor (``repolarize``).  A full-rank ``minimize_condition``
-run, every ``minimize_cross_condition`` run and every halving run read
-unitarily equivariant states (from the entry inverse, Gram factors, the pair,
-or unitarily invariant polynomial norms), so they step with ``exp_action``
-alone and repolarize once, the element they return: ``polar_at_end`` for a
-constant step, always for halving.  The closed-form optimum is Hermitian
-positive definite already and is returned as it is.
+A step moves along the geodesic exp(-step H) g by ``exp_action`` alone, and
+a run that took a step returns the polar factor (``repolarize``) of its last
+element, whatever the step rule.  The objective is constant on cosets of the
+block-unitary subgroup, and every state route is unitarily equivariant (the
+entry inverse, Gram factors, squared moduli, the pair, the thin SVD of B, and
+the unitarily invariant polynomial norms): at U P the gradient is U H U*, so
+the steps pass through the cosets that a polar factor after every step would
+reach.  The closed-form optimum is Hermitian positive definite already, so
+its polar factor is itself to round-off, and a torus optimum's bit for bit.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
@@ -191,7 +192,7 @@ class _State(NamedTuple):
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
-             halving=False, polar_at_end=False, optimum=None) -> OptimizationReport:
+             halving=False, optimum=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
@@ -199,21 +200,19 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     certificate.  The run ends CONVERGED once the gradient norm is at most
     gamma * config.target_eps for the weight margin gamma of weights, else
     1e-10.
-    Every step is along state.grad.
+    Every step moves along state.grad by ``exp_action`` alone.
     Without halving every step is base_step; with halving a step is halved
     until the candidate's value does not increase, and the run also ends
     CONVERGED once no step of at least 1e-14 descends.  A halving candidate
     whose state raises SingularBlockError or LinAlgError (a singular block)
     counts as an increase.
-    A constant step is repolarized unless polar_at_end.  A halving candidate,
-    and a constant step with polar_at_end, moves by ``exp_action`` alone, and
-    only the returned element, if a step was taken, is repolarized.  That
-    needs a unitarily equivariant state_fn (see ``group.repolarize``), which
-    every halving caller has.
     optimum, when given, is a minimizer in closed form with Hermitian positive
     definite blocks: the first step moves to it instead, and the run then
-    ends, CONVERGED unless the state it lands on certifies, and returns it
-    unrepolarized.
+    ends, CONVERGED unless the state it lands on certifies.
+    Whatever the step rule, a run that took a step returns the polar factor
+    of its last element (``repolarize``), and one that took none returns g.
+    That needs a unitarily equivariant state_fn (see ``group.repolarize``),
+    which every caller has.
     """
     grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
@@ -245,8 +244,6 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             grad = state.grad
             del state  # the old B and gradient must not outlive the next factorization
             g = exp_action(g, grad, -base_step)
-            if not polar_at_end:
-                g = repolarize(g)
             del grad
             state = state_fn(g)
             continue
@@ -267,8 +264,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             report.termination = Termination.CONVERGED
             break
         g, state = cand, cand_state
-    polar = (polar_at_end or halving) and optimum is None
-    report.final_element = repolarize(g) if polar and report.iteration_count else g
+    report.final_element = repolarize(g) if report.iteration_count else g
     report.iterations[-1] = report.iterations[-1]._replace(kappa=state.kappa)
     return report
 
@@ -514,8 +510,7 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         return _State(state.value, state.grad, state.grad_norm, state.kF, math.nan)
 
     return _descend(state_fn, sch.identity(a.dtype), config, weight_data(sch),
-                    1.0 / config.smoothness(), polar_at_end=a_inv is not None,
-                    optimum=optimum)
+                    1.0 / config.smoothness(), optimum=optimum)
 
 
 def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationReport:
@@ -524,7 +519,7 @@ def minimize_cross_condition(A, B, config: OptimizerConfig) -> OptimizationRepor
     sch = config.scheme
     factors = gram_factors(a, b, sch)
     return _descend(lambda g: evaluate_cross(a, b, g, factors=factors), sch.identity(a.dtype),
-                    config, weight_data(sch), 1.0 / config.smoothness(), polar_at_end=True)
+                    config, weight_data(sch), 1.0 / config.smoothness())
 
 
 def predicted_iteration_bound(A, config: OptimizerConfig,

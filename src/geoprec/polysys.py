@@ -530,7 +530,8 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
     scheme, and config.scheme with it, must be the full two-sided scheme
     (m, n).  The Bombieri-Weyl and Frobenius norms are unitarily invariant, so
     the state is unitarily equivariant: candidates move by ``exp_action``
-    alone, and only the returned element is replaced by its polar factor.
+    alone, and only the returned element is replaced by its polar factor, the
+    one rule of every descent (``optimize._descend``).
     """
     if scheme != GroupScheme.full(f.m, f.nvars, side="both"):
         raise DimensionMismatchError("full preconditioning needs the full two-sided scheme (m, n)")
@@ -641,7 +642,8 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     once the gradient norm is at most 1e-10.
     The state is unitarily equivariant in X and the torus side stays real
     positive, its own polar factor, so candidates move by ``exp_action``
-    alone and only the returned element is replaced by its polar factor.
+    alone and only the returned element is replaced by its polar factor, the
+    one rule of every descent (``optimize._descend``).
     """
     if config.scheme != GroupScheme.full(f.m, side="left"):
         raise DimensionMismatchError("sparse preconditioning needs the full left scheme of size m")

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DegreeViolationError, ParseError
+from .errors import DegreeViolationError, DimensionMismatchError, NonFiniteInputError, ParseError
 from .polysys import PolynomialSystem, _beyond, _exponent_rows, _from_terms, _integers
 
 __all__ = ["read_polysys", "write_polysys"]
@@ -167,14 +167,24 @@ def write_polysys(path, system: PolynomialSystem, point=None):
     """Serialize in canonical form (graded-lex terms, no zero coefficients).
 
     Each polynomial's text is written on its own, so the writer holds one
-    polynomial's text at a time, not the file's.  The point is formatted
-    before the file is opened.
+    polynomial's text at a time, not the file's.  The input is checked, and
+    the point formatted, before the file is opened, so that what
+    ``read_polysys`` would refuse raises with nothing created or truncated:
+    DimensionMismatchError for a point not of shape (nvars,),
+    NonFiniteInputError for a coefficient or coordinate that is NaN or
+    infinite.
     """
+    if point is not None:
+        point = np.array(point, dtype=complex)
+        if point.shape != (system.nvars,):
+            raise DimensionMismatchError(f"point has shape {point.shape}, not ({system.nvars},)")
+    if not (np.isfinite(system.coeffs).all() and (point is None or np.isfinite(point).all())):
+        raise NonFiniteInputError("coefficients and point coordinates must be finite")
     head = '{\n    "exponents": ' + _array(["%d"] * system.nvars, 4) + ',\n    "coeff": [\n     '
     heads = [head % tuple(alpha) for alpha in system.exponents.tolist()]
     tail = "\n ]"
     if point is not None:
-        parts = _floats(np.array(point, dtype=complex).view(float))
+        parts = _floats(point.view(float))
         tail += ',\n "point": ' + _array([_array(z, 2) for z in zip(parts[::2], parts[1::2])], 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "nvars": {system.nvars},\n "degrees": '

@@ -9,10 +9,11 @@ The optimal kF over a left torus does not change when A's rows are scaled,
 since row scalings are elements of that torus: runs on A and on D A certify
 log kF values that agree within the sum of their certificates.
 
-The states a constant-step run reads without repolarizing, from Gram
-factors or from a pair, are unitarily equivariant: at U g, for U
+The states a run reads without repolarizing, from Gram factors, from a pair
+or from the thin SVD of B, are unitarily equivariant: at U g, for U
 block-unitary in the scheme's pattern, value, kF and gradient norm are
-those at g, and each gradient block is U_b H_b U_b*.
+those at g, and each gradient block is U_b H_b U_b*.  The SVD route, taken
+by a rectangular or rank-deficient A, flags the same rank at U g as at g.
 
 The computed kF of a matrix with condition number kappa carries a relative
 error of a few eps * kappa (the smallest singular value is found to about
@@ -151,6 +152,26 @@ def _block_diagonal(blocks, size, make, dtype):
     return out
 
 
+def _orbit(rng, sch, is_complex):
+    """A positive definite element g of the scheme, and block-unitary (real:
+    orthogonal) U1 and U2 of its pattern (U2 None for a left scheme)."""
+    dtype = complex if is_complex else float
+
+    def positive(k):
+        M = complex_gaussian(rng, (k, k)) if is_complex else rng.standard_normal((k, k))
+        return sla.expm(0.25 * (M + M.conj().T))
+
+    def unitary(k):
+        return random_unitary(rng, k) if is_complex else _orthonormal(rng, k, False)
+
+    both = sch.side == "both"
+    g = GroupElement(sch, _block_diagonal(sch.left_blocks, sch.m, positive, dtype),
+                     _block_diagonal(sch.right_blocks, sch.n, positive, dtype) if both else None)
+    U1 = _block_diagonal(sch.left_blocks, sch.m, unitary, dtype)
+    U2 = _block_diagonal(sch.right_blocks, sch.n, unitary, dtype) if both else None
+    return g, U1, U2
+
+
 @st.composite
 def _unitary_orbits(draw):
     """A square input A of kappa <= 100 and a second matrix for a cross pair, a
@@ -165,23 +186,34 @@ def _unitary_orbits(draw):
            "both": GroupScheme("both", n, n, _partition(draw, n), _partition(draw, n))}[kind]
     is_complex = draw(st.booleans())
     rng = rng_for(64, draw(st.integers(0, 2**16)))
-    dtype = complex if is_complex else float
-
-    def positive(k):
-        M = complex_gaussian(rng, (k, k)) if is_complex else rng.standard_normal((k, k))
-        return sla.expm(0.25 * (M + M.conj().T))
-
-    def unitary(k):
-        return random_unitary(rng, k) if is_complex else _orthonormal(rng, k, False)
-
-    both = sch.side == "both"
-    g = GroupElement(sch, _block_diagonal(sch.left_blocks, n, positive, dtype),
-                     _block_diagonal(sch.right_blocks, n, positive, dtype) if both else None)
-    U1 = _block_diagonal(sch.left_blocks, n, unitary, dtype)
-    U2 = _block_diagonal(sch.right_blocks, n, unitary, dtype) if both else None
+    g, U1, U2 = _orbit(rng, sch, is_complex)
     A = _conditioned(rng, n, n, 10.0 ** draw(st.floats(0.0, 2.0)), is_complex)
     B = _conditioned(rng, n, n, 10.0 ** draw(st.floats(0.0, 2.0)), is_complex)
     return A, B, g, U1, U2
+
+
+@st.composite
+def _svd_orbits(draw):
+    """An input the SVD route reads, g and U as in _unitary_orbits, and whether
+    the input is rank-deficient: a wide A of kappa <= 100 under a left scheme,
+    an A of any shape and kappa <= 100 under a two-sided scheme with its own
+    right partition, or a square A = L R of rank 2 <= r < m, with L and R of
+    kappa 10, under either side."""
+    kind = draw(st.sampled_from(["wide", "both", "rank"]))
+    m = draw(st.integers(3 if kind == "rank" else 2, 8))
+    n = {"wide": m + draw(st.integers(1, 4)), "both": draw(st.integers(2, 8)), "rank": m}[kind]
+    both = kind == "both" or (kind == "rank" and draw(st.booleans()))
+    sch = GroupScheme("both" if both else "left", m, n, _partition(draw, m),
+                      _partition(draw, n) if both else None)
+    is_complex = draw(st.booleans())
+    rng = rng_for(65, draw(st.integers(0, 2**16)))
+    g, U1, U2 = _orbit(rng, sch, is_complex)
+    if kind == "rank":
+        r = draw(st.integers(2, m - 1))
+        A = _conditioned(rng, m, r, 10.0, is_complex) @ _conditioned(rng, r, m, 10.0, is_complex)
+    else:
+        A = _conditioned(rng, m, n, 10.0 ** draw(st.floats(0.0, 2.0)), is_complex)
+    return A, g, U1, U2, kind == "rank"
 
 
 def _check_equivariant(at_g, at_ug, U1, U2):
@@ -196,16 +228,26 @@ def _check_equivariant(at_g, at_ug, U1, U2):
         assert np.abs(at_ug.grad.H2 - H2).max() <= 1e-12 * scale
 
 
+def _times(U1, U2, g):
+    return GroupElement(g.scheme, U1 @ g.X, None if U2 is None else U2 @ g.Y)
+
+
 @_PROPERTY
-@given(_unitary_orbits())
-def test_state_at_a_unitary_multiple_is_the_conjugated_state(inp):
-    """Left schemes read the states from Gram factors, two-sided ones from the pair."""
+@given(_unitary_orbits(), _svd_orbits())
+def test_state_at_a_unitary_multiple_is_the_conjugated_state(inp, svd):
+    """Left schemes read the states from Gram factors, two-sided ones from the
+    pair, and a rectangular or rank-deficient A from the thin SVD of B, whose
+    rank cutoff keeps the same singular values at U g as at g."""
     A, B, g, U1, U2 = inp
     sch = g.scheme
-    ug = GroupElement(sch, U1 @ g.X, None if U2 is None else U2 @ g.Y)
+    ug = _times(U1, U2, g)
     a_inv = np.linalg.inv(A)
     factors = gram_factors(A, a_inv, sch)
     _check_equivariant(evaluate(A, g, a_inv, factors), evaluate(A, ug, a_inv, factors), U1, U2)
     factors = gram_factors(A, B, sch)
     _check_equivariant(evaluate_cross(A, B, g, factors), evaluate_cross(A, B, ug, factors),
                        U1, U2)
+    C, g, U1, U2, rank_deficient = svd
+    at_g, at_ug = evaluate(C, g), evaluate(C, _times(U1, U2, g))
+    _check_equivariant(at_g, at_ug, U1, U2)
+    assert at_g.rank_deficient is at_ug.rank_deficient is rank_deficient

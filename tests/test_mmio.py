@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geoprec.errors import ParseError
+from geoprec.errors import NonFiniteInputError, ParseError
 from geoprec.matrix import ComplexMatrix
 from geoprec.mmio import read_matrix, write_matrix
 
@@ -210,3 +210,21 @@ def test_read_and_write_hold_little_beside_the_matrix(tmp_path, name, read_mb, w
     assert _peak_mb(lambda: write_matrix(p, a)) <= write_mb
     assert _peak_mb(lambda: read_matrix(p)) <= read_mb
     _same(read_matrix(p), a)
+
+
+@pytest.mark.parametrize("matrix", [
+    ComplexMatrix.dense(np.array([[1.0, np.nan], [0.0, 1.0]])),
+    ComplexMatrix.dense(np.array([[1.0, complex(2.0, np.inf)], [0.0, 1.0]])),
+    ComplexMatrix.coordinate(2, 2, [0, 1], [0, 1], [-np.inf, 1.0]),
+], ids=["dense-nan", "dense-complex-inf", "coordinate-inf"])
+def test_write_matrix_refuses_a_non_finite_entry(tmp_path, matrix):
+    """read_matrix refuses a NaN or infinite value, so write_matrix raises
+    before the file is opened: no file is created, and an existing one keeps
+    its bytes."""
+    new, old = tmp_path / "new.mtx", tmp_path / "old.mtx"
+    write_matrix(old, np.eye(2))
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises(NonFiniteInputError):
+            write_matrix(path, matrix)
+    assert not new.exists() and old.read_bytes() == before

@@ -1,18 +1,25 @@
-"""Where a run replaces its element by the polar factor.
+"""Where a run replaces its element by the polar factor: once, the element it
+returns, if it took a step.
 
 The objective is constant on cosets of the block-unitary subgroup, and the
-states a run reads from the entry inverse, the Gram factors or a cross pair
-are unitarily equivariant: at U P the gradient is U H U*, and
-exp(-s U H U*) U P = U exp(-s H) P.  So a full-rank run, with or without an
-estimator, and a cross run step with ``exp_action`` alone and repolarize once,
-the element they return.
+states a run reads from the entry inverse, the Gram factors, a cross pair or
+the thin SVD of B are unitarily equivariant: at U P the gradient is U H U*,
+and exp(-s U H U*) U P = U exp(-s H) P.  So every matrix run, full-rank or on
+the SVD path, with or without an estimator, and every cross run steps with
+``exp_action`` alone and repolarizes once.
 So do the step-halving polynomial runs: the Bombieri-Weyl and Frobenius norms
 are unitarily invariant, and the torus side of the sparse action stays real
 positive.  They reject a candidate whose state raises on a singular block.
-The SVD path keeps repolarizing every step; a square left estimator run
-takes one step, to the closed-form optimum, whose blocks are Hermitian
-positive definite already.
+A square left estimator run takes one step, to the closed-form optimum,
+whose blocks are Hermitian positive definite already, and returns its polar
+factor too.
+Each run is checked against the descent that takes the polar factor after
+every step.  The SVD path took it that way until it moved to this one rule;
+the block entries of ``test_factorization.SVD_PINNED`` were re-recorded then,
+within 1.4e-14 relative, with the same terminations and iteration counts.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,6 +49,7 @@ from geoprec.polysys import (
     precondition_sparse,
 )
 from geoprec.stochastic import EstimatorConfig
+from test_factorization import _svd_cases
 from test_trajectories import _polynomial
 
 
@@ -67,9 +75,9 @@ def _rows(rng, m):
     return np.exp(1.5 * rng.standard_normal(m))[:, None]
 
 
-def _square(key, n):
+def _matrix(key, m, n):
     rng = rng_for(700, key)
-    return _rows(rng, n) * complex_gaussian(rng, (n, n))
+    return _rows(rng, m) * complex_gaussian(rng, (m, n))
 
 
 def _cross_pair(key, n):
@@ -77,13 +85,15 @@ def _cross_pair(key, n):
     return _rows(rng, n) * complex_gaussian(rng, (n, n)), rng.standard_normal((n, n))
 
 
-# name -> (scheme, cross run)
+# name -> (scheme, cross run); the rectangular svd- runs take the SVD path
 ONCE = {
     "exact-left-torus": (GroupScheme.diagonal(8, side="left"), False),
     "exact-left-block": (GroupScheme.blocked(9, 4, side="left"), False),
     "exact-both-block": (GroupScheme.blocked(8, 3, 8, side="both"), False),
     "cross-left-block": (GroupScheme.blocked(8, 3, side="left"), True),
     "cross-both-block": (GroupScheme.blocked(8, 3, 8, side="both"), True),
+    "svd-wide-left-block": (GroupScheme.blocked(6, 3, 9, side="left"), False),
+    "svd-tall-both-block": (GroupScheme.blocked(9, 3, 6, side="both"), False),
 }
 
 
@@ -94,7 +104,7 @@ def test_exact_full_rank_and_cross_runs_repolarize_once(name, calls):
     if cross:
         rep = minimize_cross_condition(*_cross_pair(0, sch.m), cfg)
     else:
-        rep = minimize_condition(_square(0, sch.m), cfg)
+        rep = minimize_condition(_matrix(0, sch.m, sch.n), cfg)
     assert rep.iteration_count == 30
     assert calls == {"exp_action": 30, "repolarize": 1}
 
@@ -108,18 +118,14 @@ def test_run_without_a_step_does_not_repolarize(calls):
     assert calls == {"exp_action": 0, "repolarize": 0}
 
 
-def test_svd_runs_repolarize_every_step_and_two_sided_estimator_runs_once(calls):
-    wide = _rows(rng_for(702), 6) * complex_gaussian(rng_for(702), (6, 9))
-    svd = minimize_condition(wide, OptimizerConfig(scheme=GroupScheme.blocked(6, 3), max_iters=20))
-    assert svd.iteration_count == 20
-    assert calls == {"exp_action": 20, "repolarize": 20}
+def test_two_sided_estimator_run_repolarizes_once(calls):
     n = 30
     A = sp.random(n, n, density=0.1, random_state=np.random.RandomState(7)) + 4.0 * sp.eye(n)
     est = minimize_condition(A.tocsr(), OptimizerConfig(
         scheme=GroupScheme.blocked(n, 3, n, side="both"), max_iters=4),
                              estimator=EstimatorConfig(num_probes=8, seed=3))
     assert est.iteration_count == 4
-    assert calls == {"exp_action": 20 + 4, "repolarize": 20 + 1}
+    assert calls == {"exp_action": 4, "repolarize": 1}
 
 
 def test_halving_runs_repolarize_once(calls):
@@ -253,7 +259,7 @@ def _polar_every_step(state_fn, config):
 
 
 def _left_blocks():
-    A = _square(10, 12)
+    A = _matrix(10, 12, 12)
     a_inv, sch = np.linalg.inv(A), GroupScheme.blocked(12, 4, side="left")
     cfg = OptimizerConfig(scheme=sch, max_iters=600)
     factors = gram_factors(A, a_inv, sch)
@@ -261,7 +267,7 @@ def _left_blocks():
 
 
 def _both_blocks():
-    A = _square(11, 10)
+    A = _matrix(11, 10, 10)
     a_inv, sch = np.linalg.inv(A), GroupScheme.blocked(10, 5, 10, side="both")
     cfg = OptimizerConfig(scheme=sch, max_iters=150)
     return minimize_condition(A, cfg), lambda g: evaluate(A, g, a_inv), cfg
@@ -275,8 +281,20 @@ def _left_cross():
     return minimize_cross_condition(A, B, cfg), lambda g: evaluate_cross(A, B, g, factors), cfg
 
 
-@pytest.mark.parametrize("case", [_left_blocks, _both_blocks, _left_cross],
-                         ids=["left-blocks", "both-blocks", "left-cross"])
+def _svd(name):
+    """One of test_factorization's runs on a rectangular or rank-deficient A,
+    which read every state from the thin SVD of B."""
+    _, A, sch, cap = next(case for case in _svd_cases() if case[0] == name)
+    cfg = OptimizerConfig(scheme=sch, max_iters=cap)
+    return minimize_condition(A, cfg), lambda g: evaluate(A, g), cfg
+
+
+_SVD_NAMES = [case[0] for case in _svd_cases()]
+
+
+@pytest.mark.parametrize("case", [_left_blocks, _both_blocks, _left_cross]
+                         + [partial(_svd, name) for name in _SVD_NAMES],
+                         ids=["left-blocks", "both-blocks", "left-cross"] + _SVD_NAMES)
 def test_polar_factor_at_the_end_keeps_the_trajectory(case):
     rep, state_fn, cfg = case()
     g, iterations, termination, kF = _polar_every_step(state_fn, cfg)

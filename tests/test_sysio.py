@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import polysys_reference as ref
 from test_io_cli import example2_doc
-from geoprec.errors import DegreeViolationError, DimensionMismatchError, ParseError
+from geoprec.errors import (
+    DegreeViolationError,
+    DimensionMismatchError,
+    NonFiniteInputError,
+    ParseError,
+)
 from geoprec.polysys import PolynomialSystem
 from geoprec.sysio import read_polysys, write_polysys
 
@@ -62,6 +67,11 @@ def test_write_polysys_writes_what_json_wrote(tmp_path_factory, case, point):
     if point is not None:
         point = np.array(point[:n]) + 1j * np.array(point[n:2 * n])
     path = tmp_path_factory.mktemp("w") / "sys.json"
+    if not np.isfinite(system.coeffs).all():  # a file read_polysys would refuse
+        with pytest.raises(NonFiniteInputError):
+            write_polysys(path, system, point)
+        assert not path.exists()
+        return
     write_polysys(path, system, point)
     assert path.read_bytes() == ref.polysys_text(system, point).encode("utf-8")
 
@@ -232,3 +242,25 @@ def test_constructor_reports_the_first_fault_in_dict_order(polys, message):
     with pytest.raises(DimensionMismatchError) as info:
         PolynomialSystem(2, (1, 1), polys)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("point, coeff, error", [
+    ([1, 2, 3], 1.0, DimensionMismatchError),
+    ([[1, 0], [2, 0]], 1.0, DimensionMismatchError),
+    ([np.nan, 1], 1.0, NonFiniteInputError),
+    ([1, complex(0, np.inf)], 1.0, NonFiniteInputError),
+    (None, np.inf, NonFiniteInputError),
+    ([1, 2], complex(1, np.nan), NonFiniteInputError),
+], ids=["long-point", "pairs-point", "nan-point", "inf-point", "inf-coeff", "nan-coeff"])
+def test_write_polysys_refuses_what_read_polysys_refuses(tmp_path, point, coeff, error):
+    """A point not of shape (nvars,), or a coefficient or coordinate that is not
+    finite, raises before the file is opened: no file is created, and an
+    existing one keeps its bytes."""
+    f = PolynomialSystem.from_polys(2, [{(1, 0): coeff, (0, 1): 1.0}])
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    write_polysys(old, PolynomialSystem.from_polys(2, [{(1, 0): 1.0}]), [1, 2])
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises(error):
+            write_polysys(path, f, point)
+    assert not new.exists() and old.read_bytes() == before
