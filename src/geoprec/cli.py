@@ -108,9 +108,7 @@ def _cmd_precondition(args):
     m, n = a.shape
     scheme = GroupScheme.blocked(m, k, n, side=args.side)
     config = OptimizerConfig(scheme=scheme, target_eps=args.eps, max_iters=args.max_iters)
-    estimator = None
-    if args.stochastic:
-        estimator = EstimatorConfig(num_probes=args.probes)
+    estimator = EstimatorConfig() if args.stochastic else None
     report = minimize_condition(a, config, estimator=estimator)
     _write_report(args.out, report)
     if paths:
@@ -224,7 +222,6 @@ def build_parser():
     p.add_argument("--eps", type=_POSITIVE, default=1e-2)
     p.add_argument("--max-iters", type=_COUNT, default=10_000)
     p.add_argument("--stochastic", action="store_true")
-    p.add_argument("--probes", type=_POSITIVE_COUNT, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-preconditioner", default=None, metavar="X.mtx[,Y.mtx]")
     p.set_defaults(func=_cmd_precondition)

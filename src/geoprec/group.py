@@ -468,8 +468,8 @@ def repolarize(g: GroupElement) -> GroupElement:
     polynomial system.  The gradient at U P is U H U*, and
     exp(-s U H U*) U P = U exp(-s H) P, so steps taken without it pass
     through the same cosets, and one call on the last element gives the
-    representative that a call after every step would.  A step-halving
-    descent rejects a singular candidate when its state raises instead.
+    representative that a call after every step would.  A descent
+    rejects a singular candidate when its state raises instead.
     P is accurate to about eps cond(X) per block, from X* X only where that
     squares no more than ``_polar``'s budget allows, else from the SVD of X;
     a block too close to singular raises SingularBlockError.

@@ -2,20 +2,22 @@
 
 Every action runs ``_descend`` on a state function, which maps a group
 element to its value, gradient, gradient norm, kF and kappa.  The step sizes
-are fixed by the analysis, so no config sets them.  Three step policies:
+are fixed by the analysis, so no config sets them.  Two step rules:
 
-* constant step 1/L along the exact gradient, the paper's default, with
-  L = 4 for left-only and L = 8 for two-sided schemes: the matrix runs
+* a base step along the exact gradient, halved on any increase, or on a
+  numerically singular candidate, ending as converged once no step of at
+  least 1e-14 descends.  The base step is the paper's 1/L, with L = 4 for
+  left-only and L = 8 for two-sided schemes, on the matrix runs
   (``minimize_condition``, with or without an estimator) and the polynomial
-  shuffle (``minimize_cross_condition`` under ``polysys.precondition_shuffle``);
+  shuffle (``minimize_cross_condition`` under ``polysys.precondition_shuffle``).
+  Their objective is geodesically L-smooth, so by the descent lemma 1/L never
+  raises the value but for round-off, and these runs take the constant step
+  1/L.  It is 1/(D + 2) for the full and 1/8 for the sparse polynomial
+  action in ``polysys``, which halve where the value rises;
 * one step to the closed-form optimum (``objective.left_optimum``), after
   which the run ends, certified or converged: a left-only estimator run on a
   square A of full rank, which holds the exact W of its entry and so the
-  Gram factors the optimum is read from;
-* halving on any increase, or on a numerically singular candidate, from a
-  base step, ending as converged once no step of at least 1e-14 descends:
-  the full (base 1/(D + 2)) and sparse (base 1/8) polynomial actions in
-  ``polysys``.
+  Gram factors the optimum is read from.
 
 A step moves along the geodesic exp(-step H) g by ``exp_action`` alone, and
 a run that took a step returns the polar factor (``repolarize``) of its last
@@ -71,7 +73,9 @@ Any other run factors every state with a thin SVD, but an estimator run on a
 square A raises RankDeficientError.  A left-only or two-sided torus cross run
 reads its states from its pair's Gram factors or squared moduli the same way.
 The closed-form optimum is read for left-only schemes only.
-Every run makes exactly one ``evaluate`` or ``evaluate_cross`` call per state.
+Every run makes exactly one ``evaluate`` or ``evaluate_cross`` call per
+candidate: each state is a candidate, and a matrix or shuffle run rejects
+one only where a constant step would raise its value by round-off.
 """
 
 import math
@@ -192,7 +196,7 @@ class _State(NamedTuple):
 
 
 def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
-             halving=False, optimum=None) -> OptimizationReport:
+             optimum=None) -> OptimizationReport:
     """The descent loop every action runs, from the element g.
 
     state_fn(g) returns a state with value, grad, grad_norm, kF and kappa;
@@ -200,19 +204,21 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     certificate.  The run ends CONVERGED once the gradient norm is at most
     gamma * config.target_eps for the weight margin gamma of weights, else
     1e-10.
-    Every step moves along state.grad by ``exp_action`` alone.
-    Without halving every step is base_step; with halving a step is halved
-    until the candidate's value does not increase, and the run also ends
-    CONVERGED once no step of at least 1e-14 descends.  A halving candidate
-    whose state raises SingularBlockError or LinAlgError (a singular block)
-    counts as an increase.
+    Every step moves along state.grad by ``exp_action`` alone, from base_step:
+    a candidate is accepted when its value does not increase (a NaN value
+    counts as one), and otherwise the step is halved, as it is for a
+    candidate whose state raises SingularBlockError or LinAlgError (a
+    singular block).  The run ends CONVERGED once no step of at least 1e-14
+    descends.  For a base step 1/L on a geodesically L-smooth objective the
+    first trial descends but for round-off, so such a run takes the constant
+    step 1/L.
     optimum, when given, is a minimizer in closed form with Hermitian positive
     definite blocks: the first step moves to it instead, and the run then
     ends, CONVERGED unless the state it lands on certifies.
-    Whatever the step rule, a run that took a step returns the polar factor
-    of its last element (``repolarize``), and one that took none returns g.
-    That needs a unitarily equivariant state_fn (see ``group.repolarize``),
-    which every caller has.
+    A run that took a step returns the polar factor of its last element
+    (``repolarize``), and one that took none returns g.  That needs a
+    unitarily equivariant state_fn (see ``group.repolarize``), which every
+    caller has.
     """
     grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
@@ -240,13 +246,6 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             g = optimum
             state = state_fn(g)
             continue
-        if not halving:
-            grad = state.grad
-            del state  # the old B and gradient must not outlive the next factorization
-            g = exp_action(g, grad, -base_step)
-            del grad
-            state = state_fn(g)
-            continue
         step = base_step
         while True:
             cand = exp_action(g, state.grad, -step)
@@ -259,7 +258,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             if step < 1e-14:  # no descent even at tiny steps: numerically stationary
                 cand = None
                 break
-            step *= 0.5  # no global smoothness constant: enforce descent
+            step *= 0.5
         if cand is None:
             report.termination = Termination.CONVERGED
             break
@@ -474,14 +473,12 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
 
     An EstimatorConfig asks for the matrix-free contract: such a run reports
     every kappa as NaN, on a square A computes no singular values and raises
-    RankDeficientError unless A has full rank, and raises
-    DimensionMismatchError at entry for a scheme block wider than the probe
-    count.  It steps along the exact gradient its states hold, as the exact
-    run on the same A does, and so returns that run's records and element;
-    but a left-only estimator run on a square A takes one step, to the
-    optimum that ``objective.left_optimum`` reads in closed form from the
-    Gram factors of its entry, certified from the exact gradient of the state
-    it lands on, or else ending converged.
+    RankDeficientError unless A has full rank.  It steps along the exact
+    gradient its states hold, as the exact run on the same A does, and so
+    returns that run's records and element; but a left-only estimator run on
+    a square A takes one step, to the optimum that ``objective.left_optimum``
+    reads in closed form from the Gram factors of its entry, certified from
+    the exact gradient of the state it lands on, or else ending converged.
     """
     sch = config.scheme
     left = sch.side == "left"
@@ -490,9 +487,6 @@ def minimize_condition(A, config: OptimizerConfig, estimator=None) -> Optimizati
         raise DimensionMismatchError(
             f"matrix shape {a.shape} does not match scheme ({sch.m}, {sch.n})"
         )
-    if estimator is not None and max(sch.left_sizes + (sch.right_sizes or ())) > \
-            estimator.num_probes:  # the block sketch could not fit it
-        raise DimensionMismatchError("block size exceeds the probe count")
     square = a.shape[0] == a.shape[1]
     a_inv, norms = _entry_inverse(a, required=estimator is not None,
                                   up_to_unitary=left) if square else (None, None)

@@ -523,9 +523,10 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
                       config: OptimizerConfig):
     """Joint shuffle and change-of-variables preconditioner.
 
-    Descends the log of ||(X, Y) . f||_W ||Y D^+ X^-1||_F with base step
-    1/(D + 2) where D is the top degree, halving on any increase, or on a
-    singular candidate, so descent stays monotone.  The duality certificate
+    Descends the log of ||(X, Y) . f||_W ||Y D^+ X^-1||_F by the one step
+    rule of every descent (``optimize._descend``): base step 1/(D + 2),
+    where D is the top degree, halved on any increase, or on a singular
+    candidate, so descent stays monotone.  The duality certificate
     uses the degree-dependent margin gamma = (D + 2)^(1 - m - n) / (m + n).
     scheme, and config.scheme with it, must be the full two-sided scheme
     (m, n).  The Bombieri-Weyl and Frobenius norms are unitarily invariant, so
@@ -546,7 +547,7 @@ def precondition_full(f: PolynomialSystem, xi, scheme: GroupScheme,
         value, grad, mu = _full_objective_state(f, Dp, g)
         return _State(value, grad, grad.norm, mu, math.nan)
 
-    report = _descend(state_fn, scheme.identity(), config, wd, base_step, halving=True)
+    report = _descend(state_fn, scheme.identity(), config, wd, base_step)
     return report.final_element, report
 
 
@@ -635,7 +636,8 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
 
     Minimizes mu_F(X . (t . f), xi / t) + penalty by gradient descent on the
     pair (X, diag(t)), a two-sided element with a full left block and a
-    torus on the right, with base step 1/8 and step halving, so the
+    torus on the right, by the one step rule of every descent
+    (``optimize._descend``): base step 1/8, halved on any increase, so the
     trajectory is monotone; the torus action never changes the support of
     the system.  config.scheme must be full left of size m.  No certificate
     is computed, so target_eps has no effect, and the run ends as converged
@@ -654,7 +656,7 @@ def precondition_sparse(f: PolynomialSystem, xi, config: OptimizerConfig):
     Dp0 = _jacobian_pinv(f, xi)
     pair = GroupScheme("both", f.m, f.nvars, (f.m,), (1,) * f.nvars)
     report = _descend(lambda g: _sparse_state(f, mags, omega, Dp0, g), pair.identity(), config,
-                      None, 0.125, halving=True)
+                      None, 0.125)
     g = report.final_element
     element = GroupElement._from_blocks(config.scheme, g.left)
     report.final_element = element

@@ -388,7 +388,7 @@ def test_cli_stochastic_path(tmp_path):
     out = tmp_path / "r.csv"
     code = cli_dispatch([
         "precondition", "--input", str(src), "--scheme", "diag", "--side", "left",
-        "--eps", "1e-2", "--max-iters", "60", "--stochastic", "--probes", "64",
+        "--eps", "1e-2", "--max-iters", "60", "--stochastic",
         "--out", str(out),
     ])
     assert code == 0
@@ -405,7 +405,7 @@ def test_cli_stochastic_report_leaves_every_kappa_empty(tmp_path):
     out = tmp_path / "r.csv"
     for side, count in (("left", 2), ("both", 5)):
         assert cli_dispatch(["precondition", "--input", str(src), "--max-iters", "4",
-                             "--side", side, "--stochastic", "--probes", "16",
+                             "--side", side, "--stochastic",
                              "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         rows = [line.split(",") for line in lines if line[0].isdigit()]
@@ -422,7 +422,7 @@ def test_cli_stochastic_rectangular_run_writes_the_exact_report(tmp_path, shape,
     src = tmp_path / "a.mtx"
     write_matrix(src, np.exp(rng.standard_normal((shape[0], 1))) * rng.standard_normal(shape))
     reports = []
-    for extra in (["--stochastic", "--probes", "4"], []):
+    for extra in (["--stochastic"], []):
         out = tmp_path / f"r{len(reports)}.csv"
         assert cli_dispatch(["precondition", "--input", str(src), "--side", side,
                              "--max-iters", "10", "--out", str(out), *extra]) == 0
@@ -437,26 +437,11 @@ def test_cli_stochastic_rank_deficient_input_is_an_input_error(tmp_path):
     rng = rng_for(106)
     src = tmp_path / "a.mtx"
     write_matrix(src, rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6)))
-    proc = _run_cli(["precondition", "--input", str(src), "--stochastic", "--probes", "8",
+    proc = _run_cli(["precondition", "--input", str(src), "--stochastic",
                      "--out", str(tmp_path / "r.csv")])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "assumes a full-rank input" in proc.stderr
-
-
-def test_cli_stochastic_block_wider_than_probes_is_an_input_error(tmp_path, capsys):
-    rng = rng_for(104)
-    a = np.diag(np.exp(rng.standard_normal(10))) @ (rng.standard_normal((10, 10)) + 4.0 * np.eye(10))
-    src = tmp_path / "a.mtx"
-    write_matrix(src, a)
-    code = cli_dispatch([
-        "precondition", "--input", str(src), "--stochastic", "--scheme", "block",
-        "--block-size", "5", "--probes", "3", "--out", str(tmp_path / "r.csv"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "block size exceeds the probe count" in err
-    assert "Traceback" not in err
 
 
 def test_cli_emit_preconditioner(tmp_path):
@@ -559,11 +544,10 @@ def _run_cli(flags):
 
 @pytest.mark.parametrize("flags", [
     ["precondition", "--max-iters", "-1"],
-    ["precondition", "--stochastic", "--probes", "0"],
     ["precondition", "--eps", "0"],
     ["polysys-precondition", "--action", "full", "--max-iters", "-1"],
     ["bench", "--n", "3"],  # below twice the default --block-size 5
-], ids=["max-iters", "probes", "eps", "polysys-max-iters", "bench-n"])
+], ids=["max-iters", "eps", "polysys-max-iters", "bench-n"])
 def test_cli_bad_numeric_flag_is_a_usage_error(tmp_path, flags):
     """A bad numeric flag is a usage error (exit 1) whose last line names it, never
     a traceback."""

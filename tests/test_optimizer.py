@@ -234,7 +234,7 @@ def test_halving_stall_converges_with_end_point_certificate():
     weights = WeightData(1.0, 10.0 * ascent.norm)
     cfg = OptimizerConfig(scheme=sch, target_eps=1e-2, max_iters=50)
     start = sch.identity()
-    rep = _descend(state_fn, start, cfg, weights, 0.5, halving=True)
+    rep = _descend(state_fn, start, cfg, weights, 0.5)
     assert rep.termination is Termination.CONVERGED
     assert rep.iteration_count == 0
     assert rep.final_element is start
