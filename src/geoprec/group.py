@@ -250,7 +250,7 @@ class LieDirection(_Sides):
     @property
     def norm(self):
         """Norm under the real Frobenius inner product on the pair."""
-        return math.sqrt(sum(np.linalg.norm(S) ** 2 for S in self.left + (self.right or ())))
+        return math.sqrt(sum(np.vdot(S, S).real for S in self.left + (self.right or ())))
 
     def scaled(self, c):
         right = self.right and [c * S for S in self.right]
@@ -304,9 +304,9 @@ def project_to_lie(scheme: GroupScheme, M1, M2=None) -> LieDirection:
     return project_blocks(scheme, _stacks(M1, scheme.left_runs, scheme.m, "M1"), right)
 
 
-def _bmm(a, b):
+def _bmm(a, b, out=None):
     """a @ b on stacks; a broadcast product when the inner dimension is one."""
-    return a * b if a.shape[-1] == 1 else a @ b
+    return (np.multiply if a.shape[-1] == 1 else np.matmul)(a, b, out=out)
 
 
 def _expm_times(H, X, step):
@@ -376,13 +376,17 @@ def _times(stacks, runs, a):
     return out
 
 
+def _column_slabs(a, run):
+    """The run's column slabs of a as a (count, rows, size) view, written through."""
+    return a[:, run.start:run.stop].reshape(a.shape[0], run.count, run.size).transpose(1, 0, 2)
+
+
 def _times_inverse(a, stacks, runs):
-    """a M^-1 for the block-diagonal M held in stacks, one column slab per run."""
+    """a M^-1 for the block-diagonal M held in stacks, each run's product
+    written straight into its column slabs."""
     out = np.empty(a.shape, dtype=np.result_type(a, *stacks))
-    k = a.shape[0]
     for S, r in zip(stacks, runs):
-        cols = a[:, r.start:r.stop].reshape(k, r.count, r.size).transpose(1, 0, 2)
-        out[:, r.start:r.stop] = _bmm(cols, _inverse(S, r)).transpose(1, 0, 2).reshape(k, -1)
+        _bmm(_column_slabs(a, r), _inverse(S, r), out=_column_slabs(out, r))
     return out
 
 

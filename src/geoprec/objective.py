@@ -35,8 +35,11 @@ state costs by the case:
   first state's ||B||_F^2 sums the same squares, so they overflow where the
   dual action's norms would;
 * other two-sided schemes, with A^-1 or a second matrix: the two
-  block-diagonal actions, O(m n block size), B^-1 = Y A^-1 X^-1 being the
-  dual action on A^-1;
+  block-diagonal actions, O(m n block size).  B = X A Y^-1 and
+  D = Y A^-1 X^-1 (B^-1, or Y B_2 X^-1) are formed once each, X's and Y's
+  row slab products first and each inverse's column slab products written
+  in place, and kept; their norms are taken once each, and the Gram blocks
+  of B B*, B* B, D D* and D* D are read from row and column slabs in place;
 * otherwise one thin SVD of B.
 
 B, B_pinv and the Euclidean condition number kappa are not needed by the
@@ -55,8 +58,11 @@ from .group import (
     LieDirection,
     WeightData,
     _adjoint,
+    _column_slabs,
     _inverse,
     _polar,
+    _times,
+    _times_inverse,
     apply,
     apply_dual,
     congruence,
@@ -129,12 +135,21 @@ class ObjectiveState:
         return kappa_from_singular_values(s, self._matrix.shape)
 
 
-def _gram_blocks(R, runs):
+def _row_grams(R, runs):
     """The diagonal blocks of R R*, one stack per run of row slabs."""
     out = []
     for r in runs:
         slab = R[r.start:r.stop].reshape(r.count, r.size, -1)
-        out.append(slab @ slab.conj().transpose(0, 2, 1))
+        out.append(slab @ _adjoint(slab))
+    return out
+
+
+def _column_grams(R, runs):
+    """The diagonal blocks of R* R, one stack per run of column slabs, read in place."""
+    out = []
+    for r in runs:
+        slab = _column_slabs(R, r)
+        out.append(_adjoint(slab) @ slab)
     return out
 
 
@@ -214,11 +229,15 @@ def _abs2(a):
     return np.ascontiguousarray((a.conj() * a).real)
 
 
+def _two_sided_torus(scheme):
+    return scheme.side == "both" and max(scheme.left_sizes + scheme.right_sizes) == 1
+
+
 def gram_factors(A, D, scheme, d_norms=None):
     """What a run reads every state of the pair (A, D) from: the factors
     (L, S) for a left-only scheme, the squared moduli (|A|^2, |D|^2) for the
-    two-sided torus, and None for any other two-sided scheme, whose states
-    act on A and D instead.
+    two-sided torus, and the pair itself, dense and checked, for any other
+    two-sided scheme, whose states act on it.
 
     L_b L_b* = A_b A_b* over the row slabs of A and S_b* S_b = D_b* D_b over
     the column slabs of D, in the shape of ``scheme.left_runs``; D is the
@@ -231,8 +250,7 @@ def gram_factors(A, D, scheme, d_norms=None):
     a, d = _pair(A, D, scheme)
     if scheme.side == "left":
         return _factors(a, d, scheme.left_runs, d_norms)
-    torus = max(scheme.left_sizes + scheme.right_sizes) == 1
-    return (_abs2(a), _abs2(d)) if torus else None
+    return (_abs2(a), _abs2(d)) if _two_sided_torus(scheme) else (a, d)
 
 
 def left_optimum(factors, scheme, dtype):
@@ -280,33 +298,39 @@ def _left_state(a, d, g, factors, inverse=False) -> ObjectiveState:
     return ObjectiveState(math.log(nb) + math.log(nd), grad, nb * nd, g, a, d, inverse)
 
 
-def _grad_from_pair(g, B, d_left, d_right, nd2):
+def _grad_from_grams(sch, B, nb2, d_left, d_right, nd2):
     """Projected gradient of log ||B||_F + log ||D||_F under the pair action.
 
-    Only the diagonal blocks of the four Gram terms survive the projection,
-    so D enters through factors with D* D = d_left d_left* and
-    D D* = d_right d_right* (d_right is unused by left-only schemes), and
-    nd2 = ||D||_F^2.
+    Only the diagonal blocks of the four Gram terms survive the projection:
+    those of B B* and B* B come from the row and column slabs of B, and D
+    enters through d_left and d_right, the stacks of the left blocks of D* D
+    and the right blocks of D D* (d_right is unused by left-only schemes).
+    nb2 and nd2 are ||B||_F^2 and ||D||_F^2.
     """
-    sch = g.scheme
-    nb2 = np.linalg.norm(B) ** 2
-    P = [b / nb2 - d / nd2 for b, d in zip(_gram_blocks(B, sch.left_runs),
-                                           _gram_blocks(d_left, sch.left_runs))]
+    P = [b / nb2 - d / nd2 for b, d in zip(_row_grams(B, sch.left_runs), d_left)]
     if sch.side == "left":
         return project_blocks(sch, P)
-    Q = [d / nd2 - b / nb2 for b, d in zip(_gram_blocks(B.conj().T, sch.right_runs),
-                                           _gram_blocks(d_right, sch.right_runs))]
+    Q = [d / nd2 - b / nb2 for b, d in zip(_column_grams(B, sch.right_runs), d_right)]
     return project_blocks(sch, P, Q)
 
 
 def _pair_state(a, d, g, inverse=False) -> ObjectiveState:
-    """The state of log ||g . a||_F + log ||D||_F for D the dual action on d,
-    kept as B_pinv: the two-sided case."""
-    B, D = apply(g, a), apply_dual(g, d)
+    """The state of log ||X a Y^-1||_F + log ||Y d X^-1||_F on a two-sided
+    scheme, from the two actions.
+
+    B = X a Y^-1 and D = Y d X^-1 are formed once each, X's and Y's row slab
+    products first and each inverse's column slab products written in place,
+    and kept as B and B_pinv.  Their norms are taken once each, and the four
+    Gram-block stacks are read from their row and column slabs in place.
+    """
+    sch = g.scheme
+    B = _times_inverse(_times(g.left, sch.left_runs, a), g.right, sch.right_runs)
+    D = _times_inverse(_times(g.right, sch.right_runs, d), g.left, sch.left_runs)
     nb, nd = np.linalg.norm(B), np.linalg.norm(D)
     if nb == 0.0 or nd == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
-    grad = _grad_from_pair(g, B, D.conj().T, D, nd**2)
+    grad = _grad_from_grams(sch, B, nb**2, _column_grams(D, sch.left_runs),
+                            _row_grams(D, sch.right_runs), nd**2)
     return ObjectiveState(float(np.log(nb) + np.log(nd)), grad, float(nb * nd), g, a, d,
                           inverse, B=B, B_pinv=D)
 
@@ -338,17 +362,20 @@ def _torus_state(a, d, g, squares, inverse=False) -> ObjectiveState:
 
 
 def _dual_state(A, D, g, factors, inverse=False) -> ObjectiveState:
-    """The state of a run that pairs A with D: from what ``gram_factors``
-    gives (given, or built here) for a left-only scheme or the two-sided
-    torus, else from the two actions.  A left-only state from given factors
-    reads neither A nor D."""
+    """The state of a run that pairs A with D, from what ``gram_factors``
+    gives (given, or built here): the factors for a left-only scheme, the
+    squared moduli for the two-sided torus, else the checked pair that the
+    two actions take.  A left-only state from given factors reads neither A
+    nor D."""
+    sch = g.scheme
     if factors is None:
-        A, D = _pair(A, D, g.scheme)
-        factors = gram_factors(A, D, g.scheme)
-    if factors is None:
-        return _pair_state(A, D, g, inverse)
-    state = _left_state if g.scheme.side == "left" else _torus_state
-    return state(A, D, g, factors, inverse)
+        A, D = _pair(A, D, sch)
+        factors = gram_factors(A, D, sch)
+    if sch.side == "left":
+        return _left_state(A, D, g, factors, inverse)
+    if _two_sided_torus(sch):
+        return _torus_state(A, D, g, factors, inverse)
+    return _pair_state(*factors, g, inverse)
 
 
 def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
@@ -364,8 +391,9 @@ def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
     ``factors``, the run's ``gram_factors(A, a_inv, g.scheme)`` (built here
     when not given), and so does a two-sided torus state, from the squared
     moduli of A and a_inv in four O(m n) matvecs, with D = B^-1 = Y A^-1 X^-1
-    formed only when B_pinv is read; any other two-sided state takes D from
-    apply_dual(g, a_inv) and keeps it as B_pinv.  Otherwise it is one thin SVD: with
+    formed only when B_pinv is read; any other two-sided state forms B and
+    D = Y a_inv X^-1 from the two actions on the checked pair that
+    ``gram_factors`` gives, and keeps D as B_pinv.  Otherwise it is one thin SVD: with
     B^+ = V_r S_r^-1 U_r*, the Gram blocks come from U_r / s_r and V_r / s_r.
     Rank-deficient inputs are evaluated with the pseudoinverse and flagged
     rather than rejected.
@@ -383,8 +411,10 @@ def evaluate(A, g: GroupElement, a_inv=None, factors=None) -> ObjectiveState:
     kF = float(np.linalg.norm(s) * inv_norm)
     d_left = u[:, :r]
     d_left /= pos
-    d_right = vh[:r].conj().T / pos if g.scheme.side == "both" else None
-    grad = _grad_from_pair(g, B, d_left, d_right, inv_norm**2)
+    sch = g.scheme
+    d_right = _row_grams(vh[:r].conj().T / pos, sch.right_runs) if sch.side == "both" else None
+    grad = _grad_from_grams(sch, B, np.linalg.norm(B) ** 2, _row_grams(d_left, sch.left_runs),
+                            d_right, inv_norm**2)
     return ObjectiveState(math.log(kF), grad, kF, g, a, rank_deficient=r < min(B.shape),
                           sigma=s, B=B)
 
@@ -393,10 +423,11 @@ def evaluate_cross(A, B_independent, g: GroupElement, factors=None) -> Objective
     """Objective state for the cross condition of an independent pair (A, B).
 
     A transforms as X A Y^-1 and the second matrix as Y B X^-1; for
-    left-only schemes the pair is (X A, B X^-1).  A left-only or two-sided
-    torus state is read from ``factors``, the run's
-    ``gram_factors(A, B, g.scheme)`` (built here when not given): Gram
-    factors, or the squared moduli of the pair in four O(m n) matvecs.
+    left-only schemes the pair is (X A, B X^-1).  Every state is read from
+    ``factors``, the run's ``gram_factors(A, B, g.scheme)`` (built here when
+    not given): Gram factors, the squared moduli of the pair in four O(m n)
+    matvecs, or, for other two-sided schemes, the checked pair itself, on
+    which the state takes the two actions.
     """
     return _dual_state(A, B_independent, g, factors)
 

@@ -26,8 +26,8 @@ block-unitary subgroup, and every state route is unitarily equivariant (the
 entry inverse, Gram factors, squared moduli, the pair, the thin SVD of B, and
 the unitarily invariant polynomial norms): at U P the gradient is U H U*, so
 the steps pass through the cosets that a polar factor after every step would
-reach.  The closed-form optimum is Hermitian positive definite already, so
-its polar factor is itself to round-off, and a torus optimum's bit for bit.
+reach.  The closed-form optimum is a polar factor already (``left_optimum``
+takes it), so a run that steps to it returns it as it is.
 
 Runs terminate when the duality-gap certificate drops below the target, when
 the gradient norm falls below a tolerance or the halving stalls, or at the
@@ -216,9 +216,9 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
     definite blocks: the first step moves to it instead, and the run then
     ends, CONVERGED unless the state it lands on certifies.
     A run that took a step returns the polar factor of its last element
-    (``repolarize``), and one that took none returns g.  That needs a
-    unitarily equivariant state_fn (see ``group.repolarize``), which every
-    caller has.
+    (``repolarize``), or optimum itself when it stepped there, and one that
+    took none returns g.  That needs a unitarily equivariant state_fn (see
+    ``group.repolarize``), which every caller has.
     """
     grad_tol = 1e-10 if weights is None else weights.weight_margin * config.target_eps
     state = state_fn(g)
@@ -263,7 +263,7 @@ def _descend(state_fn, g, config: OptimizerConfig, weights, base_step,
             report.termination = Termination.CONVERGED
             break
         g, state = cand, cand_state
-    report.final_element = repolarize(g) if report.iteration_count else g
+    report.final_element = repolarize(g) if report.iteration_count and g is not optimum else g
     report.iterations[-1] = report.iterations[-1]._replace(kappa=state.kappa)
     return report
 

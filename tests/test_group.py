@@ -465,3 +465,17 @@ def test_torus_step_allocates_no_dense_matrix():
     assert peak < 2**20
     np.testing.assert_allclose(g.left[0].ravel(), np.exp(-0.1 * np.diagonal(M).real),
                                rtol=1e-15, atol=0)
+
+
+@_PROPERTY
+@given(_schemes(), st.sampled_from(["real", "complex"]), st.integers(0, 2**16))
+def test_direction_norm_is_the_norm_of_the_dense_pair(scheme, field, seed):
+    """LieDirection.norm, one dot product per stack, is the Frobenius norm of
+    the dense pair (H1, H2) to 1e-15 relative."""
+    rng = rng_for(46, seed)
+    sizes = [scheme.m] + ([scheme.n] if scheme.side == "both" else [])
+    M = [complex_gaussian(rng, (k, k)) if field == "complex" else rng.standard_normal((k, k))
+         for k in sizes]
+    h = project_to_lie(scheme, *M)
+    ref = np.linalg.norm(np.concatenate([h.H1.ravel()] + ([h.H2.ravel()] if h.right else [])))
+    assert abs(h.norm - ref) <= 1e-15 * ref

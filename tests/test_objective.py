@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -442,3 +442,80 @@ def test_two_sided_torus_rejects_a_pair_of_the_wrong_width():
         evaluate(np.ones((3, 4)), sch.identity(float), np.ones((4, 3)))
     with pytest.raises(DimensionMismatchError):
         gram_factors(np.ones((3, 4)), np.ones((4, 3)), sch)
+
+
+@st.composite
+def _block_pairs(draw, cross):
+    """A two-sided block scheme on m x n, a random element of it and the pair
+    it acts on.
+
+    Each side is a contiguous partition into blocks of 1 to 4 in any order,
+    so runs are ragged and may end in 1x1 blocks; some block is larger than
+    1x1, so the state takes the two actions.  Each block of the element is
+    exp(spread N(0, 1)) (I + 0.3 G / sqrt(size)), neither Hermitian nor
+    unitary.  Square: A = I + 0.3 G / sqrt(m) with its dense inverse.
+    Cross: a rectangular A and an independent second matrix."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    spread = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
+    left = draw(sizes)
+    if cross:
+        right = draw(sizes)
+    else:
+        m = sum(left)
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1))) if m > 1 else []
+        right = tuple(np.diff([0, *cuts, m]).tolist())
+    assume(max(left + right) > 1)
+    sch = GroupScheme("both", sum(left), sum(right), left, right)
+
+    def side(blocks, size):
+        out = np.zeros((size, size), dtype=complex if field == "complex" else float)
+        for a, b in blocks:
+            k = b - a
+            out[a:b, a:b] = np.exp(spread * rng.standard_normal()) * (
+                np.eye(k) + 0.3 * _field_gaussian(rng, (k, k), field) / math.sqrt(k))
+        return out
+
+    g = GroupElement(sch, side(sch.left_blocks, sch.m), side(sch.right_blocks, sch.n))
+    m, n = sch.m, sch.n
+    if cross:
+        return sch, g, _field_gaussian(rng, (m, n), field), _field_gaussian(rng, (n, m), field)
+    A = np.eye(m) + 0.3 * _field_gaussian(rng, (m, m), field) / math.sqrt(m)
+    return sch, g, A, np.linalg.inv(A)
+
+
+def _assert_pair_state(state, g, A, C):
+    """state against the dense formula for B = X A Y^-1 and D = Y C X^-1."""
+    sch = g.scheme
+    B = g.X @ A @ np.linalg.inv(g.Y)
+    D = g.Y @ C @ np.linalg.inv(g.X)
+    nb2, nd2 = np.linalg.norm(B) ** 2, np.linalg.norm(D) ** 2
+    grad = project_to_lie(sch, B @ B.conj().T / nb2 - D.conj().T @ D / nd2,
+                          D @ D.conj().T / nd2 - B.conj().T @ B / nb2)
+    kF = math.sqrt(nb2 * nd2)
+    assert abs(state.value - math.log(kF)) <= 1e-12
+    assert abs(state.kF - kF) <= 1e-12 * kF
+    for got, ref in zip(state.grad.left + state.grad.right, grad.left + grad.right):
+        assert got.dtype == np.result_type(*g.left, *g.right)
+        assert np.linalg.norm(got - ref) <= 1e-12 * grad.norm
+    assert np.linalg.norm(state.B - B) <= 1e-12 * np.linalg.norm(B)
+    assert np.linalg.norm(state.B_pinv - D) <= 1e-12 * np.linalg.norm(D)
+
+
+@_TORUS
+@given(_block_pairs(cross=False))
+def test_two_sided_block_state_matches_the_dense_reference(inp):
+    """A two-sided block state of a square run, formed from the two actions on
+    (A, A^-1), has the value, kF, gradient stacks, B and B_pinv of the dense
+    formula, on ragged runs and 1x1 tails, real and complex."""
+    sch, g, A, a_inv = inp
+    _assert_pair_state(evaluate(A, g, a_inv), g, A, a_inv)
+
+
+@_TORUS
+@given(_block_pairs(cross=True))
+def test_two_sided_block_cross_state_matches_the_dense_reference(inp):
+    """The same for a rectangular cross pair (A, C) through evaluate_cross."""
+    sch, g, A, C = inp
+    _assert_pair_state(evaluate_cross(A, C, g), g, A, C)

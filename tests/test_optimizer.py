@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import geoprec.group
+import geoprec.objective
 from conftest import complex_gaussian, rng_for
 from geoprec.errors import DimensionMismatchError, NonFiniteInputError, RankDeficientError
 from geoprec.group import GroupScheme
@@ -33,6 +35,29 @@ def test_diag_1_10_reaches_two():
     rep = minimize_condition(np.diag([1.0, 10.0]), diag_left(2, target_eps=1e-3))
     assert rep.termination is Termination.CERTIFIED
     assert rep.final_kF == pytest.approx(2.0, abs=1e-3)
+
+
+def test_left_block_estimator_run_polarizes_its_optimum_once(monkeypatch):
+    """The closed-form optimum is a polar factor already: a left block
+    estimator run that steps to it returns it, with one polar factor taken
+    per run of blocks, in ``left_optimum``."""
+    seen, polar = [], geoprec.group._polar
+
+    def spy(X, run):
+        seen.append(X.shape)
+        return polar(X, run)
+
+    monkeypatch.setattr(geoprec.group, "_polar", spy)
+    monkeypatch.setattr(geoprec.objective, "_polar", spy)
+    rng = rng_for(66)
+    A = np.exp(rng.standard_normal(40))[:, None] * rng.standard_normal((40, 40))
+    cfg = OptimizerConfig(scheme=GroupScheme.blocked(40, 5), max_iters=5)
+    rep = minimize_condition(A, cfg, estimator=EstimatorConfig())
+    assert (rep.termination, rep.iteration_count) == (Termination.CERTIFIED, 1)
+    assert seen == [(8, 5, 5)]
+    X = rep.final_element.left[0]
+    assert np.abs(X - X.transpose(0, 2, 1)).max() <= 1e-12 * np.abs(X).max()
+    assert np.linalg.eigvalsh(X).min() > 0
 
 
 def test_monotone_descent_and_gradient_norms():
